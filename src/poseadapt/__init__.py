@@ -7,58 +7,12 @@ cross-entropy, anchor-substituted point-matching regression, and a
 correlation-graph regularizer tying batch feature similarity to depth-bin
 similarity.  A confidence-gated teacher/student loop adapts the model to
 an unlabeled target domain.
-"""
 
-from .geometry import (
-    AnchorSet,
-    CameraIntrinsics,
-    ObjectModel,
-    Pose,
-    apply_pose,
-    closest_symmetric_rotation,
-    compose_pose,
-    compose_with_initial_guess,
-    generate_rotation_anchors,
-    generate_translation_bins,
-    geodesic_distance,
-    initial_guess_from_box,
-    rot6d_to_matrix,
-)
-from .labeling import LabelConfig, LabelScores, ScoreAssignmentConfig, assign_scores, nearest_anchors
-from .losses import (
-    ObjectiveConfig,
-    TargetGraph,
-    batch_feature_graph,
-    build_target_graph,
-    point_matching_distance,
-    regression_loss,
-    soft_cross_entropy,
-    target_correlation_loss,
-    total_objective,
-)
-from .metrics import EvalRecord, add_metric, add_s_metric, average_recall, evaluate_pose
-from .network import Adam, NetworkConfig, PoseNetwork, load_checkpoint, save_checkpoint
-from .selftrain import (
-    PseudoLabel,
-    SelfTrainConfig,
-    pseudo_label,
-    select_samples,
-    threshold_schedule,
-    train_student,
-    train_teacher,
-)
-from .synth import (
-    Dataset,
-    DomainConfig,
-    Sample,
-    evaluation_access,
-    load_dataset,
-    make_dataset,
-    make_domain_config,
-    make_object,
-    make_scalar_task,
-    save_dataset,
-    synthesize,
-)
+Modules, in dependency order: ``autodiff`` (tape engine), ``geometry``
+(poses, anchors), ``labeling`` (sparse scores), ``network`` (model, Adam,
+checkpoints), ``losses``, ``metrics`` (ADD / ADD-S, prediction),
+``selftrain`` (teacher/student), ``synth`` (datasets), ``config``,
+``reports``, ``experiment`` (the pipeline) and ``cli`` (its entry point).
+"""
 
 __version__ = "0.1.0"

@@ -43,10 +43,6 @@ class Tensor:
 
     # -- bookkeeping --------------------------------------------------------
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self):
         return float(self.data)
 
@@ -81,53 +77,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
     def __getitem__(self, key):
         return index(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
 
 
 def as_tensor(x):
@@ -136,10 +87,6 @@ def as_tensor(x):
 
 def parameter(data):
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
-def _tracked(*tensors):
-    return _grad_enabled and any(t.requires_grad or t._parents for t in tensors)
 
 
 def _make(data, parents, backward):
@@ -204,38 +151,17 @@ def div(a, b):
     return _make(a.data / b.data, (a, b), bw)
 
 
-def power(a, p):
-    a = as_tensor(a)
-    p = float(p)
-
-    def bw(g):
-        a._accumulate(g * p * np.power(a.data, p - 1))
-
-    return _make(np.power(a.data, p), (a,), bw)
-
-
 def matmul(a, b):
+    """Matrix product of operands with at least two dimensions each;
+    leading dimensions broadcast."""
     a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs 2-D or batched operands, got "
+                         f"{a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
 
     def bw(g):
         ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 1:
-            a._accumulate(g * bd)
-            b._accumulate(g * ad)
-            return
-        if ad.ndim == 1:
-            ga = (bd @ g[..., None])[..., 0]
-            a._accumulate(_unbroadcast(ga, ad.shape))
-            gb = ad[:, None] * g[..., None, :]
-            b._accumulate(_unbroadcast(gb, bd.shape))
-            return
-        if bd.ndim == 1:
-            ga = g[..., None] * bd
-            a._accumulate(_unbroadcast(ga, ad.shape))
-            gb = (np.swapaxes(ad, -1, -2) @ g[..., None])[..., 0]
-            b._accumulate(_unbroadcast(gb, bd.shape))
-            return
         a._accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
         b._accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
@@ -281,16 +207,6 @@ def absolute(a):
         a._accumulate(g * np.sign(a.data))
 
     return _make(np.abs(a.data), (a,), bw)
-
-
-def tanh(a):
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def bw(g):
-        a._accumulate(g * (1.0 - out * out))
-
-    return _make(out, (a,), bw)
 
 
 def leaky_relu(a, alpha=0.01):
@@ -384,18 +300,6 @@ def stack(tensors, axis=0):
     return _make(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), bw)
 
 
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
-
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
-
-
 def cross(a, b):
     """Cross product along the last axis (size 3)."""
     a, b = as_tensor(a), as_tensor(b)
@@ -416,13 +320,6 @@ def softmax(a, axis=-1):
     shift = np.max(a.data, axis=axis, keepdims=True)
     e = exp(sub(a, shift))
     return div(e, tsum(e, axis=axis, keepdims=True))
-
-
-def log_softmax(a, axis=-1):
-    a = as_tensor(a)
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    centered = sub(a, shift)
-    return sub(centered, log(tsum(exp(centered), axis=axis, keepdims=True)))
 
 
 def norm(a, axis=-1, keepdims=False):

@@ -11,12 +11,11 @@ batch size 32.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .labeling import LabelConfig, ScoreAssignmentConfig
 from .selftrain import SelfTrainConfig
-from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -33,11 +32,11 @@ class AnchorConfig:
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    rotation: tuple = (0.7, 0.1, 4)       # theta1, theta2, k
+    """Sparse labels (theta1, theta2, k); the regression loss supervises
+    the same k nearest anchors of each branch."""
+
+    rotation: tuple = (0.7, 0.1, 4)
     translation: tuple = (0.55, 0.075, 7)
-    k_rot: int = 4
-    k_z: int = 7
-    k_vxvy: int = 7
 
     def label_config(self):
         r = ScoreAssignmentConfig(*self.rotation)
@@ -113,11 +112,6 @@ class RunConfig:
     def dataset_path(self):
         return self.data_path or f"{self.out_dir}/dataset.txt"
 
-    def replace(self, **kw):
-        d = asdict(self)
-        d.update(kw)
-        return config_from_dict(d)
-
 
 _SECTION_TYPES = {
     "anchors": AnchorConfig,
@@ -162,8 +156,39 @@ def config_from_dict(d) -> RunConfig:
     return cfg
 
 
+# tuple fields of free length; every other tuple keeps its default's length
+_FREE_LENGTH = {"object_kinds", "encoder_hidden"}
+
+
+def _matches(value, default, free_length=False):
+    """Whether ``value`` has the JSON type of the field default ``default``."""
+    if isinstance(default, tuple):
+        return (isinstance(value, tuple) and (free_length or len(value) == len(default))
+                and all(_matches(v, default[min(i, len(default) - 1)])
+                        for i, v in enumerate(value)))
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if default is None:                    # data_path: unset or a path
+        return value is None or isinstance(value, str)
+    return isinstance(value, type(default))
+
+
+def _check_types(cfg: RunConfig):
+    sections = [("", cfg)] + [(f"{name}.", getattr(cfg, name)) for name in _SECTION_TYPES]
+    for prefix, section in sections:
+        for f in fields(section):
+            value = getattr(section, f.name)
+            if f.default is not MISSING and not _matches(value, f.default,
+                                                         f.name in _FREE_LENGTH):
+                raise ConfigError(f"{prefix}{f.name} has the wrong type or length: "
+                                  f"{value!r} (default {f.default!r})")
+
+
 def validate_config(cfg: RunConfig):
     """Check every field against module invariants before any computation."""
+    _check_types(cfg)
     a = cfg.anchors
     if a.n_rot < 1 or a.n_vx < 1 or a.n_vy < 1 or a.n_z < 1:
         raise ConfigError("anchor counts must be positive")
@@ -172,17 +197,20 @@ def validate_config(cfg: RunConfig):
         if not hi > lo:
             raise ConfigError(f"anchors.{name} must be increasing")
     try:
-        cfg.scores.label_config()
+        labels = cfg.scores.label_config()
     except InvalidArgumentError as e:
         raise ConfigError(f"invalid score assignment: {e}") from e
-    if cfg.scores.k_rot > a.n_rot or cfg.scores.k_z > a.n_z \
-            or cfg.scores.k_vxvy > min(a.n_vx, a.n_vy):
-        raise ConfigError("nearest-neighbor counts exceed anchor counts")
     d = cfg.data
+    if labels.rotation.k > a.n_rot or labels.z.k > a.n_z \
+            or labels.vx.k > min(a.n_vx, a.n_vy) \
+            or (cfg.scalar_task and labels.z.k > d.scalar_bins):
+        raise ConfigError("a score k exceeds the anchor count of its branch")
     if d.n_source < 1 or d.n_target < 1:
         raise ConfigError("dataset sizes must be positive")
     if d.n_points < 4:
         raise ConfigError("object models need at least 4 points")
+    if not d.object_kinds:
+        raise ConfigError("data.object_kinds must name at least one object")
     for kind in d.object_kinds:
         if kind not in ("box", "cylinder", "blob"):
             raise ConfigError(f"unknown object kind {kind!r}")
@@ -198,7 +226,8 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(f"invalid self-training schedule: {e}") from e
     if t.ctc_weight < 0:
         raise ConfigError("ctc_weight must be >= 0")
-    if cfg.network.feature_dim < 1 or cfg.network.head_hidden < 1:
+    n = cfg.network
+    if min(n.feature_dim, n.head_hidden, *n.encoder_hidden) < 1:
         raise ConfigError("network sizes must be positive")
 
 
@@ -208,7 +237,7 @@ def load_config(path, overrides=None) -> RunConfig:
             raw = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:               # invalid JSON or invalid UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

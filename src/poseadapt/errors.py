@@ -33,6 +33,10 @@ class DependencyError(PoseAdaptError):
     """A required input artifact (checkpoint, dataset) is missing."""
 
 
+class DatasetError(PoseAdaptError):
+    """A dataset file is unreadable, truncated or corrupt."""
+
+
 class CheckpointError(PoseAdaptError):
     """A checkpoint file is unreadable or corrupt."""
 

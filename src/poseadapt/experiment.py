@@ -12,21 +12,22 @@ import os
 import numpy as np
 
 from .config import RunConfig, save_config
-from .errors import DependencyError, InvalidArgumentError
-from .geometry import AnchorSet, CameraIntrinsics, generate_translation_bins
+from .errors import CheckpointIncompatibleError, DependencyError, InvalidArgumentError
+from .geometry import AnchorSet, CameraIntrinsics, Pose, generate_translation_bins
 from .losses import ObjectiveConfig, build_target_graph
-from .metrics import average_recall, evaluate_pose, predict_poses, scalar_mae
+from .metrics import average_recall, confidence_scores, evaluate_pose, predict_poses, scalar_mae
 from .network import NetworkConfig, PoseNetwork, load_checkpoint, save_checkpoint
 from .reports import (
     ensure_dir,
     write_loss_curve,
+    write_mae_table,
     write_pseudo_cache,
     write_recall_table,
     write_round_stats,
     write_series,
     write_sweep,
 )
-from .selftrain import pseudo_label, train_student, train_teacher
+from .selftrain import train_student, train_teacher
 from .synth import (
     SCALAR_RANGE,
     Dataset,
@@ -41,6 +42,7 @@ from .synth import (
 )
 
 STAGES = ("teacher", "student", "baseline-regression", "no-ctc")
+DOMAINS = ("source", "target")
 
 _STAGE_PREFIX = {
     "teacher": "teacher",
@@ -77,30 +79,29 @@ def build_anchors(cfg: RunConfig, scalar=False, single=False) -> AnchorSet:
 
 def build_network_config(cfg: RunConfig, obs_dim, anchors: AnchorSet,
                          scalar=False) -> NetworkConfig:
+    """Branch sizes from the anchors; the scalar task keeps only z."""
     n = cfg.network
-    if scalar:
-        return NetworkConfig(obs_dim=obs_dim, n_rot=0, n_vx=0, n_vy=0,
-                             n_z=len(anchors.bins_z), feature_dim=n.feature_dim,
-                             encoder_hidden=tuple(n.encoder_hidden),
-                             head_hidden=n.head_hidden)
-    return NetworkConfig(obs_dim=obs_dim, n_rot=anchors.n_rot,
-                         n_vx=len(anchors.bins_vx), n_vy=len(anchors.bins_vy),
+    n_rot, n_vx, n_vy = ((0, 0, 0) if scalar else
+                         (anchors.n_rot, len(anchors.bins_vx), len(anchors.bins_vy)))
+    return NetworkConfig(obs_dim=obs_dim, n_rot=n_rot, n_vx=n_vx, n_vy=n_vy,
                          n_z=len(anchors.bins_z), feature_dim=n.feature_dim,
                          encoder_hidden=tuple(n.encoder_hidden), head_hidden=n.head_hidden)
 
 
 def build_objective(cfg: RunConfig, anchors: AnchorSet, stage) -> ObjectiveConfig:
+    """Loss terms of one stage; regression supervises the k nearest anchors
+    of each label, one anchor for the direct-regression baseline."""
     use_cls = stage != "baseline-regression"
     use_ctc = cfg.train.use_ctc and stage not in ("baseline-regression", "no-ctc")
-    k_rot, k_z, k_vxvy = cfg.scores.k_rot, cfg.scores.k_z, cfg.scores.k_vxvy
+    labels = cfg.scores.label_config()
     if stage == "baseline-regression":
         k_rot = k_z = k_vxvy = 1
     else:
-        k_rot = min(k_rot, anchors.n_rot)
-        k_z = min(k_z, len(anchors.bins_z))
-        k_vxvy = min(k_vxvy, len(anchors.bins_vx), len(anchors.bins_vy))
+        k_rot = min(labels.rotation.k, anchors.n_rot)
+        k_z = min(labels.z.k, len(anchors.bins_z))
+        k_vxvy = min(labels.vx.k, len(anchors.bins_vx), len(anchors.bins_vy))
     tg = build_target_graph(anchors.bins_z, anchors.z_range[0], anchors.z_range[1])
-    return ObjectiveConfig(labels=cfg.scores.label_config(), k_rot=k_rot, k_z=k_z,
+    return ObjectiveConfig(labels=labels, k_rot=k_rot, k_z=k_z,
                            k_vxvy=k_vxvy, use_cls=use_cls,
                            ctc_weight=cfg.train.ctc_weight if use_ctc else 0.0,
                            target_graph=tg)
@@ -150,7 +151,7 @@ def load_dataset_or_fail(cfg: RunConfig) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers
+# reports
 
 
 def evaluate_pose_net(net, samples, model, anchors, cam):
@@ -164,17 +165,17 @@ def evaluate_pose_net(net, samples, model, anchors, cam):
                 for i, s in enumerate(samples)]
 
 
-def recall_by_object(nets, ds: Dataset, anchors, cam, domain):
-    """Per-object (name, count, recall) rows plus the record lists."""
-    rows, all_records = [], {}
-    for i, net in enumerate(nets):
-        samples = ds.by_object(i, domain)
-        records = evaluate_pose_net(net, samples, ds.objects[i], anchors, cam)
+def recall_by_object(nets, ds: Dataset, anchors, domain):
+    """Recall-table rows (name, count, recall or None), one per network of
+    ``nets`` (object id -> network)."""
+    rows = []
+    for i, net in nets.items():
+        records = evaluate_pose_net(net, ds.by_object(i, domain), ds.objects[i],
+                                    anchors, ds.cam)
         name = ds.object_kinds[i] or f"object{i}"
         rows.append((f"{name}{i}", len(records),
                      average_recall(records) if records else None))
-        all_records[i] = records
-    return rows, all_records
+    return rows
 
 
 def mean_recall(rows):
@@ -191,90 +192,31 @@ def scalar_predictions(net, samples, anchors, cam):
     return predicted, actual
 
 
-# ---------------------------------------------------------------------------
-# train
-
-
-def run_train(cfg: RunConfig, stage, log=print):
-    """Run one training stage and write its reports; returns a summary."""
-    if stage not in STAGES:
-        raise InvalidArgumentError(f"unknown stage {stage!r}; choose from {STAGES}")
-    ds = load_dataset_or_fail(cfg)
-    ensure_dir(cfg.out_dir)
-    save_config(os.path.join(cfg.out_dir, f"config_{stage}.json"), cfg)
+def write_quality_reports(cfg: RunConfig, ds: Dataset, nets, anchors, tag, log=print):
+    """Score ``nets`` (object id -> network) on both splits and write the
+    report: one recall table per split for a pose dataset, one
+    ``mae_<tag>.tsv`` for the scalar task.  Returns {"recall" | "mae":
+    {domain: value}}."""
     if ds.kind == "scalar":
-        return _train_scalar(cfg, ds, stage, log)
-    return _train_pose(cfg, ds, stage, log)
+        (i, net), = nets.items()
+        rows = []
+        for domain in DOMAINS:
+            predicted, actual = scalar_predictions(net, ds.by_object(i, domain), anchors, ds.cam)
+            rows.append((domain, len(predicted), scalar_mae(predicted, actual)))
+        write_mae_table(os.path.join(cfg.out_dir, f"mae_{tag}.tsv"), rows)
+        log(f"{tag}: MAE source {rows[0][2]:.4f} target {rows[1][2]:.4f}")
+        return {"mae": {r[0]: r[2] for r in rows}}
+    recall = {}
+    for domain in DOMAINS:
+        rows = recall_by_object(nets, ds, anchors, domain)
+        write_recall_table(os.path.join(cfg.out_dir, f"recall_{tag}_{domain}.tsv"), rows)
+        recall[domain] = mean_recall(rows)
+        log(f"{tag}: {domain} mean recall "
+            + ("n/a" if recall[domain] is None else f"{recall[domain]:.2f}%"))
+    return {"recall": recall}
 
 
-def _teacher_stage_for_student(cfg: RunConfig):
-    return "teacher" if cfg.train.use_ctc else "no-ctc"
-
-
-def _ckpt_path(out_dir, stage, obj_id):
-    return os.path.join(out_dir, f"{_STAGE_PREFIX[stage]}_obj{obj_id}.ckpt")
-
-
-def _train_pose(cfg: RunConfig, ds: Dataset, stage, log):
-    scalar = False
-    single = stage == "baseline-regression"
-    anchors = build_anchors(cfg, scalar=scalar, single=single)
-    cam = ds.cam
-    objective = build_objective(cfg, anchors, stage)
-    st_cfg = cfg.train.selftrain_config()
-    nets, checkpoints, round_stats = [], [], {}
-    for i, model in enumerate(ds.objects):
-        source = ds.by_object(i, "source")
-        target = ds.by_object(i, "target")
-        net_cfg = build_network_config(cfg, ds.obs_dim, anchors, scalar=scalar)
-        if stage == "student":
-            teacher_stage = _teacher_stage_for_student(cfg)
-            tpath = _ckpt_path(cfg.out_dir, teacher_stage, i)
-            if not os.path.exists(tpath):
-                raise DependencyError(
-                    f"student stage needs {tpath}; run --stage {teacher_stage} first")
-            teacher, _, _, _ = load_checkpoint(tpath, expected_config=net_cfg)
-
-            def sink(r, labels, _i=i):
-                write_pseudo_cache(
-                    os.path.join(cfg.out_dir, f"pseudo_student_obj{_i}_round{r}.tsv"),
-                    labels, r)
-
-            student, rounds = train_student(
-                teacher, source, target, anchors, model, cam, objective, st_cfg,
-                seed=cfg.seed + 100 + i, label_sink=sink)
-            nets.append(student)
-            round_stats[i] = rounds
-            stats = None
-        else:
-            net = PoseNetwork(net_cfg, seed=cfg.network.seed + i)
-            stats = train_teacher(source, net, anchors, model, cam, objective,
-                                  st_cfg, seed=cfg.seed + 10 + i)
-            nets.append(net)
-            write_loss_curve(os.path.join(cfg.out_dir, f"loss_{_STAGE_PREFIX[stage]}_obj{i}.tsv"),
-                             stats)
-        path = _ckpt_path(cfg.out_dir, stage, i)
-        save_checkpoint(path, nets[-1], meta={"stage": stage, "object_id": i,
-                                              "kind": "pose"})
-        checkpoints.append(path)
-        log(f"{stage}: object {i} trained"
-            + (f", final loss {stats.final_loss:.4f}" if stats and stats.final_loss is not None else ""))
-
-    summary = {"stage": stage, "checkpoints": checkpoints, "recall": {}}
-    for domain in ("source", "target"):
-        rows, records = recall_by_object(nets, ds, anchors, cam, domain)
-        write_recall_table(os.path.join(cfg.out_dir, f"recall_{_STAGE_PREFIX[stage]}_{domain}.tsv"),
-                           rows)
-        summary["recall"][domain] = mean_recall(rows)
-        log(f"{stage}: {domain} mean recall "
-            + (f"{summary['recall'][domain]:.2f}%" if summary["recall"][domain] is not None else "n/a"))
-    if stage == "student":
-        _write_student_round_reports(cfg, ds, anchors, cam, round_stats)
-        summary["rounds"] = round_stats
-    return summary
-
-
-def _write_student_round_reports(cfg, ds, anchors, cam, round_stats):
+def _write_student_round_reports(cfg, ds, round_stats):
     """Per-round selection statistics with the selected subset's recall."""
     for i, rounds in round_stats.items():
         model = ds.objects[i]
@@ -294,62 +236,77 @@ def _write_student_round_reports(cfg, ds, anchors, cam, round_stats):
 
 
 def _read_pseudo_poses(path):
-    from .geometry import Pose
+    """Pseudo poses as written, six decimals, so the report scores them."""
     poses = {}
     with open(path) as f:
         lines = f.read().splitlines()[1:]
     for line in lines:
         parts = line.split("\t")
-        sid = parts[0]
-        vals = [float(v) for v in parts[1:14]]
-        poses[sid] = Pose(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:12]))
+        vals = [float(v) for v in parts[1:13]]
+        poses[parts[0]] = Pose(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:12]))
     return poses
 
 
-def _train_scalar(cfg: RunConfig, ds: Dataset, stage, log):
-    single = stage == "baseline-regression"
-    anchors = build_anchors(cfg, scalar=True, single=single)
-    cam = ds.cam
+# ---------------------------------------------------------------------------
+# train
+
+
+def _ckpt_path(out_dir, stage, obj_id):
+    return os.path.join(out_dir, f"{_STAGE_PREFIX[stage]}_obj{obj_id}.ckpt")
+
+
+def run_train(cfg: RunConfig, stage, log=print):
+    """Train one stage for every object and write its checkpoints and
+    reports; returns a summary.  The scalar task runs the same path as one
+    object with only the z branch active."""
+    if stage not in STAGES:
+        raise InvalidArgumentError(f"unknown stage {stage!r}; choose from {STAGES}")
+    ds = load_dataset_or_fail(cfg)
+    ensure_dir(cfg.out_dir)
+    save_config(os.path.join(cfg.out_dir, f"config_{stage}.json"), cfg)
+    scalar = ds.kind == "scalar"
+    anchors = build_anchors(cfg, scalar=scalar, single=stage == "baseline-regression")
+    net_cfg = build_network_config(cfg, ds.obs_dim, anchors, scalar=scalar)
     objective = build_objective(cfg, anchors, stage)
     st_cfg = cfg.train.selftrain_config()
-    model = ds.objects[0]
-    source, target = ds.source, ds.target
-    net_cfg = build_network_config(cfg, ds.obs_dim, anchors, scalar=True)
+    prefix = _STAGE_PREFIX[stage]
+    nets, checkpoints, round_stats = {}, [], {}
+    for i, model in enumerate(ds.objects):
+        source, target = ds.by_object(i, "source"), ds.by_object(i, "target")
+        if stage == "student":
+            teacher_stage = "teacher" if cfg.train.use_ctc else "no-ctc"
+            tpath = _ckpt_path(cfg.out_dir, teacher_stage, i)
+            if not os.path.exists(tpath):
+                raise DependencyError(
+                    f"student stage needs {tpath}; run --stage {teacher_stage} first")
+            teacher, _ = load_checkpoint(tpath, expected_config=net_cfg)
+
+            def sink(r, labels, _i=i):
+                write_pseudo_cache(
+                    os.path.join(cfg.out_dir, f"pseudo_student_obj{_i}_round{r}.tsv"),
+                    labels, r)
+
+            nets[i], round_stats[i] = train_student(
+                teacher, source, target, anchors, model, ds.cam, objective, st_cfg,
+                seed=cfg.seed + 100 + i, label_sink=sink)
+            log(f"{stage}: object {i} trained")
+        else:
+            nets[i] = PoseNetwork(net_cfg, seed=cfg.network.seed + i)
+            stats = train_teacher(source, nets[i], anchors, model, ds.cam, objective,
+                                  st_cfg, seed=cfg.seed + 10 + i)
+            write_loss_curve(os.path.join(cfg.out_dir, f"loss_{prefix}_obj{i}.tsv"), stats)
+            log(f"{stage}: object {i} trained" + ("" if stats.final_loss is None
+                                                  else f", final loss {stats.final_loss:.4f}"))
+        path = _ckpt_path(cfg.out_dir, stage, i)
+        save_checkpoint(path, nets[i], meta={"stage": stage, "object_id": i,
+                                             "kind": ds.kind})
+        checkpoints.append(path)
+    summary = {"stage": stage, "checkpoints": checkpoints,
+               **write_quality_reports(cfg, ds, nets, anchors, prefix, log)}
     if stage == "student":
-        teacher_stage = _teacher_stage_for_student(cfg)
-        tpath = _ckpt_path(cfg.out_dir, teacher_stage, 0)
-        if not os.path.exists(tpath):
-            raise DependencyError(
-                f"student stage needs {tpath}; run --stage {teacher_stage} first")
-        teacher, _, _, _ = load_checkpoint(tpath, expected_config=net_cfg)
-
-        def sink(r, labels):
-            write_pseudo_cache(os.path.join(cfg.out_dir, f"pseudo_student_obj0_round{r}.tsv"),
-                               labels, r)
-
-        net, rounds = train_student(teacher, source, target, anchors, model, cam,
-                                    objective, st_cfg, seed=cfg.seed + 100,
-                                    label_sink=sink)
-    else:
-        net = PoseNetwork(net_cfg, seed=cfg.network.seed)
-        stats = train_teacher(source, net, anchors, model, cam, objective, st_cfg,
-                              seed=cfg.seed + 10)
-        write_loss_curve(os.path.join(cfg.out_dir, f"loss_{_STAGE_PREFIX[stage]}_obj0.tsv"),
-                         stats)
-    path = _ckpt_path(cfg.out_dir, stage, 0)
-    save_checkpoint(path, net, meta={"stage": stage, "object_id": 0, "kind": "scalar"})
-    summary = {"stage": stage, "checkpoints": [path], "mae": {}}
-    rows = []
-    for domain in ("source", "target"):
-        samples = ds.split(domain)
-        predicted, actual = scalar_predictions(net, samples, anchors, cam)
-        mae = scalar_mae(predicted, actual)
-        summary["mae"][domain] = mae
-        rows.append((domain, len(samples), mae))
-        log(f"{stage}: {domain} MAE {mae:.4f}")
-    from .reports import _write_rows
-    _write_rows(os.path.join(cfg.out_dir, f"mae_{_STAGE_PREFIX[stage]}.tsv"),
-                ("domain", "count", "mae"), rows)
+        if not scalar:
+            _write_student_round_reports(cfg, ds, round_stats)
+        summary["rounds"] = round_stats
     return summary
 
 
@@ -362,42 +319,21 @@ def run_eval(cfg: RunConfig, checkpoint, log=print):
     ds = load_dataset_or_fail(cfg)
     if not os.path.exists(checkpoint):
         raise DependencyError(f"checkpoint {checkpoint} not found")
+    net, meta = load_checkpoint(checkpoint)
     scalar = ds.kind == "scalar"
-    net, _, _, meta = load_checkpoint(checkpoint)
-    stage = meta.get("stage", "teacher")
-    single = stage == "baseline-regression"
-    anchors = build_anchors(cfg, scalar=scalar, single=single)
+    anchors = build_anchors(cfg, scalar=scalar,
+                            single=meta.get("stage") == "baseline-regression")
     expected = build_network_config(cfg, ds.obs_dim, anchors, scalar=scalar)
     if net.config != expected:
-        from .errors import CheckpointIncompatibleError
         raise CheckpointIncompatibleError(
             f"checkpoint network {net.config} does not match config-derived {expected}")
-    ensure_dir(cfg.out_dir)
     obj = int(meta.get("object_id", 0))
-    cam = ds.cam
-    summary = {"checkpoint": checkpoint, "object_id": obj}
-    if scalar:
-        rows = []
-        for domain in ("source", "target"):
-            predicted, actual = scalar_predictions(net, ds.split(domain), anchors, cam)
-            rows.append((domain, len(predicted), scalar_mae(predicted, actual)))
-        from .reports import _write_rows
-        _write_rows(os.path.join(cfg.out_dir, "mae_eval.tsv"), ("domain", "count", "mae"), rows)
-        summary["mae"] = {r[0]: r[2] for r in rows}
-        log(f"eval: MAE source {rows[0][2]:.4f} target {rows[1][2]:.4f}")
-        return summary
-    model = ds.objects[obj]
-    summary["recall"] = {}
-    for domain in ("source", "target"):
-        samples = ds.by_object(obj, domain)
-        records = evaluate_pose_net(net, samples, model, anchors, cam)
-        rec = average_recall(records) if records else None
-        name = ds.object_kinds[obj] or f"object{obj}"
-        write_recall_table(os.path.join(cfg.out_dir, f"recall_eval_{domain}.tsv"),
-                           [(f"{name}{obj}", len(records), rec)])
-        summary["recall"][domain] = rec
-        log(f"eval: {domain} recall " + (f"{rec:.2f}%" if rec is not None else "n/a"))
-    return summary
+    if not 0 <= obj < len(ds.objects):
+        raise CheckpointIncompatibleError(
+            f"checkpoint object {obj} is not in the dataset's {len(ds.objects)} objects")
+    ensure_dir(cfg.out_dir)
+    return {"checkpoint": checkpoint, "object_id": obj,
+            **write_quality_reports(cfg, ds, {obj: net}, anchors, "eval", log)}
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +360,12 @@ def run_sweep(cfg: RunConfig, log=print, taus=None, stage="teacher"):
         tpath = _ckpt_path(cfg.out_dir, stage, i)
         if not os.path.exists(tpath):
             raise DependencyError(f"sweep needs {tpath}; run --stage {stage} first")
-        net, _, _, _ = load_checkpoint(tpath)
+        net, _ = load_checkpoint(tpath)
         samples = ds.by_object(i, "target")
         if not samples:
             continue
         obs = np.stack([s.observation for s in samples])
         poses, out = predict_poses(net, obs, anchors, cam)
-        from .metrics import confidence_scores
         conf = confidence_scores(out)
         with evaluation_access():
             for j, s in enumerate(samples):

@@ -1,4 +1,4 @@
-"""Rotation and pose algebra, camera projection, and anchor generation.
+"""Rotation and pose algebra, pinhole image-plane targets, and anchor generation.
 
 Conventions used throughout the package:
 
@@ -14,7 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +23,6 @@ from .errors import (
     InvalidArgumentError,
     NonPositiveDepthError,
 )
-
-ROTATION_TOL = 1e-6
-
-
-def check_rotation(m, tol=ROTATION_TOL):
-    """Raise if ``m`` is not a proper rotation (orthonormal, det +1)."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise InvalidArgumentError(f"rotation must be 3x3, got {m.shape}")
-    if not np.all(np.abs(m.T @ m - np.eye(3)) < tol):
-        raise InvalidArgumentError("matrix is not orthonormal")
-    if abs(np.linalg.det(m) - 1.0) > tol:
-        raise InvalidArgumentError("matrix determinant is not +1")
-    return m
 
 
 @dataclass(frozen=True)
@@ -53,13 +39,6 @@ class Pose:
     @property
     def z(self):
         return float(self.translation[2])
-
-    def apply(self, points):
-        return apply_pose(self, points)
-
-    @staticmethod
-    def identity():
-        return Pose(np.eye(3), np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -294,64 +273,10 @@ def compose_pose(cls_picks, residuals, anchors: AnchorSet, cam: CameraIntrinsics
     return Pose(rotation, np.array([vx * z / cam.fx, vy * z / cam.fy, z]))
 
 
-def compose_with_initial_guess(net_pose: Pose, init: Pose) -> Pose:
-    """Compose a network output pose with an initial guess.
-
-    Rotation multiplies, x and y add, z scales multiplicatively.
-    """
-    if init.z <= 0 or net_pose.z <= 0:
-        raise NonPositiveDepthError("initial and network depths must be positive")
-    x, y, z = net_pose.translation
-    xi, yi, zi = init.translation
-    return Pose(net_pose.rotation @ init.rotation, np.array([x + xi, y + yi, z * zi]))
-
-
-def relative_pose_to_init(target: Pose, init: Pose) -> Pose:
-    """Inverse of compose_with_initial_guess: the net-frame pose whose
-    composition with ``init`` reproduces ``target``."""
-    if init.z <= 0:
-        raise NonPositiveDepthError("initial depth must be positive")
-    x, y, z = target.translation
-    xi, yi, zi = init.translation
-    return Pose(target.rotation @ init.rotation.T, np.array([x - xi, y - yi, z / zi]))
-
-
-def initial_guess_from_box(box, model: ObjectModel, cam: CameraIntrinsics) -> Pose:
-    """Pinhole size-ratio pose guess from a 2D detection box.
-
-    ``box`` is (left, top, right, bottom) in full-image pixels.  Depth is
-    set so the object diameter projects to the larger box side; x, y come
-    from back-projecting the box center at that depth.  The rotation guess
-    is the identity.
-    """
-    left, top, right, bottom = (float(v) for v in box)
-    w, h = right - left, bottom - top
-    if w <= 0 or h <= 0:
-        raise InvalidArgumentError("box must have positive width and height")
-    z = cam.fx * model.diameter / max(w, h)
-    ux = 0.5 * (left + right) - cam.cx
-    uy = 0.5 * (top + bottom) - cam.cy
-    return Pose(np.eye(3), np.array([ux * z / cam.fx, uy * z / cam.fy, z]))
-
-
 def apply_pose(p: Pose, pts):
     """Transform points (n, 3) by ``R x + t``."""
     pts = np.asarray(pts, dtype=float)
     return pts @ p.rotation.T + p.translation
-
-
-def project_points(p: Pose, pts, cam: CameraIntrinsics):
-    """Pinhole projection of transformed points to (n, 2) pixel coords."""
-    q = apply_pose(p, pts)
-    return np.stack([cam.fx * q[:, 0] / q[:, 2] + cam.cx,
-                     cam.fy * q[:, 1] / q[:, 2] + cam.cy], axis=1)
-
-
-def bounding_box(p: Pose, pts, cam: CameraIntrinsics):
-    """Tight pixel bounding box (left, top, right, bottom) of the projection."""
-    uv = project_points(p, pts, cam)
-    return (float(uv[:, 0].min()), float(uv[:, 1].min()),
-            float(uv[:, 0].max()), float(uv[:, 1].max()))
 
 
 def pose_targets(p: Pose, cam: CameraIntrinsics):
@@ -374,38 +299,3 @@ def closest_symmetric_rotation(r_pred, r_gt, model: ObjectModel):
             best, best_d = cand, d
     return best
 
-
-# ---------------------------------------------------------------------------
-# object model serialization (versioned structured text)
-
-_MODEL_MAGIC = "poseadapt-object v1"
-
-
-def save_object_model(path, model: ObjectModel):
-    lines = [_MODEL_MAGIC]
-    lines.append(f"diameter {float(model.diameter)!r}")
-    lines.append(f"symmetries {len(model.symmetries)}")
-    for s in model.symmetries:
-        lines.append(" ".join(repr(float(v)) for v in np.asarray(s).reshape(9)))
-    lines.append(f"points {len(model.points)}")
-    for pt in model.points:
-        lines.append(" ".join(repr(float(v)) for v in pt))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_object_model(path) -> ObjectModel:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != _MODEL_MAGIC:
-        raise InvalidArgumentError(f"{path}: not a poseadapt object model file")
-    diameter = float(lines[1].split()[1])
-    n_sym = int(lines[2].split()[1])
-    syms = tuple(
-        np.array([float(v) for v in lines[3 + i].split()]).reshape(3, 3)
-        for i in range(n_sym)
-    )
-    off = 3 + n_sym
-    n_pts = int(lines[off].split()[1])
-    pts = np.array([[float(v) for v in lines[off + 1 + i].split()] for i in range(n_pts)])
-    return ObjectModel(points=pts, diameter=diameter, symmetries=syms)

@@ -3,7 +3,8 @@
 A ground-truth (or pseudo) pose is turned into one probability-like score
 vector per classification branch: the nearest anchor gets a large score
 theta1, the next k-1 nearest get theta2, everything else is zero, and the
-vector sums to one.
+vector sums to one.  ``losses.prepare_supervision`` assembles the vectors
+of all branches of one sample.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import AnchorSet, CameraIntrinsics, Pose, geodesic_distances_to, pose_targets
+from .geometry import geodesic_distances_to
 
 
 @dataclass(frozen=True)
@@ -36,18 +37,6 @@ class ScoreAssignmentConfig:
         if abs(self.theta1 + (self.k - 1) * self.theta2 - 1.0) > 1e-9:
             raise InvalidArgumentError("scores must sum to 1: theta1 + (k-1)*theta2 = 1")
 
-    @staticmethod
-    def rotation_default():
-        return ScoreAssignmentConfig(0.7, 0.1, 4)
-
-    @staticmethod
-    def translation_default():
-        return ScoreAssignmentConfig(0.55, 0.075, 7)
-
-    @staticmethod
-    def one_hot():
-        return ScoreAssignmentConfig(1.0, 0.0, 1)
-
 
 @dataclass(frozen=True)
 class LabelConfig:
@@ -60,23 +49,8 @@ class LabelConfig:
 
     @staticmethod
     def default():
-        t = ScoreAssignmentConfig.translation_default()
-        return LabelConfig(ScoreAssignmentConfig.rotation_default(), t, t, t)
-
-    @staticmethod
-    def one_hot():
-        o = ScoreAssignmentConfig.one_hot()
-        return LabelConfig(o, o, o, o)
-
-
-@dataclass(frozen=True)
-class LabelScores:
-    """Per-branch score vectors; each sums to 1 with exactly k nonzeros."""
-
-    s_rot: np.ndarray
-    s_vx: np.ndarray
-    s_vy: np.ndarray
-    s_z: np.ndarray
+        t = ScoreAssignmentConfig(0.55, 0.075, 7)
+        return LabelConfig(ScoreAssignmentConfig(0.7, 0.1, 4), t, t, t)
 
 
 def anchor_distances(target, anchors):
@@ -103,19 +77,8 @@ def nearest_anchors(target, anchors, k):
 def score_vector(target, anchors, cfg: ScoreAssignmentConfig):
     """Sparse score vector over the anchor list for one target."""
     idx = nearest_anchors(target, anchors, cfg.k)
-    s = np.zeros(len(np.asarray(anchors)) if np.asarray(anchors).ndim == 1 else len(anchors))
+    s = np.zeros(len(anchors))
     s[idx] = cfg.theta2
     s[idx[0]] = cfg.theta1
     return s
 
-
-def assign_scores(gt: Pose, anchors: AnchorSet, cam: CameraIntrinsics,
-                  cfg: LabelConfig) -> LabelScores:
-    """Sparse classification labels for all four branches of a pose."""
-    rot, vx, vy, z = pose_targets(gt, cam)
-    return LabelScores(
-        s_rot=score_vector(rot, anchors.rotations, cfg.rotation),
-        s_vx=score_vector(vx, anchors.bins_vx, cfg.vx),
-        s_vy=score_vector(vy, anchors.bins_vy, cfg.vy),
-        s_z=score_vector(z, anchors.bins_z, cfg.z),
-    )

@@ -66,11 +66,6 @@ def classification_loss(out: HeadOutput, gt_poses, anchors: AnchorSet,
     return total
 
 
-def _branch_target(pose: Pose, cam: CameraIntrinsics):
-    rot, vx, vy, z = pose_targets(pose, cam)
-    return {"rot": rot, "vx": vx, "vy": vy, "z": z}
-
-
 @dataclass
 class Supervision:
     """Per-sample training targets cached across epochs.
@@ -258,14 +253,6 @@ def regression_loss_batch(out: HeadOutput, gt_poses, anchors: AnchorSet,
     return loss
 
 
-def regression_loss(out: HeadOutput, gt: Pose, anchors: AnchorSet,
-                    model: ObjectModel, cam: CameraIntrinsics,
-                    k_rot=4, k_z=7, k_vxvy=7):
-    """Single-sample regression loss; ``out`` must hold a batch of one."""
-    per = regression_loss_batch(out, [gt], anchors, model, cam, k_rot, k_z, k_vxvy)
-    return ad.tsum(per)
-
-
 # ---------------------------------------------------------------------------
 # target-correlation graph regularizer
 
@@ -338,12 +325,6 @@ class ObjectiveConfig:
     use_cls: bool = True
     ctc_weight: float = 1.0
     target_graph: TargetGraph = None
-
-    def with_ctc(self, enabled):
-        return ObjectiveConfig(labels=self.labels, k_rot=self.k_rot, k_z=self.k_z,
-                               k_vxvy=self.k_vxvy, use_cls=self.use_cls,
-                               ctc_weight=self.ctc_weight if enabled else 0.0,
-                               target_graph=self.target_graph)
 
 
 @dataclass

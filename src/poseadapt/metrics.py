@@ -15,7 +15,6 @@ from .geometry import (
     Pose,
     apply_pose,
     compose_pose,
-    compose_with_initial_guess,
 )
 
 HIT_FACTOR = 0.1  # hit when distance < 10% of the object diameter
@@ -69,13 +68,12 @@ def average_recall(records):
 # prediction
 
 
-def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics,
-                  inits=None):
-    """Most-likely pose per observation row (arg-max anchors + residuals).
+def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
+    """Most-likely pose per observation row (arg-max anchors + residuals)
+    plus the raw network output.
 
     A depth residual that would push z non-positive falls back to the bare
-    bin center so evaluation never dies on a half-trained network.  When
-    ``inits`` is given, each network pose composes with its initial guess.
+    bin center so evaluation never dies on a half-trained network.
     """
     obs = np.asarray(observations, dtype=float)
     with ad.no_grad():
@@ -99,8 +97,6 @@ def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics,
             pose = compose_pose(cls_picks, (rot_res, dvx, dvy, dz), anchors, cam)
         except NonPositiveDepthError:
             pose = compose_pose(cls_picks, (rot_res, dvx, dvy, 0.0), anchors, cam)
-        if inits is not None:
-            pose = compose_with_initial_guess(pose, inits[b])
         poses.append(pose)
     return poses, out
 

@@ -11,7 +11,7 @@ with only the z branch active.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -174,9 +174,6 @@ class PoseNetwork:
             residuals[name] = ad.reshape(r, (x.data.shape[0], n, 6)) if name == "rot" else r
         return HeadOutput(probs=probs, residuals=residuals, feature=f)
 
-    def forward_one(self, obs):
-        return self.forward(np.asarray(obs, dtype=np.float64)[None, :])
-
 
 class Adam:
     """Adaptive-moment optimizer with bias correction."""
@@ -201,23 +198,6 @@ class Adam:
             v = self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * (g * g)
             p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
-    def state(self):
-        return {
-            "t": self.t, "lr": self.lr, "beta1": self.beta1,
-            "beta2": self.beta2, "eps": self.eps,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state(self, state):
-        self.t = int(state["t"])
-        self.lr = float(state["lr"])
-        self.beta1, self.beta2 = float(state["beta1"]), float(state["beta2"])
-        self.eps = float(state["eps"])
-        for k in self.m:
-            self.m[k] = state["m"][k].astype(np.float64).copy()
-            self.v[k] = state["v"][k].astype(np.float64).copy()
-
 
 # ---------------------------------------------------------------------------
 # checkpoint file: versioned binary, header JSON + raw float64 arrays
@@ -225,41 +205,32 @@ class Adam:
 _CKPT_MAGIC = b"poseadapt-ckpt v1\n"
 
 
-def save_checkpoint(path, net: PoseNetwork, optimizer: Adam = None,
-                    rng: np.random.Generator = None, meta=None):
-    """Write network (and optionally optimizer + RNG) state to ``path``.
+def save_checkpoint(path, net: PoseNetwork, meta=None):
+    """Write the network's config, parameters and ``meta`` to ``path``.
 
-    Loading restores bit-identical subsequent training on one platform.
+    The file holds inference state only: neither optimizer moments nor an
+    RNG state are stored, so a loaded network is for evaluation, for
+    annotation, or as the starting point of a new training stage.
     """
     params = net.parameters()
     names = list(params)
-    arrays = [params[k].data for k in names]
     header = {
         "version": 1,
         "config": asdict(net.config),
         "params": [{"name": k, "shape": list(params[k].data.shape)} for k in names],
         "meta": meta or {},
     }
-    if optimizer is not None:
-        header["adam"] = {
-            "t": optimizer.t, "lr": optimizer.lr, "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2, "eps": optimizer.eps,
-        }
-        arrays.extend(optimizer.m[k] for k in names)
-        arrays.extend(optimizer.v[k] for k in names)
-    if rng is not None:
-        header["rng_state"] = rng.bit_generator.state
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(_CKPT_MAGIC)
         f.write(len(blob).to_bytes(8, "big"))
         f.write(blob)
-        for a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        for k in names:
+            f.write(np.ascontiguousarray(params[k].data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path, expected_config: NetworkConfig = None):
-    """Read a checkpoint; returns (net, optimizer_or_None, rng_or_None, meta)."""
+    """Read a checkpoint; returns (net, meta)."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
@@ -274,36 +245,15 @@ def load_checkpoint(path, expected_config: NetworkConfig = None):
         cfg_dict = dict(header["config"])
         cfg_dict["encoder_hidden"] = tuple(cfg_dict["encoder_hidden"])
         config = NetworkConfig(**cfg_dict)
-        names, state = [], {}
+        state = {}
         for spec in header["params"]:
             shape = tuple(spec["shape"])
             count = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
             offset += count * 8
-            names.append(spec["name"])
             state[spec["name"]] = arr.copy()
         net = PoseNetwork(config, seed=0)
         net.load_state_arrays(state)
-        optimizer = None
-        if "adam" in header:
-            h = header["adam"]
-            optimizer = Adam(net.parameters(), lr=h["lr"], beta1=h["beta1"],
-                             beta2=h["beta2"], eps=h["eps"])
-            optimizer.t = int(h["t"])
-            for store in (optimizer.m, optimizer.v):
-                for k in names:
-                    shape = state[k].shape
-                    count = int(np.prod(shape)) if shape else 1
-                    store[k] = np.frombuffer(raw, dtype="<f8", count=count,
-                                             offset=offset).reshape(shape).copy()
-                    offset += count * 8
-        rng = None
-        if "rng_state" in header:
-            rng = np.random.default_rng(0)
-            st = header["rng_state"]
-            if "state" in st and isinstance(st["state"], dict):
-                st["state"] = {k: int(v) for k, v in st["state"].items()}
-            rng.bit_generator.state = st
     except CheckpointIncompatibleError:
         raise
     except Exception as e:
@@ -311,4 +261,4 @@ def load_checkpoint(path, expected_config: NetworkConfig = None):
     if expected_config is not None and config != expected_config:
         raise CheckpointIncompatibleError(
             f"checkpoint config {config} does not match requested {expected_config}")
-    return net, optimizer, rng, header.get("meta", {})
+    return net, header.get("meta", {})

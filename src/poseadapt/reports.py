@@ -41,6 +41,11 @@ def write_recall_table(path, rows):
     _write_rows(path, ("object", "count", "recall_pct"), out)
 
 
+def write_mae_table(path, rows):
+    """Scalar-task error per split: (domain, count, mean absolute error)."""
+    _write_rows(path, ("domain", "count", "mae"), rows)
+
+
 def write_round_stats(path, rows):
     """Self-training per-round stats: tau, selected count, selected recall."""
     _write_rows(path, ("round", "tau", "candidates", "selected", "selected_recall_pct"),
@@ -77,13 +82,6 @@ def write_pseudo_cache(path, labels, round_index):
     header = ("sample_id", *[f"r{i}{j}" for i in range(3) for j in range(3)],
               "tx", "ty", "tz", "confidence", "round")
     _write_rows(path, header, rows)
-
-
-def write_feature_dump(path, sample_ids, features):
-    """Raw feature export (id + feature coordinates), one row per sample."""
-    rows = [(sid, *[float(v) for v in feat]) for sid, feat in zip(sample_ids, features)]
-    dim = len(features[0]) if len(features) else 0
-    _write_rows(path, ("sample_id", *[f"f{i}" for i in range(dim)]), rows)
 
 
 def ensure_dir(path):

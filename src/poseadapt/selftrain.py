@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import InvalidArgumentError, TrainingFailureError
 from .geometry import AnchorSet, CameraIntrinsics, ObjectModel, Pose
 from .losses import ObjectiveConfig, prepare_batch_supervision, total_objective
@@ -26,7 +25,6 @@ class PseudoLabel:
     sample_id: str
     pose: Pose
     confidence: float                    # max entry of the depth probabilities
-    branch_confidences: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -77,17 +75,12 @@ def select_samples(labels, tau):
 class TrainEntry:
     observation: np.ndarray
     pose: Pose
-    is_pseudo: bool = False
 
 
 @dataclass
 class TrainStats:
     epoch_losses: list = field(default_factory=list)
     epoch_breakdown: list = field(default_factory=list)  # (cls, reg, corr) per epoch
-
-    @property
-    def first_epoch_loss(self):
-        return self.epoch_losses[0] if self.epoch_losses else None
 
     @property
     def final_loss(self):
@@ -157,14 +150,9 @@ def pseudo_label(annotator: PoseNetwork, target_samples, anchors: AnchorSet,
         return []
     obs = np.stack([s.observation for s in target_samples])
     poses, out = predict_poses(annotator, obs, anchors, cam)
-    conf = confidence_scores(out)
-    z_conf = conf["z"]
-    labels = []
-    for i, s in enumerate(target_samples):
-        labels.append(PseudoLabel(
-            sample_id=s.id, pose=poses[i], confidence=float(z_conf[i]),
-            branch_confidences={k: float(v[i]) for k, v in conf.items()}))
-    return labels
+    z_conf = confidence_scores(out)["z"]
+    return [PseudoLabel(sample_id=s.id, pose=poses[i], confidence=float(z_conf[i]))
+            for i, s in enumerate(target_samples)]
 
 
 @dataclass
@@ -173,8 +161,7 @@ class RoundStats:
     tau: float
     n_candidates: int
     n_selected: int
-    selected_ids: list
-    skipped: bool                     # empty selection: trained on source only
+    selected_ids: list                # empty: the round trained on source only
     train_loss: float = None
 
 
@@ -204,7 +191,7 @@ def train_student(teacher: PoseNetwork, source_samples, target_samples,
         tau = threshold_schedule(r, cfg)
         selected = select_samples(labels, tau)
         by_id = {s.id: s for s in target_samples}
-        pseudo_entries = [TrainEntry(by_id[l.sample_id].observation, l.pose, is_pseudo=True)
+        pseudo_entries = [TrainEntry(by_id[l.sample_id].observation, l.pose)
                           for l in selected]
         entries = source_entries + pseudo_entries
         stats = train_supervised(student, optimizer, entries, anchors, model, cam,
@@ -212,6 +199,5 @@ def train_student(teacher: PoseNetwork, source_samples, target_samples,
         rounds_stats.append(RoundStats(
             round_index=r, tau=tau, n_candidates=len(labels),
             n_selected=len(selected), selected_ids=[l.sample_id for l in selected],
-            skipped=len(selected) == 0,
             train_loss=stats.final_loss))
     return student, rounds_stats

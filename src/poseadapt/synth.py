@@ -1,11 +1,13 @@
 """Procedural Sim2Real benchmark: objects, observations, datasets.
 
 Observations are 64-value vectors: a fixed smooth embedding (half linear,
-half sinusoidal, both drawn once from a constant seed) of the projected
-model keypoints and apparent size, plus a per-domain nuisance offset,
-seeded Gaussian noise, and optional coordinate dropout standing in for
-occlusion.  Source and target share the pose-sampling law; only the
-observation channel differs.
+half sinusoidal, both drawn once from a constant seed) of a few raw
+channels, plus a per-domain nuisance offset, seeded Gaussian noise, and
+optional coordinate dropout standing in for occlusion.  The raw channels
+are the projected model keypoints and apparent size for the pose task and
+four fixed features of the target value for the scalar task; both tasks
+pass them through the same nuisance channel.  Source and target share the
+target-sampling law; only the observation channel differs.
 
 Ground-truth poses of target-domain samples are evaluation-only: reading
 them outside an ``evaluation_access()`` block raises.
@@ -21,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GroundTruthAccessError, InvalidArgumentError
+from .errors import DatasetError, GroundTruthAccessError, InvalidArgumentError
 from .geometry import (
     CameraIntrinsics,
     ObjectModel,
     Pose,
-    bounding_box,
     point_cloud_diameter,
     random_quaternions,
     quaternions_to_matrices,
@@ -55,7 +56,6 @@ class Sample:
     domain: str                  # "source" | "target"
     object_id: int
     observation: np.ndarray
-    box: tuple                   # (left, top, right, bottom) pixels, or None
     gt: Pose = field(repr=False, default=None)
 
     @property
@@ -92,21 +92,13 @@ SIZE_CHANNEL = 2 * N_KEYPOINTS  # the apparent-size coordinate of pose observati
 
 
 def make_domain_config(offset_scale=0.0, noise_scale=0.0, dropout_prob=0.0,
-                       seed=0, obs_dim=OBS_DIM, size_offset=0.0) -> DomainConfig:
-    """Draw a fixed unit-direction nuisance offset of the given magnitude.
-
-    ``size_offset`` additionally shifts the apparent-size channel: a
-    systematic sensing bias that specifically corrupts the strongest
-    depth cue.
-    """
+                       seed=0, obs_dim=OBS_DIM) -> DomainConfig:
+    """Draw a fixed unit-direction nuisance offset of the given magnitude."""
     offset = np.zeros(obs_dim)
     if offset_scale != 0.0:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
         direction = rng.standard_normal(obs_dim)
         offset = direction / np.linalg.norm(direction) * offset_scale
-    if size_offset != 0.0:
-        offset = offset.copy()
-        offset[SIZE_CHANNEL] += size_offset
     return DomainConfig(offset=offset, noise_scale=noise_scale,
                         dropout_prob=dropout_prob, seed=seed)
 
@@ -238,7 +230,12 @@ def synthesize(pose: Pose, model: ObjectModel, cam: CameraIntrinsics,
     """
     if pose.z <= 0:
         raise InvalidArgumentError("pose must have positive depth")
-    raw = raw_observation(pose, model, cam)
+    return _observe(raw_observation(pose, model, cam), pose, dc)
+
+
+def _observe(raw, pose: Pose, dc: DomainConfig):
+    """Embed raw channels and apply one domain's offset, noise and dropout;
+    the noise stream is keyed by the domain seed and the pose."""
     clean = _embed(raw, len(dc.offset))
     rng = np.random.default_rng(np.random.SeedSequence([dc.seed, _pose_hash(pose)]))
     obs = clean + dc.offset + rng.standard_normal(len(clean)) * dc.noise_scale
@@ -313,9 +310,8 @@ def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics,
             pose = Pose(rots[i], np.array([vx[i] * z[i] / cam.fx,
                                            vy[i] * z[i] / cam.fy, z[i]]))
             obs = synthesize(pose, objects[obj_id], cam, dc)
-            box = bounding_box(pose, objects[obj_id].points, cam)
             samples.append(Sample(id=f"{prefix}{i:06d}", domain=domain,
-                                  object_id=obj_id, observation=obs, box=box, gt=pose))
+                                  object_id=obj_id, observation=obs, gt=pose))
     return Dataset(kind="pose", samples=samples, objects=list(objects),
                    object_kinds=list(object_kinds or [""] * len(objects)),
                    cam=cam, source_cfg=source_cfg, target_cfg=target_cfg, seed=seed,
@@ -364,14 +360,9 @@ def make_scalar_task(n_source, n_target, shift_cfg: ScalarShiftConfig, seed) -> 
         values = rng.uniform(SCALAR_RANGE[0], SCALAR_RANGE[1], n)
         for i in range(n):
             pose = Pose(np.eye(3), np.array([0.0, 0.0, values[i]]))
-            raw = _scalar_raw(values[i])
-            clean = _embed(raw, len(dc.offset))
-            nrng = np.random.default_rng(np.random.SeedSequence([dc.seed, _pose_hash(pose)]))
-            obs = clean + dc.offset + nrng.standard_normal(len(clean)) * dc.noise_scale
-            if dc.dropout_prob > 0:
-                obs = np.where(nrng.random(len(obs)) < dc.dropout_prob, 0.0, obs)
+            obs = _observe(_scalar_raw(values[i]), pose, dc)
             samples.append(Sample(id=f"{prefix}{i:06d}", domain=domain,
-                                  object_id=0, observation=obs, box=None, gt=pose))
+                                  object_id=0, observation=obs, gt=pose))
     return Dataset(kind="scalar", samples=samples, objects=[model],
                    object_kinds=["scalar"], cam=cam, source_cfg=shift_cfg.source,
                    target_cfg=shift_cfg.target, seed=seed,
@@ -420,7 +411,6 @@ def save_dataset(path, ds: Dataset):
             rec = {
                 "id": s.id, "domain": s.domain, "object": s.object_id,
                 "obs": s.observation.tolist(),
-                "box": list(s.box) if s.box is not None else None,
                 "pose": {"r": s.gt_pose.rotation.reshape(9).tolist(),
                          "t": s.gt_pose.translation.tolist()},
                 "gt_eval_only": s.eval_only,
@@ -431,13 +421,21 @@ def save_dataset(path, ds: Dataset):
 
 
 def load_dataset(path) -> Dataset:
-    with open(path) as f:
-        lines = f.read().splitlines()
+    """Read a dataset file; a malformed or truncated file raises DatasetError."""
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+        return _parse_dataset(path, lines)
+    except (ValueError, KeyError, TypeError, IndexError) as e:
+        raise DatasetError(f"{path}: corrupt dataset ({type(e).__name__}: {e})") from e
+
+
+def _parse_dataset(path, lines) -> Dataset:
     header = json.loads(lines[0])
     if header.get("format") != _DATASET_FORMAT:
-        raise InvalidArgumentError(f"{path}: not a poseadapt dataset file")
+        raise DatasetError(f"{path}: not a poseadapt dataset file")
     if header.get("version") != _DATASET_VERSION:
-        raise InvalidArgumentError(f"{path}: unsupported dataset version")
+        raise DatasetError(f"{path}: unsupported dataset version")
     cam = CameraIntrinsics(**header["camera"])
     objects, kinds = [], []
     for od in header["objects"]:
@@ -451,10 +449,13 @@ def load_dataset(path) -> Dataset:
         pose = Pose(np.array(rec["pose"]["r"]).reshape(3, 3), np.array(rec["pose"]["t"]))
         samples.append(Sample(
             id=rec["id"], domain=rec["domain"], object_id=rec["object"],
-            observation=np.array(rec["obs"]),
-            box=tuple(rec["box"]) if rec["box"] is not None else None, gt=pose))
+            observation=np.array(rec["obs"]), gt=pose))
+    meta = header.get("meta", {})
+    if "n_source" in meta and len(samples) != meta["n_source"] + meta["n_target"]:
+        raise DatasetError(f"{path}: truncated, {len(samples)} of "
+                           f"{meta['n_source'] + meta['n_target']} samples")
     return Dataset(kind=header["kind"], samples=samples, objects=objects,
                    object_kinds=kinds, cam=cam,
                    source_cfg=_domain_cfg_from(header["source_config"]),
                    target_cfg=_domain_cfg_from(header["target_config"]),
-                   seed=header["seed"], meta=header.get("meta", {}))
+                   seed=header["seed"], meta=meta)

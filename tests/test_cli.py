@@ -1,0 +1,120 @@
+"""Command-line pipeline: every stage end to end, determinism, exit codes."""
+
+import json
+
+import pytest
+
+from poseadapt import cli
+from poseadapt.config import config_from_dict
+from poseadapt.errors import ConfigError
+
+TINY = {
+    "anchors": {"n_rot": 4, "n_vx": 3, "n_vy": 3, "n_z": 4},
+    "scores": {"translation": [0.6, 0.2, 3]},
+    "network": {"feature_dim": 8, "encoder_hidden": [8], "head_hidden": 4},
+    "data": {"n_source": 12, "n_target": 6, "object_kinds": ["box", "cylinder"],
+             "n_points": 8, "scalar_bins": 4},
+    "train": {"teacher_epochs": 1, "rounds": 2, "student_epochs": 1,
+              "tau_start": 0.3, "tau_end": 0.05},
+}
+BRANCHES = ("rot", "vx", "vy", "z")
+DOMAINS = ("source", "target")
+
+
+def write_config(tmp_path, name, cfg):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def run_pipeline(tmp_path, name, scalar):
+    """gen-data, the four train stages, eval and sweep-threshold into one
+    run directory; returns the directory and each command's exit code."""
+    out = tmp_path / name
+    base = ["--config", write_config(tmp_path, name, dict(TINY, out_dir=str(out))),
+            "--seed", "3"] + (["--scalar-task"] if scalar else [])
+    steps = [["gen-data"]]
+    steps += [["train", "--stage", s] for s in ("teacher", "no-ctc", "baseline-regression",
+                                                "student")]
+    steps += [["eval", "--checkpoint", str(out / "student_obj0.ckpt")], ["sweep-threshold"]]
+    return out, [cli.main(step + base) for step in steps]
+
+
+def expected_reports(n_objects, scalar):
+    prefixes = ("teacher", "teacher-noctc", "baseline", "student")
+    names = {f"{p}_obj{i}.ckpt" for p in prefixes for i in range(n_objects)}
+    names |= {f"loss_{p}_obj{i}.tsv" for p in prefixes[:3] for i in range(n_objects)}
+    names |= {f"pseudo_student_obj{i}_round{r}.tsv" for i in range(n_objects) for r in (0, 1)}
+    if scalar:
+        return names | {f"mae_{p}.tsv" for p in prefixes + ("eval",)}
+    names |= {f"recall_{p}_{d}.tsv" for p in prefixes + ("eval",) for d in DOMAINS}
+    names |= {f"rounds_student_obj{i}.tsv" for i in range(n_objects)}
+    return names | {f"sweep_{b}{c}.tsv" for b in BRANCHES for c in ("", "_curve")}
+
+
+def outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.suffix in (".ckpt", ".tsv") or p.name == "dataset.txt"}
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["pose", "scalar"])
+def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, capsys, scalar):
+    out, codes = run_pipeline(tmp_path, "a", scalar)
+    # the threshold sweep is a pose-task tool; the scalar task refuses it
+    assert codes == [0] * 6 + [cli.EXIT_CONFIG if scalar else 0]
+    first = outputs(out)
+    assert set(first) - {"dataset.txt"} == expected_reports(1 if scalar else 2, scalar)
+    if not scalar:
+        rounds = (out / "rounds_student_obj0.tsv").read_text().splitlines()
+        assert rounds[0].split("\t") == ["round", "tau", "candidates", "selected",
+                                         "selected_recall_pct"]
+        assert len(rounds) == 3
+    again, _ = run_pipeline(tmp_path, "b", scalar)
+    assert outputs(again) == first
+
+
+def _truncate_dataset(tmp_path):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))
+    assert cli.main(["gen-data", "--config", cfg, "--scalar-task"]) == 0
+    data = (out / "dataset.txt").read_bytes()
+    (out / "dataset.txt").write_bytes(data[:len(data) // 2])
+    return ["train", "--stage", "teacher", "--config", cfg, "--scalar-task"]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("seed-not-int", cli.EXIT_CONFIG),
+    ("camera-too-short", cli.EXIT_CONFIG),
+    ("truncated-dataset", cli.EXIT_IO),
+])
+def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
+    if case == "truncated-dataset":
+        argv = _truncate_dataset(tmp_path)
+    else:
+        bad = {"seed-not-int": {"seed": "abc"},
+               "camera-too-short": {"data": {"camera": [600, 600]}}}[case]
+        argv = ["gen-data", "--config", write_config(tmp_path, "bad", bad),
+                "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy"])
+def test_removed_score_keys_are_rejected(tmp_path, capsys, key):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({"scores": {key: 2}})
+    path = write_config(tmp_path, "old", {"scores": {key: 2}})
+    assert cli.main(["gen-data", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("cfg", [
+    {"anchors": {"n_rot": 3}},                       # rotation k = 4
+    {"anchors": {"n_vx": 6}},                        # translation k = 7
+    {"anchors": {"n_z": 5}},
+    {"scalar_task": True, "data": {"scalar_bins": 5}},
+])
+def test_score_k_is_checked_against_anchor_counts(cfg):
+    with pytest.raises(ConfigError, match="score k"):
+        config_from_dict(cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poseadapt.errors import (
+    DatasetError,
     DegenerateRotationError,
     InvalidArgumentError,
     NonPositiveDepthError,
@@ -14,23 +15,17 @@ from poseadapt.geometry import (
     ObjectModel,
     Pose,
     apply_pose,
-    bounding_box,
     closest_symmetric_rotation,
     compose_pose,
-    compose_with_initial_guess,
     generate_rotation_anchors,
     generate_translation_bins,
     geodesic_distance,
-    initial_guess_from_box,
-    load_object_model,
     matrix_to_rot6d,
     pose_targets,
-    project_points,
     random_rotations,
-    relative_pose_to_init,
     rot6d_to_matrix,
-    save_object_model,
 )
+from poseadapt.synth import load_dataset, make_dataset, make_domain_config, save_dataset
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -200,76 +195,10 @@ class TestComposePose:
                          self.anchors, CAM)
 
 
-class TestInitialGuessComposition:
-    def test_identity_update(self):
-        init = Pose(rot_z(0.3), [0.1, -0.2, 1.3])
-        out = compose_with_initial_guess(Pose(np.eye(3), [0, 0, 1.0]), init)
-        np.testing.assert_allclose(out.rotation, init.rotation)
-        np.testing.assert_allclose(out.translation, init.translation)
-
-    def test_translation_add_and_depth_scale(self):
-        init = Pose(np.eye(3), [0.0, 0.0, 1.0])
-        out = compose_with_initial_guess(Pose(np.eye(3), [0.1, 0.0, 1.0]), init)
-        np.testing.assert_allclose(out.translation, [0.1, 0.0, 1.0])
-        out = compose_with_initial_guess(Pose(np.eye(3), [0.0, 0.0, 1.1]), init)
-        assert out.z == pytest.approx(1.1)
-
-    def test_relative_round_trip(self):
-        rng = np.random.default_rng(7)
-        for m in random_rotations(10, rng):
-            target = Pose(m, rng.uniform([-0.3, -0.3, 0.5], [0.3, 0.3, 1.8]))
-            init = Pose(random_rotations(1, rng)[0],
-                        rng.uniform([-0.2, -0.2, 0.6], [0.2, 0.2, 1.5]))
-            rel = relative_pose_to_init(target, init)
-            back = compose_with_initial_guess(rel, init)
-            np.testing.assert_allclose(back.rotation, target.rotation, atol=1e-9)
-            np.testing.assert_allclose(back.translation, target.translation, atol=1e-9)
-
-
-class TestInitialGuessFromBox:
-    def setup_method(self):
-        pts = np.random.default_rng(0).uniform(-0.5, 0.5, (50, 3))
-        self.model = ObjectModel.from_points(pts)
-
-    def test_centered_box(self):
-        w = CAM.fx * self.model.diameter
-        box = (CAM.cx - w / 2, CAM.cy - w / 4, CAM.cx + w / 2, CAM.cy + w / 4)
-        guess = initial_guess_from_box(box, self.model, CAM)
-        assert guess.z == pytest.approx(1.0)
-        np.testing.assert_allclose(guess.translation[:2], 0.0, atol=1e-12)
-        np.testing.assert_allclose(guess.rotation, np.eye(3))
-
-    def test_shifted_box(self):
-        w = CAM.fx * self.model.diameter
-        box = (CAM.cx - w / 2 + CAM.fx, CAM.cy - w / 4,
-               CAM.cx + w / 2 + CAM.fx, CAM.cy + w / 4)
-        guess = initial_guess_from_box(box, self.model, CAM)
-        assert guess.translation[0] == pytest.approx(1.0)
-
-    def test_zero_area_box(self):
-        with pytest.raises(InvalidArgumentError):
-            initial_guess_from_box((10, 10, 10, 20), self.model, CAM)
-
-    def test_forward_projection_recovery(self):
-        # Oracle: ground-truth-relative net outputs composed with the box
-        # guess must recover the true pose, whose projection recenters the box.
-        rng = np.random.default_rng(11)
-        for m in random_rotations(5, rng):
-            gt = Pose(m, rng.uniform([-0.2, -0.2, 0.7], [0.2, 0.2, 1.5]))
-            box = bounding_box(gt, self.model.points, CAM)
-            init = initial_guess_from_box(box, self.model, CAM)
-            rel = relative_pose_to_init(gt, init)
-            recovered = compose_with_initial_guess(rel, init)
-            np.testing.assert_allclose(recovered.translation, gt.translation, atol=1e-9)
-            np.testing.assert_allclose(recovered.rotation, gt.rotation, atol=1e-9)
-            new_box = bounding_box(recovered, self.model.points, CAM)
-            np.testing.assert_allclose(new_box, box, atol=1e-6)
-
-
 class TestApplyPose:
     def test_identity(self):
         pts = np.random.default_rng(1).standard_normal((10, 3))
-        np.testing.assert_array_equal(apply_pose(Pose.identity(), pts), pts)
+        np.testing.assert_array_equal(apply_pose(Pose(np.eye(3), np.zeros(3)), pts), pts)
 
     def test_pure_translation(self):
         pts = np.random.default_rng(2).standard_normal((10, 3))
@@ -328,13 +257,16 @@ class TestObjectModel:
         model = ObjectModel.from_points(np.eye(3), symmetries=(rot_z(np.pi),))
         assert any(np.allclose(s, np.eye(3)) for s in model.symmetries)
 
+    # object models are stored inside dataset files
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         model = ObjectModel.from_points(rng.standard_normal((12, 3)),
                                         symmetries=(np.eye(3), rot_z(np.pi)))
-        path = tmp_path / "model.txt"
-        save_object_model(path, model)
-        back = load_object_model(path)
+        dc = make_domain_config(seed=0)
+        path = tmp_path / "data.txt"
+        save_dataset(path, make_dataset(1, 1, [model], CAM, dc, dc, seed=0))
+        back = load_dataset(path).objects[0]
         np.testing.assert_array_equal(back.points, model.points)
         assert back.diameter == model.diameter
         assert len(back.symmetries) == 2
@@ -343,8 +275,8 @@ class TestObjectModel:
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a model\n")
-        with pytest.raises(InvalidArgumentError):
-            load_object_model(path)
+        with pytest.raises(DatasetError):
+            load_dataset(path)
 
 
 class TestPoseTargets:
@@ -354,8 +286,3 @@ class TestPoseTargets:
         assert z == pytest.approx(1.25)
         assert vx == pytest.approx(0.05 * CAM.fx / 1.25)
         assert vy == pytest.approx(-0.02 * CAM.fy / 1.25)
-
-    def test_projection_matches_box_center(self):
-        pose = Pose(np.eye(3), [0.0, 0.0, 1.0])
-        uv = project_points(pose, np.zeros((1, 3)), CAM)
-        np.testing.assert_allclose(uv[0], [CAM.cx, CAM.cy])

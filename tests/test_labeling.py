@@ -15,10 +15,10 @@ from poseadapt.geometry import (
 from poseadapt.labeling import (
     LabelConfig,
     ScoreAssignmentConfig,
-    assign_scores,
     nearest_anchors,
     score_vector,
 )
+from poseadapt.losses import prepare_supervision
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -117,6 +117,8 @@ class TestScoreVectors:
 
 
 class TestAssignScores:
+    """Labels of all four branches of a pose, as the training loop builds them."""
+
     def setup_method(self):
         self.anchors = AnchorSet.build(16, 8, 8, 10, seed=0)
         self.cfg = LabelConfig(
@@ -129,16 +131,17 @@ class TestAssignScores:
         rng = np.random.default_rng(6)
         for m in random_rotations(10, rng):
             pose = Pose(m, rng.uniform([-0.2, -0.2, 0.5], [0.2, 0.2, 1.8]))
-            scores = assign_scores(pose, self.anchors, CAM, self.cfg)
-            for vec, k in ((scores.s_rot, 4), (scores.s_vx, 7),
-                           (scores.s_vy, 7), (scores.s_z, 7)):
+            labels = prepare_supervision(pose, self.anchors, None, CAM,
+                                         labels_cfg=self.cfg).labels
+            for vec, k in ((labels["rot"], 4), (labels["vx"], 7),
+                           (labels["vy"], 7), (labels["z"], 7)):
                 assert vec.sum() == pytest.approx(1.0, abs=1e-9)
                 assert np.count_nonzero(vec) == k
                 assert np.all(vec >= 0)
 
     def test_deterministic(self):
         pose = Pose(np.eye(3), [0.01, 0.02, 1.0])
-        a = assign_scores(pose, self.anchors, CAM, self.cfg)
-        b = assign_scores(pose, self.anchors, CAM, self.cfg)
-        np.testing.assert_array_equal(a.s_rot, b.s_rot)
-        np.testing.assert_array_equal(a.s_z, b.s_z)
+        a = prepare_supervision(pose, self.anchors, None, CAM, labels_cfg=self.cfg).labels
+        b = prepare_supervision(pose, self.anchors, None, CAM, labels_cfg=self.cfg).labels
+        np.testing.assert_array_equal(a["rot"], b["rot"])
+        np.testing.assert_array_equal(a["z"], b["z"])

@@ -23,7 +23,7 @@ from poseadapt.geometry import (
     random_rotations,
     rot6d_to_matrix,
 )
-from poseadapt.labeling import LabelConfig, nearest_anchors
+from poseadapt.labeling import LabelConfig
 from poseadapt.losses import (
     LOG_EPS,
     ObjectiveConfig,
@@ -31,7 +31,6 @@ from poseadapt.losses import (
     build_target_graph,
     classification_loss,
     point_matching_distance,
-    regression_loss,
     regression_loss_batch,
     rot6d_to_matrix_t,
     soft_cross_entropy,
@@ -134,7 +133,8 @@ class TestPointMatchingDistance:
     def test_empty_model_raises(self):
         empty = ObjectModel(points=np.zeros((0, 3)), diameter=0.0)
         with pytest.raises(InvalidArgumentError):
-            point_matching_distance(Pose.identity(), Pose.identity(), empty)
+            identity = Pose(np.eye(3), np.zeros(3))
+            point_matching_distance(identity, identity, empty)
 
     def test_differentiable_path_matches_plain(self):
         rng = np.random.default_rng(4)
@@ -144,17 +144,18 @@ class TestPointMatchingDistance:
             point_matching_distance(p, gt, self.model), rel=1e-12)
 
 
-def brute_force_regression_loss(out, gt_pose, anchors, model, cam,
+def brute_force_regression_loss(out, b, gt_pose, anchors, model, cam,
                                 k_rot, k_z, k_vxvy):
-    """Independent reimplementation: explicit python loops over neighbor
-    sets, substituting one target at a time into the ground truth."""
-    rot_res = out.residuals["rot"].data[0]
-    vx_res = out.residuals["vx"].data[0]
-    vy_res = out.residuals["vy"].data[0]
-    z_res = out.residuals["z"].data[0]
+    """Independent reimplementation for batch row ``b``: explicit python
+    loops over neighbor sets, substituting one target at a time into the
+    ground truth."""
+    rot_res = out.residuals["rot"].data[b]
+    vx_res = out.residuals["vx"].data[b]
+    vy_res = out.residuals["vy"].data[b]
+    z_res = out.residuals["z"].data[b]
     gt_rot_raw, vx_t, vy_t, z_t = pose_targets(gt_pose, cam)
     if model.is_symmetric:
-        pick = int(np.argmax(out.probs["rot"].data[0]))
+        pick = int(np.argmax(out.probs["rot"].data[b]))
         pred = rot6d_to_matrix(rot_res[pick]) @ anchors.rotations[pick]
         gt_rot = closest_symmetric_rotation(pred, gt_rot_raw, model)
     else:
@@ -212,9 +213,9 @@ class TestRegressionLoss:
         out.residuals["vx"].data[0] = vx - self.anchors.bins_vx
         out.residuals["vy"].data[0] = vy - self.anchors.bins_vy
         out.residuals["z"].data[0] = z - self.anchors.bins_z
-        loss = regression_loss(out, gt, self.anchors, self.model, CAM,
-                               k_rot=4, k_z=3, k_vxvy=3)
-        assert loss.item() == pytest.approx(0.0, abs=1e-9)
+        loss = regression_loss_batch(out, [gt], self.anchors, self.model, CAM,
+                                     k_rot=4, k_z=3, k_vxvy=3)
+        assert loss.data[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_anchor_aligned_gt_with_zero_residuals(self):
         out = self._out()
@@ -228,40 +229,42 @@ class TestRegressionLoss:
         z = self.anchors.bins_z[3]
         gt = Pose(self.anchors.rotations[5],
                   [vx * z / CAM.fx, vy * z / CAM.fy, z])
-        loss = regression_loss(out, gt, self.anchors, self.model, CAM,
-                               k_rot=1, k_z=1, k_vxvy=1)
-        assert loss.item() == pytest.approx(0.0, abs=1e-9)
+        loss = regression_loss_batch(out, [gt], self.anchors, self.model, CAM,
+                                     k_rot=1, k_z=1, k_vxvy=1)
+        assert loss.data[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
-        for trial in range(25):
-            gt = random_pose(rng)
-            out = self._out(seed=trial)
-            got = regression_loss(out, gt, self.anchors, self.model, CAM,
-                                  k_rot=4, k_z=3, k_vxvy=3).item()
-            want = brute_force_regression_loss(out, gt, self.anchors, self.model,
-                                               CAM, 4, 3, 3)
-            assert got == pytest.approx(want, rel=1e-9)
+        for trial in range(5):
+            gt = [random_pose(rng) for _ in range(5)]
+            out = self._out(seed=trial, batch=5)
+            got = regression_loss_batch(out, gt, self.anchors, self.model, CAM,
+                                        k_rot=4, k_z=3, k_vxvy=3).data
+            for b in range(5):
+                want = brute_force_regression_loss(out, b, gt[b], self.anchors,
+                                                   self.model, CAM, 4, 3, 3)
+                assert got[b] == pytest.approx(want, rel=1e-9)
 
     def test_matches_brute_force_symmetric(self):
         sym_model = ObjectModel.from_points(
             np.random.default_rng(1).standard_normal((6, 3)) * 0.3,
             symmetries=(np.eye(3), rot_z(np.pi)))
         rng = np.random.default_rng(4)
-        for trial in range(10):
-            gt = random_pose(rng)
-            out = self._out(seed=100 + trial)
-            got = regression_loss(out, gt, self.anchors, sym_model, CAM,
-                                  k_rot=4, k_z=3, k_vxvy=3).item()
-            want = brute_force_regression_loss(out, gt, self.anchors, sym_model,
-                                               CAM, 4, 3, 3)
-            assert got == pytest.approx(want, rel=1e-9)
+        for trial in range(2):
+            gt = [random_pose(rng) for _ in range(5)]
+            out = self._out(seed=100 + trial, batch=5)
+            got = regression_loss_batch(out, gt, self.anchors, sym_model, CAM,
+                                        k_rot=4, k_z=3, k_vxvy=3).data
+            for b in range(5):
+                want = brute_force_regression_loss(out, b, gt[b], self.anchors,
+                                                   sym_model, CAM, 4, 3, 3)
+                assert got[b] == pytest.approx(want, rel=1e-9)
 
     def test_k_bounds_checked(self):
         out = self._out()
         gt = random_pose(np.random.default_rng(5))
         with pytest.raises(InvalidArgumentError):
-            regression_loss(out, gt, self.anchors, self.model, CAM, k_rot=99)
+            regression_loss_batch(out, [gt], self.anchors, self.model, CAM, k_rot=99)
 
 
 class TestTargetGraph:

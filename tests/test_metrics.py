@@ -63,7 +63,7 @@ class TestAdd:
     def test_empty_model(self):
         empty = ObjectModel(points=np.zeros((0, 3)), diameter=0.0)
         with pytest.raises(InvalidArgumentError):
-            add_metric(Pose.identity(), Pose.identity(), empty)
+            add_metric(Pose(np.eye(3), np.zeros(3)), Pose(np.eye(3), np.zeros(3)), empty)
 
 
 class TestAddS:

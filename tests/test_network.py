@@ -102,8 +102,8 @@ class TestAdam:
         # trajectory is smooth
         rng = np.random.default_rng(0)
         A = rng.standard_normal((20, 4))
-        b = A @ rng.standard_normal(4)
-        w = ad.parameter(np.zeros(4))
+        b = A @ rng.standard_normal((4, 1))
+        w = ad.parameter(np.zeros((4, 1)))
         opt = Adam({"w": w}, lr=0.01)
         losses = []
         for _ in range(200):
@@ -121,43 +121,16 @@ class TestAdam:
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         net = PoseNetwork(CFG, seed=3)
-        opt = Adam(net.parameters(), lr=1e-3)
-        rng = np.random.default_rng(5)
         path = tmp_path / "net.ckpt"
-        save_checkpoint(path, net, opt, rng, meta={"stage": "teacher"})
-        net2, opt2, rng2, meta = load_checkpoint(path)
+        save_checkpoint(path, net, meta={"stage": "teacher"})
+        net2, meta = load_checkpoint(path)
+        assert net2.config == net.config
         for k, p in net.parameters().items():
             np.testing.assert_array_equal(p.data, net2.parameters()[k].data)
-        assert opt2.t == opt.t and opt2.lr == opt.lr
-        assert rng2.bit_generator.state == rng.bit_generator.state
         assert meta == {"stage": "teacher"}
-
-    def test_resume_training_is_bit_identical(self, tmp_path):
-        def one_step(net, opt, rng):
-            obs = rng.standard_normal((4, CFG.obs_dim))
-            out = net.forward(obs)
-            loss = ad.tmean(ad.mul(out.feature, out.feature))
-            loss.backward()
-            opt.step()
-            net.zero_grad()
-
-        net = PoseNetwork(CFG, seed=0)
-        opt = Adam(net.parameters(), lr=1e-3)
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            one_step(net, opt, rng)
-        path = tmp_path / "mid.ckpt"
-        save_checkpoint(path, net, opt, rng)
-        # continue from the live state
-        for _ in range(3):
-            one_step(net, opt, rng)
-        final_live = net.state_arrays()
-        # reload and continue from the checkpoint
-        net2, opt2, rng2, _ = load_checkpoint(path)
-        for _ in range(3):
-            one_step(net2, opt2, rng2)
-        for k in final_live:
-            np.testing.assert_array_equal(final_live[k], net2.state_arrays()[k])
+        # the reloaded network writes the same bytes
+        save_checkpoint(tmp_path / "again.ckpt", net2, meta=meta)
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
     def test_corrupt_checkpoint_raises(self, tmp_path):
         path = tmp_path / "bad.ckpt"

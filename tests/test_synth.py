@@ -1,9 +1,11 @@
 """Benchmark generator tests: determinism, domain statistics, guards."""
 
+import json
+
 import numpy as np
 import pytest
 
-from poseadapt.errors import GroundTruthAccessError, InvalidArgumentError
+from poseadapt.errors import DatasetError, GroundTruthAccessError, InvalidArgumentError
 from poseadapt.geometry import CameraIntrinsics, Pose, generate_rotation_anchors, random_rotations
 from poseadapt.labeling import anchor_distances
 from poseadapt.metrics import add_metric, add_s_metric
@@ -132,11 +134,6 @@ class TestDomainConfig:
         with pytest.raises(InvalidArgumentError):
             make_domain_config(dropout_prob=1.5)
 
-    def test_size_offset_hits_size_channel(self):
-        dc = make_domain_config(0.0, 0.0, 0.0, seed=0, size_offset=2.0)
-        assert dc.offset[SIZE_CHANNEL] == pytest.approx(2.0)
-        assert np.count_nonzero(dc.offset) == 1
-
 
 class TestMakeDataset:
     def setup_method(self):
@@ -200,9 +197,34 @@ class TestMakeDataset:
                 np.testing.assert_array_equal(sa.gt_pose.rotation, sb.gt_pose.rotation)
                 np.testing.assert_array_equal(sa.gt_pose.translation,
                                               sb.gt_pose.translation)
-                assert sa.box == sb.box
         np.testing.assert_array_equal(back.objects[1].points, ds.objects[1].points)
         assert back.objects[1].is_symmetric
+
+    def test_files_with_box_field_still_load(self, tmp_path):
+        # dataset files used to carry a detection box per sample
+        ds = make_dataset(4, 2, self.objects, CAM, self.src, self.tgt, seed=8)
+        path = tmp_path / "data.txt"
+        save_dataset(path, ds)
+        lines = path.read_text().splitlines()
+        old = [lines[0]] + [json.dumps(dict(json.loads(l), box=[1.0, 2.0, 3.0, 4.0]))
+                            for l in lines[1:]]
+        path.write_text("\n".join(old) + "\n")
+        back = load_dataset(path)
+        for sa, sb in zip(ds.samples, back.samples):
+            np.testing.assert_array_equal(sa.observation, sb.observation)
+
+    @pytest.mark.parametrize("cut", ["mid-line", "line-boundary", "empty"])
+    def test_truncated_file_raises_dataset_error(self, tmp_path, cut):
+        ds = make_dataset(4, 2, self.objects, CAM, self.src, self.tgt, seed=8)
+        path = tmp_path / "data.txt"
+        save_dataset(path, ds)
+        text = path.read_text()
+        keep = {"mid-line": len(text) // 2,
+                "line-boundary": text.index("\n", len(text) // 2) + 1,
+                "empty": 0}[cut]
+        path.write_text(text[:keep])
+        with pytest.raises(DatasetError):
+            load_dataset(path)
 
     def test_written_bytes_deterministic(self, tmp_path):
         ds = make_dataset(10, 5, self.objects, CAM, self.src, self.tgt, seed=8)
@@ -252,4 +274,7 @@ class TestScalarTask:
         save_dataset(path, ds)
         back = load_dataset(path)
         assert back.kind == "scalar"
-        assert back.samples[0].box is None
+        with evaluation_access():
+            for sa, sb in zip(ds.samples, back.samples):
+                np.testing.assert_array_equal(sa.observation, sb.observation)
+                assert sa.gt_pose.z == sb.gt_pose.z
