@@ -11,6 +11,7 @@ batch size 32.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import ConfigError, InvalidArgumentError
@@ -184,12 +185,18 @@ def _check_types(cfg: RunConfig):
                                                          f.name in _FREE_LENGTH):
                 raise ConfigError(f"{prefix}{f.name} has the wrong type or length: "
                                   f"{value!r} (default {f.default!r})")
+            items = value if isinstance(value, tuple) else (value,)
+            if not all(abs(v) <= sys.float_info.max for v in items
+                       if isinstance(v, (int, float))):
+                raise ConfigError(f"{prefix}{f.name} must be finite: {value!r}")
 
 
 def validate_config(cfg: RunConfig):
     """Check every field against module invariants before any computation."""
     _check_types(cfg)
     a = cfg.anchors
+    if min(cfg.seed, a.seed, cfg.network.seed, cfg.data.object_seed) < 0:
+        raise ConfigError("seed, anchors.seed, network.seed and data.object_seed must be >= 0")
     if a.n_rot < 1 or a.n_vx < 1 or a.n_vy < 1 or a.n_z < 1:
         raise ConfigError("anchor counts must be positive")
     for lo, hi, name in ((a.vx_range + ("vx_range",)), (a.vy_range + ("vy_range",)),

@@ -89,20 +89,12 @@ def build_network_config(cfg: RunConfig, obs_dim, anchors: AnchorSet,
 
 
 def build_objective(cfg: RunConfig, anchors: AnchorSet, stage) -> ObjectiveConfig:
-    """Loss terms of one stage; regression supervises the k nearest anchors
-    of each label, one anchor for the direct-regression baseline."""
+    """Loss terms of one stage; the direct-regression baseline drops the
+    classifier and the correlation term."""
     use_cls = stage != "baseline-regression"
     use_ctc = cfg.train.use_ctc and stage not in ("baseline-regression", "no-ctc")
-    labels = cfg.scores.label_config()
-    if stage == "baseline-regression":
-        k_rot = k_z = k_vxvy = 1
-    else:
-        k_rot = min(labels.rotation.k, anchors.n_rot)
-        k_z = min(labels.z.k, len(anchors.bins_z))
-        k_vxvy = min(labels.vx.k, len(anchors.bins_vx), len(anchors.bins_vy))
     tg = build_target_graph(anchors.bins_z, anchors.z_range[0], anchors.z_range[1])
-    return ObjectiveConfig(labels=labels, k_rot=k_rot, k_z=k_z,
-                           k_vxvy=k_vxvy, use_cls=use_cls,
+    return ObjectiveConfig(labels=cfg.scores.label_config(), use_cls=use_cls,
                            ctc_weight=cfg.train.ctc_weight if use_ctc else 0.0,
                            target_graph=tg)
 

@@ -179,10 +179,11 @@ def geodesic_distance(r1, r2):
 
 
 def geodesic_distances_to(rotations, r):
-    """Vectorized geodesic distance from each rotation in (n,3,3) to ``r``."""
+    """Geodesic distances (..., n) from each rotation in (n, 3, 3) to each
+    rotation in ``r``, (3, 3) or (..., 3, 3)."""
     rotations = np.asarray(rotations, dtype=float)
     r = np.asarray(r, dtype=float)
-    traces = np.einsum("nij,ij->n", rotations, r)
+    traces = np.einsum("nij,...ij->...n", rotations, r)
     return np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))
 
 

@@ -1,10 +1,13 @@
 """Supervision targets: nearest-anchor search and sparse score assignment.
 
-A ground-truth (or pseudo) pose is turned into one probability-like score
-vector per classification branch: the nearest anchor gets a large score
-theta1, the next k-1 nearest get theta2, everything else is zero, and the
-vector sums to one.  ``losses.prepare_supervision`` assembles the vectors
-of all branches of one sample.
+A ground-truth (or pseudo) target is turned into one probability-like
+score vector per classification branch: the nearest anchor gets a large
+score theta1, the next k-1 nearest get theta2, everything else is zero,
+and the vector sums to one.  Every helper takes one target or a stack of
+them: scalars of shape (...,) against a 1-D bin array, rotations of shape
+(..., 3, 3) against an (n, 3, 3) anchor stack.  ``losses.prepare_batch_supervision``
+builds the labels and neighbour sets of a whole training set in one call
+per branch.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class LabelConfig:
 
 
 def anchor_distances(target, anchors):
-    """Distances from a target to every anchor.
+    """Distances (..., n) from each target to every anchor.
 
     Rotation targets use the geodesic metric against an (n, 3, 3) anchor
     stack; scalars use absolute difference against a 1-D bin array.
@@ -62,23 +65,22 @@ def anchor_distances(target, anchors):
     anchors = np.asarray(anchors, dtype=float)
     if anchors.ndim == 3:
         return geodesic_distances_to(anchors, target)
-    return np.abs(anchors - float(target))
+    return np.abs(anchors - np.asarray(target, dtype=float)[..., None])
 
 
 def nearest_anchors(target, anchors, k):
-    """Indices of the k nearest anchors, ascending distance, ties by index."""
+    """Indices (..., k) of the k nearest anchors, ascending distance, ties
+    by index."""
     d = anchor_distances(target, anchors)
-    if k > len(d):
-        raise InvalidArgumentError(f"k={k} exceeds anchor count {len(d)}")
-    order = np.argsort(d, kind="stable")
-    return order[:k]
+    if k > d.shape[-1]:
+        raise InvalidArgumentError(f"k={k} exceeds anchor count {d.shape[-1]}")
+    return np.argsort(d, axis=-1, kind="stable")[..., :k]
 
 
 def score_vector(target, anchors, cfg: ScoreAssignmentConfig):
-    """Sparse score vector over the anchor list for one target."""
+    """Sparse score vectors (..., n) over the anchor list, one per target."""
     idx = nearest_anchors(target, anchors, cfg.k)
-    s = np.zeros(len(anchors))
-    s[idx] = cfg.theta2
-    s[idx[0]] = cfg.theta1
+    s = np.zeros(idx.shape[:-1] + (len(anchors),))
+    np.put_along_axis(s, idx, cfg.theta2, axis=-1)
+    np.put_along_axis(s, idx[..., :1], cfg.theta1, axis=-1)
     return s
-

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidArgumentError, NonPositiveDepthError
+from .errors import DegenerateRotationError, InvalidArgumentError, NonPositiveDepthError
 from .geometry import (
     AnchorSet,
     CameraIntrinsics,
@@ -18,6 +18,7 @@ from .geometry import (
 )
 
 HIT_FACTOR = 0.1  # hit when distance < 10% of the object diameter
+IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,10 @@ def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
     """Most-likely pose per observation row (arg-max anchors + residuals)
     plus the raw network output.
 
-    A depth residual that would push z non-positive falls back to the bare
-    bin center so evaluation never dies on a half-trained network.
+    A residual that breaks the pose falls back to the bare anchor, so
+    evaluation never dies on a half-trained network: a depth that would be
+    non-positive to the bin center, a degenerate 6D rotation to the anchor
+    rotation.
     """
     obs = np.asarray(observations, dtype=float)
     with ad.no_grad():
@@ -87,17 +90,21 @@ def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
     i_z = picks.get("z", ones)
     poses = []
     for b in range(B):
-        rot_res = (out.residuals["rot"].data[b, i_rot[b]]
-                   if "rot" in out.residuals else np.array([1.0, 0, 0, 0, 1.0, 0]))
+        rot_res = out.residuals["rot"].data[b, i_rot[b]] if "rot" in out.residuals else IDENTITY_6D
         dvx = float(out.residuals["vx"].data[b, i_vx[b]]) if "vx" in out.residuals else 0.0
         dvy = float(out.residuals["vy"].data[b, i_vy[b]]) if "vy" in out.residuals else 0.0
         dz = float(out.residuals["z"].data[b, i_z[b]]) if "z" in out.residuals else 0.0
         cls_picks = (i_rot[b], i_vx[b], i_vy[b], i_z[b])
-        try:
-            pose = compose_pose(cls_picks, (rot_res, dvx, dvy, dz), anchors, cam)
-        except NonPositiveDepthError:
-            pose = compose_pose(cls_picks, (rot_res, dvx, dvy, 0.0), anchors, cam)
-        poses.append(pose)
+        while True:
+            try:
+                poses.append(compose_pose(cls_picks, (rot_res, dvx, dvy, dz), anchors, cam))
+                break
+            except NonPositiveDepthError:
+                if dz == 0.0:
+                    raise
+                dz = 0.0
+            except DegenerateRotationError:
+                rot_res = IDENTITY_6D
     return poses, out
 
 

@@ -100,20 +100,15 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, entries, anchors: Anchor
     n = len(entries)
     branches = tuple(net.config.branches())
     all_obs = np.stack([e.observation for e in entries])
-    all_poses = [e.pose for e in entries]
-    sup_all = prepare_batch_supervision(all_poses, anchors, model, cam, objective,
+    sup_all = prepare_batch_supervision([e.pose for e in entries], anchors, cam, objective,
                                         branches=branches)
     for _ in range(epochs):
         perm = rng.permutation(n)
         losses, parts = [], []
         for lo in range(0, n, batch_size):
             idx = perm[lo:lo + batch_size]
-            obs = all_obs[idx]
-            poses = [all_poses[i] for i in idx]
-            sup = [sup_all[i] for i in idx]
-            out = net.forward(obs)
-            breakdown = total_objective(out, poses, anchors, model, cam, objective,
-                                        sup=sup)
+            out = net.forward(all_obs[idx])
+            breakdown = total_objective(out, sup_all[idx], anchors, model, cam, objective)
             value = breakdown.total_value
             if not np.isfinite(value):
                 if all(np.isfinite(p).all() for p in net.state_arrays().values()):

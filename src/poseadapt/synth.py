@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -182,8 +183,10 @@ _REF_FOCAL = 600.0
 _PIX_SCALE = 200.0
 
 
+@functools.lru_cache(maxsize=None)
 def _embedding(raw_dim, obs_dim=OBS_DIM):
-    """Fixed smooth embedding matrices (shared by every dataset).
+    """Fixed smooth embedding matrices (shared by every dataset), drawn
+    once per shape.
 
     The observation keeps the raw channels directly, then fills the rest
     with sinusoidal and linear mixtures: n_sin = n_lin split of whatever
@@ -196,6 +199,8 @@ def _embedding(raw_dim, obs_dim=OBS_DIM):
     a_lin = rng.standard_normal((n_lin, raw_dim)) / np.sqrt(raw_dim)
     a_sin = rng.standard_normal((n_sin, raw_dim)) * (1.5 / np.sqrt(raw_dim))
     phase = rng.uniform(0, 2 * np.pi, n_sin)
+    for a in (a_lin, a_sin, phase):
+        a.flags.writeable = False      # the cache hands the same arrays to every caller
     return a_lin, a_sin, phase
 
 
@@ -204,9 +209,15 @@ def _embed(raw, obs_dim):
     return np.concatenate([raw[:obs_dim], np.sin(a_sin @ raw + phase), a_lin @ raw])
 
 
-def raw_observation(pose: Pose, model: ObjectModel, cam: CameraIntrinsics):
-    """Geometric channels before embedding: projected keypoints + size."""
-    kp = model.points[farthest_point_indices(model.points, N_KEYPOINTS)]
+def keypoints(model: ObjectModel):
+    """The model's farthest-point keypoints, (N_KEYPOINTS, 3)."""
+    return model.points[farthest_point_indices(model.points, N_KEYPOINTS)]
+
+
+def raw_observation(pose: Pose, model: ObjectModel, cam: CameraIntrinsics, kp=None):
+    """Geometric channels before embedding: projected keypoints + size.
+    ``kp`` is ``keypoints(model)``, computed here when not given."""
+    kp = keypoints(model) if kp is None else kp
     moved = kp @ pose.rotation.T + pose.translation
     u = cam.fx * moved[:, 0] / moved[:, 2] / _PIX_SCALE
     v = cam.fy * moved[:, 1] / moved[:, 2] / _PIX_SCALE
@@ -222,15 +233,15 @@ def _pose_hash(pose: Pose):
 
 
 def synthesize(pose: Pose, model: ObjectModel, cam: CameraIntrinsics,
-               dc: DomainConfig):
+               dc: DomainConfig, kp=None):
     """Observation vector for a pose under one domain's nuisance model.
 
     Pure function of its arguments: the noise stream is seeded from the
-    domain seed and a digest of the pose.
+    domain seed and a digest of the pose.  ``kp`` as in ``raw_observation``.
     """
     if pose.z <= 0:
         raise InvalidArgumentError("pose must have positive depth")
-    return _observe(raw_observation(pose, model, cam), pose, dc)
+    return _observe(raw_observation(pose, model, cam, kp), pose, dc)
 
 
 def _observe(raw, pose: Pose, dc: DomainConfig):
@@ -297,6 +308,7 @@ def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics,
     if sample_ranges:
         ranges.update(sample_ranges)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+    kps = [keypoints(model) for model in objects]
     samples = []
     for domain, n, prefix in (("source", n_source, "s"), ("target", n_target, "t")):
         dc = source_cfg if domain == "source" else target_cfg
@@ -309,7 +321,7 @@ def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics,
             obj_id = i % len(objects)
             pose = Pose(rots[i], np.array([vx[i] * z[i] / cam.fx,
                                            vy[i] * z[i] / cam.fy, z[i]]))
-            obs = synthesize(pose, objects[obj_id], cam, dc)
+            obs = synthesize(pose, objects[obj_id], cam, dc, kps[obj_id])
             samples.append(Sample(id=f"{prefix}{i:06d}", domain=domain,
                                   object_id=obj_id, observation=obs, gt=pose))
     return Dataset(kind="pose", samples=samples, objects=list(objects),

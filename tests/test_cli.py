@@ -82,23 +82,36 @@ def _truncate_dataset(tmp_path):
     return ["train", "--stage", "teacher", "--config", cfg, "--scalar-task"]
 
 
-@pytest.mark.parametrize("case, code", [
-    ("seed-not-int", cli.EXIT_CONFIG),
-    ("camera-too-short", cli.EXIT_CONFIG),
+BAD_CONFIGS = {
+    "seed-not-int": {"seed": "abc"},
+    "camera-too-short": {"data": {"camera": [600, 600]}},
+    "negative-seed": {"seed": -1},
+    "negative-anchor-seed": {"anchors": {"seed": -1}},
+    "negative-network-seed": {"network": {"seed": -3}},
+    "negative-object-seed": {"data": {"object_seed": -2}},
+    "nan-camera": {"data": {"camera": [float("nan"), 600, 320, 240]}},
+    "infinite-float": {"train": {"ctc_weight": float("inf")}},
+}
+
+
+@pytest.mark.parametrize("case, code", [(case, cli.EXIT_CONFIG) for case in BAD_CONFIGS] + [
+    ("negative-seed-flag", cli.EXIT_CONFIG),
     ("truncated-dataset", cli.EXIT_IO),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case == "truncated-dataset":
         argv = _truncate_dataset(tmp_path)
+    elif case == "negative-seed-flag":
+        argv = ["gen-data", "--seed", "-1", "--out", str(tmp_path / "run")]
     else:
-        bad = {"seed-not-int": {"seed": "abc"},
-               "camera-too-short": {"data": {"camera": [600, 600]}}}[case]
-        argv = ["gen-data", "--config", write_config(tmp_path, "bad", bad),
+        argv = ["gen-data", "--config", write_config(tmp_path, "bad", BAD_CONFIGS[case]),
                 "--out", str(tmp_path / "run")]
     capsys.readouterr()
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if case != "truncated-dataset":
+        assert not (tmp_path / "run" / "dataset.txt").exists()
 
 
 @pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy"])

@@ -10,6 +10,7 @@ from poseadapt.geometry import (
     Pose,
     generate_translation_bins,
     geodesic_distance,
+    pose_targets,
     random_rotations,
 )
 from poseadapt.labeling import (
@@ -18,7 +19,7 @@ from poseadapt.labeling import (
     nearest_anchors,
     score_vector,
 )
-from poseadapt.losses import prepare_supervision
+from poseadapt.losses import ObjectiveConfig, prepare_batch_supervision
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -51,6 +52,20 @@ class TestNearestAnchors:
             dists = [geodesic_distance(a, r) for a in anchors]
             order = sorted(range(60), key=lambda i: (dists[i], i))
             np.testing.assert_array_equal(got, order[:4])
+
+    def test_batched_rows_match_single_targets(self):
+        rng = np.random.default_rng(3)
+        anchors = random_rotations(20, rng)
+        rots = random_rotations(12, rng).reshape(3, 4, 3, 3)
+        got = nearest_anchors(rots, anchors, 5)
+        assert got.shape == (3, 4, 5)
+        bins = generate_translation_bins(0.0, 2.0, 9)
+        xs = rng.uniform(0.0, 2.0, (2, 6))
+        got_x = nearest_anchors(xs, bins, 3)
+        for i in np.ndindex(3, 4):
+            np.testing.assert_array_equal(got[i], nearest_anchors(rots[i], anchors, 5))
+        for i in np.ndindex(2, 6):
+            np.testing.assert_array_equal(got_x[i], nearest_anchors(xs[i], bins, 3))
 
     def test_tie_breaks_to_lower_index(self):
         bins = np.array([0.0, 2.0])
@@ -117,31 +132,49 @@ class TestScoreVectors:
 
 
 class TestAssignScores:
-    """Labels of all four branches of a pose, as the training loop builds them."""
+    """Labels of all four branches of a set of poses, as the training loop
+    builds them."""
 
     def setup_method(self):
         self.anchors = AnchorSet.build(16, 8, 8, 10, seed=0)
-        self.cfg = LabelConfig(
+        self.cfg = ObjectiveConfig(labels=LabelConfig(
             rotation=ScoreAssignmentConfig(0.7, 0.1, 4),
             vx=ScoreAssignmentConfig(0.55, 0.075, 7),
             vy=ScoreAssignmentConfig(0.55, 0.075, 7),
-            z=ScoreAssignmentConfig(0.55, 0.075, 7))
+            z=ScoreAssignmentConfig(0.55, 0.075, 7)))
 
     def test_all_branches_sum_to_one(self):
         rng = np.random.default_rng(6)
-        for m in random_rotations(10, rng):
-            pose = Pose(m, rng.uniform([-0.2, -0.2, 0.5], [0.2, 0.2, 1.8]))
-            labels = prepare_supervision(pose, self.anchors, None, CAM,
-                                         labels_cfg=self.cfg).labels
-            for vec, k in ((labels["rot"], 4), (labels["vx"], 7),
-                           (labels["vy"], 7), (labels["z"], 7)):
-                assert vec.sum() == pytest.approx(1.0, abs=1e-9)
-                assert np.count_nonzero(vec) == k
-                assert np.all(vec >= 0)
+        poses = [Pose(m, rng.uniform([-0.2, -0.2, 0.5], [0.2, 0.2, 1.8]))
+                 for m in random_rotations(10, rng)]
+        labels = prepare_batch_supervision(poses, self.anchors, CAM, self.cfg).labels
+        for name, k in (("rot", 4), ("vx", 7), ("vy", 7), ("z", 7)):
+            assert labels[name].shape[0] == 10
+            np.testing.assert_allclose(labels[name].sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_array_equal(np.count_nonzero(labels[name], axis=1), k)
+            assert np.all(labels[name] >= 0)
+
+    def test_rows_match_single_target_labels(self):
+        rng = np.random.default_rng(7)
+        poses = [Pose(m, rng.uniform([-0.2, -0.2, 0.5], [0.2, 0.2, 1.8]))
+                 for m in random_rotations(6, rng)]
+        sup = prepare_batch_supervision(poses, self.anchors, CAM, self.cfg)
+        for b, pose in enumerate(poses):
+            rot, vx, vy, z = pose_targets(pose, CAM)
+            for name, target, bins, cfg in (
+                    ("rot", rot, self.anchors.rotations, self.cfg.labels.rotation),
+                    ("vx", vx, self.anchors.bins_vx, self.cfg.labels.vx),
+                    ("vy", vy, self.anchors.bins_vy, self.cfg.labels.vy),
+                    ("z", z, self.anchors.bins_z, self.cfg.labels.z)):
+                np.testing.assert_array_equal(sup.labels[name][b],
+                                              score_vector(target, bins, cfg))
+                if name != "rot":
+                    np.testing.assert_array_equal(sup.nearest[name][b],
+                                                  nearest_anchors(target, bins, cfg.k))
 
     def test_deterministic(self):
-        pose = Pose(np.eye(3), [0.01, 0.02, 1.0])
-        a = prepare_supervision(pose, self.anchors, None, CAM, labels_cfg=self.cfg).labels
-        b = prepare_supervision(pose, self.anchors, None, CAM, labels_cfg=self.cfg).labels
+        poses = [Pose(np.eye(3), [0.01, 0.02, 1.0])]
+        a = prepare_batch_supervision(poses, self.anchors, CAM, self.cfg).labels
+        b = prepare_batch_supervision(poses, self.anchors, CAM, self.cfg).labels
         np.testing.assert_array_equal(a["rot"], b["rot"])
         np.testing.assert_array_equal(a["z"], b["z"])

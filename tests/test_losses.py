@@ -23,7 +23,7 @@ from poseadapt.geometry import (
     random_rotations,
     rot6d_to_matrix,
 )
-from poseadapt.labeling import LabelConfig
+from poseadapt.labeling import LabelConfig, ScoreAssignmentConfig
 from poseadapt.losses import (
     LOG_EPS,
     ObjectiveConfig,
@@ -31,6 +31,7 @@ from poseadapt.losses import (
     build_target_graph,
     classification_loss,
     point_matching_distance,
+    prepare_batch_supervision,
     regression_loss_batch,
     rot6d_to_matrix_t,
     soft_cross_entropy,
@@ -53,11 +54,16 @@ def small_anchors(n_rot=8, n_vx=5, n_vy=5, n_z=6):
 
 
 def small_label_config():
-    """Label parameters sized for the small test anchor sets."""
-    from poseadapt.labeling import ScoreAssignmentConfig
+    """Label parameters sized for the small test anchor sets: k = 4 for
+    rotation, 3 for each translation branch."""
     r = ScoreAssignmentConfig(0.7, 0.1, 4)
     t = ScoreAssignmentConfig(0.6, 0.2, 3)
     return LabelConfig(rotation=r, vx=t, vy=t, z=t)
+
+
+def supervision(gt_poses, anchors, labels=None):
+    return prepare_batch_supervision(gt_poses, anchors, CAM,
+                                     ObjectiveConfig(labels=labels or small_label_config()))
 
 
 def random_pose(rng, z_range=(0.5, 1.8)):
@@ -136,24 +142,18 @@ class TestPointMatchingDistance:
             identity = Pose(np.eye(3), np.zeros(3))
             point_matching_distance(identity, identity, empty)
 
-    def test_differentiable_path_matches_plain(self):
-        rng = np.random.default_rng(4)
-        p, gt = random_pose(rng), random_pose(rng)
-        t = (ad.Tensor(p.rotation), ad.Tensor(p.translation))
-        assert point_matching_distance(t, gt, self.model).item() == pytest.approx(
-            point_matching_distance(p, gt, self.model), rel=1e-12)
-
 
 def brute_force_regression_loss(out, b, gt_pose, anchors, model, cam,
-                                k_rot, k_z, k_vxvy):
+                                k_rot, k_z, k_vx, k_vy=None):
     """Independent reimplementation for batch row ``b``: explicit python
     loops over neighbor sets, substituting one target at a time into the
-    ground truth."""
+    ground truth and measuring point-set distances point by point."""
     rot_res = out.residuals["rot"].data[b]
     vx_res = out.residuals["vx"].data[b]
     vy_res = out.residuals["vy"].data[b]
     z_res = out.residuals["z"].data[b]
     gt_rot_raw, vx_t, vy_t, z_t = pose_targets(gt_pose, cam)
+    x_t, y_t, _ = gt_pose.translation
     if model.is_symmetric:
         pick = int(np.argmax(out.probs["rot"].data[b]))
         pred = rot6d_to_matrix(rot_res[pick]) @ anchors.rotations[pick]
@@ -167,25 +167,24 @@ def brute_force_regression_loss(out, b, gt_pose, anchors, model, cam,
                                - apply_pose(gt_used, model.points[i:i + 1])[0]).sum()
                         for i in range(len(model.points))])
 
+    def nearest(bins, target, k):
+        return sorted(range(len(bins)), key=lambda i: (abs(bins[i] - target), i))[:k]
+
     total = 0.0
     dists = [geodesic_distance(a, gt_rot) for a in anchors.rotations]
     order = sorted(range(len(dists)), key=lambda i: (dists[i], i))[:k_rot]
     for i in order:
         rot_i = rot6d_to_matrix(rot_res[i]) @ anchors.rotations[i]
         total += dist(Pose(rot_i, gt_pose.translation))
-    zorder = sorted(range(len(anchors.bins_z)),
-                    key=lambda i: (abs(anchors.bins_z[i] - z_t), i))[:k_z]
-    for i in zorder:
+    for i in nearest(anchors.bins_z, z_t, k_z):
         z_i = anchors.bins_z[i] + z_res[i]
         total += dist(Pose(gt_rot, [vx_t * z_i / cam.fx, vy_t * z_i / cam.fy, z_i]))
-    xorder = sorted(range(len(anchors.bins_vx)),
-                    key=lambda i: (abs(anchors.bins_vx[i] - vx_t), i))[:k_vxvy]
-    yorder = sorted(range(len(anchors.bins_vy)),
-                    key=lambda i: (abs(anchors.bins_vy[i] - vy_t), i))[:k_vxvy]
-    for ix, iy in zip(xorder, yorder):
-        vx_i = anchors.bins_vx[ix] + vx_res[ix]
-        vy_i = anchors.bins_vy[iy] + vy_res[iy]
-        total += dist(Pose(gt_rot, [vx_i * z_t / cam.fx, vy_i * z_t / cam.fy, z_t]))
+    for i in nearest(anchors.bins_vx, vx_t, k_vx):
+        vx_i = anchors.bins_vx[i] + vx_res[i]
+        total += dist(Pose(gt_rot, [vx_i * z_t / cam.fx, y_t, z_t]))
+    for i in nearest(anchors.bins_vy, vy_t, k_vx if k_vy is None else k_vy):
+        vy_i = anchors.bins_vy[i] + vy_res[i]
+        total += dist(Pose(gt_rot, [x_t, vy_i * z_t / cam.fy, z_t]))
     return total
 
 
@@ -213,8 +212,8 @@ class TestRegressionLoss:
         out.residuals["vx"].data[0] = vx - self.anchors.bins_vx
         out.residuals["vy"].data[0] = vy - self.anchors.bins_vy
         out.residuals["z"].data[0] = z - self.anchors.bins_z
-        loss = regression_loss_batch(out, [gt], self.anchors, self.model, CAM,
-                                     k_rot=4, k_z=3, k_vxvy=3)
+        loss = regression_loss_batch(out, supervision([gt], self.anchors), self.anchors,
+                                     self.model, CAM)
         assert loss.data[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_anchor_aligned_gt_with_zero_residuals(self):
@@ -229,8 +228,9 @@ class TestRegressionLoss:
         z = self.anchors.bins_z[3]
         gt = Pose(self.anchors.rotations[5],
                   [vx * z / CAM.fx, vy * z / CAM.fy, z])
-        loss = regression_loss_batch(out, [gt], self.anchors, self.model, CAM,
-                                     k_rot=1, k_z=1, k_vxvy=1)
+        one_hot = ScoreAssignmentConfig(1.0, 0.0, 1)
+        sup = supervision([gt], self.anchors, LabelConfig(one_hot, one_hot, one_hot, one_hot))
+        loss = regression_loss_batch(out, sup, self.anchors, self.model, CAM)
         assert loss.data[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_brute_force(self):
@@ -238,8 +238,8 @@ class TestRegressionLoss:
         for trial in range(5):
             gt = [random_pose(rng) for _ in range(5)]
             out = self._out(seed=trial, batch=5)
-            got = regression_loss_batch(out, gt, self.anchors, self.model, CAM,
-                                        k_rot=4, k_z=3, k_vxvy=3).data
+            got = regression_loss_batch(out, supervision(gt, self.anchors), self.anchors,
+                                        self.model, CAM).data
             for b in range(5):
                 want = brute_force_regression_loss(out, b, gt[b], self.anchors,
                                                    self.model, CAM, 4, 3, 3)
@@ -253,18 +253,30 @@ class TestRegressionLoss:
         for trial in range(2):
             gt = [random_pose(rng) for _ in range(5)]
             out = self._out(seed=100 + trial, batch=5)
-            got = regression_loss_batch(out, gt, self.anchors, sym_model, CAM,
-                                        k_rot=4, k_z=3, k_vxvy=3).data
+            got = regression_loss_batch(out, supervision(gt, self.anchors), self.anchors,
+                                        sym_model, CAM).data
             for b in range(5):
                 want = brute_force_regression_loss(out, b, gt[b], self.anchors,
                                                    sym_model, CAM, 4, 3, 3)
                 assert got[b] == pytest.approx(want, rel=1e-9)
 
-    def test_k_bounds_checked(self):
-        out = self._out()
-        gt = random_pose(np.random.default_rng(5))
-        with pytest.raises(InvalidArgumentError):
-            regression_loss_batch(out, [gt], self.anchors, self.model, CAM, k_rot=99)
+    def test_k_clipped_to_anchor_count(self):
+        """A label k above a branch's anchor count supervises every anchor."""
+        rng = np.random.default_rng(5)
+        gt = [random_pose(rng) for _ in range(3)]
+        anchors = AnchorSet.build(3, 2, 5, 6, seed=0)
+        net = PoseNetwork(NetworkConfig(obs_dim=6, n_rot=3, n_vx=2, n_vy=5, n_z=6,
+                                        feature_dim=8, encoder_hidden=(8,), head_hidden=8))
+        out = net.forward(rng.standard_normal((3, 6)))
+        # default labels: k = 4 for rotation, 7 for each translation branch
+        sup = prepare_batch_supervision(gt, anchors, CAM, ObjectiveConfig(use_cls=False))
+        assert sup.k_rot == 3 and sup.labels == {}
+        assert [sup.nearest[name].shape[1] for name in ("vx", "vy", "z")] == [2, 5, 6]
+        got = regression_loss_batch(out, sup, anchors, self.model, CAM).data
+        for b in range(3):
+            want = brute_force_regression_loss(out, b, gt[b], anchors, self.model, CAM,
+                                               3, 6, 2, k_vy=5)
+            assert got[b] == pytest.approx(want, rel=1e-9)
 
 
 class TestTargetGraph:
@@ -369,14 +381,14 @@ class TestTotalObjective:
         self.netcfg = NetworkConfig(obs_dim=6, n_rot=8, n_vx=5, n_vy=5, n_z=6,
                                     feature_dim=8, encoder_hidden=(8,), head_hidden=8)
         tg = build_target_graph(self.anchors.bins_z, 0.0, 2.0)
-        self.cfg = ObjectiveConfig(labels=small_label_config(), k_rot=4, k_z=3,
-                                   k_vxvy=3, target_graph=tg)
+        self.cfg = ObjectiveConfig(labels=small_label_config(), target_graph=tg)
 
     def test_empty_batch_raises(self):
         net = PoseNetwork(self.netcfg, seed=0)
         out = net.forward(np.zeros((1, 6)))
+        sup = supervision([random_pose(np.random.default_rng(9))], self.anchors)
         with pytest.raises(InvalidArgumentError):
-            total_objective(out, [], self.anchors, self.model, CAM, self.cfg)
+            total_objective(out, sup[:0], self.anchors, self.model, CAM, self.cfg)
 
     def test_batch_of_one_reduces_to_sample_loss(self):
         rng = np.random.default_rng(9)
@@ -384,10 +396,10 @@ class TestTotalObjective:
         net = PoseNetwork(self.netcfg, seed=0)
         out = net.forward(rng.standard_normal((1, 6)))
         # zero out the correlation term: single sample graph is [[1]], target 1
-        bd = total_objective(out, [gt], self.anchors, self.model, CAM, self.cfg)
-        cls = classification_loss(out, [gt], self.anchors, CAM, self.cfg.labels)
-        reg = regression_loss_batch(out, [gt], self.anchors, self.model, CAM,
-                                    k_rot=4, k_z=3, k_vxvy=3)
+        sup = supervision([gt], self.anchors)
+        bd = total_objective(out, sup, self.anchors, self.model, CAM, self.cfg)
+        cls = classification_loss(out, sup)
+        reg = regression_loss_batch(out, sup, self.anchors, self.model, CAM)
         assert bd.total_value == pytest.approx(cls.data[0] + reg.data[0], rel=1e-9)
 
     def test_duplicating_samples_keeps_pose_loss(self):
@@ -395,12 +407,12 @@ class TestTotalObjective:
         gt = [random_pose(rng) for _ in range(3)]
         obs = rng.standard_normal((3, 6))
         net = PoseNetwork(self.netcfg, seed=1)
-        cfg = ObjectiveConfig(labels=self.cfg.labels, k_rot=4, k_z=3, k_vxvy=3,
-                              ctc_weight=0.0)
-        bd1 = total_objective(net.forward(obs), gt, self.anchors, self.model, CAM, cfg)
+        cfg = ObjectiveConfig(labels=self.cfg.labels, ctc_weight=0.0)
+        bd1 = total_objective(net.forward(obs), supervision(gt, self.anchors), self.anchors,
+                              self.model, CAM, cfg)
         obs2 = np.vstack([obs, obs])
-        bd2 = total_objective(net.forward(obs2), gt + gt, self.anchors, self.model,
-                              CAM, cfg)
+        bd2 = total_objective(net.forward(obs2), supervision(gt + gt, self.anchors),
+                              self.anchors, self.model, CAM, cfg)
         assert bd1.total_value == pytest.approx(bd2.total_value, rel=1e-9)
 
     def test_composition_oracle(self):
@@ -409,11 +421,11 @@ class TestTotalObjective:
         obs = rng.standard_normal((4, 6))
         net = PoseNetwork(self.netcfg, seed=2)
         out = net.forward(obs)
-        bd = total_objective(out, gt, self.anchors, self.model, CAM, self.cfg)
+        sup = supervision(gt, self.anchors)
+        bd = total_objective(out, sup, self.anchors, self.model, CAM, self.cfg)
         # independent composition from the separately computed pieces
-        cls = classification_loss(out, gt, self.anchors, CAM, self.cfg.labels).data
-        reg = regression_loss_batch(out, gt, self.anchors, self.model, CAM,
-                                    k_rot=4, k_z=3, k_vxvy=3).data
+        cls = classification_loss(out, sup).data
+        reg = regression_loss_batch(out, sup, self.anchors, self.model, CAM).data
         classes = z_class_indices([p.z for p in gt], self.anchors.bins_z)
         corr = target_correlation_loss(batch_feature_graph(out.feature).data,
                                        classes, self.cfg.target_graph).item()
@@ -429,7 +441,8 @@ class TestTotalObjective:
             gt = [random_pose(rng) for _ in range(3)]
             net = PoseNetwork(self.netcfg, seed=trial)
             out = net.forward(rng.standard_normal((3, 6)))
-            bd = total_objective(out, gt, self.anchors, self.model, CAM, self.cfg)
+            bd = total_objective(out, supervision(gt, self.anchors), self.anchors,
+                                 self.model, CAM, self.cfg)
             assert bd.cls_value >= 0 and bd.reg_value >= 0 and bd.corr_value >= 0
 
 
@@ -485,11 +498,11 @@ class TestGradientSpotChecks:
         gt = [random_pose(rng) for _ in range(3)]
         obs = rng.standard_normal((3, 6))
         tg = build_target_graph(anchors.bins_z, 0.0, 2.0)
-        cfg = ObjectiveConfig(labels=small_label_config(), k_rot=4, k_z=3,
-                              k_vxvy=3, target_graph=tg)
+        cfg = ObjectiveConfig(labels=small_label_config(), target_graph=tg)
+        sup = supervision(gt, anchors)
 
         def value():
             out = net.forward(obs)
-            return total_objective(out, gt, anchors, model, CAM, cfg).total
+            return total_objective(out, sup, anchors, model, CAM, cfg).total
 
         self._check_gradients(value, net.parameters(), n_probe=25)

@@ -172,6 +172,26 @@ class TestPredictPoses:
         for p in poses:
             assert p.z > 0
 
+    @pytest.mark.parametrize("negative_depth", [False, True])
+    def test_zeroed_rotation_head_falls_back_to_anchor_rotation(self, negative_depth):
+        anchors = AnchorSet.build(4, 3, 3, 4, seed=0)
+        cfg = NetworkConfig(obs_dim=5, n_rot=4, n_vx=3, n_vy=3, n_z=4,
+                            feature_dim=8, encoder_hidden=(8,), head_hidden=4)
+        net = PoseNetwork(cfg, seed=0)
+        # every 6D rotation residual is the zero vector, which has no rotation
+        net.reg_heads["rot"].layers[-1].w.data[:] = 0.0
+        net.reg_heads["rot"].layers[-1].b.data[:] = 0.0
+        if negative_depth:
+            net.reg_heads["z"].layers[-1].b.data[:] = -10.0
+        obs = np.random.default_rng(1).standard_normal((3, 5))
+        poses, out = predict_poses(net, obs, anchors, CAM)
+        picks = out.picks()
+        for b, p in enumerate(poses):
+            np.testing.assert_array_equal(p.rotation, anchors.rotations[picks["rot"][b]])
+            assert p.z > 0
+            if negative_depth:
+                assert p.z == anchors.bins_z[picks["z"][b]]
+
     def test_scalar_mae(self):
         assert scalar_mae([1.0, 2.0], [1.5, 1.0]) == pytest.approx(0.75)
         with pytest.raises(InvalidArgumentError):

@@ -66,8 +66,7 @@ def test_empty_selection_round_trains_on_source_only(monkeypatch):
     teacher = PoseNetwork(NetworkConfig(obs_dim=OBS_DIM, n_rot=0, n_vx=0, n_vy=0, n_z=4,
                                         feature_dim=8, encoder_hidden=(8,), head_hidden=4))
     t = ScoreAssignmentConfig(0.6, 0.2, 3)
-    objective = ObjectiveConfig(labels=LabelConfig(t, t, t, t), k_rot=1, k_z=3, k_vxvy=1,
-                                ctc_weight=0.0)
+    objective = ObjectiveConfig(labels=LabelConfig(t, t, t, t), ctc_weight=0.0)
     # a confidence is a probability, so none can exceed tau = 1
     cfg = SelfTrainConfig(tau_start=1.0, tau_end=1.0, rounds=1, student_epochs=1)
     trained_on = []
