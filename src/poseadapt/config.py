@@ -87,7 +87,6 @@ class TrainConfig:
     lr_student: float = 3e-5
     batch_size: int = 32
     reannotate: bool = True
-    use_ctc: bool = True
     ctc_weight: float = 1.0
 
     def selftrain_config(self):
@@ -203,6 +202,8 @@ def validate_config(cfg: RunConfig):
                          (a.z_range + ("z_range",))):
         if not hi > lo:
             raise ConfigError(f"anchors.{name} must be increasing")
+    if a.z_range[0] < 0:
+        raise ConfigError("anchors.z_range must start at a depth >= 0")
     try:
         labels = cfg.scores.label_config()
     except InvalidArgumentError as e:

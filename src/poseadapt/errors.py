@@ -9,14 +9,6 @@ class InvalidArgumentError(PoseAdaptError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class DegenerateRotationError(InvalidArgumentError):
-    """A 6D rotation representation cannot be orthonormalized."""
-
-
-class NonPositiveDepthError(InvalidArgumentError):
-    """A composed pose would place the object at z <= 0."""
-
-
 class DegenerateFeatureError(InvalidArgumentError):
     """A feature vector has zero norm and cannot be cosine-normalized."""
 

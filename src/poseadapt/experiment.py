@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import RunConfig, save_config
 from .errors import CheckpointIncompatibleError, DependencyError, InvalidArgumentError
-from .geometry import AnchorSet, CameraIntrinsics, Pose, generate_translation_bins
+from .geometry import AnchorSet, CameraIntrinsics, Pose
 from .losses import ObjectiveConfig, build_target_graph
 from .metrics import average_recall, confidence_scores, evaluate_pose, predict_poses, scalar_mae
 from .network import NetworkConfig, PoseNetwork, load_checkpoint, save_checkpoint
@@ -62,19 +62,14 @@ def build_camera(cfg: RunConfig) -> CameraIntrinsics:
 
 
 def build_anchors(cfg: RunConfig, scalar=False, single=False) -> AnchorSet:
+    """The configured anchors; ``single`` gives the direct-regression
+    baseline one anchor per branch."""
     a = cfg.anchors
     if scalar:
         n_z = 1 if single else cfg.data.scalar_bins
-        return AnchorSet(
-            rotations=np.eye(3)[None],
-            bins_vx=generate_translation_bins(-1.0, 1.0, 1),
-            bins_vy=generate_translation_bins(-1.0, 1.0, 1),
-            bins_z=generate_translation_bins(SCALAR_RANGE[0], SCALAR_RANGE[1], n_z),
-            vx_range=(-1.0, 1.0), vy_range=(-1.0, 1.0), z_range=SCALAR_RANGE)
-    if single:
-        return AnchorSet.single(a.vx_range, a.vy_range, a.z_range)
-    return AnchorSet.build(a.n_rot, a.n_vx, a.n_vy, a.n_z,
-                           a.vx_range, a.vy_range, a.z_range, a.seed)
+        return AnchorSet.build(1, 1, 1, n_z, (-1.0, 1.0), (-1.0, 1.0), SCALAR_RANGE)
+    counts = (1, 1, 1, 1) if single else (a.n_rot, a.n_vx, a.n_vy, a.n_z)
+    return AnchorSet.build(*counts, a.vx_range, a.vy_range, a.z_range, a.seed)
 
 
 def build_network_config(cfg: RunConfig, obs_dim, anchors: AnchorSet,
@@ -92,7 +87,7 @@ def build_objective(cfg: RunConfig, anchors: AnchorSet, stage) -> ObjectiveConfi
     """Loss terms of one stage; the direct-regression baseline drops the
     classifier and the correlation term."""
     use_cls = stage != "baseline-regression"
-    use_ctc = cfg.train.use_ctc and stage not in ("baseline-regression", "no-ctc")
+    use_ctc = stage not in ("baseline-regression", "no-ctc")
     tg = build_target_graph(anchors.bins_z, anchors.z_range[0], anchors.z_range[1])
     return ObjectiveConfig(labels=cfg.scores.label_config(), use_cls=use_cls,
                            ctc_weight=cfg.train.ctc_weight if use_ctc else 0.0,
@@ -266,11 +261,9 @@ def run_train(cfg: RunConfig, stage, log=print):
     for i, model in enumerate(ds.objects):
         source, target = ds.by_object(i, "source"), ds.by_object(i, "target")
         if stage == "student":
-            teacher_stage = "teacher" if cfg.train.use_ctc else "no-ctc"
-            tpath = _ckpt_path(cfg.out_dir, teacher_stage, i)
+            tpath = _ckpt_path(cfg.out_dir, "teacher", i)
             if not os.path.exists(tpath):
-                raise DependencyError(
-                    f"student stage needs {tpath}; run --stage {teacher_stage} first")
+                raise DependencyError(f"student stage needs {tpath}; run --stage teacher first")
             teacher, _ = load_checkpoint(tpath, expected_config=net_cfg)
 
             def sink(r, labels, _i=i):

@@ -10,6 +10,10 @@ Conventions used throughout the package:
   principal point;
 * a 6D rotation encodes the first two columns of the matrix and is mapped
   back through Gram-Schmidt orthonormalization.
+
+``rot6d_to_matrix``, ``compose_pose`` and ``closest_symmetric_rotation``
+work on a batch: one call decodes or resolves every row, with no loop
+over samples.
 """
 
 from __future__ import annotations
@@ -18,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateRotationError,
-    InvalidArgumentError,
-    NonPositiveDepthError,
-)
+from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -122,60 +122,43 @@ class AnchorSet:
             vx_range=tuple(vx_range), vy_range=tuple(vy_range), z_range=tuple(z_range),
         )
 
-    @classmethod
-    def single(cls, vx_range=(-200.0, 200.0), vy_range=(-200.0, 200.0), z_range=(0.0, 2.0)):
-        """Degenerate one-anchor set used by the direct-regression baseline."""
-        return cls(
-            rotations=np.eye(3)[None],
-            bins_vx=generate_translation_bins(vx_range[0], vx_range[1], 1),
-            bins_vy=generate_translation_bins(vy_range[0], vy_range[1], 1),
-            bins_z=generate_translation_bins(z_range[0], z_range[1], 1),
-            vx_range=tuple(vx_range), vy_range=tuple(vy_range), z_range=tuple(z_range),
-        )
-
 
 # ---------------------------------------------------------------------------
 # rotation representations
 
 
+def _dot(a, b):
+    """Dot products over the last axis.  A stacked matmul gives each row the
+    same bits as the 1-D ``a @ b`` of that row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def rot6d_to_matrix(r):
-    """Map a 6D rotation (two unnormalized 3-vectors) to a rotation matrix.
+    """Map 6D rotations (..., 6), two unnormalized 3-vectors each, to
+    rotation matrices (..., 3, 3).
 
     The two halves become the first two columns after Gram-Schmidt; the
-    third column is their cross product.  Raises DegenerateRotationError
-    when the first vector vanishes or the two are parallel.
+    third column is their cross product.  A row whose first vector
+    vanishes, or whose two vectors are parallel, has no rotation and maps
+    to the identity.
     """
-    r = np.asarray(r, dtype=float).reshape(6)
-    a1, a2 = r[:3], r[3:]
-    n1 = np.linalg.norm(a1)
-    if n1 < 1e-12:
-        raise DegenerateRotationError("first 6D half-vector is zero")
-    b1 = a1 / n1
-    a2p = a2 - (b1 @ a2) * b1
-    n2 = np.linalg.norm(a2p)
-    if n2 < 1e-12:
-        raise DegenerateRotationError("6D half-vectors are parallel")
-    b2 = a2p / n2
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=1)
+    r = np.asarray(r, dtype=float)
+    a1, a2 = r[..., :3], r[..., 3:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1 = np.sqrt(_dot(a1, a1))[..., None]
+        b1 = a1 / n1
+        a2p = a2 - _dot(b1, a2)[..., None] * b1
+        n2 = np.sqrt(_dot(a2p, a2p))[..., None]
+        b2 = a2p / n2
+        m = np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
+    degenerate = (n1 < 1e-12) | (n2 < 1e-12)
+    return np.where(degenerate[..., None], np.eye(3), m)
 
 
 def matrix_to_rot6d(m):
     """First two columns of a rotation matrix, flattened to 6 values."""
     m = np.asarray(m, dtype=float)
     return np.concatenate([m[:, 0], m[:, 1]])
-
-
-def geodesic_distance(r1, r2):
-    """Angular distance between two rotations, in [0, pi].
-
-    The trace argument is clamped to [-1, 1] so float overshoot near the
-    endpoints cannot produce NaN.
-    """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    c = (np.trace(r1 @ r2.T) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
 def geodesic_distances_to(rotations, r):
@@ -222,8 +205,8 @@ def generate_rotation_anchors(n, seed):
     (50 * n candidates), starting from the identity rotation.  Distances
     are quaternion geodesics, 2 * arccos(|q1 . q2|).
     """
-    if n < 2:
-        raise InvalidArgumentError(f"need at least 2 anchors, got {n}")
+    if n < 1:
+        raise InvalidArgumentError(f"need at least one anchor, got {n}")
     rng = np.random.default_rng(seed)
     pool = random_quaternions(50 * n, rng)
     identity = np.array([1.0, 0.0, 0.0, 0.0])
@@ -252,26 +235,29 @@ def generate_translation_bins(d_min, d_max, n):
 # pose composition
 
 
-def compose_pose(cls_picks, residuals, anchors: AnchorSet, cam: CameraIntrinsics) -> Pose:
-    """Assemble a pose from anchor picks plus residuals.
+def compose_pose(picks, residuals, anchors: AnchorSet, cam: CameraIntrinsics):
+    """Assemble a batch of poses from anchor picks plus residuals.
 
-    ``cls_picks`` is (i_rot, i_vx, i_vy, i_z); ``residuals`` is
-    (rot6d_residual, dv_x, dv_y, dz).  The rotation residual left-multiplies
-    the anchor rotation; z is computed first and reused to lift v_x, v_y
-    to metric x, y.
+    ``picks`` is (i_rot, i_vx, i_vy, i_z), each (B,); ``residuals`` is
+    (rot6d (B, 6), dv_x, dv_y, dz), the scalars (B,).  The rotation residual
+    left-multiplies the anchor rotation; z is computed first and reused to
+    lift v_x, v_y to metric x, y.  A residual that breaks the pose falls
+    back to the bare anchor: a degenerate 6D rotation to the anchor
+    rotation, a non-positive depth to the bin center.  Returns rotations
+    (B, 3, 3) and translations (B, 3).
     """
-    i_rot, i_vx, i_vy, i_z = cls_picks
-    rot_res, dvx, dvy, dz = residuals
-    if not (0 <= i_rot < anchors.n_rot and 0 <= i_vx < len(anchors.bins_vx)
-            and 0 <= i_vy < len(anchors.bins_vy) and 0 <= i_z < len(anchors.bins_z)):
+    picks = [np.asarray(i, dtype=int) for i in picks]
+    sizes = (anchors.n_rot, len(anchors.bins_vx), len(anchors.bins_vy), len(anchors.bins_z))
+    if any(np.any((i < 0) | (i >= n)) for i, n in zip(picks, sizes)):
         raise InvalidArgumentError("anchor index out of bounds")
-    z = float(anchors.bins_z[i_z] + dz)
-    if z <= 0:
-        raise NonPositiveDepthError(f"composed depth {z} <= 0")
-    vx = float(anchors.bins_vx[i_vx] + dvx)
-    vy = float(anchors.bins_vy[i_vy] + dvy)
-    rotation = rot6d_to_matrix(rot_res) @ anchors.rotations[i_rot]
-    return Pose(rotation, np.array([vx * z / cam.fx, vy * z / cam.fy, z]))
+    i_rot, i_vx, i_vy, i_z = picks
+    rot_res, dvx, dvy, dz = residuals
+    z = anchors.bins_z[i_z] + dz
+    z = np.where(z <= 0, anchors.bins_z[i_z], z)
+    vx = anchors.bins_vx[i_vx] + dvx
+    vy = anchors.bins_vy[i_vy] + dvy
+    rotations = rot6d_to_matrix(rot_res) @ anchors.rotations[i_rot]
+    return rotations, np.stack([vx * z / cam.fx, vy * z / cam.fy, z], axis=-1)
 
 
 def apply_pose(p: Pose, pts):
@@ -287,16 +273,19 @@ def pose_targets(p: Pose, cam: CameraIntrinsics):
 
 
 def closest_symmetric_rotation(r_pred, r_gt, model: ObjectModel):
-    """Ground-truth rotation variant closest to the prediction.
+    """Ground-truth rotation variants (B, 3, 3) closest to the predictions.
 
-    Minimizes geodesic distance over ``r_gt @ s`` for the model's discrete
-    symmetries; ties break toward the lowest symmetry index.
+    For each row of ``r_pred`` and ``r_gt`` (B, 3, 3), minimizes geodesic
+    distance over ``r_gt @ s`` for the model's discrete symmetries; ties
+    break toward the lowest symmetry index.  The trace argument is clamped
+    to [-1, 1] so float overshoot cannot produce NaN.
     """
-    best, best_d = None, np.inf
+    best, best_d = None, np.full(len(r_gt), np.inf)
     for s in model.symmetries:
         cand = r_gt @ s
-        d = geodesic_distance(r_pred, cand)
-        if d < best_d - 1e-15:
-            best, best_d = cand, d
+        trace = np.trace(r_pred @ np.swapaxes(cand, -1, -2), axis1=-2, axis2=-1)
+        d = np.arccos(np.clip((trace - 1.0) / 2.0, -1.0, 1.0))
+        closer = d < best_d - 1e-15
+        best = cand if best is None else np.where(closer[:, None, None], cand, best)
+        best_d = np.where(closer, d, best_d)
     return best
-

@@ -120,15 +120,14 @@ def point_matching_distance(p: Pose, gt: Pose, model: ObjectModel):
 
 def resolve_symmetric_gt(out: HeadOutput, gt_rot, anchors: AnchorSet, model: ObjectModel):
     """Ground-truth rotations (B, 3, 3), with symmetric models resolved to
-    the variant closest to the current prediction."""
+    the variant closest to the current prediction.  A degenerate predicted
+    6D rotation decodes to its bare anchor rotation, as in prediction."""
     if not model.is_symmetric or "rot" not in out.probs:
         return gt_rot
     picks = np.argmax(out.probs["rot"].data, axis=1)
-    resolved = []
-    for b, i in enumerate(picks):
-        pred = rot6d_to_matrix(out.residuals["rot"].data[b, i]) @ anchors.rotations[i]
-        resolved.append(closest_symmetric_rotation(pred, gt_rot[b], model))
-    return np.stack(resolved)
+    res = out.residuals["rot"].data[np.arange(len(picks)), picks]
+    pred = rot6d_to_matrix(res) @ anchors.rotations[picks]
+    return closest_symmetric_rotation(pred, gt_rot, model)
 
 
 def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateRotationError, InvalidArgumentError, NonPositiveDepthError
+from .errors import InvalidArgumentError
 from .geometry import (
     AnchorSet,
     CameraIntrinsics,
@@ -16,9 +16,9 @@ from .geometry import (
     apply_pose,
     compose_pose,
 )
+from .network import ROT6D_IDENTITY
 
 HIT_FACTOR = 0.1  # hit when distance < 10% of the object diameter
-IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -73,39 +73,24 @@ def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
     """Most-likely pose per observation row (arg-max anchors + residuals)
     plus the raw network output.
 
-    A residual that breaks the pose falls back to the bare anchor, so
-    evaluation never dies on a half-trained network: a depth that would be
-    non-positive to the bin center, a degenerate 6D rotation to the anchor
-    rotation.
+    One ``compose_pose`` call decodes the batch.  A residual that breaks the
+    pose falls back to the bare anchor, so evaluation never dies on a
+    half-trained network: a depth that would be non-positive to the bin
+    center, a degenerate 6D rotation to the anchor rotation.  A branch the
+    network lacks contributes its only anchor with a zero residual.
     """
     obs = np.asarray(observations, dtype=float)
     with ad.no_grad():
         out = net.forward(obs)
     picks = out.picks()
-    B = obs.shape[0]
-    ones = np.zeros(B, dtype=int)
-    i_rot = picks.get("rot", ones)
-    i_vx = picks.get("vx", ones)
-    i_vy = picks.get("vy", ones)
-    i_z = picks.get("z", ones)
-    poses = []
-    for b in range(B):
-        rot_res = out.residuals["rot"].data[b, i_rot[b]] if "rot" in out.residuals else IDENTITY_6D
-        dvx = float(out.residuals["vx"].data[b, i_vx[b]]) if "vx" in out.residuals else 0.0
-        dvy = float(out.residuals["vy"].data[b, i_vy[b]]) if "vy" in out.residuals else 0.0
-        dz = float(out.residuals["z"].data[b, i_z[b]]) if "z" in out.residuals else 0.0
-        cls_picks = (i_rot[b], i_vx[b], i_vy[b], i_z[b])
-        while True:
-            try:
-                poses.append(compose_pose(cls_picks, (rot_res, dvx, dvy, dz), anchors, cam))
-                break
-            except NonPositiveDepthError:
-                if dz == 0.0:
-                    raise
-                dz = 0.0
-            except DegenerateRotationError:
-                rot_res = IDENTITY_6D
-    return poses, out
+    rows = np.arange(obs.shape[0])
+    idx, res = [], []
+    for name, absent in (("rot", ROT6D_IDENTITY), ("vx", 0.0), ("vy", 0.0), ("z", 0.0)):
+        idx.append(picks.get(name, np.zeros_like(rows)))
+        res.append(out.residuals[name].data[rows, idx[-1]] if name in out.residuals
+                   else np.broadcast_to(absent, rows.shape + np.shape(absent)))
+    rotations, translations = compose_pose(idx, res, anchors, cam)
+    return [Pose(r, t) for r, t in zip(rotations, translations)], out
 
 
 def confidence_scores(out):

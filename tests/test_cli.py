@@ -91,6 +91,7 @@ BAD_CONFIGS = {
     "negative-object-seed": {"data": {"object_seed": -2}},
     "nan-camera": {"data": {"camera": [float("nan"), 600, 320, 240]}},
     "infinite-float": {"train": {"ctc_weight": float("inf")}},
+    "negative-z-range": {"anchors": {"z_range": [-1.0, 2.0]}},
 }
 
 
@@ -114,12 +115,24 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert not (tmp_path / "run" / "dataset.txt").exists()
 
 
-@pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy"])
+@pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy", "use_ctc"])
 def test_removed_score_keys_are_rejected(tmp_path, capsys, key):
+    """Removed keys fail as unknown; ``train.use_ctc`` went with the
+    scores' k keys (the no-ctc stage and ctc_weight 0 remain)."""
+    old = {"train": {key: False}} if key == "use_ctc" else {"scores": {key: 2}}
     with pytest.raises(ConfigError, match=key):
-        config_from_dict({"scores": {key: 2}})
-    path = write_config(tmp_path, "old", {"scores": {key: 2}})
+        config_from_dict(old)
+    path = write_config(tmp_path, "old", old)
     assert cli.main(["gen-data", "--config", path, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
+def test_one_rotation_anchor_trains(tmp_path, capsys):
+    """``anchors.n_rot: 1`` passes validation and also trains."""
+    cfg = dict(TINY, anchors=dict(TINY["anchors"], n_rot=1),
+               scores=dict(TINY["scores"], rotation=[1.0, 0.0, 1]), out_dir=str(tmp_path))
+    argv = ["--config", write_config(tmp_path, "one", cfg)]
+    assert cli.main(["gen-data"] + argv) == 0
+    assert cli.main(["train", "--stage", "teacher"] + argv) == 0
 
 
 @pytest.mark.parametrize("cfg", [

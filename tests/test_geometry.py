@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from poseadapt.errors import (
-    DatasetError,
-    DegenerateRotationError,
-    InvalidArgumentError,
-    NonPositiveDepthError,
-)
+from poseadapt.errors import DatasetError, InvalidArgumentError
 from poseadapt.geometry import (
     AnchorSet,
     CameraIntrinsics,
@@ -19,7 +14,7 @@ from poseadapt.geometry import (
     compose_pose,
     generate_rotation_anchors,
     generate_translation_bins,
-    geodesic_distance,
+    geodesic_distances_to,
     matrix_to_rot6d,
     pose_targets,
     random_rotations,
@@ -35,36 +30,41 @@ def rot_z(angle):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def geodesic_distance(r1, r2):
+    """Angle between two rotations, through the batched distance."""
+    return float(geodesic_distances_to(r1[None], r2)[0])
+
+
 class TestRot6d:
     def test_canonical_basis_gives_identity(self):
         np.testing.assert_allclose(rot6d_to_matrix([1, 0, 0, 0, 1, 0]), np.eye(3))
 
     def test_scale_invariance(self):
         np.testing.assert_allclose(rot6d_to_matrix([2, 0, 0, 0, 3, 0]), np.eye(3))
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            r = rng.standard_normal(6)
-            scaled = np.concatenate([r[:3] * 7.3, r[3:] * 0.2])
-            np.testing.assert_allclose(rot6d_to_matrix(r), rot6d_to_matrix(scaled),
-                                       atol=1e-9)
+        r = np.random.default_rng(3).standard_normal((20, 6))
+        scaled = np.concatenate([r[:, :3] * 7.3, r[:, 3:] * 0.2], axis=1)
+        np.testing.assert_allclose(rot6d_to_matrix(r), rot6d_to_matrix(scaled), atol=1e-9)
 
     def test_random_inputs_give_valid_rotations(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            m = rot6d_to_matrix(rng.standard_normal(6))
-            np.testing.assert_allclose(m.T @ m, np.eye(3), atol=1e-9)
-            assert abs(np.linalg.det(m) - 1.0) < 1e-9
+        m = rot6d_to_matrix(np.random.default_rng(0).standard_normal((10, 10, 6)))
+        assert m.shape == (10, 10, 3, 3)
+        np.testing.assert_allclose(np.swapaxes(m, -1, -2) @ m, np.broadcast_to(np.eye(3), m.shape),
+                                   atol=1e-9)
+        np.testing.assert_allclose(np.linalg.det(m), 1.0, atol=1e-9)
 
     def test_round_trip_from_matrix(self):
-        rng = np.random.default_rng(1)
-        for m in random_rotations(50, rng):
-            np.testing.assert_allclose(rot6d_to_matrix(matrix_to_rot6d(m)), m, atol=1e-9)
+        rots = random_rotations(50, np.random.default_rng(1))
+        r6 = np.stack([matrix_to_rot6d(m) for m in rots])
+        np.testing.assert_allclose(rot6d_to_matrix(r6), rots, atol=1e-9)
 
     def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateRotationError):
-            rot6d_to_matrix([0, 0, 0, 0, 1, 0])
-        with pytest.raises(DegenerateRotationError):
-            rot6d_to_matrix([1, 0, 0, 2, 0, 0])  # parallel
+        """A zero first vector or two parallel vectors map to the identity;
+        the other rows of the batch decode as usual."""
+        r6 = np.array([[0, 0, 0, 0, 1, 0], [1, 0, 0, 2, 0, 0], [0, 2, 0, 0, 0, 5],
+                       [0, 0, 0, 0, 0, 0]], dtype=float)
+        m = rot6d_to_matrix(r6)
+        np.testing.assert_array_equal(m[[0, 1, 3]], np.broadcast_to(np.eye(3), (3, 3, 3)))
+        np.testing.assert_allclose(m[2], [[0, 0, 1], [1, 0, 0], [0, 1, 0]], atol=1e-15)
 
 
 class TestGeodesicDistance:
@@ -102,7 +102,18 @@ class TestRotationAnchors:
 
     def test_rejects_small_n(self):
         with pytest.raises(InvalidArgumentError):
-            generate_rotation_anchors(1, seed=0)
+            generate_rotation_anchors(0, seed=0)
+
+    def test_single_anchor_is_exact_identity(self):
+        np.testing.assert_array_equal(generate_rotation_anchors(1, seed=3), np.eye(3)[None])
+
+    def test_one_anchor_set(self):
+        """The direct-regression baseline's set: one anchor per branch at
+        the identity and the range midpoints."""
+        a = AnchorSet.build(1, 1, 1, 1, (-100.0, 200.0), (-200.0, 200.0), (0.0, 2.0))
+        np.testing.assert_array_equal(a.rotations, np.eye(3)[None])
+        assert (a.bins_vx.tolist(), a.bins_vy.tolist(), a.bins_z.tolist()) == \
+            ([50.0], [0.0], [1.0])
 
     def test_pairwise_distinct(self):
         anchors = generate_rotation_anchors(30, seed=4)
@@ -152,47 +163,63 @@ class TestTranslationBins:
             generate_translation_bins(0.0, 1.0, 0)
 
 
+def compose(picks, residuals, anchors):
+    """One pose through the batched ``compose_pose``: rotation, translation."""
+    rot, t = compose_pose([[i] for i in picks],
+                          [np.array([r], dtype=float) for r in residuals], anchors, CAM)
+    return rot[0], t[0]
+
+
 class TestComposePose:
     def setup_method(self):
         self.anchors = AnchorSet.build(8, 5, 5, 10, seed=0)
 
     def test_zero_residuals_reproduce_anchor(self):
-        k = 3
-        cx, cy, cz = (self.anchors.bins_vx[1], self.anchors.bins_vy[2],
-                      self.anchors.bins_z[4])
-        p = compose_pose((k, 1, 2, 4), ([1, 0, 0, 0, 1, 0], 0.0, 0.0, 0.0),
-                         self.anchors, CAM)
-        np.testing.assert_allclose(p.rotation, self.anchors.rotations[k], atol=1e-12)
+        a = self.anchors
+        picks = ([3, 0, 7], [1, 4, 0], [2, 2, 3], [4, 9, 0])
+        rot, t = compose_pose(picks, (np.tile([1.0, 0, 0, 0, 1, 0], (3, 1)), np.zeros(3),
+                                      np.zeros(3), np.zeros(3)), a, CAM)
+        assert rot.shape == (3, 3, 3) and t.shape == (3, 3)
+        i_rot, i_vx, i_vy, i_z = (np.array(i) for i in picks)
+        np.testing.assert_allclose(rot, a.rotations[i_rot], atol=1e-12)
+        cz = a.bins_z[i_z]
         np.testing.assert_allclose(
-            p.translation, [cx * cz / CAM.fx, cy * cz / CAM.fy, cz], atol=1e-12)
+            t, np.stack([a.bins_vx[i_vx] * cz / CAM.fx, a.bins_vy[i_vy] * cz / CAM.fy, cz], 1),
+            atol=1e-12)
 
     def test_known_arithmetic(self):
         anchors = AnchorSet(rotations=np.eye(3)[None],
                             bins_vx=np.array([10.0]), bins_vy=np.array([0.0]),
                             bins_z=np.array([1.025]))
-        p = compose_pose((0, 0, 0, 0), ([1, 0, 0, 0, 1, 0], 2.0, 0.0, -0.01),
-                         anchors, CAM)
-        assert p.z == pytest.approx(1.015)
+        _, t = compose((0, 0, 0, 0), ([1, 0, 0, 0, 1, 0], 2.0, 0.0, -0.01), anchors)
+        assert t[2] == pytest.approx(1.015)
         # x uses the composed z: (10 + 2) * z / fx
-        assert p.translation[0] == pytest.approx(12 * 1.015 / 600.0)
+        assert t[0] == pytest.approx(12 * 1.015 / 600.0)
 
     def test_vx_example(self):
         anchors = AnchorSet(rotations=np.eye(3)[None],
                             bins_vx=np.array([10.0]), bins_vy=np.array([0.0]),
                             bins_z=np.array([1.0]))
-        p = compose_pose((0, 0, 0, 0), ([1, 0, 0, 0, 1, 0], 2.0, 0.0, 0.0),
-                         anchors, CAM)
-        assert p.translation[0] == pytest.approx(0.02)
+        _, t = compose((0, 0, 0, 0), ([1, 0, 0, 0, 1, 0], 2.0, 0.0, 0.0), anchors)
+        assert t[0] == pytest.approx(0.02)
 
     def test_nonpositive_depth(self):
-        with pytest.raises(NonPositiveDepthError):
-            compose_pose((0, 0, 0, 0), ([1, 0, 0, 0, 1, 0], 0.0, 0.0, -5.0),
-                         self.anchors, CAM)
+        """A depth residual that crosses zero falls back to the bin center;
+        the other rows keep their residuals."""
+        z = self.anchors.bins_z
+        _, t = compose_pose(([0, 0], [0, 0], [0, 0], [2, 2]),
+                            (np.tile([1.0, 0, 0, 0, 1, 0], (2, 1)), np.zeros(2), np.zeros(2),
+                             np.array([-5.0, 0.01])), self.anchors, CAM)
+        assert t[0, 2] == z[2] and t[1, 2] == z[2] + 0.01
+
+    def test_degenerate_rotation_gives_anchor_rotation(self):
+        rot, _ = compose((5, 0, 0, 0), ([0, 0, 0, 1, 0, 0], 0.0, 0.0, 0.0), self.anchors)
+        np.testing.assert_array_equal(rot, self.anchors.rotations[5])
 
     def test_bad_index(self):
-        with pytest.raises(InvalidArgumentError):
-            compose_pose((99, 0, 0, 0), ([1, 0, 0, 0, 1, 0], 0, 0, 0),
-                         self.anchors, CAM)
+        for picks in ((99, 0, 0, 0), (0, 0, 0, -1)):
+            with pytest.raises(InvalidArgumentError):
+                compose(picks, ([1, 0, 0, 0, 1, 0], 0, 0, 0), self.anchors)
 
 
 class TestApplyPose:
@@ -216,36 +243,40 @@ class TestApplyPose:
 
 
 class TestClosestSymmetricRotation:
+    def setup_method(self):
+        self.sym = rot_z(np.pi)
+        self.model = ObjectModel.from_points(
+            np.random.default_rng(0).standard_normal((8, 3)),
+            symmetries=(np.eye(3), self.sym))
+
     def test_singleton_returns_gt(self):
         model = ObjectModel.from_points(np.random.default_rng(0).standard_normal((8, 3)))
-        gt = random_rotations(1, np.random.default_rng(1))[0]
-        pred = random_rotations(1, np.random.default_rng(2))[0]
+        gt = random_rotations(4, np.random.default_rng(1))
+        pred = random_rotations(4, np.random.default_rng(2))
         np.testing.assert_array_equal(closest_symmetric_rotation(pred, gt, model), gt)
 
     def test_exact_symmetry_hit(self):
-        sym = rot_z(np.pi)
-        model = ObjectModel.from_points(
-            np.random.default_rng(0).standard_normal((8, 3)),
-            symmetries=(np.eye(3), sym))
-        gt = random_rotations(1, np.random.default_rng(3))[0]
-        pred = gt @ sym
-        best = closest_symmetric_rotation(pred, gt, model)
-        assert geodesic_distance(best, pred) == pytest.approx(0.0, abs=1e-9)
+        gt = random_rotations(4, np.random.default_rng(3))
+        pred = gt @ self.sym
+        best = closest_symmetric_rotation(pred, gt, self.model)
+        for b in range(4):
+            assert geodesic_distance(best[b], pred[b]) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_brute_force(self):
-        sym = rot_z(np.pi)
-        model = ObjectModel.from_points(
-            np.random.default_rng(0).standard_normal((8, 3)),
-            symmetries=(np.eye(3), sym))
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            gt = random_rotations(1, rng)[0]
-            pred = random_rotations(1, rng)[0]
-            best = closest_symmetric_rotation(pred, gt, model)
+        gt, pred = random_rotations(50, rng), random_rotations(50, rng)
+        best = closest_symmetric_rotation(pred, gt, self.model)
+        for b in range(50):
             # independent exhaustive minimization
-            cands = [gt @ s for s in model.symmetries]
-            dists = [geodesic_distance(pred, c) for c in cands]
-            np.testing.assert_allclose(best, cands[int(np.argmin(dists))])
+            cands = [gt[b] @ s for s in self.model.symmetries]
+            dists = [geodesic_distance(pred[b], c) for c in cands]
+            np.testing.assert_allclose(best[b], cands[int(np.argmin(dists))])
+
+    def test_tie_breaks_toward_first_symmetry(self):
+        """A prediction equidistant from both variants keeps ``gt @ I``."""
+        gt = random_rotations(3, np.random.default_rng(5))
+        pred = gt @ rot_z(np.pi / 2)
+        np.testing.assert_array_equal(closest_symmetric_rotation(pred, gt, self.model), gt)
 
 
 class TestObjectModel:

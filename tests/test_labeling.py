@@ -9,7 +9,6 @@ from poseadapt.geometry import (
     CameraIntrinsics,
     Pose,
     generate_translation_bins,
-    geodesic_distance,
     pose_targets,
     random_rotations,
 )
@@ -22,6 +21,11 @@ from poseadapt.labeling import (
 from poseadapt.losses import ObjectiveConfig, prepare_batch_supervision
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
+
+
+def geodesic_distance(r1, r2):
+    """Angle between two rotations, from the trace of r1 r2^T."""
+    return float(np.arccos(np.clip((np.trace(r1 @ r2.T) - 1.0) / 2.0, -1.0, 1.0)))
 
 
 class TestNearestAnchors:

@@ -17,7 +17,6 @@ from poseadapt.geometry import (
     apply_pose,
     closest_symmetric_rotation,
     generate_translation_bins,
-    geodesic_distance,
     matrix_to_rot6d,
     pose_targets,
     random_rotations,
@@ -33,6 +32,7 @@ from poseadapt.losses import (
     point_matching_distance,
     prepare_batch_supervision,
     regression_loss_batch,
+    resolve_symmetric_gt,
     rot6d_to_matrix_t,
     soft_cross_entropy,
     target_correlation_loss,
@@ -40,6 +40,7 @@ from poseadapt.losses import (
     z_class_indices,
 )
 from poseadapt.network import NetworkConfig, PoseNetwork
+from poseadapt.synth import make_object
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -47,6 +48,11 @@ CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 def rot_z(a):
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def geodesic_distance(r1, r2):
+    """Angle between two rotations, from the trace of r1 r2^T."""
+    return float(np.arccos(np.clip((np.trace(r1 @ r2.T) - 1.0) / 2.0, -1.0, 1.0)))
 
 
 def small_anchors(n_rot=8, n_vx=5, n_vy=5, n_z=6):
@@ -157,7 +163,7 @@ def brute_force_regression_loss(out, b, gt_pose, anchors, model, cam,
     if model.is_symmetric:
         pick = int(np.argmax(out.probs["rot"].data[b]))
         pred = rot6d_to_matrix(rot_res[pick]) @ anchors.rotations[pick]
-        gt_rot = closest_symmetric_rotation(pred, gt_rot_raw, model)
+        gt_rot = closest_symmetric_rotation(pred[None], gt_rot_raw[None], model)[0]
     else:
         gt_rot = gt_rot_raw
     gt_used = Pose(gt_rot, gt_pose.translation)
@@ -435,6 +441,30 @@ class TestTotalObjective:
         assert bd.reg_value == pytest.approx(np.mean(reg), rel=1e-9)
         assert bd.corr_value == pytest.approx(corr, rel=1e-9)
 
+    def test_zeroed_rotation_head_on_symmetric_model(self):
+        """A zero 6D residual on a symmetric object resolves the ground truth
+        against the bare anchor rotation instead of raising."""
+        cylinder = make_object("cylinder", seed=7, n_points=16)
+        net = PoseNetwork(self.netcfg, seed=4)
+        net.reg_heads["rot"].layers[-1].w.data[:] = 0.0
+        net.reg_heads["rot"].layers[-1].b.data[:] = 0.0
+        rng = np.random.default_rng(15)
+        gt = [random_pose(rng) for _ in range(6)]
+        out = net.forward(rng.standard_normal((6, 6)))
+        sup = supervision(gt, self.anchors)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bd = total_objective(out, sup, self.anchors, cylinder, CAM, self.cfg)
+        assert np.isfinite(bd.cls_value) and np.isfinite(bd.corr_value)
+        # the tape decode keeps no fallback: its 0/0 is the non-finite loss
+        # that training reports as divergence
+        assert np.isnan(bd.reg_value)
+        picks = np.argmax(out.probs["rot"].data, axis=1)
+        resolved = resolve_symmetric_gt(out, sup.rotation, self.anchors, cylinder)
+        for b, p in enumerate(gt):
+            cands = [p.rotation @ s for s in cylinder.symmetries]
+            dists = [geodesic_distance(self.anchors.rotations[picks[b]], c) for c in cands]
+            np.testing.assert_array_equal(resolved[b], cands[int(np.argmin(dists))])
+
     def test_all_losses_nonnegative(self):
         rng = np.random.default_rng(12)
         for trial in range(5):
@@ -451,8 +481,7 @@ class TestRot6dTensorPath:
         rng = np.random.default_rng(13)
         r6 = rng.standard_normal((4, 6))
         got = rot6d_to_matrix_t(ad.Tensor(r6)).data
-        for i in range(4):
-            np.testing.assert_allclose(got[i], rot6d_to_matrix(r6[i]), atol=1e-12)
+        np.testing.assert_allclose(got, rot6d_to_matrix(r6), atol=1e-12)
 
 
 class TestGradientSpotChecks:
