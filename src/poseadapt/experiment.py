@@ -142,14 +142,16 @@ def load_dataset_or_fail(cfg: RunConfig) -> Dataset:
 
 
 def evaluate_pose_net(net, samples, model, anchors, cam):
-    """EvalRecords for a network over samples of one object."""
+    """ADD(-S) hits (B,) of a network over samples of one object, scored
+    in one ``evaluate_pose`` call, and the network output (None without
+    samples)."""
     if not samples:
-        return []
+        return np.zeros(0, dtype=bool), None
     obs = np.stack([s.observation for s in samples])
-    poses, _ = predict_poses(net, obs, anchors, cam)
+    poses, out = predict_poses(net, obs, anchors, cam)
     with evaluation_access():
-        return [evaluate_pose(poses[i], s.gt_pose, model, sample_id=s.id)
-                for i, s in enumerate(samples)]
+        gt = Pose.stack([s.gt_pose for s in samples])
+    return evaluate_pose(Pose.stack(poses), gt, model).hit, out
 
 
 def recall_by_object(nets, ds: Dataset, anchors, domain):
@@ -157,11 +159,10 @@ def recall_by_object(nets, ds: Dataset, anchors, domain):
     ``nets`` (object id -> network)."""
     rows = []
     for i, net in nets.items():
-        records = evaluate_pose_net(net, ds.by_object(i, domain), ds.objects[i],
+        hits, _ = evaluate_pose_net(net, ds.by_object(i, domain), ds.objects[i],
                                     anchors, ds.cam)
         name = ds.object_kinds[i] or f"object{i}"
-        rows.append((f"{name}{i}", len(records),
-                     average_recall(records) if records else None))
+        rows.append((f"{name}{i}", len(hits), average_recall(hits) if len(hits) else None))
     return rows
 
 
@@ -173,10 +174,9 @@ def mean_recall(rows):
 def scalar_predictions(net, samples, anchors, cam):
     obs = np.stack([s.observation for s in samples])
     poses, _ = predict_poses(net, obs, anchors, cam)
-    predicted = [p.z for p in poses]
     with evaluation_access():
-        actual = [s.gt_pose.z for s in samples]
-    return predicted, actual
+        actual = Pose.stack([s.gt_pose for s in samples]).z
+    return Pose.stack(poses).z, actual
 
 
 def write_quality_reports(cfg: RunConfig, ds: Dataset, nets, anchors, tag, log=print):
@@ -215,9 +215,9 @@ def _write_student_round_reports(cfg, ds, round_stats):
             if r.n_selected > 0:
                 cache = os.path.join(cfg.out_dir, f"pseudo_student_obj{i}_round{r.round_index}.tsv")
                 poses = _read_pseudo_poses(cache)
-                records = [evaluate_pose(poses[sid], gt[sid], model, sample_id=sid)
-                           for sid in r.selected_ids]
-                recall = average_recall(records)
+                pred = Pose.stack([poses[sid] for sid in r.selected_ids])
+                truth = Pose.stack([gt[sid] for sid in r.selected_ids])
+                recall = average_recall(evaluate_pose(pred, truth, model).hit)
             rows.append((r.round_index, r.tau, r.n_candidates, r.n_selected, recall))
         write_round_stats(os.path.join(cfg.out_dir, f"rounds_student_obj{i}.tsv"), rows)
 
@@ -335,7 +335,6 @@ def run_sweep(cfg: RunConfig, log=print, taus=None, stage="teacher"):
     if ds.kind == "scalar":
         raise InvalidArgumentError("threshold sweep expects a pose dataset")
     anchors = build_anchors(cfg)
-    cam = ds.cam
     taus = list(taus if taus is not None else np.round(np.linspace(0.0, 0.95, 20), 6))
     ensure_dir(cfg.out_dir)
     # confidence + hit per target sample, pooled over objects
@@ -349,14 +348,9 @@ def run_sweep(cfg: RunConfig, log=print, taus=None, stage="teacher"):
         samples = ds.by_object(i, "target")
         if not samples:
             continue
-        obs = np.stack([s.observation for s in samples])
-        poses, out = predict_poses(net, obs, anchors, cam)
-        conf = confidence_scores(out)
-        with evaluation_access():
-            for j, s in enumerate(samples):
-                rec = evaluate_pose(poses[j], s.gt_pose, model, sample_id=s.id)
-                hits.append(rec.hit)
-        for branch, values in conf.items():
+        object_hits, out = evaluate_pose_net(net, samples, model, anchors, ds.cam)
+        hits.extend(object_hits.tolist())
+        for branch, values in confidence_scores(out).items():
             per_branch_conf.setdefault(branch, []).extend(values.tolist())
     hits = np.array(hits, dtype=bool)
     curves = {}

@@ -11,9 +11,10 @@ Conventions used throughout the package:
 * a 6D rotation encodes the first two columns of the matrix and is mapped
   back through Gram-Schmidt orthonormalization.
 
-``rot6d_to_matrix``, ``compose_pose`` and ``closest_symmetric_rotation``
-work on a batch: one call decodes or resolves every row, with no loop
-over samples.
+A ``Pose`` is one transform or a stack of them, and ``apply_pose`` moves
+points by a whole stack.  ``rot6d_to_matrix``, ``compose_pose`` and
+``closest_symmetric_rotation`` work on a batch: one call decodes or
+resolves every row, with no loop over samples.
 """
 
 from __future__ import annotations
@@ -27,18 +28,29 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform ``[R | t]``: rotation plus translation in meters."""
+    """Rigid transform ``[R | t]``: rotation plus translation in meters,
+    (3, 3) and (3,) for one pose, (..., 3, 3) and (..., 3) for a stack."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float).reshape(3))
+        r = np.asarray(self.rotation, dtype=float)
+        t = np.asarray(self.translation, dtype=float)
+        if r.shape[-2:] != (3, 3) or t.shape[-1:] != (3,) or r.shape[:-2] != t.shape[:-1]:
+            raise InvalidArgumentError(f"pose needs rotation (..., 3, 3) and translation "
+                                       f"(..., 3), got {r.shape} and {t.shape}")
+        object.__setattr__(self, "rotation", r)
+        object.__setattr__(self, "translation", t)
+
+    @classmethod
+    def stack(cls, poses):
+        """One stacked pose (B, ...) from a sequence of B poses."""
+        return cls(np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses]))
 
     @property
     def z(self):
-        return float(self.translation[2])
+        return self.translation[..., 2]
 
 
 @dataclass(frozen=True)
@@ -133,15 +145,10 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def rot6d_to_matrix(r):
-    """Map 6D rotations (..., 6), two unnormalized 3-vectors each, to
-    rotation matrices (..., 3, 3).
-
-    The two halves become the first two columns after Gram-Schmidt; the
-    third column is their cross product.  A row whose first vector
-    vanishes, or whose two vectors are parallel, has no rotation and maps
-    to the identity.
-    """
+def gram_schmidt(r):
+    """Matrices (..., 3, 3) of 6D rotations (..., 6) and the mask (...) of
+    the degenerate rows, whose matrices are NaN: a first vector or a
+    second orthogonal part with a norm below 1e-12."""
     r = np.asarray(r, dtype=float)
     a1, a2 = r[..., :3], r[..., 3:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,14 +158,20 @@ def rot6d_to_matrix(r):
         n2 = np.sqrt(_dot(a2p, a2p))[..., None]
         b2 = a2p / n2
         m = np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
-    degenerate = (n1 < 1e-12) | (n2 < 1e-12)
-    return np.where(degenerate[..., None], np.eye(3), m)
+    return m, ((n1 < 1e-12) | (n2 < 1e-12))[..., 0]
 
 
-def matrix_to_rot6d(m):
-    """First two columns of a rotation matrix, flattened to 6 values."""
-    m = np.asarray(m, dtype=float)
-    return np.concatenate([m[:, 0], m[:, 1]])
+def rot6d_to_matrix(r):
+    """Map 6D rotations (..., 6), two unnormalized 3-vectors each, to
+    rotation matrices (..., 3, 3).
+
+    The two halves become the first two columns after Gram-Schmidt; the
+    third column is their cross product.  A row whose first vector
+    vanishes, or whose two vectors are parallel, has no rotation and maps
+    to the identity.
+    """
+    m, degenerate = gram_schmidt(r)
+    return np.where(degenerate[..., None, None], np.eye(3), m)
 
 
 def geodesic_distances_to(rotations, r):
@@ -191,11 +204,6 @@ def quaternions_to_matrices(q):
     m[:, 2, 1] = 2 * (y * z + w * x)
     m[:, 2, 2] = 1 - 2 * (x * x + y * y)
     return m
-
-
-def random_rotations(n, rng):
-    """Uniform random rotation matrices (n, 3, 3)."""
-    return quaternions_to_matrices(random_quaternions(n, rng))
 
 
 def generate_rotation_anchors(n, seed):
@@ -261,9 +269,10 @@ def compose_pose(picks, residuals, anchors: AnchorSet, cam: CameraIntrinsics):
 
 
 def apply_pose(p: Pose, pts):
-    """Transform points (n, 3) by ``R x + t``."""
+    """Transform points (n, 3) by ``R x + t``: (n, 3) for one pose,
+    (..., n, 3) for a stack."""
     pts = np.asarray(pts, dtype=float)
-    return pts @ p.rotation.T + p.translation
+    return pts @ np.swapaxes(p.rotation, -1, -2) + p.translation[..., None, :]
 
 
 def pose_targets(p: Pose, cam: CameraIntrinsics):

@@ -26,13 +26,13 @@ from .geometry import (
     AnchorSet,
     CameraIntrinsics,
     ObjectModel,
-    Pose,
     closest_symmetric_rotation,
+    gram_schmidt,
     pose_targets,
     rot6d_to_matrix,
 )
 from .labeling import LabelConfig, nearest_anchors, score_vector
-from .network import HeadOutput
+from .network import ROT6D_IDENTITY, HeadOutput
 
 LOG_EPS = 1e-12
 
@@ -88,12 +88,17 @@ class Supervision:
 
 
 # ---------------------------------------------------------------------------
-# point matching
+# 6D rotation decode on the tape
 
 
 def rot6d_to_matrix_t(r6):
-    """Gram-Schmidt 6D-to-matrix on the tape; input (..., 6) -> (..., 3, 3)."""
+    """Gram-Schmidt 6D-to-matrix on the tape; input (..., 6) -> (..., 3, 3).
+    A degenerate row (see ``geometry.gram_schmidt``) is replaced by the
+    identity 6D rotation: it gives the identity with a zero gradient."""
     r6 = ad.as_tensor(r6)
+    degenerate = gram_schmidt(r6.data)[1][..., None]
+    if degenerate.any():
+        r6 = ad.add(ad.mul(r6, ~degenerate), np.where(degenerate, ROT6D_IDENTITY, 0.0))
     a1, a2 = r6[..., :3], r6[..., 3:]
     b1 = ad.div(a1, ad.norm(a1, axis=-1, keepdims=True))
     proj = ad.tsum(ad.mul(b1, a2), axis=-1, keepdims=True)
@@ -101,17 +106,6 @@ def rot6d_to_matrix_t(r6):
     b2 = ad.div(a2p, ad.norm(a2p, axis=-1, keepdims=True))
     b3 = ad.cross(b1, b2)
     return ad.stack([b1, b2, b3], axis=-1)
-
-
-def point_matching_distance(p: Pose, gt: Pose, model: ObjectModel):
-    """Point-set L1 distance (1/|O|) sum_x ||T x - T~ x||_1, the reference
-    the closed-form regression terms are tested against."""
-    if len(model.points) == 0:
-        raise InvalidArgumentError("empty object model")
-    pts_t = model.points.T  # (3, N)
-    moved = p.rotation @ pts_t + p.translation[:, None]
-    gt_pts = gt.rotation @ pts_t + gt.translation[:, None]
-    return float(np.abs(moved - gt_pts).sum(axis=0).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Pose evaluation: ADD, ADD-S, average recall, and prediction helpers."""
+"""Pose evaluation: ADD, ADD-S, average recall, and prediction helpers.
+
+``evaluate_pose`` scores a whole stack of poses in one call.  The O(N^2)
+ADD-S is computed only on symmetric models, whose hit decision uses it.
+"""
 
 from __future__ import annotations
 
@@ -23,46 +27,45 @@ HIT_FACTOR = 0.1  # hit when distance < 10% of the object diameter
 
 @dataclass(frozen=True)
 class EvalRecord:
-    sample_id: str
-    add: float
-    add_s: float
-    hit: bool
+    """Scores with the leading shape of the evaluated poses: 0-d for one
+    pose, (B,) for a stack.  ``add_s`` is None on an asymmetric model."""
+
+    add: np.ndarray
+    add_s: np.ndarray | None
+    hit: np.ndarray
 
 
-def add_metric(p: Pose, gt: Pose, model: ObjectModel):
-    """Mean Euclidean deviation of model points under the two poses."""
+def evaluate_pose(pred: Pose, gt: Pose, model: ObjectModel) -> EvalRecord:
+    """ADD, and ADD-S on a symmetric model, of predicted against
+    ground-truth poses; a pose hits when ADD-S (symmetric) or ADD is below
+    ``HIT_FACTOR`` times the model diameter.  ADD-S is the exact mean
+    closest-point distance, one pose at a time: the largest temporary is
+    one pose's (3, N, N) coordinate differences."""
     if len(model.points) == 0:
         raise InvalidArgumentError("empty object model")
-    d = apply_pose(p, model.points) - apply_pose(gt, model.points)
-    return float(np.linalg.norm(d, axis=1).mean())
+    a, b = np.broadcast_arrays(apply_pose(pred, model.points), apply_pose(gt, model.points))
+    add = np.linalg.norm(a - b, axis=-1).mean(axis=-1)
+    threshold = HIT_FACTOR * model.diameter
+    if not model.is_symmetric:
+        return EvalRecord(add=add, add_s=None, hit=add < threshold)
+    n = len(model.points)
+    add_s = np.empty(add.shape)
+    for i, (ai, bi) in enumerate(zip(a.reshape(-1, n, 3), b.reshape(-1, n, 3))):
+        at, bt = ai.T.copy(), bi.T.copy()     # contiguous rows are about 3x faster
+        d = at[:, :, None] - bt[:, None, :]
+        d *= d
+        # x + y + z in the order of a sum over a last axis of three; sqrt
+        # is monotone, so it may follow the min
+        add_s.flat[i] = np.sqrt((d[0] + d[1] + d[2]).min(axis=1)).mean()
+    return EvalRecord(add=add, add_s=add_s, hit=add_s < threshold)
 
 
-def add_s_metric(p: Pose, gt: Pose, model: ObjectModel):
-    """Mean closest-point deviation; exact O(n^2) search."""
-    if len(model.points) == 0:
-        raise InvalidArgumentError("empty object model")
-    a = apply_pose(p, model.points)
-    b = apply_pose(gt, model.points)
-    diff = a[:, None, :] - b[None, :, :]
-    return float(np.sqrt((diff * diff).sum(-1)).min(axis=1).mean())
-
-
-def evaluate_pose(p: Pose, gt: Pose, model: ObjectModel, sample_id="") -> EvalRecord:
-    """ADD plus ADD-S, with the hit decision using ADD-S for symmetric
-    models and ADD otherwise."""
-    a = add_metric(p, gt, model)
-    s = add_s_metric(p, gt, model)
-    dist = s if model.is_symmetric else a
-    return EvalRecord(sample_id=sample_id, add=a, add_s=s,
-                      hit=bool(dist < HIT_FACTOR * model.diameter))
-
-
-def average_recall(records):
-    """Percentage of hit records."""
-    records = list(records)
-    if not records:
+def average_recall(hits):
+    """Percentage of hits in a boolean array."""
+    hits = np.asarray(hits, dtype=bool)
+    if hits.size == 0:
         raise InvalidArgumentError("no evaluation records")
-    return 100.0 * sum(r.hit for r in records) / len(records)
+    return 100.0 * int(np.count_nonzero(hits)) / hits.size
 
 
 # ---------------------------------------------------------------------------

@@ -271,17 +271,6 @@ class Dataset:
     seed: int
     meta: dict = field(default_factory=dict)
 
-    def split(self, domain):
-        return [s for s in self.samples if s.domain == domain]
-
-    @property
-    def source(self):
-        return self.split("source")
-
-    @property
-    def target(self):
-        return self.split("target")
-
     def by_object(self, object_id, domain=None):
         return [s for s in self.samples
                 if s.object_id == object_id and (domain is None or s.domain == domain)]

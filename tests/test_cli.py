@@ -73,12 +73,21 @@ def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, cap
     assert outputs(again) == first
 
 
-def _truncate_dataset(tmp_path):
+def _corrupt_dataset(tmp_path, case):
+    """A generated dataset cut in half, or with a 4-value translation in
+    its first sample."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))
     assert cli.main(["gen-data", "--config", cfg, "--scalar-task"]) == 0
-    data = (out / "dataset.txt").read_bytes()
-    (out / "dataset.txt").write_bytes(data[:len(data) // 2])
+    path = out / "dataset.txt"
+    if case == "truncated-dataset":
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+    else:
+        header, first, *rest = path.read_text().splitlines()
+        sample = json.loads(first)
+        sample["pose"]["t"].append(0.5)
+        path.write_text("\n".join([header, json.dumps(sample), *rest]) + "\n")
     return ["train", "--stage", "teacher", "--config", cfg, "--scalar-task"]
 
 
@@ -98,10 +107,11 @@ BAD_CONFIGS = {
 @pytest.mark.parametrize("case, code", [(case, cli.EXIT_CONFIG) for case in BAD_CONFIGS] + [
     ("negative-seed-flag", cli.EXIT_CONFIG),
     ("truncated-dataset", cli.EXIT_IO),
+    ("translation-4-dataset", cli.EXIT_IO),
 ])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
-    if case == "truncated-dataset":
-        argv = _truncate_dataset(tmp_path)
+    if case.endswith("-dataset"):
+        argv = _corrupt_dataset(tmp_path, case)
     elif case == "negative-seed-flag":
         argv = ["gen-data", "--seed", "-1", "--out", str(tmp_path / "run")]
     else:
@@ -111,7 +121,7 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    if case != "truncated-dataset":
+    if not case.endswith("-dataset"):
         assert not (tmp_path / "run" / "dataset.txt").exists()
 
 

@@ -17,12 +17,13 @@ from poseadapt.geometry import (
     CameraIntrinsics,
     closest_symmetric_rotation,
     compose_pose,
-    random_rotations,
 )
 from poseadapt.losses import resolve_symmetric_gt
 from poseadapt.metrics import predict_poses
 from poseadapt.network import NetworkConfig, PoseNetwork
 from poseadapt.synth import make_object
+
+from helpers import random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])

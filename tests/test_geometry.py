@@ -15,12 +15,12 @@ from poseadapt.geometry import (
     generate_rotation_anchors,
     generate_translation_bins,
     geodesic_distances_to,
-    matrix_to_rot6d,
     pose_targets,
-    random_rotations,
     rot6d_to_matrix,
 )
 from poseadapt.synth import load_dataset, make_dataset, make_domain_config, save_dataset
+
+from helpers import matrix_to_rot6d, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -240,6 +240,36 @@ class TestApplyPose:
         got = apply_pose(Pose(rot, t), pts)
         for i in range(3):
             np.testing.assert_allclose(got[i], rot @ pts[i] + t, atol=1e-12)
+
+    def test_stack_matches_each_pose(self):
+        rng = np.random.default_rng(4)
+        poses = [Pose(r, rng.standard_normal(3)) for r in random_rotations(5, rng)]
+        pts = rng.standard_normal((7, 3))
+        got = apply_pose(Pose.stack(poses), pts)
+        assert got.shape == (5, 7, 3)
+        for p, g in zip(poses, got):
+            np.testing.assert_array_equal(g, apply_pose(p, pts))
+
+
+class TestPose:
+    def test_stack_and_depth(self):
+        poses = [Pose(np.eye(3), [0.0, 0.0, z]) for z in (0.5, 1.5)]
+        stacked = Pose.stack(poses)
+        assert stacked.rotation.shape == (2, 3, 3) and stacked.translation.shape == (2, 3)
+        np.testing.assert_array_equal(stacked.z, [0.5, 1.5])
+        assert poses[1].z == 1.5 and np.shape(poses[1].z) == ()
+
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.eye(3), np.zeros(4)),
+        (np.eye(3), np.zeros(2)),
+        (np.eye(3)[:2], np.zeros(3)),
+        (np.zeros(9), np.zeros(3)),
+        (np.zeros((2, 3, 3)), np.zeros(3)),
+        (np.zeros((2, 3, 3)), np.zeros((3, 3))),
+    ])
+    def test_bad_shapes_raise(self, rotation, translation):
+        with pytest.raises(InvalidArgumentError):
+            Pose(rotation, translation)
 
 
 class TestClosestSymmetricRotation:

@@ -10,7 +10,6 @@ from poseadapt.geometry import (
     Pose,
     generate_translation_bins,
     pose_targets,
-    random_rotations,
 )
 from poseadapt.labeling import (
     LabelConfig,
@@ -19,6 +18,8 @@ from poseadapt.labeling import (
     score_vector,
 )
 from poseadapt.losses import ObjectiveConfig, prepare_batch_supervision
+
+from helpers import random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 

@@ -17,9 +17,7 @@ from poseadapt.geometry import (
     apply_pose,
     closest_symmetric_rotation,
     generate_translation_bins,
-    matrix_to_rot6d,
     pose_targets,
-    random_rotations,
     rot6d_to_matrix,
 )
 from poseadapt.labeling import LabelConfig, ScoreAssignmentConfig
@@ -29,7 +27,6 @@ from poseadapt.losses import (
     batch_feature_graph,
     build_target_graph,
     classification_loss,
-    point_matching_distance,
     prepare_batch_supervision,
     regression_loss_batch,
     resolve_symmetric_gt,
@@ -39,8 +36,10 @@ from poseadapt.losses import (
     total_objective,
     z_class_indices,
 )
-from poseadapt.network import NetworkConfig, PoseNetwork
+from poseadapt.network import ROT6D_IDENTITY, NetworkConfig, PoseNetwork
 from poseadapt.synth import make_object
+
+from helpers import matrix_to_rot6d, point_matching_distance, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -443,21 +442,27 @@ class TestTotalObjective:
 
     def test_zeroed_rotation_head_on_symmetric_model(self):
         """A zero 6D residual on a symmetric object resolves the ground truth
-        against the bare anchor rotation instead of raising."""
+        against the bare anchor rotation instead of raising, and trains as
+        the identity residual with a zero gradient."""
         cylinder = make_object("cylinder", seed=7, n_points=16)
         net = PoseNetwork(self.netcfg, seed=4)
-        net.reg_heads["rot"].layers[-1].w.data[:] = 0.0
-        net.reg_heads["rot"].layers[-1].b.data[:] = 0.0
+        last = net.reg_heads["rot"].layers[-1]
+        last.w.data[:] = 0.0
+        last.b.data[:] = 0.0
         rng = np.random.default_rng(15)
         gt = [random_pose(rng) for _ in range(6)]
-        out = net.forward(rng.standard_normal((6, 6)))
+        obs = rng.standard_normal((6, 6))
+        out = net.forward(obs)
         sup = supervision(gt, self.anchors)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bd = total_objective(out, sup, self.anchors, cylinder, CAM, self.cfg)
-        assert np.isfinite(bd.cls_value) and np.isfinite(bd.corr_value)
-        # the tape decode keeps no fallback: its 0/0 is the non-finite loss
-        # that training reports as divergence
-        assert np.isnan(bd.reg_value)
+        bd = total_objective(out, sup, self.anchors, cylinder, CAM, self.cfg)
+        assert np.isfinite([bd.cls_value, bd.reg_value, bd.corr_value]).all()
+        bd.total.backward()
+        np.testing.assert_array_equal(out.residuals["rot"].grad, 0.0)
+        np.testing.assert_array_equal(last.w.grad, 0.0)
+        np.testing.assert_array_equal(last.b.grad, 0.0)
+        last.b.data[:] = np.tile(ROT6D_IDENTITY, self.anchors.n_rot)
+        identity = total_objective(net.forward(obs), sup, self.anchors, cylinder, CAM, self.cfg)
+        assert bd.reg_value == identity.reg_value
         picks = np.argmax(out.probs["rot"].data, axis=1)
         resolved = resolve_symmetric_gt(out, sup.rotation, self.anchors, cylinder)
         for b, p in enumerate(gt):
@@ -482,6 +487,19 @@ class TestRot6dTensorPath:
         r6 = rng.standard_normal((4, 6))
         got = rot6d_to_matrix_t(ad.Tensor(r6)).data
         np.testing.assert_allclose(got, rot6d_to_matrix(r6), atol=1e-12)
+
+    def test_degenerate_rows_give_identity_and_zero_gradient(self):
+        rng = np.random.default_rng(14)
+        r6 = rng.standard_normal((5, 6))
+        r6[1] = 0.0                          # vanishing first vector
+        r6[3, 3:] = 2.0 * r6[3, :3]          # parallel vectors
+        x = ad.parameter(r6)
+        m = rot6d_to_matrix_t(x)
+        np.testing.assert_allclose(m.data, rot6d_to_matrix(r6), atol=1e-12)
+        np.testing.assert_array_equal(m.data[[1, 3]], np.tile(np.eye(3), (2, 1, 1)))
+        ad.tsum(ad.mul(m, rng.standard_normal(m.data.shape))).backward()
+        np.testing.assert_array_equal(x.grad[[1, 3]], 0.0)
+        assert np.isfinite(x.grad).all() and np.all(x.grad[[0, 2, 4]] != 0.0)
 
 
 class TestGradientSpotChecks:

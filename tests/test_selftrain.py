@@ -77,12 +77,13 @@ def test_empty_selection_round_trains_on_source_only(monkeypatch):
         return original(net, optimizer, entries, *args)
 
     monkeypatch.setattr(selftrain, "train_supervised", recording)
-    student, rounds = train_student(teacher, ds.source, ds.target, anchors, ds.objects[0],
+    source, target = ds.by_object(0, "source"), ds.by_object(0, "target")
+    student, rounds = train_student(teacher, source, target, anchors, ds.objects[0],
                                     ds.cam, objective, cfg)
     assert len(rounds) == 1
     assert rounds[0].n_candidates == 4
     assert rounds[0].n_selected == 0 and rounds[0].selected_ids == []
-    assert trained_on == [len(ds.source)]
+    assert trained_on == [len(source)]
     assert np.isfinite(rounds[0].train_loss)
     before, after = teacher.state_arrays(), student.state_arrays()
     assert any(not np.array_equal(before[k], after[k]) for k in before)

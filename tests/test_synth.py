@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from poseadapt.errors import DatasetError, GroundTruthAccessError, InvalidArgumentError
-from poseadapt.geometry import CameraIntrinsics, Pose, generate_rotation_anchors, random_rotations
+from poseadapt.geometry import CameraIntrinsics, Pose, generate_rotation_anchors
 from poseadapt.labeling import anchor_distances
-from poseadapt.metrics import add_metric, add_s_metric
+from poseadapt.metrics import evaluate_pose
 from poseadapt.synth import (
     OBS_DIM,
     SCALAR_RANGE,
@@ -24,6 +24,8 @@ from poseadapt.synth import (
     save_dataset,
     synthesize,
 )
+
+from helpers import random_rotations, split
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -58,8 +60,10 @@ class TestMakeObject:
         assert obj.is_symmetric
         gt = Pose(np.eye(3), [0.0, 0.0, 1.0])
         flipped = Pose(obj.symmetries[1], [0.0, 0.0, 1.0])
-        assert add_s_metric(flipped, gt, obj) == pytest.approx(0.0, abs=1e-9)
-        assert add_metric(flipped, gt, obj) > 0.1
+        rec = evaluate_pose(flipped, gt, obj)
+        assert rec.add_s == pytest.approx(0.0, abs=1e-9)
+        assert rec.add > 0.1
+        assert rec.hit
 
     def test_blob_is_asymmetric(self):
         obj = make_object("blob", seed=2, n_points=64)
@@ -157,7 +161,7 @@ class TestMakeDataset:
 
     def test_objects_balanced_round_robin(self):
         ds = make_dataset(40, 20, self.objects, CAM, self.src, self.tgt, seed=5)
-        counts = [sum(1 for s in ds.source if s.object_id == i) for i in range(2)]
+        counts = [len(ds.by_object(i, "source")) for i in range(2)]
         assert counts == [20, 20]
 
     def test_rotation_uniformity_two_sample(self):
@@ -168,20 +172,20 @@ class TestMakeDataset:
         ds = make_dataset(400, 1, self.objects, CAM, self.src, self.tgt, seed=6)
         with evaluation_access():
             d_data = [anchor_distances(s.gt_pose.rotation, anchors).min()
-                      for s in ds.source]
+                      for s in split(ds, "source")]
         fresh = random_rotations(400, np.random.default_rng(77))
         d_fresh = [anchor_distances(m, anchors).min() for m in fresh]
         assert stats.ks_2samp(d_data, d_fresh).pvalue > 0.01
 
     def test_target_gt_guarded(self):
         ds = make_dataset(4, 4, self.objects, CAM, self.src, self.tgt, seed=7)
-        target = ds.target[0]
+        target = split(ds, "target")[0]
         with pytest.raises(GroundTruthAccessError):
             _ = target.gt_pose
         with evaluation_access():
             assert target.gt_pose.z > 0
         # source ground truth is always readable
-        assert ds.source[0].gt_pose.z > 0
+        assert split(ds, "source")[0].gt_pose.z > 0
 
     def test_save_load_round_trip(self, tmp_path):
         ds = make_dataset(10, 5, self.objects, CAM, self.src, self.tgt, seed=8)
@@ -226,6 +230,23 @@ class TestMakeDataset:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t", [0.0, 0.0, 1.0, 0.5]),
+        ("t", [0.0, 1.0]),
+        ("r", [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+    ], ids=["translation-4", "translation-2", "rotation-8"])
+    def test_malformed_pose_raises_dataset_error(self, tmp_path, field, value):
+        ds = make_dataset(4, 2, self.objects, CAM, self.src, self.tgt, seed=8)
+        path = tmp_path / "data.txt"
+        save_dataset(path, ds)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["pose"][field] = value
+        lines[3] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="corrupt"):
+            load_dataset(path)
+
     def test_written_bytes_deterministic(self, tmp_path):
         ds = make_dataset(10, 5, self.objects, CAM, self.src, self.tgt, seed=8)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -261,8 +282,9 @@ class TestScalarTask:
         # supervised upper bound: ridge-style least squares on target labels
         ds = make_scalar_task(10, 400, self.shift(), seed=5)
         with evaluation_access():
-            X = np.stack([s.observation for s in ds.target])
-            y = np.array([s.gt_pose.z for s in ds.target])
+            target = ds.by_object(0, "target")
+            X = np.stack([s.observation for s in target])
+            y = np.array([s.gt_pose.z for s in target])
         Xb = np.hstack([X, np.ones((len(X), 1))])
         w, *_ = np.linalg.lstsq(Xb, y, rcond=None)
         mae = np.abs(Xb @ w - y).mean()
