@@ -17,6 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from .errors import ConfigError, InvalidArgumentError
 from .labeling import LabelConfig, ScoreAssignmentConfig
 from .selftrain import SelfTrainConfig
+from .synth import OBJECT_KINDS
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class NetConfig:
 class DataConfig:
     n_source: int = 2000
     n_target: int = 1000
-    object_kinds: tuple = ("box", "cylinder", "blob")
+    object_kinds: tuple = OBJECT_KINDS
     n_points: int = 128
     object_seed: int = 7
     camera: tuple = (600.0, 600.0, 320.0, 240.0)   # fx, fy, cx, cy
@@ -86,7 +87,6 @@ class TrainConfig:
     lr_teacher: float = 3e-4
     lr_student: float = 3e-5
     batch_size: int = 32
-    reannotate: bool = True
     ctc_weight: float = 1.0
 
     def selftrain_config(self):
@@ -94,7 +94,7 @@ class TrainConfig:
             tau_start=self.tau_start, tau_end=self.tau_end, rounds=self.rounds,
             teacher_epochs=self.teacher_epochs, student_epochs=self.student_epochs,
             lr_teacher=self.lr_teacher, lr_student=self.lr_student,
-            batch_size=self.batch_size, reannotate=self.reannotate)
+            batch_size=self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def validate_config(cfg: RunConfig):
     if not d.object_kinds:
         raise ConfigError("data.object_kinds must name at least one object")
     for kind in d.object_kinds:
-        if kind not in ("box", "cylinder", "blob"):
+        if kind not in OBJECT_KINDS:
             raise ConfigError(f"unknown object kind {kind!r}")
     if not (d.z_sample_range[0] > 0 and d.z_sample_range[1] <= a.z_range[1]
             and d.z_sample_range[0] >= a.z_range[0]):

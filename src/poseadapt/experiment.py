@@ -141,42 +141,39 @@ def load_dataset_or_fail(cfg: RunConfig) -> Dataset:
 # reports
 
 
-def evaluate_pose_net(net, samples, model, anchors, cam):
-    """ADD(-S) hits (B,) of a network over samples of one object, scored
-    in one ``evaluate_pose`` call, and the network output (None without
-    samples)."""
-    if not samples:
-        return np.zeros(0, dtype=bool), None
-    obs = np.stack([s.observation for s in samples])
-    poses, out = predict_poses(net, obs, anchors, cam)
+def observations(ds: Dataset, samples):
+    """Observation rows (n, obs_dim) of samples; n may be 0."""
+    return np.array([s.observation for s in samples]).reshape(-1, ds.obs_dim)
+
+
+def source_arrays(ds: Dataset, i):
+    """Observations and ground-truth pose stack of object ``i``'s labeled
+    source split."""
+    source = ds.by_object(i, "source")
+    return observations(ds, source), Pose.stack([s.gt_pose for s in source])
+
+
+def predict_split(net, ds: Dataset, i, domain, anchors):
+    """Predicted and ground-truth pose stacks of object ``i`` on one split,
+    and the network output."""
+    samples = ds.by_object(i, domain)
+    poses, out = predict_poses(net, observations(ds, samples), anchors, ds.cam)
     with evaluation_access():
         gt = Pose.stack([s.gt_pose for s in samples])
-    return evaluate_pose(Pose.stack(poses), gt, model).hit, out
+    return poses, gt, out
 
 
 def recall_by_object(nets, ds: Dataset, anchors, domain):
     """Recall-table rows (name, count, recall or None), one per network of
-    ``nets`` (object id -> network)."""
+    ``nets`` (object id -> network), each object scored in one
+    ``evaluate_pose`` call."""
     rows = []
     for i, net in nets.items():
-        hits, _ = evaluate_pose_net(net, ds.by_object(i, domain), ds.objects[i],
-                                    anchors, ds.cam)
+        poses, gt, _ = predict_split(net, ds, i, domain, anchors)
+        hits = evaluate_pose(poses, gt, ds.objects[i]).hit
         name = ds.object_kinds[i] or f"object{i}"
         rows.append((f"{name}{i}", len(hits), average_recall(hits) if len(hits) else None))
     return rows
-
-
-def mean_recall(rows):
-    vals = [r[2] for r in rows if r[2] is not None]
-    return sum(vals) / len(vals) if vals else None
-
-
-def scalar_predictions(net, samples, anchors, cam):
-    obs = np.stack([s.observation for s in samples])
-    poses, _ = predict_poses(net, obs, anchors, cam)
-    with evaluation_access():
-        actual = Pose.stack([s.gt_pose for s in samples]).z
-    return Pose.stack(poses).z, actual
 
 
 def write_quality_reports(cfg: RunConfig, ds: Dataset, nets, anchors, tag, log=print):
@@ -188,50 +185,49 @@ def write_quality_reports(cfg: RunConfig, ds: Dataset, nets, anchors, tag, log=p
         (i, net), = nets.items()
         rows = []
         for domain in DOMAINS:
-            predicted, actual = scalar_predictions(net, ds.by_object(i, domain), anchors, ds.cam)
-            rows.append((domain, len(predicted), scalar_mae(predicted, actual)))
+            poses, gt, _ = predict_split(net, ds, i, domain, anchors)
+            rows.append((domain, len(poses), scalar_mae(poses.z, gt.z)))
         write_mae_table(os.path.join(cfg.out_dir, f"mae_{tag}.tsv"), rows)
         log(f"{tag}: MAE source {rows[0][2]:.4f} target {rows[1][2]:.4f}")
         return {"mae": {r[0]: r[2] for r in rows}}
     recall = {}
     for domain in DOMAINS:
         rows = recall_by_object(nets, ds, anchors, domain)
-        write_recall_table(os.path.join(cfg.out_dir, f"recall_{tag}_{domain}.tsv"), rows)
-        recall[domain] = mean_recall(rows)
+        recall[domain] = write_recall_table(
+            os.path.join(cfg.out_dir, f"recall_{tag}_{domain}.tsv"), rows)
         log(f"{tag}: {domain} mean recall "
             + ("n/a" if recall[domain] is None else f"{recall[domain]:.2f}%"))
     return {"recall": recall}
+
+
+def _pseudo_cache_path(out_dir, obj_id, round_index):
+    return os.path.join(out_dir, f"pseudo_student_obj{obj_id}_round{round_index}.tsv")
 
 
 def _write_student_round_reports(cfg, ds, round_stats):
     """Per-round selection statistics with the selected subset's recall."""
     for i, rounds in round_stats.items():
         model = ds.objects[i]
-        rows = []
         with evaluation_access():
-            gt = {s.id: s.gt_pose for s in ds.by_object(i, "target")}
+            gt = Pose.stack([s.gt_pose for s in ds.by_object(i, "target")])
+        rows = []
         for r in rounds:
             recall = None
-            if r.n_selected > 0:
-                cache = os.path.join(cfg.out_dir, f"pseudo_student_obj{i}_round{r.round_index}.tsv")
-                poses = _read_pseudo_poses(cache)
-                pred = Pose.stack([poses[sid] for sid in r.selected_ids])
-                truth = Pose.stack([gt[sid] for sid in r.selected_ids])
-                recall = average_recall(evaluate_pose(pred, truth, model).hit)
-            rows.append((r.round_index, r.tau, r.n_candidates, r.n_selected, recall))
+            if len(r.selected):
+                pred = _read_pseudo_poses(_pseudo_cache_path(cfg.out_dir, i, r.round_index))
+                recall = average_recall(evaluate_pose(pred[r.selected], gt[r.selected],
+                                                      model).hit)
+            rows.append((r.round_index, r.tau, r.n_candidates, len(r.selected), recall))
         write_round_stats(os.path.join(cfg.out_dir, f"rounds_student_obj{i}.tsv"), rows)
 
 
 def _read_pseudo_poses(path):
-    """Pseudo poses as written, six decimals, so the report scores them."""
-    poses = {}
+    """The pose stack of a pseudo-label cache as written, six decimals, so
+    the report scores them."""
     with open(path) as f:
-        lines = f.read().splitlines()[1:]
-    for line in lines:
-        parts = line.split("\t")
-        vals = [float(v) for v in parts[1:13]]
-        poses[parts[0]] = Pose(np.array(vals[:9]).reshape(3, 3), np.array(vals[9:12]))
-    return poses
+        rows = [line.split("\t")[1:13] for line in f.read().splitlines()[1:]]
+    vals = np.array(rows, dtype=float)
+    return Pose(vals[:, :9].reshape(-1, 3, 3), vals[:, 9:])
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +255,26 @@ def run_train(cfg: RunConfig, stage, log=print):
     prefix = _STAGE_PREFIX[stage]
     nets, checkpoints, round_stats = {}, [], {}
     for i, model in enumerate(ds.objects):
-        source, target = ds.by_object(i, "source"), ds.by_object(i, "target")
         if stage == "student":
             tpath = _ckpt_path(cfg.out_dir, "teacher", i)
             if not os.path.exists(tpath):
                 raise DependencyError(f"student stage needs {tpath}; run --stage teacher first")
             teacher, _ = load_checkpoint(tpath, expected_config=net_cfg)
+            target = ds.by_object(i, "target")
+            ids = [s.id for s in target]
 
-            def sink(r, labels, _i=i):
-                write_pseudo_cache(
-                    os.path.join(cfg.out_dir, f"pseudo_student_obj{_i}_round{r}.tsv"),
-                    labels, r)
+            def sink(r, poses, confidence, _i=i, _ids=ids):
+                write_pseudo_cache(_pseudo_cache_path(cfg.out_dir, _i, r), _ids, poses,
+                                   confidence, r)
 
             nets[i], round_stats[i] = train_student(
-                teacher, source, target, anchors, model, ds.cam, objective, st_cfg,
-                seed=cfg.seed + 100 + i, label_sink=sink)
+                teacher, *source_arrays(ds, i), observations(ds, target), anchors, model,
+                ds.cam, objective, st_cfg, seed=cfg.seed + 100 + i, label_sink=sink)
             log(f"{stage}: object {i} trained")
         else:
             nets[i] = PoseNetwork(net_cfg, seed=cfg.network.seed + i)
-            stats = train_teacher(source, nets[i], anchors, model, ds.cam, objective,
-                                  st_cfg, seed=cfg.seed + 10 + i)
+            stats = train_teacher(*source_arrays(ds, i), nets[i], anchors, model, ds.cam,
+                                  objective, st_cfg, seed=cfg.seed + 10 + i)
             write_loss_curve(os.path.join(cfg.out_dir, f"loss_{prefix}_obj{i}.tsv"), stats)
             log(f"{stage}: object {i} trained" + ("" if stats.final_loss is None
                                                   else f", final loss {stats.final_loss:.4f}"))
@@ -345,11 +341,8 @@ def run_sweep(cfg: RunConfig, log=print, taus=None, stage="teacher"):
         if not os.path.exists(tpath):
             raise DependencyError(f"sweep needs {tpath}; run --stage {stage} first")
         net, _ = load_checkpoint(tpath)
-        samples = ds.by_object(i, "target")
-        if not samples:
-            continue
-        object_hits, out = evaluate_pose_net(net, samples, model, anchors, ds.cam)
-        hits.extend(object_hits.tolist())
+        poses, gt, out = predict_split(net, ds, i, "target", anchors)
+        hits.extend(evaluate_pose(poses, gt, model).hit.tolist())
         for branch, values in confidence_scores(out).items():
             per_branch_conf.setdefault(branch, []).extend(values.tolist())
     hits = np.array(hits, dtype=bool)

@@ -29,7 +29,8 @@ from .errors import InvalidArgumentError
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform ``[R | t]``: rotation plus translation in meters,
-    (3, 3) and (3,) for one pose, (..., 3, 3) and (..., 3) for a stack."""
+    (3, 3) and (3,) for one pose, (..., 3, 3) and (..., 3) for a stack.
+    ``len(stack)`` and ``stack[rows]`` follow the leading axis."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -45,8 +46,17 @@ class Pose:
 
     @classmethod
     def stack(cls, poses):
-        """One stacked pose (B, ...) from a sequence of B poses."""
-        return cls(np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses]))
+        """One stack, (B, 3, 3) and (B, 3), of a sequence of poses and pose
+        stacks joined in order; an empty sequence gives B = 0."""
+        rotations = [np.empty((0, 3, 3))] + [p.rotation.reshape(-1, 3, 3) for p in poses]
+        translations = [np.empty((0, 3))] + [p.translation.reshape(-1, 3) for p in poses]
+        return cls(np.concatenate(rotations), np.concatenate(translations))
+
+    def __len__(self):
+        return len(self.z)
+
+    def __getitem__(self, rows):
+        return Pose(self.rotation[rows], self.translation[rows])
 
     @property
     def z(self):
@@ -276,8 +286,9 @@ def apply_pose(p: Pose, pts):
 
 
 def pose_targets(p: Pose, cam: CameraIntrinsics):
-    """Classification targets (rotation, v_x, v_y, z) for a pose."""
-    x, y, z = p.translation
+    """Classification targets (rotation, v_x, v_y, z) of a pose or, with
+    leading axes, of a stack."""
+    x, y, z = np.moveaxis(p.translation, -1, 0)
     return p.rotation, x * cam.fx / z, y * cam.fy / z, z
 
 

@@ -26,6 +26,7 @@ from .geometry import (
     AnchorSet,
     CameraIntrinsics,
     ObjectModel,
+    Pose,
     closest_symmetric_rotation,
     gram_schmidt,
     pose_targets,
@@ -249,12 +250,12 @@ class LossBreakdown:
         return self.total.item()
 
 
-def prepare_batch_supervision(gt_poses, anchors: AnchorSet, cam: CameraIntrinsics,
+def prepare_batch_supervision(gt: Pose, anchors: AnchorSet, cam: CameraIntrinsics,
                               cfg: ObjectiveConfig,
                               branches=("rot", "vx", "vy", "z")) -> Supervision:
-    """Supervision of a list of poses under one objective config, built
-    once per training set."""
-    rot, vx, vy, z = (np.array(c) for c in zip(*(pose_targets(p, cam) for p in gt_poses)))
+    """Supervision of a pose stack under one objective config, built once
+    per training set."""
+    rot, vx, vy, z = pose_targets(gt, cam)
     branch = {"rot": (rot, anchors.rotations, cfg.labels.rotation),
               "vx": (vx, anchors.bins_vx, cfg.labels.vx),
               "vy": (vy, anchors.bins_vy, cfg.labels.vy),

@@ -73,8 +73,8 @@ def average_recall(hits):
 
 
 def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
-    """Most-likely pose per observation row (arg-max anchors + residuals)
-    plus the raw network output.
+    """Stack of the most-likely pose of each observation row (arg-max
+    anchors + residuals) plus the raw network output.
 
     One ``compose_pose`` call decodes the batch.  A residual that breaks the
     pose falls back to the bare anchor, so evaluation never dies on a
@@ -93,7 +93,7 @@ def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
         res.append(out.residuals[name].data[rows, idx[-1]] if name in out.residuals
                    else np.broadcast_to(absent, rows.shape + np.shape(absent)))
     rotations, translations = compose_pose(idx, res, anchors, cam)
-    return [Pose(r, t) for r, t in zip(rotations, translations)], out
+    return Pose(rotations, translations), out
 
 
 def confidence_scores(out):

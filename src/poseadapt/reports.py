@@ -30,7 +30,8 @@ def _write_rows(path, header, rows):
 
 
 def write_recall_table(path, rows):
-    """Per-object recall plus the mean over objects.
+    """Per-object recall plus the mean over objects; returns that mean,
+    None when no object has a recall.
 
     ``rows`` is a list of (object_name, count, recall_percent_or_None).
     """
@@ -39,6 +40,7 @@ def write_recall_table(path, rows):
     mean = sum(recalls) / len(recalls) if recalls else None
     out.append(("mean", sum(r[1] for r in out), mean))
     _write_rows(path, ("object", "count", "recall_pct"), out)
+    return mean
 
 
 def write_mae_table(path, rows):
@@ -71,14 +73,12 @@ def write_loss_curve(path, stats):
     _write_rows(path, ("epoch", "total", "cls", "reg", "corr"), rows)
 
 
-def write_pseudo_cache(path, labels, round_index):
-    """Pseudo-label cache: id, rotation (row-major), translation, confidence."""
-    rows = []
-    for l in labels:
-        r = l.pose.rotation.reshape(9)
-        t = l.pose.translation
-        rows.append((l.sample_id, *[float(v) for v in r], *[float(v) for v in t],
-                     float(l.confidence), round_index))
+def write_pseudo_cache(path, ids, poses, confidence, round_index):
+    """Pseudo-label cache, one row per sample id: rotation (row-major),
+    translation, confidence."""
+    rows = [(sid, *r, *t, c, round_index) for sid, r, t, c in
+            zip(ids, poses.rotation.reshape(-1, 9).tolist(), poses.translation.tolist(),
+                confidence.tolist(), strict=True)]
     header = ("sample_id", *[f"r{i}{j}" for i in range(3) for j in range(3)],
               "tx", "ty", "tz", "confidence", "round")
     _write_rows(path, header, rows)

@@ -5,6 +5,11 @@ target split.  The max depth-classifier probability serves as confidence;
 samples above a threshold join the student's training set with their
 pseudo poses as labels.  The threshold decreases linearly over rounds so
 easy samples enter first.
+
+Everything here works on arrays of one object's split: observations
+(n, obs_dim), a ``Pose`` stack of n labels, confidences (n,) and the
+selected rows as an index array.  Sample ids and evaluation-only ground
+truth stay with the caller.
 """
 
 from __future__ import annotations
@@ -21,13 +26,6 @@ from .network import Adam, PoseNetwork
 
 
 @dataclass(frozen=True)
-class PseudoLabel:
-    sample_id: str
-    pose: Pose
-    confidence: float                    # max entry of the depth probabilities
-
-
-@dataclass(frozen=True)
 class SelfTrainConfig:
     tau_start: float = 0.5
     tau_end: float = 0.1
@@ -37,7 +35,6 @@ class SelfTrainConfig:
     lr_teacher: float = 3e-4
     lr_student: float = 3e-5
     batch_size: int = 32
-    reannotate: bool = True              # rounds > 0 re-annotate with the student
 
     def __post_init__(self):
         if not (0.0 < self.tau_end <= self.tau_start <= 1.0):
@@ -60,21 +57,15 @@ def threshold_schedule(round_idx, cfg: SelfTrainConfig):
     return cfg.tau_start + (cfg.tau_end - cfg.tau_start) * frac
 
 
-def select_samples(labels, tau):
-    """Labels whose confidence strictly exceeds tau, original order kept."""
+def select_samples(confidence, tau):
+    """Rows whose confidence strictly exceeds tau, in their original order."""
     if not 0.0 <= tau <= 1.0:
         raise InvalidArgumentError("tau must be in [0, 1]")
-    return [l for l in labels if l.confidence > tau]
+    return np.flatnonzero(confidence > tau)
 
 
 # ---------------------------------------------------------------------------
 # supervised loop shared by teacher and student stages
-
-
-@dataclass
-class TrainEntry:
-    observation: np.ndarray
-    pose: Pose
 
 
 @dataclass
@@ -87,27 +78,26 @@ class TrainStats:
         return self.epoch_losses[-1] if self.epoch_losses else None
 
 
-def train_supervised(net: PoseNetwork, optimizer: Adam, entries, anchors: AnchorSet,
+def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchors: AnchorSet,
                      model: ObjectModel, cam: CameraIntrinsics,
                      objective: ObjectiveConfig, epochs, batch_size, rng) -> TrainStats:
-    """Minimize the total objective over the entries; deterministic for a
-    fixed RNG state.  Non-finite loss raises TrainingFailureError carrying
-    the last finite parameter snapshot."""
+    """Minimize the total objective over observations (n, obs_dim) labeled
+    by a stack of n poses; deterministic for a fixed RNG state.  Non-finite
+    loss raises TrainingFailureError carrying the last finite parameter
+    snapshot."""
     stats = TrainStats()
-    if epochs == 0 or not entries:
+    n = len(obs)
+    if epochs == 0 or n == 0:
         return stats
     snapshot = net.state_arrays()
-    n = len(entries)
     branches = tuple(net.config.branches())
-    all_obs = np.stack([e.observation for e in entries])
-    sup_all = prepare_batch_supervision([e.pose for e in entries], anchors, cam, objective,
-                                        branches=branches)
+    sup_all = prepare_batch_supervision(poses, anchors, cam, objective, branches=branches)
     for _ in range(epochs):
         perm = rng.permutation(n)
         losses, parts = [], []
         for lo in range(0, n, batch_size):
             idx = perm[lo:lo + batch_size]
-            out = net.forward(all_obs[idx])
+            out = net.forward(obs[idx])
             breakdown = total_objective(out, sup_all[idx], anchors, model, cam, objective)
             value = breakdown.total_value
             if not np.isfinite(value):
@@ -127,27 +117,21 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, entries, anchors: Anchor
     return stats
 
 
-def train_teacher(source_samples, net: PoseNetwork, anchors: AnchorSet,
+def train_teacher(obs, poses: Pose, net: PoseNetwork, anchors: AnchorSet,
                   model: ObjectModel, cam: CameraIntrinsics,
                   objective: ObjectiveConfig, cfg: SelfTrainConfig, seed=0):
     """Fit the teacher on the labeled source split."""
-    entries = [TrainEntry(s.observation, s.gt_pose) for s in source_samples]
     optimizer = Adam(net.parameters(), lr=cfg.lr_teacher)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7EAC]))
-    return train_supervised(net, optimizer, entries, anchors, model, cam,
+    return train_supervised(net, optimizer, obs, poses, anchors, model, cam,
                             objective, cfg.teacher_epochs, cfg.batch_size, rng)
 
 
-def pseudo_label(annotator: PoseNetwork, target_samples, anchors: AnchorSet,
-                 cam: CameraIntrinsics):
-    """Pose predictions plus confidence = max depth probability, per sample."""
-    if not target_samples:
-        return []
-    obs = np.stack([s.observation for s in target_samples])
+def pseudo_label(annotator: PoseNetwork, obs, anchors: AnchorSet, cam: CameraIntrinsics):
+    """Predicted pose stack of the observations and its confidence (n,),
+    the max depth probability of each row."""
     poses, out = predict_poses(annotator, obs, anchors, cam)
-    z_conf = confidence_scores(out)["z"]
-    return [PseudoLabel(sample_id=s.id, pose=poses[i], confidence=float(z_conf[i]))
-            for i, s in enumerate(target_samples)]
+    return poses, confidence_scores(out)["z"]
 
 
 @dataclass
@@ -155,20 +139,20 @@ class RoundStats:
     round_index: int
     tau: float
     n_candidates: int
-    n_selected: int
-    selected_ids: list                # empty: the round trained on source only
+    selected: np.ndarray              # target rows; empty: the round trained on source only
     train_loss: float = None
 
 
-def train_student(teacher: PoseNetwork, source_samples, target_samples,
+def train_student(teacher: PoseNetwork, source_obs, source_poses: Pose, target_obs,
                   anchors: AnchorSet, model: ObjectModel, cam: CameraIntrinsics,
                   objective: ObjectiveConfig, cfg: SelfTrainConfig, seed=0,
                   label_sink=None):
     """Self-training rounds: annotate, select by threshold, fit the student.
 
     The student starts as a copy of the teacher.  Round 0 is annotated by
-    the teacher; later rounds re-annotate with the current student unless
-    ``reannotate`` is off.  ``label_sink(round_idx, labels)`` observes each
+    the teacher, later rounds by the current student.  Each round trains
+    on the source split plus the selected target rows with their pseudo
+    poses.  ``label_sink(round_idx, poses, confidence)`` observes each
     round's pseudo labels (cache files, diagnostics).
     """
     student = teacher.copy()
@@ -177,22 +161,17 @@ def train_student(teacher: PoseNetwork, source_samples, target_samples,
         return student, rounds_stats
     optimizer = Adam(student.parameters(), lr=cfg.lr_student)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57D]))
-    source_entries = [TrainEntry(s.observation, s.gt_pose) for s in source_samples]
     for r in range(cfg.rounds):
-        annotator = teacher if (r == 0 or not cfg.reannotate) else student
-        labels = pseudo_label(annotator, target_samples, anchors, cam)
+        poses, confidence = pseudo_label(teacher if r == 0 else student, target_obs,
+                                         anchors, cam)
         if label_sink is not None:
-            label_sink(r, labels)
+            label_sink(r, poses, confidence)
         tau = threshold_schedule(r, cfg)
-        selected = select_samples(labels, tau)
-        by_id = {s.id: s for s in target_samples}
-        pseudo_entries = [TrainEntry(by_id[l.sample_id].observation, l.pose)
-                          for l in selected]
-        entries = source_entries + pseudo_entries
-        stats = train_supervised(student, optimizer, entries, anchors, model, cam,
-                                 objective, cfg.student_epochs, cfg.batch_size, rng)
-        rounds_stats.append(RoundStats(
-            round_index=r, tau=tau, n_candidates=len(labels),
-            n_selected=len(selected), selected_ids=[l.sample_id for l in selected],
-            train_loss=stats.final_loss))
+        selected = select_samples(confidence, tau)
+        stats = train_supervised(student, optimizer,
+                                 np.concatenate([source_obs, target_obs[selected]]),
+                                 Pose.stack([source_poses, poses[selected]]), anchors, model,
+                                 cam, objective, cfg.student_epochs, cfg.batch_size, rng)
+        rounds_stats.append(RoundStats(round_index=r, tau=tau, n_candidates=len(confidence),
+                                       selected=selected, train_loss=stats.final_loss))
     return student, rounds_stats

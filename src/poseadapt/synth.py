@@ -130,14 +130,11 @@ def make_object(kind, seed, n_points=128) -> ObjectModel:
         if extra > 0:
             face = rng.integers(0, 6, extra)
             uv = rng.uniform(-0.5, 0.5, (extra, 2))
+            # a point lies on its face's plane; uv fills the two other axes
+            axis, rows = face // 2, np.arange(extra)
             surf = np.empty((extra, 3))
-            axis, side = face // 2, np.where(face % 2 == 0, -0.5, 0.5)
-            for i in range(extra):
-                coords = [0.0, 0.0, 0.0]
-                coords[axis[i]] = side[i]
-                others = [j for j in range(3) if j != axis[i]]
-                coords[others[0]], coords[others[1]] = uv[i]
-                surf[i] = coords
+            surf[rows, axis] = np.where(face % 2 == 0, -0.5, 0.5)
+            surf[rows[:, None], np.array([[1, 2], [0, 2], [0, 1]])[axis]] = uv
             pts.append(surf)
         points = np.vstack(pts)[:n_points]
         return ObjectModel(points=points, diameter=float(np.sqrt(3.0)))
@@ -271,9 +268,8 @@ class Dataset:
     seed: int
     meta: dict = field(default_factory=dict)
 
-    def by_object(self, object_id, domain=None):
-        return [s for s in self.samples
-                if s.object_id == object_id and (domain is None or s.domain == domain)]
+    def by_object(self, object_id, domain):
+        return [s for s in self.samples if s.object_id == object_id and s.domain == domain]
 
     @property
     def obs_dim(self):

@@ -27,11 +27,11 @@ def write_config(tmp_path, name, cfg):
     return str(path)
 
 
-def run_pipeline(tmp_path, name, scalar):
+def run_pipeline(tmp_path, name, scalar, cfg=TINY):
     """gen-data, the four train stages, eval and sweep-threshold into one
     run directory; returns the directory and each command's exit code."""
     out = tmp_path / name
-    base = ["--config", write_config(tmp_path, name, dict(TINY, out_dir=str(out))),
+    base = ["--config", write_config(tmp_path, name, dict(cfg, out_dir=str(out))),
             "--seed", "3"] + (["--scalar-task"] if scalar else [])
     steps = [["gen-data"]]
     steps += [["train", "--stage", s] for s in ("teacher", "no-ctc", "baseline-regression",
@@ -71,6 +71,33 @@ def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, cap
         assert len(rounds) == 3
     again, _ = run_pipeline(tmp_path, "b", scalar)
     assert outputs(again) == first
+
+
+def report_rows(path):
+    return [line.split("\t") for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("n_source, n_target", [(1, 3), (2, 1)])
+def test_objects_with_empty_splits(tmp_path, capsys, n_source, n_target):
+    """Samples go to three objects round-robin, so some objects have no
+    source or no target samples.  Every step runs, and an empty split
+    reads '-' in the reports."""
+    data = dict(TINY["data"], n_source=n_source, n_target=n_target,
+                object_kinds=["box", "cylinder", "blob"])
+    out, codes = run_pipeline(tmp_path, "run", False, dict(TINY, data=data))
+    assert codes == [0] * 7
+    counts = {"source": n_source, "target": n_target}
+    for domain, n in counts.items():
+        for stage in ("teacher", "teacher-noctc", "baseline", "student"):
+            rows = report_rows(out / f"recall_{stage}_{domain}.tsv")
+            assert [row[1] for row in rows[:3]] == [str(int(i < n)) for i in range(3)]
+            assert all(row[2] == "-" for row in rows[n:3])
+    for i in range(n_source, 3):
+        assert report_rows(out / f"loss_teacher_obj{i}.tsv") == []
+    for i in range(n_target, 3):
+        assert report_rows(out / f"pseudo_student_obj{i}_round0.tsv") == []
+        assert [row[3:] for row in report_rows(out / f"rounds_student_obj{i}.tsv")] == \
+            [["0", "-"], ["0", "-"]]
 
 
 def _corrupt_dataset(tmp_path, case):
@@ -125,11 +152,13 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert not (tmp_path / "run" / "dataset.txt").exists()
 
 
-@pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy", "use_ctc"])
+@pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy", "use_ctc", "reannotate"])
 def test_removed_score_keys_are_rejected(tmp_path, capsys, key):
     """Removed keys fail as unknown; ``train.use_ctc`` went with the
-    scores' k keys (the no-ctc stage and ctc_weight 0 remain)."""
-    old = {"train": {key: False}} if key == "use_ctc" else {"scores": {key: 2}}
+    scores' k keys (the no-ctc stage and ctc_weight 0 remain), and
+    ``train.reannotate`` with the option of a teacher-only annotator."""
+    old = ({"train": {key: False}} if key in ("use_ctc", "reannotate")
+           else {"scores": {key: 2}})
     with pytest.raises(ConfigError, match=key):
         config_from_dict(old)
     path = write_config(tmp_path, "old", old)

@@ -259,6 +259,35 @@ class TestPose:
         np.testing.assert_array_equal(stacked.z, [0.5, 1.5])
         assert poses[1].z == 1.5 and np.shape(poses[1].z) == ()
 
+    def test_rows_length_and_empty_stack(self):
+        rng = np.random.default_rng(5)
+        stacked = Pose(random_rotations(4, rng), rng.standard_normal((4, 3)))
+        assert len(stacked) == 4
+        rows = stacked[np.array([3, 1])]
+        assert len(rows) == 2
+        np.testing.assert_array_equal(rows.rotation, stacked.rotation[[3, 1]])
+        np.testing.assert_array_equal(rows.translation, stacked.translation[[3, 1]])
+        one = stacked[2]
+        assert one.rotation.shape == (3, 3) and one.z == stacked.z[2]
+        # a stack iterates row by row
+        assert [p.z for p in stacked] == list(stacked.z)
+        empty = Pose.stack([])
+        assert len(empty) == 0
+        assert empty.rotation.shape == (0, 3, 3) and empty.translation.shape == (0, 3)
+        assert len(stacked[np.array([], dtype=int)]) == 0
+        with pytest.raises(TypeError):
+            len(one)
+
+    def test_stack_joins_poses_and_stacks_in_order(self):
+        rng = np.random.default_rng(6)
+        a = Pose(random_rotations(3, rng), rng.standard_normal((3, 3)))
+        b = Pose(random_rotations(1, rng)[0], rng.standard_normal(3))
+        joined = Pose.stack([a, b, Pose.stack([]), a[1:]])
+        assert len(joined) == 6
+        np.testing.assert_array_equal(joined.rotation,
+                                      np.concatenate([a.rotation, [b.rotation], a.rotation[1:]]))
+        np.testing.assert_array_equal(joined.z, np.concatenate([a.z, [b.z], a.z[1:]]))
+
     @pytest.mark.parametrize("rotation, translation", [
         (np.eye(3), np.zeros(4)),
         (np.eye(3), np.zeros(2)),

@@ -137,7 +137,7 @@ class TestScoreVectors:
 
 
 class TestAssignScores:
-    """Labels of all four branches of a set of poses, as the training loop
+    """Labels of all four branches of a pose stack, as the training loop
     builds them."""
 
     def setup_method(self):
@@ -150,8 +150,8 @@ class TestAssignScores:
 
     def test_all_branches_sum_to_one(self):
         rng = np.random.default_rng(6)
-        poses = [Pose(m, rng.uniform([-0.2, -0.2, 0.5], [0.2, 0.2, 1.8]))
-                 for m in random_rotations(10, rng)]
+        poses = Pose(random_rotations(10, rng), rng.uniform([-0.2, -0.2, 0.5], [0.2, 0.2, 1.8],
+                                                            (10, 3)))
         labels = prepare_batch_supervision(poses, self.anchors, CAM, self.cfg).labels
         for name, k in (("rot", 4), ("vx", 7), ("vy", 7), ("z", 7)):
             assert labels[name].shape[0] == 10
@@ -161,11 +161,11 @@ class TestAssignScores:
 
     def test_rows_match_single_target_labels(self):
         rng = np.random.default_rng(7)
-        poses = [Pose(m, rng.uniform([-0.2, -0.2, 0.5], [0.2, 0.2, 1.8]))
-                 for m in random_rotations(6, rng)]
+        poses = Pose(random_rotations(6, rng), rng.uniform([-0.2, -0.2, 0.5], [0.2, 0.2, 1.8],
+                                                           (6, 3)))
         sup = prepare_batch_supervision(poses, self.anchors, CAM, self.cfg)
-        for b, pose in enumerate(poses):
-            rot, vx, vy, z = pose_targets(pose, CAM)
+        for b in range(len(poses)):
+            rot, vx, vy, z = pose_targets(poses[b], CAM)
             for name, target, bins, cfg in (
                     ("rot", rot, self.anchors.rotations, self.cfg.labels.rotation),
                     ("vx", vx, self.anchors.bins_vx, self.cfg.labels.vx),
@@ -178,7 +178,7 @@ class TestAssignScores:
                                                   nearest_anchors(target, bins, cfg.k))
 
     def test_deterministic(self):
-        poses = [Pose(np.eye(3), [0.01, 0.02, 1.0])]
+        poses = Pose(np.eye(3)[None], [[0.01, 0.02, 1.0]])
         a = prepare_batch_supervision(poses, self.anchors, CAM, self.cfg).labels
         b = prepare_batch_supervision(poses, self.anchors, CAM, self.cfg).labels
         np.testing.assert_array_equal(a["rot"], b["rot"])

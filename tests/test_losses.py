@@ -67,7 +67,8 @@ def small_label_config():
 
 
 def supervision(gt_poses, anchors, labels=None):
-    return prepare_batch_supervision(gt_poses, anchors, CAM,
+    """Supervision of a list of poses, stacked as the training loop does."""
+    return prepare_batch_supervision(Pose.stack(gt_poses), anchors, CAM,
                                      ObjectiveConfig(labels=labels or small_label_config()))
 
 
@@ -274,7 +275,8 @@ class TestRegressionLoss:
                                         feature_dim=8, encoder_hidden=(8,), head_hidden=8))
         out = net.forward(rng.standard_normal((3, 6)))
         # default labels: k = 4 for rotation, 7 for each translation branch
-        sup = prepare_batch_supervision(gt, anchors, CAM, ObjectiveConfig(use_cls=False))
+        sup = prepare_batch_supervision(Pose.stack(gt), anchors, CAM,
+                                        ObjectiveConfig(use_cls=False))
         assert sup.k_rot == 3 and sup.labels == {}
         assert [sup.nearest[name].shape[1] for name in ("vx", "vy", "z")] == [2, 5, 6]
         got = regression_loss_batch(out, sup, anchors, self.model, CAM).data

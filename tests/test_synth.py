@@ -8,6 +8,7 @@ import pytest
 from poseadapt.errors import DatasetError, GroundTruthAccessError, InvalidArgumentError
 from poseadapt.geometry import CameraIntrinsics, Pose, generate_rotation_anchors
 from poseadapt.labeling import anchor_distances
+from poseadapt import synth
 from poseadapt.metrics import evaluate_pose
 from poseadapt.synth import (
     OBS_DIM,
@@ -35,7 +36,33 @@ def rot_z(a):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def reference_box_points(seed, n_points):
+    """The box cloud built one surface point at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, synth._kind_tag("box")]))
+    corners = np.array([[sx, sy, sz] for sx in (-0.5, 0.5)
+                        for sy in (-0.5, 0.5) for sz in (-0.5, 0.5)])
+    extra = n_points - len(corners)
+    pts = [corners]
+    if extra > 0:
+        face = rng.integers(0, 6, extra)
+        uv = rng.uniform(-0.5, 0.5, (extra, 2))
+        surf = np.empty((extra, 3))
+        for i in range(extra):
+            coords = [0.0, 0.0, 0.0]
+            coords[face[i] // 2] = -0.5 if face[i] % 2 == 0 else 0.5
+            others = [j for j in range(3) if j != face[i] // 2]
+            coords[others[0]], coords[others[1]] = uv[i]
+            surf[i] = coords
+        pts.append(surf)
+    return np.vstack(pts)[:n_points]
+
+
 class TestMakeObject:
+    @pytest.mark.parametrize("seed, n_points", [(0, 4), (1, 8), (2, 9), (7, 128), (8, 301)])
+    def test_box_matches_per_point_reference(self, seed, n_points):
+        got = make_object("box", seed=seed, n_points=n_points).points
+        assert got.tobytes() == reference_box_points(seed, n_points).tobytes()
+
     def test_box_diameter_is_cube_diagonal(self):
         obj = make_object("box", seed=0, n_points=64)
         assert obj.diameter == pytest.approx(np.sqrt(3.0), abs=1e-9)
