@@ -38,7 +38,6 @@ from .synth import (
     make_object,
     make_scalar_task,
     save_dataset,
-    ScalarShiftConfig,
 )
 
 STAGES = ("teacher", "student", "baseline-regression", "no-ctc")
@@ -104,11 +103,11 @@ def run_gen_data(cfg: RunConfig, log=print):
     save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
     d = cfg.data
     if cfg.scalar_task:
-        shift = ScalarShiftConfig(
-            source=make_domain_config(0.0, d.scalar_source_noise, 0.0, seed=cfg.seed + 11),
-            target=make_domain_config(d.scalar_target_offset, d.scalar_target_noise, 0.0,
-                                      seed=cfg.seed + 12))
-        ds = make_scalar_task(d.n_source, d.n_target, shift, seed=cfg.seed)
+        ds = make_scalar_task(
+            d.n_source, d.n_target,
+            make_domain_config(0.0, d.scalar_source_noise, 0.0, seed=cfg.seed + 11),
+            make_domain_config(d.scalar_target_offset, d.scalar_target_noise, 0.0,
+                               seed=cfg.seed + 12), seed=cfg.seed)
     else:
         objects = [make_object(kind, seed=d.object_seed + i, n_points=d.n_points)
                    for i, kind in enumerate(d.object_kinds)]
@@ -141,26 +140,13 @@ def load_dataset_or_fail(cfg: RunConfig) -> Dataset:
 # reports
 
 
-def observations(ds: Dataset, samples):
-    """Observation rows (n, obs_dim) of samples; n may be 0."""
-    return np.array([s.observation for s in samples]).reshape(-1, ds.obs_dim)
-
-
-def source_arrays(ds: Dataset, i):
-    """Observations and ground-truth pose stack of object ``i``'s labeled
-    source split."""
-    source = ds.by_object(i, "source")
-    return observations(ds, source), Pose.stack([s.gt_pose for s in source])
-
-
 def predict_split(net, ds: Dataset, i, domain, anchors):
     """Predicted and ground-truth pose stacks of object ``i`` on one split,
     and the network output."""
-    samples = ds.by_object(i, domain)
-    poses, out = predict_poses(net, observations(ds, samples), anchors, ds.cam)
+    split = ds.by_object(i, domain)
+    poses, out = predict_poses(net, split.observation, anchors, ds.cam)
     with evaluation_access():
-        gt = Pose.stack([s.gt_pose for s in samples])
-    return poses, gt, out
+        return poses, split.gt_pose, out
 
 
 def recall_by_object(nets, ds: Dataset, anchors, domain):
@@ -209,7 +195,7 @@ def _write_student_round_reports(cfg, ds, round_stats):
     for i, rounds in round_stats.items():
         model = ds.objects[i]
         with evaluation_access():
-            gt = Pose.stack([s.gt_pose for s in ds.by_object(i, "target")])
+            gt = ds.by_object(i, "target").gt_pose
         rows = []
         for r in rounds:
             recall = None
@@ -255,26 +241,26 @@ def run_train(cfg: RunConfig, stage, log=print):
     prefix = _STAGE_PREFIX[stage]
     nets, checkpoints, round_stats = {}, [], {}
     for i, model in enumerate(ds.objects):
+        source = ds.by_object(i, "source")
         if stage == "student":
             tpath = _ckpt_path(cfg.out_dir, "teacher", i)
             if not os.path.exists(tpath):
                 raise DependencyError(f"student stage needs {tpath}; run --stage teacher first")
             teacher, _ = load_checkpoint(tpath, expected_config=net_cfg)
             target = ds.by_object(i, "target")
-            ids = [s.id for s in target]
 
-            def sink(r, poses, confidence, _i=i, _ids=ids):
+            def sink(r, poses, confidence, _i=i, _ids=target.ids):
                 write_pseudo_cache(_pseudo_cache_path(cfg.out_dir, _i, r), _ids, poses,
                                    confidence, r)
 
             nets[i], round_stats[i] = train_student(
-                teacher, *source_arrays(ds, i), observations(ds, target), anchors, model,
-                ds.cam, objective, st_cfg, seed=cfg.seed + 100 + i, label_sink=sink)
+                teacher, source.observation, source.gt_pose, target.observation, anchors,
+                model, ds.cam, objective, st_cfg, seed=cfg.seed + 100 + i, label_sink=sink)
             log(f"{stage}: object {i} trained")
         else:
             nets[i] = PoseNetwork(net_cfg, seed=cfg.network.seed + i)
-            stats = train_teacher(*source_arrays(ds, i), nets[i], anchors, model, ds.cam,
-                                  objective, st_cfg, seed=cfg.seed + 10 + i)
+            stats = train_teacher(source.observation, source.gt_pose, nets[i], anchors, model,
+                                  ds.cam, objective, st_cfg, seed=cfg.seed + 10 + i)
             write_loss_curve(os.path.join(cfg.out_dir, f"loss_{prefix}_obj{i}.tsv"), stats)
             log(f"{stage}: object {i} trained" + ("" if stats.final_loss is None
                                                   else f", final loss {stats.final_loss:.4f}"))
@@ -342,13 +328,13 @@ def run_sweep(cfg: RunConfig, log=print, taus=None, stage="teacher"):
             raise DependencyError(f"sweep needs {tpath}; run --stage {stage} first")
         net, _ = load_checkpoint(tpath)
         poses, gt, out = predict_split(net, ds, i, "target", anchors)
-        hits.extend(evaluate_pose(poses, gt, model).hit.tolist())
+        hits.append(evaluate_pose(poses, gt, model).hit)
         for branch, values in confidence_scores(out).items():
-            per_branch_conf.setdefault(branch, []).extend(values.tolist())
-    hits = np.array(hits, dtype=bool)
+            per_branch_conf.setdefault(branch, []).append(values)
+    hits = np.concatenate(hits)
     curves = {}
     for branch, values in per_branch_conf.items():
-        values = np.array(values)
+        values = np.concatenate(values)
         rows = []
         for tau in taus:
             sel = values > tau

@@ -9,6 +9,12 @@ four fixed features of the target value for the scalar task; both tasks
 pass them through the same nuisance channel.  Source and target share the
 target-sampling law; only the observation channel differs.
 
+A ``Dataset`` holds each domain as one ``Split``: the sample ids and
+object ids (n,), the observation matrix (n, obs_dim) and the ground-truth
+``Pose`` stack, indexed by row like a ``Pose``.  The dataset file is one
+JSON header line and then one line per sample, source rows before target
+rows; loading streams it and stacks each domain once.
+
 Ground-truth poses of target-domain samples are evaluation-only: reading
 them outside an ``evaluation_access()`` block raises.
 """
@@ -52,23 +58,30 @@ def evaluation_access():
 
 
 @dataclass
-class Sample:
-    id: str
-    domain: str                  # "source" | "target"
-    object_id: int
-    observation: np.ndarray
-    gt: Pose = field(repr=False, default=None)
+class Split:
+    """One domain's samples as stacked arrays: ``ids`` and ``object_id``
+    (n,), ``observation`` (n, obs_dim) and the ground-truth pose stack
+    ``gt``.  ``len(split)`` and ``split[rows]`` follow the leading axis; an
+    int row is one sample, with an (obs_dim,) observation and one ``Pose``."""
 
-    @property
-    def eval_only(self):
-        return self.domain == "target"
+    domain: str                  # "source" | "target"
+    ids: np.ndarray
+    object_id: np.ndarray
+    observation: np.ndarray
+    gt: Pose = field(repr=False)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, rows):
+        return Split(self.domain, self.ids[rows], self.object_id[rows],
+                     self.observation[rows], self.gt[rows])
 
     @property
     def gt_pose(self) -> Pose:
-        """Ground-truth pose; audit-guarded for target-domain samples."""
-        if self.eval_only and not _EVAL_ACCESS.get():
-            raise GroundTruthAccessError(
-                f"sample {self.id}: target-domain ground truth is evaluation-only")
+        """Ground-truth poses; audit-guarded for the target domain."""
+        if self.domain == "target" and not _EVAL_ACCESS.get():
+            raise GroundTruthAccessError("target-domain ground truth is evaluation-only")
         return self.gt
 
 
@@ -259,7 +272,8 @@ def _observe(raw, pose: Pose, dc: DomainConfig):
 @dataclass
 class Dataset:
     kind: str                    # "pose" | "scalar"
-    samples: list
+    source: Split
+    target: Split
     objects: list                # ObjectModel per object id
     object_kinds: list
     cam: CameraIntrinsics
@@ -269,11 +283,30 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def by_object(self, object_id, domain):
-        return [s for s in self.samples if s.object_id == object_id and s.domain == domain]
+        split = {"source": self.source, "target": self.target}[domain]
+        return split[split.object_id == object_id]
 
     @property
     def obs_dim(self):
-        return len(self.samples[0].observation)
+        return self.source.observation.shape[1]
+
+
+def _generate(kind, n_source, n_target, objects, cfgs, draw, observe, meta, **fields):
+    """Both splits, source first, objects assigned round-robin.  ``draw(n)``
+    draws the ground-truth pose stack of n samples, and ``observe(pose,
+    object_id, dc)`` fills one row of the observation matrix."""
+    if n_source < 1 or n_target < 1:
+        raise InvalidArgumentError("need at least one sample per domain")
+    splits = []
+    for domain, n, dc in zip(("source", "target"), (n_source, n_target), cfgs):
+        gt, obj = draw(n), np.arange(n) % len(objects)
+        obs = np.fromiter((observe(gt[i], k, dc) for i, k in enumerate(obj)),
+                          dtype=np.dtype((float, len(dc.offset))), count=n)
+        ids = np.array([f"{domain[0]}{i:06d}" for i in range(n)], dtype=str)
+        splits.append(Split(domain, ids, obj, obs, gt))
+    return Dataset(kind, *splits, objects=list(objects), source_cfg=cfgs[0],
+                   target_cfg=cfgs[1], meta={"n_source": n_source, "n_target": n_target, **meta},
+                   **fields)
 
 
 DEFAULT_SAMPLE_RANGES = {"vx": (-160.0, 160.0), "vy": (-160.0, 160.0), "z": (0.4, 1.6)}
@@ -287,84 +320,54 @@ def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics,
     Objects are assigned round-robin; both domains draw poses from the
     same law.  Target ground truth is retained but evaluation-only.
     """
-    if n_source < 1 or n_target < 1:
-        raise InvalidArgumentError("need at least one sample per domain")
-    ranges = dict(DEFAULT_SAMPLE_RANGES)
-    if sample_ranges:
-        ranges.update(sample_ranges)
+    ranges = {**DEFAULT_SAMPLE_RANGES, **(sample_ranges or {})}
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     kps = [keypoints(model) for model in objects]
-    samples = []
-    for domain, n, prefix in (("source", n_source, "s"), ("target", n_target, "t")):
-        dc = source_cfg if domain == "source" else target_cfg
-        quats = random_quaternions(n, rng)
-        rots = quaternions_to_matrices(quats)
-        vx = rng.uniform(*ranges["vx"], n)
-        vy = rng.uniform(*ranges["vy"], n)
-        z = rng.uniform(*ranges["z"], n)
-        for i in range(n):
-            obj_id = i % len(objects)
-            pose = Pose(rots[i], np.array([vx[i] * z[i] / cam.fx,
-                                           vy[i] * z[i] / cam.fy, z[i]]))
-            obs = synthesize(pose, objects[obj_id], cam, dc, kps[obj_id])
-            samples.append(Sample(id=f"{prefix}{i:06d}", domain=domain,
-                                  object_id=obj_id, observation=obs, gt=pose))
-    return Dataset(kind="pose", samples=samples, objects=list(objects),
-                   object_kinds=list(object_kinds or [""] * len(objects)),
-                   cam=cam, source_cfg=source_cfg, target_cfg=target_cfg, seed=seed,
-                   meta={"n_source": n_source, "n_target": n_target, "ranges": ranges})
+
+    def draw(n):
+        rots = quaternions_to_matrices(random_quaternions(n, rng))
+        vx, vy, z = (rng.uniform(*ranges[c], n) for c in ("vx", "vy", "z"))
+        return Pose(rots, np.stack([vx * z / cam.fx, vy * z / cam.fy, z], axis=1))
+
+    return _generate("pose", n_source, n_target, objects, (source_cfg, target_cfg), draw,
+                     lambda pose, k, dc: synthesize(pose, objects[k], cam, dc, kps[k]),
+                     {"ranges": ranges}, object_kinds=list(object_kinds or [""] * len(objects)),
+                     cam=cam, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # scalar-target task
 
 SCALAR_RANGE = (0.5, 1.0)
-
-
-@dataclass(frozen=True)
-class ScalarShiftConfig:
-    """Domain pair for the scalar-target task."""
-
-    source: DomainConfig
-    target: DomainConfig
+# the scalar task's model, a unit tetrahedron: any cloud works, rotation is always the identity
+_SCALAR_POINTS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                           [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) * 0.05
 
 
 def _scalar_raw(s):
     return np.array([s, (s - 0.75) ** 2, np.sin(2 * np.pi * s), np.cos(np.pi * s)])
 
 
-def _scalar_model() -> ObjectModel:
-    # unit tetrahedron: any cloud works, rotation is always the identity
-    pts = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
-                    [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]) * 0.05
-    return ObjectModel.from_points(pts)
-
-
-def make_scalar_task(n_source, n_target, shift_cfg: ScalarShiftConfig, seed) -> Dataset:
+def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: DomainConfig,
+                     seed) -> Dataset:
     """Scalar-regression UDA dataset: target variable in [0.5, 1.0].
 
     The scalar rides in the depth slot of an otherwise trivial pose, so the
     full head machinery applies with only the z branch enabled.
     """
-    if n_source < 1 or n_target < 1:
-        raise InvalidArgumentError("need at least one sample per domain")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CA1A]))
-    cam = CameraIntrinsics(fx=_REF_FOCAL, fy=_REF_FOCAL, cx=0.0, cy=0.0)
-    model = _scalar_model()
-    samples = []
-    for domain, n, prefix in (("source", n_source, "s"), ("target", n_target, "t")):
-        dc = shift_cfg.source if domain == "source" else shift_cfg.target
-        values = rng.uniform(SCALAR_RANGE[0], SCALAR_RANGE[1], n)
-        for i in range(n):
-            pose = Pose(np.eye(3), np.array([0.0, 0.0, values[i]]))
-            obs = _observe(_scalar_raw(values[i]), pose, dc)
-            samples.append(Sample(id=f"{prefix}{i:06d}", domain=domain,
-                                  object_id=0, observation=obs, gt=pose))
-    return Dataset(kind="scalar", samples=samples, objects=[model],
-                   object_kinds=["scalar"], cam=cam, source_cfg=shift_cfg.source,
-                   target_cfg=shift_cfg.target, seed=seed,
-                   meta={"n_source": n_source, "n_target": n_target,
-                         "scalar_range": list(SCALAR_RANGE)})
+
+    def draw(n):
+        translation = np.zeros((n, 3))
+        translation[:, 2] = rng.uniform(SCALAR_RANGE[0], SCALAR_RANGE[1], n)
+        return Pose(np.tile(np.eye(3), (n, 1, 1)), translation)
+
+    return _generate("scalar", n_source, n_target, [ObjectModel.from_points(_SCALAR_POINTS)],
+                     (source_cfg, target_cfg), draw,
+                     lambda pose, k, dc: _observe(_scalar_raw(pose.z), pose, dc),
+                     {"scalar_range": list(SCALAR_RANGE)}, object_kinds=["scalar"],
+                     cam=CameraIntrinsics(fx=_REF_FOCAL, fy=_REF_FOCAL, cx=0.0, cy=0.0),
+                     seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +378,12 @@ _DATASET_VERSION = 1
 
 
 def _domain_cfg_dict(dc: DomainConfig):
-    return {"offset": dc.offset.tolist(), "noise_scale": dc.noise_scale,
-            "dropout_prob": dc.dropout_prob, "seed": dc.seed}
-
-
-def _domain_cfg_from(d):
-    return DomainConfig(offset=np.array(d["offset"]), noise_scale=d["noise_scale"],
-                        dropout_prob=d["dropout_prob"], seed=d["seed"])
+    return {**vars(dc), "offset": dc.offset.tolist()}
 
 
 def save_dataset(path, ds: Dataset):
-    """Versioned structured text: one header line, one line per sample."""
+    """Versioned structured text: one header line, then one line per
+    sample, the source rows before the target rows."""
     header = {
         "format": _DATASET_FORMAT,
         "version": _DATASET_VERSION,
@@ -402,57 +400,71 @@ def save_dataset(path, ds: Dataset):
         } for i in range(len(ds.objects))],
         "meta": ds.meta,
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    with evaluation_access():
-        for s in ds.samples:
-            rec = {
-                "id": s.id, "domain": s.domain, "object": s.object_id,
-                "obs": s.observation.tolist(),
-                "pose": {"r": s.gt_pose.rotation.reshape(9).tolist(),
-                         "t": s.gt_pose.translation.tolist()},
-                "gt_eval_only": s.eval_only,
-            }
-            lines.append(json.dumps(rec, sort_keys=True))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    with open(path, "w") as f, evaluation_access():
+        f.write(json.dumps(header, sort_keys=True) + "\n")
+        for split in (ds.source, ds.target):
+            gt = split.gt_pose
+            for k in range(len(split)):
+                rec = {
+                    "id": str(split.ids[k]), "domain": split.domain,
+                    "object": int(split.object_id[k]),
+                    "obs": split.observation[k].tolist(),
+                    "pose": {"r": gt.rotation[k].reshape(9).tolist(),
+                             "t": gt.translation[k].tolist()},
+                    "gt_eval_only": split.domain == "target",
+                }
+                f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file; a malformed or truncated file raises DatasetError."""
+    """Read a dataset file line by line, stacking each domain once; a
+    malformed or truncated file raises DatasetError."""
     try:
         with open(path) as f:
-            lines = f.read().splitlines()
-        return _parse_dataset(path, lines)
-    except (ValueError, KeyError, TypeError, IndexError) as e:
+            return _parse_dataset(path, f)
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as e:
         raise DatasetError(f"{path}: corrupt dataset ({type(e).__name__}: {e})") from e
 
 
 def _parse_dataset(path, lines) -> Dataset:
-    header = json.loads(lines[0])
+    header = json.loads(next(lines, ""))     # an empty file fails to parse
     if header.get("format") != _DATASET_FORMAT:
         raise DatasetError(f"{path}: not a poseadapt dataset file")
     if header.get("version") != _DATASET_VERSION:
         raise DatasetError(f"{path}: unsupported dataset version")
     cam = CameraIntrinsics(**header["camera"])
-    objects, kinds = [], []
-    for od in header["objects"]:
-        objects.append(ObjectModel(
-            points=np.array(od["points"]), diameter=od["diameter"],
-            symmetries=tuple(np.array(s).reshape(3, 3) for s in od["symmetries"])))
-        kinds.append(od["kind"])
-    samples = []
-    for line in lines[1:]:
+    objects = [ObjectModel(points=np.array(od["points"]), diameter=od["diameter"],
+                           symmetries=tuple(np.array(s).reshape(3, 3) for s in od["symmetries"]))
+               for od in header["objects"]]
+    cfgs = {domain: DomainConfig(**header[f"{domain}_config"]) for domain in ("source", "target")}
+    meta = header["meta"]
+    rows = {domain: ([], [], []) for domain in cfgs}   # ids, object ids, obs | r | t
+    for n, line in enumerate(lines, start=2):
         rec = json.loads(line)
-        pose = Pose(np.array(rec["pose"]["r"]).reshape(3, 3), np.array(rec["pose"]["t"]))
-        samples.append(Sample(
-            id=rec["id"], domain=rec["domain"], object_id=rec["object"],
-            observation=np.array(rec["obs"]), gt=pose))
-    meta = header.get("meta", {})
-    if "n_source" in meta and len(samples) != meta["n_source"] + meta["n_target"]:
-        raise DatasetError(f"{path}: truncated, {len(samples)} of "
-                           f"{meta['n_source'] + meta['n_target']} samples")
-    return Dataset(kind=header["kind"], samples=samples, objects=objects,
-                   object_kinds=kinds, cam=cam,
-                   source_cfg=_domain_cfg_from(header["source_config"]),
-                   target_cfg=_domain_cfg_from(header["target_config"]),
+        domain, obj, r, t = rec["domain"], rec["object"], rec["pose"]["r"], rec["pose"]["t"]
+        if domain not in rows:
+            raise DatasetError(f"{path}: corrupt dataset, line {n}: unknown domain {domain!r}")
+        if not isinstance(obj, int) or not 0 <= obj < len(objects):
+            raise DatasetError(f"{path}: corrupt dataset, line {n}: object {obj!r} is not "
+                               f"one of the {len(objects)} objects")
+        width = len(cfgs[domain].offset)
+        row = np.array(rec["obs"] + r + t, dtype=float)
+        if row.shape != (width + 12,) or (len(r), len(t)) != (9, 3):
+            raise DatasetError(f"{path}: corrupt dataset, line {n}: obs, r and t need "
+                               f"{width}, 9 and 3 values")
+        for column, value in zip(rows[domain], (rec["id"], obj, row)):
+            column.append(value)
+    splits = {}
+    for domain, (ids, objs, values) in rows.items():
+        if len(ids) != meta[f"n_{domain}"]:
+            raise DatasetError(f"{path}: {len(ids)} {domain} samples, the header says "
+                               f"{meta[f'n_{domain}']}")
+        width = len(cfgs[domain].offset)
+        values = np.array(values).reshape(-1, width + 12)
+        gt = Pose(values[:, width:width + 9].reshape(-1, 3, 3), values[:, width + 9:])
+        splits[domain] = Split(domain, np.array(ids, dtype=str), np.array(objs, dtype=int),
+                               values[:, :width], gt)
+    return Dataset(kind=header["kind"], source=splits["source"], target=splits["target"],
+                   objects=objects, object_kinds=[od["kind"] for od in header["objects"]],
+                   cam=cam, source_cfg=cfgs["source"], target_cfg=cfgs["target"],
                    seed=header["seed"], meta=meta)

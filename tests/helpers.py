@@ -29,8 +29,3 @@ def matrix_to_rot6d(m):
 def random_rotations(n, rng):
     """Uniform random rotation matrices (n, 3, 3)."""
     return quaternions_to_matrices(random_quaternions(n, rng))
-
-
-def split(ds, domain):
-    """The samples of one domain, every object."""
-    return [s for s in ds.samples if s.domain == domain]

@@ -100,9 +100,17 @@ def test_objects_with_empty_splits(tmp_path, capsys, n_source, n_target):
             [["0", "-"], ["0", "-"]]
 
 
+CORRUPT_SAMPLES = {
+    "translation-4-dataset": lambda rec: rec["pose"]["t"].append(0.5),
+    "unknown-domain-dataset": lambda rec: rec.update(domain="tgt"),
+    "object-7-dataset": lambda rec: rec.update(object=7),
+    "obs-63-dataset": lambda rec: rec["obs"].pop(),
+}
+
+
 def _corrupt_dataset(tmp_path, case):
-    """A generated dataset cut in half, or with a 4-value translation in
-    its first sample."""
+    """A generated dataset cut in half, or with its first sample edited
+    as ``CORRUPT_SAMPLES`` says."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))
     assert cli.main(["gen-data", "--config", cfg, "--scalar-task"]) == 0
@@ -113,7 +121,7 @@ def _corrupt_dataset(tmp_path, case):
     else:
         header, first, *rest = path.read_text().splitlines()
         sample = json.loads(first)
-        sample["pose"]["t"].append(0.5)
+        CORRUPT_SAMPLES[case](sample)
         path.write_text("\n".join([header, json.dumps(sample), *rest]) + "\n")
     return ["train", "--stage", "teacher", "--config", cfg, "--scalar-task"]
 
@@ -134,8 +142,7 @@ BAD_CONFIGS = {
 @pytest.mark.parametrize("case, code", [(case, cli.EXIT_CONFIG) for case in BAD_CONFIGS] + [
     ("negative-seed-flag", cli.EXIT_CONFIG),
     ("truncated-dataset", cli.EXIT_IO),
-    ("translation-4-dataset", cli.EXIT_IO),
-])
+] + [(case, cli.EXIT_IO) for case in CORRUPT_SAMPLES])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case.endswith("-dataset"):
         argv = _corrupt_dataset(tmp_path, case)

@@ -112,15 +112,15 @@ def test_recall_rows_match_oracle_and_mark_objects_without_samples(tmp_path):
     for domain in ("source", "target"):
         rows = recall_by_object(nets, ds, anchors, domain)
         for i, (_, count, recall) in enumerate(rows):
-            samples = ds.by_object(i, domain)
-            assert count == len(samples)
-            if not samples:
+            split = ds.by_object(i, domain)
+            assert count == len(split)
+            if not len(split):
                 assert recall is None
                 continue
-            poses, _ = predict_poses(net, np.stack([s.observation for s in samples]),
-                                     anchors, CAM)
+            poses, _ = predict_poses(net, split.observation, anchors, CAM)
             with evaluation_access():
-                hits = [reference_hit(p, s.gt_pose, objects[i]) for p, s in zip(poses, samples)]
+                hits = [reference_hit(poses[k], split.gt_pose[k], objects[i])
+                        for k in range(len(split))]
             assert recall == 100.0 * sum(hits) / len(hits)
     assert rows[1][1:] == (0, None)
     path = tmp_path / "recall.tsv"

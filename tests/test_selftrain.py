@@ -5,7 +5,7 @@ import pytest
 
 from poseadapt import selftrain
 from poseadapt.errors import InvalidArgumentError
-from poseadapt.geometry import AnchorSet, Pose, generate_translation_bins
+from poseadapt.geometry import AnchorSet, generate_translation_bins
 from poseadapt.labeling import LabelConfig, ScoreAssignmentConfig
 from poseadapt.losses import ObjectiveConfig
 from poseadapt.network import NetworkConfig, PoseNetwork
@@ -15,7 +15,7 @@ from poseadapt.selftrain import (
     threshold_schedule,
     train_student,
 )
-from poseadapt.synth import OBS_DIM, ScalarShiftConfig, make_domain_config, make_scalar_task
+from poseadapt.synth import OBS_DIM, make_domain_config, make_scalar_task
 
 
 class TestThresholdSchedule:
@@ -58,9 +58,8 @@ class TestSelectSamples:
 def scalar_setup():
     """A small scalar task, its one-branch anchors, an untrained teacher
     and a CTC-free objective."""
-    shift = ScalarShiftConfig(source=make_domain_config(0.0, 0.01, 0.0, seed=1),
-                              target=make_domain_config(0.7, 0.02, 0.0, seed=2))
-    ds = make_scalar_task(8, 4, shift, seed=0)
+    ds = make_scalar_task(8, 4, make_domain_config(0.0, 0.01, 0.0, seed=1),
+                          make_domain_config(0.7, 0.02, 0.0, seed=2), seed=0)
     anchors = AnchorSet(rotations=np.eye(3)[None], bins_vx=np.zeros(1),
                         bins_vy=np.zeros(1), bins_z=generate_translation_bins(0.5, 1.0, 4),
                         z_range=(0.5, 1.0))
@@ -73,9 +72,7 @@ def scalar_setup():
 
 def split_arrays(ds):
     """Source observations and poses, and target observations."""
-    source, target = ds.by_object(0, "source"), ds.by_object(0, "target")
-    return (np.stack([s.observation for s in source]), Pose.stack([s.gt_pose for s in source]),
-            np.stack([s.observation for s in target]))
+    return ds.source.observation, ds.source.gt_pose, ds.target.observation
 
 
 def record_training_sets(monkeypatch):

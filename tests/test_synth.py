@@ -14,7 +14,6 @@ from poseadapt.synth import (
     OBS_DIM,
     SCALAR_RANGE,
     SIZE_CHANNEL,
-    ScalarShiftConfig,
     evaluation_access,
     load_dataset,
     make_dataset,
@@ -26,7 +25,7 @@ from poseadapt.synth import (
     synthesize,
 )
 
-from helpers import random_rotations, split
+from helpers import random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -176,15 +175,15 @@ class TestMakeDataset:
     def test_deterministic(self):
         a = make_dataset(40, 20, self.objects, CAM, self.src, self.tgt, seed=9)
         b = make_dataset(40, 20, self.objects, CAM, self.src, self.tgt, seed=9)
-        for sa, sb in zip(a.samples, b.samples):
-            assert sa.id == sb.id
+        for sa, sb in ((a.source, b.source), (a.target, b.target)):
+            np.testing.assert_array_equal(sa.ids, sb.ids)
             np.testing.assert_array_equal(sa.observation, sb.observation)
 
     def test_depth_range_contract(self):
         ds = make_dataset(60, 30, self.objects, CAM, self.src, self.tgt, seed=4)
         with evaluation_access():
-            for s in ds.samples:
-                assert 0.4 <= s.gt_pose.z <= 1.6
+            for split in (ds.source, ds.target):
+                assert np.all((0.4 <= split.gt_pose.z) & (split.gt_pose.z <= 1.6))
 
     def test_objects_balanced_round_robin(self):
         ds = make_dataset(40, 20, self.objects, CAM, self.src, self.tgt, seed=5)
@@ -198,21 +197,24 @@ class TestMakeDataset:
         anchors = generate_rotation_anchors(60, seed=0)
         ds = make_dataset(400, 1, self.objects, CAM, self.src, self.tgt, seed=6)
         with evaluation_access():
-            d_data = [anchor_distances(s.gt_pose.rotation, anchors).min()
-                      for s in split(ds, "source")]
+            d_data = [anchor_distances(m, anchors).min() for m in ds.source.gt_pose.rotation]
         fresh = random_rotations(400, np.random.default_rng(77))
         d_fresh = [anchor_distances(m, anchors).min() for m in fresh]
         assert stats.ks_2samp(d_data, d_fresh).pvalue > 0.01
 
     def test_target_gt_guarded(self):
         ds = make_dataset(4, 4, self.objects, CAM, self.src, self.tgt, seed=7)
-        target = split(ds, "target")[0]
-        with pytest.raises(GroundTruthAccessError):
-            _ = target.gt_pose
+        for target in (ds.target, ds.by_object(1, "target"), ds.target[0]):
+            with pytest.raises(GroundTruthAccessError):
+                _ = target.gt_pose
+            with evaluation_access():
+                assert np.all(target.gt_pose.z > 0)
+            # the observations are what the student adapts on
+            assert target.observation.shape[-1] == OBS_DIM
         with evaluation_access():
-            assert target.gt_pose.z > 0
+            assert ds.target[0].gt_pose.rotation.shape == (3, 3)
         # source ground truth is always readable
-        assert split(ds, "source")[0].gt_pose.z > 0
+        assert np.all(ds.source.gt_pose.z > 0) and ds.source[0].gt_pose.z > 0
 
     def test_save_load_round_trip(self, tmp_path):
         ds = make_dataset(10, 5, self.objects, CAM, self.src, self.tgt, seed=8)
@@ -220,10 +222,11 @@ class TestMakeDataset:
         save_dataset(path, ds)
         back = load_dataset(path)
         assert back.kind == "pose"
-        assert len(back.samples) == len(ds.samples)
         with evaluation_access():
-            for sa, sb in zip(ds.samples, back.samples):
-                assert sa.id == sb.id and sa.domain == sb.domain
+            for sa, sb in ((ds.source, back.source), (ds.target, back.target)):
+                assert sa.domain == sb.domain and len(sa) == len(sb)
+                np.testing.assert_array_equal(sa.ids, sb.ids)
+                np.testing.assert_array_equal(sa.object_id, sb.object_id)
                 np.testing.assert_array_equal(sa.observation, sb.observation)
                 np.testing.assert_array_equal(sa.gt_pose.rotation, sb.gt_pose.rotation)
                 np.testing.assert_array_equal(sa.gt_pose.translation,
@@ -241,8 +244,8 @@ class TestMakeDataset:
                             for l in lines[1:]]
         path.write_text("\n".join(old) + "\n")
         back = load_dataset(path)
-        for sa, sb in zip(ds.samples, back.samples):
-            np.testing.assert_array_equal(sa.observation, sb.observation)
+        np.testing.assert_array_equal(back.source.observation, ds.source.observation)
+        np.testing.assert_array_equal(back.target.observation, ds.target.observation)
 
     @pytest.mark.parametrize("cut", ["mid-line", "line-boundary", "empty"])
     def test_truncated_file_raises_dataset_error(self, tmp_path, cut):
@@ -274,6 +277,36 @@ class TestMakeDataset:
         with pytest.raises(DatasetError, match="corrupt"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("line, edit", [
+        (3, lambda rec: dict(rec, domain="tgt")),
+        (3, lambda rec: dict(rec, object=7)),
+        (3, lambda rec: dict(rec, obs=rec["obs"][:-1])),
+        (6, lambda rec: dict(rec, obs=rec["obs"] + [0.0])),
+        (6, lambda rec: dict(rec, domain="source")),
+        (0, lambda header: dict(header, meta={"n_target": 2})),
+        (0, lambda header: [header]),
+    ], ids=["unknown-domain", "object-7", "obs-63", "target-obs-65", "target-row-as-source",
+            "no-source-count", "header-not-an-object"])
+    def test_malformed_row_raises_dataset_error(self, tmp_path, line, edit):
+        # line 0 is the header, lines 1-4 the source split, lines 5-6 the target split
+        ds = make_dataset(4, 2, self.objects, CAM, self.src, self.tgt, seed=8)
+        path = tmp_path / "data.txt"
+        save_dataset(path, ds)
+        lines = path.read_text().splitlines()
+        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("kind", ["pose", "scalar"])
+    def test_load_then_save_reproduces_the_file(self, tmp_path, kind):
+        ds = (make_dataset(7, 5, self.objects, CAM, self.src, self.tgt, seed=8) if kind == "pose"
+              else make_scalar_task(6, 4, self.src, self.tgt, seed=8))
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_dataset(first, ds)
+        save_dataset(second, load_dataset(first))
+        assert second.read_bytes() == first.read_bytes()
+
     def test_written_bytes_deterministic(self, tmp_path):
         ds = make_dataset(10, 5, self.objects, CAM, self.src, self.tgt, seed=8)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -289,41 +322,39 @@ class TestMakeDataset:
 
 class TestScalarTask:
     def shift(self):
-        return ScalarShiftConfig(
-            source=make_domain_config(0.0, 0.01, 0.0, seed=1),
-            target=make_domain_config(0.7, 0.02, 0.0, seed=2))
+        return (make_domain_config(0.0, 0.01, 0.0, seed=1),
+                make_domain_config(0.7, 0.02, 0.0, seed=2))
 
     def test_deterministic(self):
-        a = make_scalar_task(30, 10, self.shift(), seed=3)
-        b = make_scalar_task(30, 10, self.shift(), seed=3)
-        for sa, sb in zip(a.samples, b.samples):
-            np.testing.assert_array_equal(sa.observation, sb.observation)
+        a = make_scalar_task(30, 10, *self.shift(), seed=3)
+        b = make_scalar_task(30, 10, *self.shift(), seed=3)
+        np.testing.assert_array_equal(a.source.observation, b.source.observation)
+        np.testing.assert_array_equal(a.target.observation, b.target.observation)
 
     def test_targets_within_range(self):
-        ds = make_scalar_task(50, 20, self.shift(), seed=4)
+        ds = make_scalar_task(50, 20, *self.shift(), seed=4)
         with evaluation_access():
-            for s in ds.samples:
-                assert SCALAR_RANGE[0] <= s.gt_pose.z <= SCALAR_RANGE[1]
+            for split in (ds.source, ds.target):
+                z = split.gt_pose.z
+                assert np.all((SCALAR_RANGE[0] <= z) & (z <= SCALAR_RANGE[1]))
 
     def test_linear_oracle_achieves_tiny_mae(self):
         # supervised upper bound: ridge-style least squares on target labels
-        ds = make_scalar_task(10, 400, self.shift(), seed=5)
+        ds = make_scalar_task(10, 400, *self.shift(), seed=5)
         with evaluation_access():
-            target = ds.by_object(0, "target")
-            X = np.stack([s.observation for s in target])
-            y = np.array([s.gt_pose.z for s in target])
+            X, y = ds.target.observation, ds.target.gt_pose.z
         Xb = np.hstack([X, np.ones((len(X), 1))])
         w, *_ = np.linalg.lstsq(Xb, y, rcond=None)
         mae = np.abs(Xb @ w - y).mean()
         assert mae < 0.01
 
     def test_round_trip(self, tmp_path):
-        ds = make_scalar_task(6, 4, self.shift(), seed=6)
+        ds = make_scalar_task(6, 4, *self.shift(), seed=6)
         path = tmp_path / "scalar.txt"
         save_dataset(path, ds)
         back = load_dataset(path)
         assert back.kind == "scalar"
         with evaluation_access():
-            for sa, sb in zip(ds.samples, back.samples):
+            for sa, sb in ((ds.source, back.source), (ds.target, back.target)):
                 np.testing.assert_array_equal(sa.observation, sb.observation)
-                assert sa.gt_pose.z == sb.gt_pose.z
+                np.testing.assert_array_equal(sa.gt_pose.z, sb.gt_pose.z)
