@@ -1,5 +1,14 @@
 """Run configuration: one JSON file drives a reproducible experiment.
 
+Each section of a ``RunConfig`` is defined once, and only its class states
+the defaults:
+
+- ``scores`` is ``labeling.ScoreConfig``, the objective's labels;
+- ``train`` is ``selftrain.TrainConfig``, read by the training loops;
+- ``anchors``, ``network`` and ``data`` are defined here; ``experiment``
+  passes their values to ``geometry.AnchorSet.build``,
+  ``network.NetworkConfig`` and the ``synth`` generators.
+
 Defaults follow the published hyperparameters of the pose-estimation
 setup this package implements: 60 rotation anchors, 20/20/40 bins for
 v_x/v_y/z over [-200, 200] pixels and [0, 2] meters, sparse-label
@@ -15,8 +24,8 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import ConfigError, InvalidArgumentError
-from .labeling import LabelConfig, ScoreAssignmentConfig
-from .selftrain import SelfTrainConfig
+from .labeling import ScoreConfig
+from .selftrain import TrainConfig
 from .synth import OBJECT_KINDS
 
 
@@ -30,20 +39,6 @@ class AnchorConfig:
     vy_range: tuple = (-200.0, 200.0)
     z_range: tuple = (0.0, 2.0)
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class ScoreConfig:
-    """Sparse labels (theta1, theta2, k); the regression loss supervises
-    the same k nearest anchors of each branch."""
-
-    rotation: tuple = (0.7, 0.1, 4)
-    translation: tuple = (0.55, 0.075, 7)
-
-    def label_config(self):
-        r = ScoreAssignmentConfig(*self.rotation)
-        t = ScoreAssignmentConfig(*self.translation)
-        return LabelConfig(rotation=r, vx=t, vy=t, z=t)
 
 
 @dataclass(frozen=True)
@@ -75,26 +70,6 @@ class DataConfig:
     scalar_target_noise: float = 0.02
     scalar_target_offset: float = 0.7
     scalar_bins: int = 20
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    tau_start: float = 0.5
-    tau_end: float = 0.1
-    rounds: int = 5
-    teacher_epochs: int = 30
-    student_epochs: int = 6
-    lr_teacher: float = 3e-4
-    lr_student: float = 3e-5
-    batch_size: int = 32
-    ctc_weight: float = 1.0
-
-    def selftrain_config(self):
-        return SelfTrainConfig(
-            tau_start=self.tau_start, tau_end=self.tau_end, rounds=self.rounds,
-            teacher_epochs=self.teacher_epochs, student_epochs=self.student_epochs,
-            lr_teacher=self.lr_teacher, lr_student=self.lr_student,
-            batch_size=self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -205,13 +180,12 @@ def validate_config(cfg: RunConfig):
     if a.z_range[0] < 0:
         raise ConfigError("anchors.z_range must start at a depth >= 0")
     try:
-        labels = cfg.scores.label_config()
+        k_rot, k_t = cfg.scores.branch("rot").k, cfg.scores.branch("z").k
     except InvalidArgumentError as e:
         raise ConfigError(f"invalid score assignment: {e}") from e
     d = cfg.data
-    if labels.rotation.k > a.n_rot or labels.z.k > a.n_z \
-            or labels.vx.k > min(a.n_vx, a.n_vy) \
-            or (cfg.scalar_task and labels.z.k > d.scalar_bins):
+    if k_rot > a.n_rot or k_t > min(a.n_vx, a.n_vy, a.n_z) \
+            or (cfg.scalar_task and k_t > d.scalar_bins):
         raise ConfigError("a score k exceeds the anchor count of its branch")
     if d.n_source < 1 or d.n_target < 1:
         raise ConfigError("dataset sizes must be positive")
@@ -228,10 +202,14 @@ def validate_config(cfg: RunConfig):
     if min(d.camera[:2]) <= 0:
         raise ConfigError("focal lengths must be positive")
     t = cfg.train
-    try:
-        t.selftrain_config()
-    except InvalidArgumentError as e:
-        raise ConfigError(f"invalid self-training schedule: {e}") from e
+    if not 0.0 < t.tau_end <= t.tau_start <= 1.0:
+        raise ConfigError("train needs 0 < tau_end <= tau_start <= 1")
+    if min(t.rounds, t.teacher_epochs, t.student_epochs) < 0:
+        raise ConfigError("train.rounds and the epoch counts must be >= 0")
+    if not min(t.lr_teacher, t.lr_student) > 0:
+        raise ConfigError("train learning rates must be positive")
+    if t.batch_size < 1:
+        raise ConfigError("train.batch_size must be >= 1")
     if t.ctc_weight < 0:
         raise ConfigError("ctc_weight must be >= 0")
     n = cfg.network

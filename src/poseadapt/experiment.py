@@ -66,7 +66,7 @@ def build_anchors(cfg: RunConfig, scalar=False, single=False) -> AnchorSet:
     a = cfg.anchors
     if scalar:
         n_z = 1 if single else cfg.data.scalar_bins
-        return AnchorSet.build(1, 1, 1, n_z, (-1.0, 1.0), (-1.0, 1.0), SCALAR_RANGE)
+        return AnchorSet.build(1, 1, 1, n_z, (-1.0, 1.0), (-1.0, 1.0), SCALAR_RANGE, a.seed)
     counts = (1, 1, 1, 1) if single else (a.n_rot, a.n_vx, a.n_vy, a.n_z)
     return AnchorSet.build(*counts, a.vx_range, a.vy_range, a.z_range, a.seed)
 
@@ -88,7 +88,7 @@ def build_objective(cfg: RunConfig, anchors: AnchorSet, stage) -> ObjectiveConfi
     use_cls = stage != "baseline-regression"
     use_ctc = stage not in ("baseline-regression", "no-ctc")
     tg = build_target_graph(anchors.bins_z, anchors.z_range[0], anchors.z_range[1])
-    return ObjectiveConfig(labels=cfg.scores.label_config(), use_cls=use_cls,
+    return ObjectiveConfig(labels=cfg.scores, use_cls=use_cls,
                            ctc_weight=cfg.train.ctc_weight if use_ctc else 0.0,
                            target_graph=tg)
 
@@ -237,7 +237,6 @@ def run_train(cfg: RunConfig, stage, log=print):
     anchors = build_anchors(cfg, scalar=scalar, single=stage == "baseline-regression")
     net_cfg = build_network_config(cfg, ds.obs_dim, anchors, scalar=scalar)
     objective = build_objective(cfg, anchors, stage)
-    st_cfg = cfg.train.selftrain_config()
     prefix = _STAGE_PREFIX[stage]
     nets, checkpoints, round_stats = {}, [], {}
     for i, model in enumerate(ds.objects):
@@ -255,12 +254,12 @@ def run_train(cfg: RunConfig, stage, log=print):
 
             nets[i], round_stats[i] = train_student(
                 teacher, source.observation, source.gt_pose, target.observation, anchors,
-                model, ds.cam, objective, st_cfg, seed=cfg.seed + 100 + i, label_sink=sink)
+                model, ds.cam, objective, cfg.train, seed=cfg.seed + 100 + i, label_sink=sink)
             log(f"{stage}: object {i} trained")
         else:
             nets[i] = PoseNetwork(net_cfg, seed=cfg.network.seed + i)
             stats = train_teacher(source.observation, source.gt_pose, nets[i], anchors, model,
-                                  ds.cam, objective, st_cfg, seed=cfg.seed + 10 + i)
+                                  ds.cam, objective, cfg.train, seed=cfg.seed + 10 + i)
             write_loss_curve(os.path.join(cfg.out_dir, f"loss_{prefix}_obj{i}.tsv"), stats)
             log(f"{stage}: object {i} trained" + ("" if stats.final_loss is None
                                                   else f", final loss {stats.final_loss:.4f}"))

@@ -124,18 +124,16 @@ class AnchorSet:
     bins_vx: np.ndarray          # pixels
     bins_vy: np.ndarray          # pixels
     bins_z: np.ndarray           # meters
-    vx_range: tuple = (-200.0, 200.0)
-    vy_range: tuple = (-200.0, 200.0)
-    z_range: tuple = (0.0, 2.0)
+    vx_range: tuple
+    vy_range: tuple
+    z_range: tuple
 
     @property
     def n_rot(self):
         return len(self.rotations)
 
     @classmethod
-    def build(cls, n_rot=60, n_vx=20, n_vy=20, n_z=40,
-              vx_range=(-200.0, 200.0), vy_range=(-200.0, 200.0),
-              z_range=(0.0, 2.0), seed=0):
+    def build(cls, n_rot, n_vx, n_vy, n_z, vx_range, vy_range, z_range, seed):
         return cls(
             rotations=generate_rotation_anchors(n_rot, seed),
             bins_vx=generate_translation_bins(vx_range[0], vx_range[1], n_vx),

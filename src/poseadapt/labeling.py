@@ -8,6 +8,9 @@ them: scalars of shape (...,) against a 1-D bin array, rotations of shape
 (..., 3, 3) against an (n, 3, 3) anchor stack.  ``losses.prepare_batch_supervision``
 builds the labels and neighbour sets of a whole training set in one call
 per branch.
+
+``ScoreConfig`` is the ``scores`` section of the run config, read as it
+is: one (theta1, theta2, k) for rotation, one shared by v_x, v_y and z.
 """
 
 from __future__ import annotations
@@ -42,18 +45,17 @@ class ScoreAssignmentConfig:
 
 
 @dataclass(frozen=True)
-class LabelConfig:
-    """Per-branch score assignment configuration."""
+class ScoreConfig:
+    """The ``scores`` section: sparse labels (theta1, theta2, k) of the
+    rotation branch and of the three translation branches; the regression
+    loss supervises the same k nearest anchors of each branch."""
 
-    rotation: ScoreAssignmentConfig
-    vx: ScoreAssignmentConfig
-    vy: ScoreAssignmentConfig
-    z: ScoreAssignmentConfig
+    rotation: tuple = (0.7, 0.1, 4)
+    translation: tuple = (0.55, 0.075, 7)
 
-    @staticmethod
-    def default():
-        t = ScoreAssignmentConfig(0.55, 0.075, 7)
-        return LabelConfig(ScoreAssignmentConfig(0.7, 0.1, 4), t, t, t)
+    def branch(self, name) -> ScoreAssignmentConfig:
+        """Score parameters of branch ``name`` ("rot", "vx", "vy" or "z")."""
+        return ScoreAssignmentConfig(*(self.rotation if name == "rot" else self.translation))
 
 
 def anchor_distances(target, anchors):

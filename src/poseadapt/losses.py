@@ -15,7 +15,7 @@ depth bins is the cosine of their angle difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -32,7 +32,7 @@ from .geometry import (
     pose_targets,
     rot6d_to_matrix,
 )
-from .labeling import LabelConfig, nearest_anchors, score_vector
+from .labeling import ScoreConfig, nearest_anchors, score_vector
 from .network import ROT6D_IDENTITY, HeadOutput
 
 LOG_EPS = 1e-12
@@ -232,10 +232,10 @@ class ObjectiveConfig:
     regression loss of each branch supervises min(label k, anchor count)
     nearest anchors."""
 
-    labels: LabelConfig = field(default_factory=LabelConfig.default)
-    use_cls: bool = True
-    ctc_weight: float = 1.0
-    target_graph: TargetGraph = None
+    labels: ScoreConfig
+    use_cls: bool
+    ctc_weight: float
+    target_graph: TargetGraph
 
 
 @dataclass
@@ -256,15 +256,15 @@ def prepare_batch_supervision(gt: Pose, anchors: AnchorSet, cam: CameraIntrinsic
     """Supervision of a pose stack under one objective config, built once
     per training set."""
     rot, vx, vy, z = pose_targets(gt, cam)
-    branch = {"rot": (rot, anchors.rotations, cfg.labels.rotation),
-              "vx": (vx, anchors.bins_vx, cfg.labels.vx),
-              "vy": (vy, anchors.bins_vy, cfg.labels.vy),
-              "z": (z, anchors.bins_z, cfg.labels.z)}
+    branch = {"rot": (rot, anchors.rotations, cfg.labels.branch("rot")),
+              "vx": (vx, anchors.bins_vx, cfg.labels.branch("vx")),
+              "vy": (vy, anchors.bins_vy, cfg.labels.branch("vy")),
+              "z": (z, anchors.bins_z, cfg.labels.branch("z"))}
     labels = {name: score_vector(*branch[name]) for name in branches} if cfg.use_cls else {}
     nearest = {name: nearest_anchors(t, a, min(c.k, len(a)))
                for name, (t, a, c) in branch.items() if name in branches and name != "rot"}
     return Supervision(rot, vx, vy, z, labels, nearest,
-                       k_rot=min(cfg.labels.rotation.k, anchors.n_rot))
+                       k_rot=min(cfg.labels.branch("rot").k, anchors.n_rot))
 
 
 def total_objective(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
@@ -282,8 +282,6 @@ def total_objective(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
     total = ad.tmean(per_sample)
     corr_value = 0.0
     if cfg.ctc_weight > 0.0:
-        if cfg.target_graph is None:
-            raise InvalidArgumentError("correlation regularizer requires a target graph")
         classes = z_class_indices(sup.z, anchors.bins_z)
         corr = target_correlation_loss(batch_feature_graph(out.feature), classes,
                                        cfg.target_graph)

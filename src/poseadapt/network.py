@@ -31,13 +31,13 @@ ROT6D_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 @dataclass(frozen=True)
 class NetworkConfig:
     obs_dim: int
-    n_rot: int = 60
-    n_vx: int = 20
-    n_vy: int = 20
-    n_z: int = 40
-    feature_dim: int = 128
-    encoder_hidden: tuple = (128, 128)
-    head_hidden: int = 64
+    n_rot: int
+    n_vx: int
+    n_vy: int
+    n_z: int
+    feature_dim: int
+    encoder_hidden: tuple
+    head_hidden: int
 
     def branches(self):
         out = {}
@@ -97,7 +97,7 @@ class HeadOutput:
 
 
 class PoseNetwork:
-    def __init__(self, config: NetworkConfig, seed=0):
+    def __init__(self, config: NetworkConfig, seed):
         self.config = config
         rng = np.random.default_rng(seed)
         c = config
@@ -178,7 +178,7 @@ class PoseNetwork:
 class Adam:
     """Adaptive-moment optimizer with bias correction."""
 
-    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps

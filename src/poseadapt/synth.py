@@ -125,7 +125,7 @@ OBJECT_KINDS = ("box", "cylinder", "blob")
 _ROT_Z_PI = np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def make_object(kind, seed, n_points=128) -> ObjectModel:
+def make_object(kind, seed, n_points) -> ObjectModel:
     """Deterministic point-cloud model of one shape family.
 
     ``box`` is a unit cube (corners always present, diameter sqrt(3));
@@ -309,29 +309,27 @@ def _generate(kind, n_source, n_target, objects, cfgs, draw, observe, meta, **fi
                    **fields)
 
 
-DEFAULT_SAMPLE_RANGES = {"vx": (-160.0, 160.0), "vy": (-160.0, 160.0), "z": (0.4, 1.6)}
-
-
 def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics,
-                 source_cfg: DomainConfig, target_cfg: DomainConfig, seed,
-                 object_kinds=None, sample_ranges=None) -> Dataset:
-    """Seeded benchmark dataset: uniform rotations, uniform v_x/v_y/z.
+                 source_cfg: DomainConfig, target_cfg: DomainConfig, seed, sample_ranges,
+                 object_kinds=None) -> Dataset:
+    """Seeded benchmark dataset: uniform rotations, and v_x, v_y and z
+    uniform over ``sample_ranges`` ("vx" / "vy" / "z" -> (low, high)).
 
     Objects are assigned round-robin; both domains draw poses from the
     same law.  Target ground truth is retained but evaluation-only.
     """
-    ranges = {**DEFAULT_SAMPLE_RANGES, **(sample_ranges or {})}
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     kps = [keypoints(model) for model in objects]
 
     def draw(n):
         rots = quaternions_to_matrices(random_quaternions(n, rng))
-        vx, vy, z = (rng.uniform(*ranges[c], n) for c in ("vx", "vy", "z"))
+        vx, vy, z = (rng.uniform(*sample_ranges[c], n) for c in ("vx", "vy", "z"))
         return Pose(rots, np.stack([vx * z / cam.fx, vy * z / cam.fy, z], axis=1))
 
     return _generate("pose", n_source, n_target, objects, (source_cfg, target_cfg), draw,
                      lambda pose, k, dc: synthesize(pose, objects[k], cam, dc, kps[k]),
-                     {"ranges": ranges}, object_kinds=list(object_kinds or [""] * len(objects)),
+                     {"ranges": sample_ranges},
+                     object_kinds=list(object_kinds or [""] * len(objects)),
                      cam=cam, seed=seed)
 
 
@@ -436,6 +434,8 @@ def _parse_dataset(path, lines) -> Dataset:
     objects = [ObjectModel(points=np.array(od["points"]), diameter=od["diameter"],
                            symmetries=tuple(np.array(s).reshape(3, 3) for s in od["symmetries"]))
                for od in header["objects"]]
+    if not objects:
+        raise DatasetError(f"{path}: the header lists no objects")
     cfgs = {domain: DomainConfig(**header[f"{domain}_config"]) for domain in ("source", "target")}
     meta = header["meta"]
     rows = {domain: ([], [], []) for domain in cfgs}   # ids, object ids, obs | r | t

@@ -1,13 +1,20 @@
-"""Test-only references and generators.
+"""Test-only references, generators and run-config values.
 
 ``point_matching_distance`` is the point-set distance the closed-form
-regression terms stand for.
+regression terms stand for.  ``ANCHOR_RANGES`` and ``SAMPLE_RANGES`` are
+the run config's default anchor and pose sampling ranges, for tests that
+build anchors or datasets without a run config.
 """
 
 import numpy as np
 
+from poseadapt.config import AnchorConfig, DataConfig
 from poseadapt.errors import InvalidArgumentError
 from poseadapt.geometry import quaternions_to_matrices, random_quaternions
+
+ANCHOR_RANGES = (AnchorConfig.vx_range, AnchorConfig.vy_range, AnchorConfig.z_range)
+SAMPLE_RANGES = {"vx": DataConfig.vx_sample_range, "vy": DataConfig.vy_sample_range,
+                 "z": DataConfig.z_sample_range}
 
 
 def point_matching_distance(p, gt, model):

@@ -4,7 +4,8 @@
 the owner's own ``__dict__``; a rename or a move in the package breaks
 the traced benchmark.  ``bench/run.py`` recomputes the last stage's
 quality through ``predict_poses`` and ``evaluate_pose`` and checks it
-against the reports the CLI wrote.
+against the reports the CLI wrote, and counts the training samples from
+the run's config through ``threshold_schedule``.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from poseadapt.config import load_config
 from test_cli import run_pipeline
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -43,3 +45,6 @@ def test_bench_quality_agrees_with_the_reports(tmp_path, workload):
     out, codes = run_pipeline(tmp_path, "run", wl.scalar)
     assert codes[:6] == [0] * 6
     assert run.quality_problems(out, wl, run.quality(out, wl)) == []
+    rc = load_config(str(out / "config.json"))
+    n = run.train_samples(out, wl, rc)
+    assert isinstance(n, int) and n >= rc.data.n_source * rc.train.teacher_epochs

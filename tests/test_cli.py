@@ -109,8 +109,9 @@ CORRUPT_SAMPLES = {
 
 
 def _corrupt_dataset(tmp_path, case):
-    """A generated dataset cut in half, or with its first sample edited
-    as ``CORRUPT_SAMPLES`` says."""
+    """A generated dataset cut in half, reduced to a header that lists no
+    objects and no samples, or with its first sample edited as
+    ``CORRUPT_SAMPLES`` says."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))
     assert cli.main(["gen-data", "--config", cfg, "--scalar-task"]) == 0
@@ -118,6 +119,10 @@ def _corrupt_dataset(tmp_path, case):
     if case == "truncated-dataset":
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
+    elif case == "no-objects-dataset":
+        header = json.loads(path.read_text().splitlines()[0])
+        header.update(objects=[], meta=dict(header["meta"], n_source=0, n_target=0))
+        path.write_text(json.dumps(header) + "\n")
     else:
         header, first, *rest = path.read_text().splitlines()
         sample = json.loads(first)
@@ -136,18 +141,27 @@ BAD_CONFIGS = {
     "nan-camera": {"data": {"camera": [float("nan"), 600, 320, 240]}},
     "infinite-float": {"train": {"ctc_weight": float("inf")}},
     "negative-z-range": {"anchors": {"z_range": [-1.0, 2.0]}},
+    "negative-teacher-epochs": {"train": {"teacher_epochs": -2}},
+    "negative-student-epochs": {"train": {"student_epochs": -1}},
+    "negative-teacher-lr": {"train": {"lr_teacher": -0.01}},
+    "zero-student-lr": {"train": {"lr_student": 0.0}},
 }
 
 
 @pytest.mark.parametrize("case, code", [(case, cli.EXIT_CONFIG) for case in BAD_CONFIGS] + [
     ("negative-seed-flag", cli.EXIT_CONFIG),
+    ("out-under-a-file", cli.EXIT_IO),
     ("truncated-dataset", cli.EXIT_IO),
+    ("no-objects-dataset", cli.EXIT_IO),
 ] + [(case, cli.EXIT_IO) for case in CORRUPT_SAMPLES])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case.endswith("-dataset"):
         argv = _corrupt_dataset(tmp_path, case)
     elif case == "negative-seed-flag":
         argv = ["gen-data", "--seed", "-1", "--out", str(tmp_path / "run")]
+    elif case == "out-under-a-file":
+        (tmp_path / "file").write_text("")
+        argv = ["gen-data", "--out", str(tmp_path / "file" / "run")]
     else:
         argv = ["gen-data", "--config", write_config(tmp_path, "bad", BAD_CONFIGS[case]),
                 "--out", str(tmp_path / "run")]

@@ -1,9 +1,11 @@
 """Config parsing under fuzzed JSON input: only ConfigError escapes, and an
-accepted config holds non-negative seeds and finite numbers."""
+accepted config holds non-negative seeds, finite numbers and a train
+section in range."""
 
 import sys
 from dataclasses import MISSING, fields
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,3 +86,21 @@ def test_config_from_dict_rejects_with_config_error_only(raw):
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, (int, float)):     # finite, and an int converts to float
                 assert abs(v) <= sys.float_info.max, name
+    t = cfg.train
+    assert t.teacher_epochs >= 0 and t.student_epochs >= 0 and t.rounds >= 0
+    assert t.lr_teacher > 0 and t.lr_student > 0 and t.batch_size >= 1
+    assert 0 < t.tau_end <= t.tau_start <= 1
+
+
+@pytest.mark.parametrize("train", [
+    {"tau_start": 0.1, "tau_end": 0.5},
+    {"tau_end": 0.0},
+    {"tau_start": 1.5},
+    {"rounds": -1},
+    {"batch_size": 0},
+], ids=lambda train: "-".join(f"{k}={v}" for k, v in train.items()))
+def test_schedule_ranges_are_checked(train):
+    """The threshold schedule and batch checks; ``test_cli.BAD_CONFIGS``
+    has the epoch and learning-rate cases."""
+    with pytest.raises(ConfigError, match="train"):
+        config_from_dict({"train": train})

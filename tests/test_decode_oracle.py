@@ -23,7 +23,7 @@ from poseadapt.metrics import predict_poses
 from poseadapt.network import NetworkConfig, PoseNetwork
 from poseadapt.synth import make_object
 
-from helpers import random_rotations
+from helpers import ANCHOR_RANGES, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
@@ -82,7 +82,7 @@ def awkward_rot6d(rng, n):
 
 class TestComposePoseOracle:
     def test_matches_per_sample_decode(self):
-        anchors = AnchorSet.build(12, 5, 5, 8, seed=1)
+        anchors = AnchorSet.build(12, 5, 5, 8, *ANCHOR_RANGES, seed=1)
         rng = np.random.default_rng(0)
         n = 2000
         picks = [rng.integers(0, k, n) for k in (12, 5, 5, 8)]
@@ -125,8 +125,8 @@ def crafted_output(seed, scalar=False):
 
 @pytest.mark.parametrize("scalar", [False, True], ids=["pose", "scalar"])
 def test_predict_poses_matches_per_sample_decode(scalar):
-    anchors = (AnchorSet.build(1, 1, 1, 5, (-1.0, 1.0), (-1.0, 1.0), (0.5, 1.0)) if scalar
-               else AnchorSet.build(6, 4, 4, 5, seed=2))
+    anchors = (AnchorSet.build(1, 1, 1, 5, (-1.0, 1.0), (-1.0, 1.0), (0.5, 1.0), seed=0) if scalar
+               else AnchorSet.build(6, 4, 4, 5, *ANCHOR_RANGES, seed=2))
     out = crafted_output(3, scalar)
     poses, got_out = predict_poses(FixedOutputNet(out), np.zeros((300, 5)), anchors, CAM)
     assert got_out is out
@@ -158,7 +158,7 @@ class TestSymmetricResolutionOracle:
                 got[b], reference_closest_symmetric_rotation(pred[b], gt[b], self.cylinder))
 
     def test_resolve_symmetric_gt_matches_per_sample(self):
-        anchors = AnchorSet.build(6, 4, 4, 5, seed=2)
+        anchors = AnchorSet.build(6, 4, 4, 5, *ANCHOR_RANGES, seed=2)
         out = crafted_output(5)
         gt = random_rotations(300, np.random.default_rng(6))
         got = resolve_symmetric_gt(out, gt, anchors, self.cylinder)

@@ -18,7 +18,7 @@ from poseadapt.network import NetworkConfig, PoseNetwork
 from poseadapt.reports import write_recall_table
 from poseadapt.synth import evaluation_access, make_dataset, make_domain_config, make_object
 
-from helpers import random_rotations
+from helpers import ANCHOR_RANGES, SAMPLE_RANGES, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 N_POSES = 320
@@ -104,10 +104,11 @@ def test_recall_rows_match_oracle_and_mark_objects_without_samples(tmp_path):
     # round-robin assignment: one target sample leaves the box without any
     ds = make_dataset(40, 1, objects, CAM, make_domain_config(0.0, 0.02, 0.0, seed=1),
                       make_domain_config(0.5, 0.05, 0.0, seed=2), seed=4,
-                      object_kinds=["cylinder", "box"])
-    anchors = AnchorSet.build(4, 3, 3, 4, seed=0)
+                      sample_ranges=SAMPLE_RANGES, object_kinds=["cylinder", "box"])
+    anchors = AnchorSet.build(4, 3, 3, 4, *ANCHOR_RANGES, seed=0)
     net = PoseNetwork(NetworkConfig(obs_dim=ds.obs_dim, n_rot=4, n_vx=3, n_vy=3, n_z=4,
-                                    feature_dim=8, encoder_hidden=(8,), head_hidden=4))
+                                    feature_dim=8, encoder_hidden=(8,), head_hidden=4),
+                      seed=0)
     nets = {0: net, 1: net}
     for domain in ("source", "target"):
         rows = recall_by_object(nets, ds, anchors, domain)

@@ -20,7 +20,7 @@ from poseadapt.geometry import (
 )
 from poseadapt.synth import load_dataset, make_dataset, make_domain_config, save_dataset
 
-from helpers import matrix_to_rot6d, random_rotations
+from helpers import ANCHOR_RANGES, SAMPLE_RANGES, matrix_to_rot6d, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -110,7 +110,7 @@ class TestRotationAnchors:
     def test_one_anchor_set(self):
         """The direct-regression baseline's set: one anchor per branch at
         the identity and the range midpoints."""
-        a = AnchorSet.build(1, 1, 1, 1, (-100.0, 200.0), (-200.0, 200.0), (0.0, 2.0))
+        a = AnchorSet.build(1, 1, 1, 1, (-100.0, 200.0), (-200.0, 200.0), (0.0, 2.0), seed=0)
         np.testing.assert_array_equal(a.rotations, np.eye(3)[None])
         assert (a.bins_vx.tolist(), a.bins_vy.tolist(), a.bins_z.tolist()) == \
             ([50.0], [0.0], [1.0])
@@ -172,7 +172,7 @@ def compose(picks, residuals, anchors):
 
 class TestComposePose:
     def setup_method(self):
-        self.anchors = AnchorSet.build(8, 5, 5, 10, seed=0)
+        self.anchors = AnchorSet.build(8, 5, 5, 10, *ANCHOR_RANGES, seed=0)
 
     def test_zero_residuals_reproduce_anchor(self):
         a = self.anchors
@@ -188,18 +188,16 @@ class TestComposePose:
             atol=1e-12)
 
     def test_known_arithmetic(self):
-        anchors = AnchorSet(rotations=np.eye(3)[None],
-                            bins_vx=np.array([10.0]), bins_vy=np.array([0.0]),
-                            bins_z=np.array([1.025]))
+        anchors = AnchorSet(np.eye(3)[None], np.array([10.0]), np.array([0.0]),
+                            np.array([1.025]), *ANCHOR_RANGES)
         _, t = compose((0, 0, 0, 0), ([1, 0, 0, 0, 1, 0], 2.0, 0.0, -0.01), anchors)
         assert t[2] == pytest.approx(1.015)
         # x uses the composed z: (10 + 2) * z / fx
         assert t[0] == pytest.approx(12 * 1.015 / 600.0)
 
     def test_vx_example(self):
-        anchors = AnchorSet(rotations=np.eye(3)[None],
-                            bins_vx=np.array([10.0]), bins_vy=np.array([0.0]),
-                            bins_z=np.array([1.0]))
+        anchors = AnchorSet(np.eye(3)[None], np.array([10.0]), np.array([0.0]),
+                            np.array([1.0]), *ANCHOR_RANGES)
         _, t = compose((0, 0, 0, 0), ([1, 0, 0, 0, 1, 0], 2.0, 0.0, 0.0), anchors)
         assert t[0] == pytest.approx(0.02)
 
@@ -355,7 +353,8 @@ class TestObjectModel:
                                         symmetries=(np.eye(3), rot_z(np.pi)))
         dc = make_domain_config(seed=0)
         path = tmp_path / "data.txt"
-        save_dataset(path, make_dataset(1, 1, [model], CAM, dc, dc, seed=0))
+        save_dataset(path, make_dataset(1, 1, [model], CAM, dc, dc, seed=0,
+                                        sample_ranges=SAMPLE_RANGES))
         back = load_dataset(path).objects[0]
         np.testing.assert_array_equal(back.points, model.points)
         assert back.diameter == model.diameter

@@ -12,14 +12,14 @@ from poseadapt.geometry import (
     pose_targets,
 )
 from poseadapt.labeling import (
-    LabelConfig,
     ScoreAssignmentConfig,
+    ScoreConfig,
     nearest_anchors,
     score_vector,
 )
-from poseadapt.losses import ObjectiveConfig, prepare_batch_supervision
+from poseadapt.losses import ObjectiveConfig, build_target_graph, prepare_batch_supervision
 
-from helpers import random_rotations
+from helpers import ANCHOR_RANGES, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -141,12 +141,11 @@ class TestAssignScores:
     builds them."""
 
     def setup_method(self):
-        self.anchors = AnchorSet.build(16, 8, 8, 10, seed=0)
-        self.cfg = ObjectiveConfig(labels=LabelConfig(
-            rotation=ScoreAssignmentConfig(0.7, 0.1, 4),
-            vx=ScoreAssignmentConfig(0.55, 0.075, 7),
-            vy=ScoreAssignmentConfig(0.55, 0.075, 7),
-            z=ScoreAssignmentConfig(0.55, 0.075, 7)))
+        self.anchors = AnchorSet.build(16, 8, 8, 10, *ANCHOR_RANGES, seed=0)
+        self.cfg = ObjectiveConfig(
+            labels=ScoreConfig(rotation=(0.7, 0.1, 4), translation=(0.55, 0.075, 7)),
+            use_cls=True, ctc_weight=1.0,
+            target_graph=build_target_graph(self.anchors.bins_z, *self.anchors.z_range))
 
     def test_all_branches_sum_to_one(self):
         rng = np.random.default_rng(6)
@@ -167,10 +166,10 @@ class TestAssignScores:
         for b in range(len(poses)):
             rot, vx, vy, z = pose_targets(poses[b], CAM)
             for name, target, bins, cfg in (
-                    ("rot", rot, self.anchors.rotations, self.cfg.labels.rotation),
-                    ("vx", vx, self.anchors.bins_vx, self.cfg.labels.vx),
-                    ("vy", vy, self.anchors.bins_vy, self.cfg.labels.vy),
-                    ("z", z, self.anchors.bins_z, self.cfg.labels.z)):
+                    ("rot", rot, self.anchors.rotations, self.cfg.labels.branch("rot")),
+                    ("vx", vx, self.anchors.bins_vx, self.cfg.labels.branch("vx")),
+                    ("vy", vy, self.anchors.bins_vy, self.cfg.labels.branch("vy")),
+                    ("z", z, self.anchors.bins_z, self.cfg.labels.branch("z"))):
                 np.testing.assert_array_equal(sup.labels[name][b],
                                               score_vector(target, bins, cfg))
                 if name != "rot":

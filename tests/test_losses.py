@@ -20,7 +20,7 @@ from poseadapt.geometry import (
     pose_targets,
     rot6d_to_matrix,
 )
-from poseadapt.labeling import LabelConfig, ScoreAssignmentConfig
+from poseadapt.labeling import ScoreConfig
 from poseadapt.losses import (
     LOG_EPS,
     ObjectiveConfig,
@@ -39,7 +39,7 @@ from poseadapt.losses import (
 from poseadapt.network import ROT6D_IDENTITY, NetworkConfig, PoseNetwork
 from poseadapt.synth import make_object
 
-from helpers import matrix_to_rot6d, point_matching_distance, random_rotations
+from helpers import ANCHOR_RANGES, matrix_to_rot6d, point_matching_distance, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -55,21 +55,26 @@ def geodesic_distance(r1, r2):
 
 
 def small_anchors(n_rot=8, n_vx=5, n_vy=5, n_z=6):
-    return AnchorSet.build(n_rot, n_vx, n_vy, n_z, seed=0)
+    return AnchorSet.build(n_rot, n_vx, n_vy, n_z, *ANCHOR_RANGES, seed=0)
 
 
 def small_label_config():
     """Label parameters sized for the small test anchor sets: k = 4 for
     rotation, 3 for each translation branch."""
-    r = ScoreAssignmentConfig(0.7, 0.1, 4)
-    t = ScoreAssignmentConfig(0.6, 0.2, 3)
-    return LabelConfig(rotation=r, vx=t, vy=t, z=t)
+    return ScoreConfig(rotation=(0.7, 0.1, 4), translation=(0.6, 0.2, 3))
+
+
+def objective(anchors, labels=None, use_cls=True, ctc_weight=1.0):
+    """An objective over ``anchors`` with the depth graph the pipeline builds."""
+    return ObjectiveConfig(labels=labels or small_label_config(), use_cls=use_cls,
+                           ctc_weight=ctc_weight,
+                           target_graph=build_target_graph(anchors.bins_z, *anchors.z_range))
 
 
 def supervision(gt_poses, anchors, labels=None):
     """Supervision of a list of poses, stacked as the training loop does."""
     return prepare_batch_supervision(Pose.stack(gt_poses), anchors, CAM,
-                                     ObjectiveConfig(labels=labels or small_label_config()))
+                                     objective(anchors, labels))
 
 
 def random_pose(rng, z_range=(0.5, 1.8)):
@@ -234,8 +239,8 @@ class TestRegressionLoss:
         z = self.anchors.bins_z[3]
         gt = Pose(self.anchors.rotations[5],
                   [vx * z / CAM.fx, vy * z / CAM.fy, z])
-        one_hot = ScoreAssignmentConfig(1.0, 0.0, 1)
-        sup = supervision([gt], self.anchors, LabelConfig(one_hot, one_hot, one_hot, one_hot))
+        one_hot = (1.0, 0.0, 1)
+        sup = supervision([gt], self.anchors, ScoreConfig(one_hot, one_hot))
         loss = regression_loss_batch(out, sup, self.anchors, self.model, CAM)
         assert loss.data[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -270,13 +275,14 @@ class TestRegressionLoss:
         """A label k above a branch's anchor count supervises every anchor."""
         rng = np.random.default_rng(5)
         gt = [random_pose(rng) for _ in range(3)]
-        anchors = AnchorSet.build(3, 2, 5, 6, seed=0)
+        anchors = AnchorSet.build(3, 2, 5, 6, *ANCHOR_RANGES, seed=0)
         net = PoseNetwork(NetworkConfig(obs_dim=6, n_rot=3, n_vx=2, n_vy=5, n_z=6,
-                                        feature_dim=8, encoder_hidden=(8,), head_hidden=8))
+                                        feature_dim=8, encoder_hidden=(8,), head_hidden=8),
+                          seed=0)
         out = net.forward(rng.standard_normal((3, 6)))
         # default labels: k = 4 for rotation, 7 for each translation branch
         sup = prepare_batch_supervision(Pose.stack(gt), anchors, CAM,
-                                        ObjectiveConfig(use_cls=False))
+                                        objective(anchors, ScoreConfig(), use_cls=False))
         assert sup.k_rot == 3 and sup.labels == {}
         assert [sup.nearest[name].shape[1] for name in ("vx", "vy", "z")] == [2, 5, 6]
         got = regression_loss_batch(out, sup, anchors, self.model, CAM).data
@@ -387,8 +393,7 @@ class TestTotalObjective:
             np.random.default_rng(1).standard_normal((5, 3)) * 0.3)
         self.netcfg = NetworkConfig(obs_dim=6, n_rot=8, n_vx=5, n_vy=5, n_z=6,
                                     feature_dim=8, encoder_hidden=(8,), head_hidden=8)
-        tg = build_target_graph(self.anchors.bins_z, 0.0, 2.0)
-        self.cfg = ObjectiveConfig(labels=small_label_config(), target_graph=tg)
+        self.cfg = objective(self.anchors)
 
     def test_empty_batch_raises(self):
         net = PoseNetwork(self.netcfg, seed=0)
@@ -414,7 +419,7 @@ class TestTotalObjective:
         gt = [random_pose(rng) for _ in range(3)]
         obs = rng.standard_normal((3, 6))
         net = PoseNetwork(self.netcfg, seed=1)
-        cfg = ObjectiveConfig(labels=self.cfg.labels, ctc_weight=0.0)
+        cfg = objective(self.anchors, ctc_weight=0.0)
         bd1 = total_objective(net.forward(obs), supervision(gt, self.anchors), self.anchors,
                               self.model, CAM, cfg)
         obs2 = np.vstack([obs, obs])
@@ -546,8 +551,7 @@ class TestGradientSpotChecks:
         rng = np.random.default_rng(14)
         gt = [random_pose(rng) for _ in range(3)]
         obs = rng.standard_normal((3, 6))
-        tg = build_target_graph(anchors.bins_z, 0.0, 2.0)
-        cfg = ObjectiveConfig(labels=small_label_config(), target_graph=tg)
+        cfg = objective(anchors)
         sup = supervision(gt, anchors)
 
         def value():

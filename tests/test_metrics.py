@@ -23,7 +23,7 @@ from poseadapt.metrics import (
 )
 from poseadapt.network import NetworkConfig, PoseNetwork
 
-from helpers import random_rotations
+from helpers import ANCHOR_RANGES, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -186,7 +186,7 @@ class TestAverageRecall:
 
 class TestPredictPoses:
     def test_depth_fallback_keeps_positive_z(self):
-        anchors = AnchorSet.build(4, 3, 3, 4, seed=0)
+        anchors = AnchorSet.build(4, 3, 3, 4, *ANCHOR_RANGES, seed=0)
         cfg = NetworkConfig(obs_dim=5, n_rot=4, n_vx=3, n_vy=3, n_z=4,
                             feature_dim=8, encoder_hidden=(8,), head_hidden=4)
         net = PoseNetwork(cfg, seed=0)
@@ -199,7 +199,7 @@ class TestPredictPoses:
 
     @pytest.mark.parametrize("negative_depth", [False, True])
     def test_zeroed_rotation_head_falls_back_to_anchor_rotation(self, negative_depth):
-        anchors = AnchorSet.build(4, 3, 3, 4, seed=0)
+        anchors = AnchorSet.build(4, 3, 3, 4, *ANCHOR_RANGES, seed=0)
         cfg = NetworkConfig(obs_dim=5, n_rot=4, n_vx=3, n_vy=3, n_z=4,
                             feature_dim=8, encoder_hidden=(8,), head_hidden=4)
         net = PoseNetwork(cfg, seed=0)

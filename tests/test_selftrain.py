@@ -6,11 +6,11 @@ import pytest
 from poseadapt import selftrain
 from poseadapt.errors import InvalidArgumentError
 from poseadapt.geometry import AnchorSet, generate_translation_bins
-from poseadapt.labeling import LabelConfig, ScoreAssignmentConfig
-from poseadapt.losses import ObjectiveConfig
+from poseadapt.labeling import ScoreConfig
+from poseadapt.losses import ObjectiveConfig, build_target_graph
 from poseadapt.network import NetworkConfig, PoseNetwork
 from poseadapt.selftrain import (
-    SelfTrainConfig,
+    TrainConfig,
     select_samples,
     threshold_schedule,
     train_student,
@@ -20,18 +20,18 @@ from poseadapt.synth import OBS_DIM, make_domain_config, make_scalar_task
 
 class TestThresholdSchedule:
     def test_endpoints_and_midpoint(self):
-        cfg = SelfTrainConfig(tau_start=0.5, tau_end=0.1, rounds=5)
+        cfg = TrainConfig(tau_start=0.5, tau_end=0.1, rounds=5)
         assert threshold_schedule(0, cfg) == 0.5
         assert threshold_schedule(2, cfg) == pytest.approx(0.3)
         assert threshold_schedule(4, cfg) == pytest.approx(0.1)
 
     def test_single_round_uses_the_start_threshold(self):
         for rounds in (0, 1):
-            cfg = SelfTrainConfig(tau_start=0.5, tau_end=0.1, rounds=rounds)
+            cfg = TrainConfig(tau_start=0.5, tau_end=0.1, rounds=rounds)
             assert threshold_schedule(0, cfg) == 0.5
 
     def test_round_out_of_range(self):
-        cfg = SelfTrainConfig(rounds=3)
+        cfg = TrainConfig(rounds=3)
         for r in (-1, 3):
             with pytest.raises(InvalidArgumentError):
                 threshold_schedule(r, cfg)
@@ -62,11 +62,13 @@ def scalar_setup():
                           make_domain_config(0.7, 0.02, 0.0, seed=2), seed=0)
     anchors = AnchorSet(rotations=np.eye(3)[None], bins_vx=np.zeros(1),
                         bins_vy=np.zeros(1), bins_z=generate_translation_bins(0.5, 1.0, 4),
-                        z_range=(0.5, 1.0))
+                        vx_range=(-1.0, 1.0), vy_range=(-1.0, 1.0), z_range=(0.5, 1.0))
     teacher = PoseNetwork(NetworkConfig(obs_dim=OBS_DIM, n_rot=0, n_vx=0, n_vy=0, n_z=4,
-                                        feature_dim=8, encoder_hidden=(8,), head_hidden=4))
-    t = ScoreAssignmentConfig(0.6, 0.2, 3)
-    objective = ObjectiveConfig(labels=LabelConfig(t, t, t, t), ctc_weight=0.0)
+                                        feature_dim=8, encoder_hidden=(8,), head_hidden=4),
+                          seed=0)
+    t = (0.6, 0.2, 3)
+    objective = ObjectiveConfig(labels=ScoreConfig(t, t), use_cls=True, ctc_weight=0.0,
+                                target_graph=build_target_graph(anchors.bins_z, 0.5, 1.0))
     return ds, anchors, teacher, objective
 
 
@@ -91,11 +93,11 @@ def record_training_sets(monkeypatch):
 def test_empty_selection_round_trains_on_source_only(monkeypatch):
     ds, anchors, teacher, objective = scalar_setup()
     # a confidence is a probability, so none can exceed tau = 1
-    cfg = SelfTrainConfig(tau_start=1.0, tau_end=1.0, rounds=1, student_epochs=1)
+    cfg = TrainConfig(tau_start=1.0, tau_end=1.0, rounds=1, student_epochs=1)
     calls = record_training_sets(monkeypatch)
     source_obs, source_poses, target_obs = split_arrays(ds)
     student, rounds = train_student(teacher, source_obs, source_poses, target_obs, anchors,
-                                    ds.objects[0], ds.cam, objective, cfg)
+                                    ds.objects[0], ds.cam, objective, cfg, seed=0)
     assert len(rounds) == 1
     assert rounds[0].n_candidates == 4
     assert len(rounds[0].selected) == 0
@@ -107,12 +109,12 @@ def test_empty_selection_round_trains_on_source_only(monkeypatch):
 
 def test_selected_rows_join_the_source_with_their_pseudo_poses(monkeypatch):
     ds, anchors, teacher, objective = scalar_setup()
-    cfg = SelfTrainConfig(tau_start=0.3, tau_end=0.2, rounds=2, student_epochs=1)
+    cfg = TrainConfig(tau_start=0.3, tau_end=0.2, rounds=2, student_epochs=1)
     calls = record_training_sets(monkeypatch)
     labels = []
     source_obs, source_poses, target_obs = split_arrays(ds)
     _, rounds = train_student(teacher, source_obs, source_poses, target_obs, anchors,
-                              ds.objects[0], ds.cam, objective, cfg,
+                              ds.objects[0], ds.cam, objective, cfg, seed=0,
                               label_sink=lambda r, poses, conf: labels.append((r, poses, conf)))
     assert [r for r, _, _ in labels] == [0, 1]
     assert sum(len(r.selected) for r in rounds) > 0
@@ -141,10 +143,10 @@ def test_pseudo_label_is_a_stack_with_depth_confidence():
 
 def test_empty_target_split_trains_on_source_only(monkeypatch):
     ds, anchors, teacher, objective = scalar_setup()
-    cfg = SelfTrainConfig(rounds=2, student_epochs=1)
+    cfg = TrainConfig(rounds=2, student_epochs=1)
     calls = record_training_sets(monkeypatch)
     source_obs, source_poses, _ = split_arrays(ds)
     _, rounds = train_student(teacher, source_obs, source_poses, np.zeros((0, OBS_DIM)),
-                              anchors, ds.objects[0], ds.cam, objective, cfg)
+                              anchors, ds.objects[0], ds.cam, objective, cfg, seed=0)
     assert [(r.n_candidates, len(r.selected)) for r in rounds] == [(0, 0), (0, 0)]
     assert [len(obs) for obs, _ in calls] == [8, 8]

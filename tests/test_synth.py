@@ -25,7 +25,7 @@ from poseadapt.synth import (
     synthesize,
 )
 
-from helpers import random_rotations
+from helpers import SAMPLE_RANGES, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -172,21 +172,25 @@ class TestMakeDataset:
         self.src = make_domain_config(0.0, 0.02, 0.0, seed=1)
         self.tgt = make_domain_config(0.5, 0.05, 0.0, seed=2)
 
+    def dataset(self, n_source, n_target, seed):
+        return make_dataset(n_source, n_target, self.objects, CAM, self.src, self.tgt, seed=seed,
+                            sample_ranges=SAMPLE_RANGES)
+
     def test_deterministic(self):
-        a = make_dataset(40, 20, self.objects, CAM, self.src, self.tgt, seed=9)
-        b = make_dataset(40, 20, self.objects, CAM, self.src, self.tgt, seed=9)
+        a = self.dataset(40, 20, seed=9)
+        b = self.dataset(40, 20, seed=9)
         for sa, sb in ((a.source, b.source), (a.target, b.target)):
             np.testing.assert_array_equal(sa.ids, sb.ids)
             np.testing.assert_array_equal(sa.observation, sb.observation)
 
     def test_depth_range_contract(self):
-        ds = make_dataset(60, 30, self.objects, CAM, self.src, self.tgt, seed=4)
+        ds = self.dataset(60, 30, seed=4)
         with evaluation_access():
             for split in (ds.source, ds.target):
                 assert np.all((0.4 <= split.gt_pose.z) & (split.gt_pose.z <= 1.6))
 
     def test_objects_balanced_round_robin(self):
-        ds = make_dataset(40, 20, self.objects, CAM, self.src, self.tgt, seed=5)
+        ds = self.dataset(40, 20, seed=5)
         counts = [len(ds.by_object(i, "source")) for i in range(2)]
         assert counts == [20, 20]
 
@@ -195,7 +199,7 @@ class TestMakeDataset:
         # indistinguishable from those of fresh uniform rotations
         from scipy import stats
         anchors = generate_rotation_anchors(60, seed=0)
-        ds = make_dataset(400, 1, self.objects, CAM, self.src, self.tgt, seed=6)
+        ds = self.dataset(400, 1, seed=6)
         with evaluation_access():
             d_data = [anchor_distances(m, anchors).min() for m in ds.source.gt_pose.rotation]
         fresh = random_rotations(400, np.random.default_rng(77))
@@ -203,7 +207,7 @@ class TestMakeDataset:
         assert stats.ks_2samp(d_data, d_fresh).pvalue > 0.01
 
     def test_target_gt_guarded(self):
-        ds = make_dataset(4, 4, self.objects, CAM, self.src, self.tgt, seed=7)
+        ds = self.dataset(4, 4, seed=7)
         for target in (ds.target, ds.by_object(1, "target"), ds.target[0]):
             with pytest.raises(GroundTruthAccessError):
                 _ = target.gt_pose
@@ -217,7 +221,7 @@ class TestMakeDataset:
         assert np.all(ds.source.gt_pose.z > 0) and ds.source[0].gt_pose.z > 0
 
     def test_save_load_round_trip(self, tmp_path):
-        ds = make_dataset(10, 5, self.objects, CAM, self.src, self.tgt, seed=8)
+        ds = self.dataset(10, 5, seed=8)
         path = tmp_path / "data.txt"
         save_dataset(path, ds)
         back = load_dataset(path)
@@ -236,7 +240,7 @@ class TestMakeDataset:
 
     def test_files_with_box_field_still_load(self, tmp_path):
         # dataset files used to carry a detection box per sample
-        ds = make_dataset(4, 2, self.objects, CAM, self.src, self.tgt, seed=8)
+        ds = self.dataset(4, 2, seed=8)
         path = tmp_path / "data.txt"
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
@@ -249,7 +253,7 @@ class TestMakeDataset:
 
     @pytest.mark.parametrize("cut", ["mid-line", "line-boundary", "empty"])
     def test_truncated_file_raises_dataset_error(self, tmp_path, cut):
-        ds = make_dataset(4, 2, self.objects, CAM, self.src, self.tgt, seed=8)
+        ds = self.dataset(4, 2, seed=8)
         path = tmp_path / "data.txt"
         save_dataset(path, ds)
         text = path.read_text()
@@ -266,7 +270,7 @@ class TestMakeDataset:
         ("r", [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
     ], ids=["translation-4", "translation-2", "rotation-8"])
     def test_malformed_pose_raises_dataset_error(self, tmp_path, field, value):
-        ds = make_dataset(4, 2, self.objects, CAM, self.src, self.tgt, seed=8)
+        ds = self.dataset(4, 2, seed=8)
         path = tmp_path / "data.txt"
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
@@ -277,30 +281,32 @@ class TestMakeDataset:
         with pytest.raises(DatasetError, match="corrupt"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("line, edit", [
-        (3, lambda rec: dict(rec, domain="tgt")),
-        (3, lambda rec: dict(rec, object=7)),
-        (3, lambda rec: dict(rec, obs=rec["obs"][:-1])),
-        (6, lambda rec: dict(rec, obs=rec["obs"] + [0.0])),
-        (6, lambda rec: dict(rec, domain="source")),
-        (0, lambda header: dict(header, meta={"n_target": 2})),
-        (0, lambda header: [header]),
+    @pytest.mark.parametrize("line, edit, keep", [
+        (3, lambda rec: dict(rec, domain="tgt"), None),
+        (3, lambda rec: dict(rec, object=7), None),
+        (3, lambda rec: dict(rec, obs=rec["obs"][:-1]), None),
+        (6, lambda rec: dict(rec, obs=rec["obs"] + [0.0]), None),
+        (6, lambda rec: dict(rec, domain="source"), None),
+        (0, lambda header: dict(header, meta={"n_target": 2}), None),
+        (0, lambda header: [header], None),
+        (0, lambda header: dict(header, objects=[], meta={"n_source": 0, "n_target": 0}), 1),
     ], ids=["unknown-domain", "object-7", "obs-63", "target-obs-65", "target-row-as-source",
-            "no-source-count", "header-not-an-object"])
-    def test_malformed_row_raises_dataset_error(self, tmp_path, line, edit):
-        # line 0 is the header, lines 1-4 the source split, lines 5-6 the target split
-        ds = make_dataset(4, 2, self.objects, CAM, self.src, self.tgt, seed=8)
+            "no-source-count", "header-not-an-object", "no-objects"])
+    def test_malformed_row_raises_dataset_error(self, tmp_path, line, edit, keep):
+        # line 0 is the header, lines 1-4 the source split, lines 5-6 the
+        # target split; only the first ``keep`` lines are written back
+        ds = self.dataset(4, 2, seed=8)
         path = tmp_path / "data.txt"
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
         lines[line] = json.dumps(edit(json.loads(lines[line])))
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines[:keep]) + "\n")
         with pytest.raises(DatasetError):
             load_dataset(path)
 
     @pytest.mark.parametrize("kind", ["pose", "scalar"])
     def test_load_then_save_reproduces_the_file(self, tmp_path, kind):
-        ds = (make_dataset(7, 5, self.objects, CAM, self.src, self.tgt, seed=8) if kind == "pose"
+        ds = (self.dataset(7, 5, seed=8) if kind == "pose"
               else make_scalar_task(6, 4, self.src, self.tgt, seed=8))
         first, second = tmp_path / "a.txt", tmp_path / "b.txt"
         save_dataset(first, ds)
@@ -308,16 +314,15 @@ class TestMakeDataset:
         assert second.read_bytes() == first.read_bytes()
 
     def test_written_bytes_deterministic(self, tmp_path):
-        ds = make_dataset(10, 5, self.objects, CAM, self.src, self.tgt, seed=8)
+        ds = self.dataset(10, 5, seed=8)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         save_dataset(p1, ds)
-        save_dataset(p2, make_dataset(10, 5, self.objects, CAM, self.src,
-                                      self.tgt, seed=8))
+        save_dataset(p2, self.dataset(10, 5, seed=8))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_counts_validated(self):
         with pytest.raises(InvalidArgumentError):
-            make_dataset(0, 5, self.objects, CAM, self.src, self.tgt, seed=0)
+            self.dataset(0, 5, seed=0)
 
 
 class TestScalarTask:
