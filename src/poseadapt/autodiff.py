@@ -1,11 +1,15 @@
 """A small reverse-mode autodiff engine over numpy arrays.
 
 Every ``Tensor`` wraps a float64 ndarray; operations build a tape of
-parent links and closure-style backward functions.  Calling
-``backward()`` on a scalar node topologically sorts the tape and
-accumulates gradients into ``.grad`` for every tensor that requires
-them.  Broadcasting follows numpy semantics; gradients are summed back
-over broadcast axes.
+parent links, each with a function that maps the node's gradient to
+that parent's share.  Calling ``backward()`` on a scalar node
+topologically sorts the tape and accumulates gradients into ``.grad``
+for every tensor that requires them.  Constant operands (numbers, plain
+arrays, tensors with neither ``requires_grad`` nor parents) are pruned
+from the tape: no gradient is computed for them and they receive no
+``.grad``.  Broadcasting follows numpy semantics; gradients are summed
+back over broadcast axes.  ``linear(x, w, b)`` is the affine layer
+``x @ w + b`` as one node.
 """
 
 from __future__ import annotations
@@ -32,14 +36,14 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fns")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
+    def __init__(self, data, requires_grad=False, parents=(), grad_fns=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = parents
-        self._backward = backward
+        self._grad_fns = grad_fns
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -49,11 +53,16 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
-    def _accumulate(self, g):
-        if self.grad is None:
+    def _accumulate(self, g, upstream):
+        """Add ``g``, a share of the ``upstream`` gradient, into ``.grad``.
+        A first share of the right shape that owns its memory and is not
+        ``upstream`` itself is taken over; any other is copied."""
+        if self.grad is not None:
+            self.grad += g
+        elif g.shape != self.data.shape:
             self.grad = np.array(np.broadcast_to(g, self.data.shape))
         else:
-            self.grad += g
+            self.grad = g if g.base is None and g is not upstream else np.array(g)
 
     def backward(self):
         """Reverse-accumulate gradients from this scalar node."""
@@ -65,17 +74,19 @@ class Tensor:
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            g = node.grad
+            if g is not None:
+                for p, fn in zip(node._parents, node._grad_fns):
+                    p._accumulate(fn(g), g)
 
     def __getitem__(self, key):
         return index(self, key)
@@ -89,10 +100,15 @@ def parameter(data):
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def _make(data, parents, backward):
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
-        return Tensor(data, parents=parents, backward=backward)
-    return Tensor(data)
+def _make(data, *links):
+    """A node over ``(parent, grad_fn)`` links.  Only the parents a
+    gradient must reach stay on the tape: those that require one or have
+    parents of their own."""
+    links = [(p, fn) for p, fn in links if p.requires_grad or p._parents] if _grad_enabled else ()
+    if not links:
+        return Tensor(data)
+    parents, fns = zip(*links)
+    return Tensor(data, parents=parents, grad_fns=fns)
 
 
 def _unbroadcast(g, shape):
@@ -113,42 +129,26 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(a.data + b.data, (a, b), bw)
+    return _make(a.data + b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(a.data - b.data, (a, b), bw)
+    return _make(a.data - b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), bw)
+    return _make(a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(a.data / b.data, (a, b), bw)
+    return _make(a.data / b.data, (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
 
 
 def matmul(a, b):
@@ -158,14 +158,17 @@ def matmul(a, b):
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs 2-D or batched operands, got "
                          f"{a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+    return _make(a.data @ b.data,
+                 (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
+                 (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
 
-    def bw(g):
-        ad, bd = a.data, b.data
-        a._accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-        b._accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
-    return _make(out, (a, b), bw)
+def linear(x, w, b):
+    """Affine layer ``x @ w + b`` for a batch x (B, n_in), w (n_in, n_out)
+    and b (n_out,), as one node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    return _make(x.data @ w.data + b.data, (x, lambda g: g @ w.data.T),
+                 (w, lambda g: x.data.T @ g), (b, lambda g: g.sum(axis=0)))
 
 
 # -- elementwise nonlinearities ---------------------------------------------
@@ -174,50 +177,30 @@ def matmul(a, b):
 def exp(a):
     a = as_tensor(a)
     out = np.exp(a.data)
-
-    def bw(g):
-        a._accumulate(g * out)
-
-    return _make(out, (a,), bw)
+    return _make(out, (a, lambda g: g * out))
 
 
 def log(a):
     a = as_tensor(a)
-
-    def bw(g):
-        a._accumulate(g / a.data)
-
-    return _make(np.log(a.data), (a,), bw)
+    return _make(np.log(a.data), (a, lambda g: g / a.data))
 
 
 def sqrt(a):
     a = as_tensor(a)
     out = np.sqrt(a.data)
-
-    def bw(g):
-        a._accumulate(g * 0.5 / out)
-
-    return _make(out, (a,), bw)
+    return _make(out, (a, lambda g: g * 0.5 / out))
 
 
 def absolute(a):
     a = as_tensor(a)
-
-    def bw(g):
-        a._accumulate(g * np.sign(a.data))
-
-    return _make(np.abs(a.data), (a,), bw)
+    return _make(np.abs(a.data), (a, lambda g: g * np.sign(a.data)))
 
 
 def leaky_relu(a, alpha=0.01):
     a = as_tensor(a)
     pos = a.data > 0
-    out = np.where(pos, a.data, alpha * a.data)
-
-    def bw(g):
-        a._accumulate(g * np.where(pos, 1.0, alpha))
-
-    return _make(out, (a,), bw)
+    return _make(np.where(pos, a.data, alpha * a.data),
+                 (a, lambda g: g * np.where(pos, 1.0, alpha)))
 
 
 # -- reductions and shape ops ------------------------------------------------
@@ -225,17 +208,8 @@ def leaky_relu(a, alpha=0.01):
 
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy() if np.ndim(g) else np.full_like(a.data, g))
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape))
-
-    return _make(out, (a,), bw)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims),
+                 (a, lambda g: g if axis is None or keepdims else np.expand_dims(g, axis)))
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -246,32 +220,28 @@ def tmean(a, axis=None, keepdims=False):
 
 def reshape(a, shape):
     a = as_tensor(a)
-
-    def bw(g):
-        a._accumulate(g.reshape(a.data.shape))
-
-    return _make(a.data.reshape(shape), (a,), bw)
+    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def swapaxes(a, ax1, ax2):
     a = as_tensor(a)
-
-    def bw(g):
-        a._accumulate(np.swapaxes(g, ax1, ax2))
-
-    return _make(np.swapaxes(a.data, ax1, ax2), (a,), bw)
+    return _make(np.swapaxes(a.data, ax1, ax2), (a, lambda g: np.swapaxes(g, ax1, ax2)))
 
 
 def index(a, key):
-    """Basic slicing / integer indexing; gradient scatters back with add."""
+    """Basic indexing only (integers, slices, ``...``), so no element is
+    picked twice; the gradient scatters back into the picked elements.
+    Select rows by an index array with ``gather_rows``."""
     a = as_tensor(a)
+    if any(isinstance(k, (list, np.ndarray)) for k in (key if isinstance(key, tuple) else (key,))):
+        raise ShapeError("index takes basic keys only; use gather_rows for index arrays")
 
-    def bw(g):
+    def scatter(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
-        a._accumulate(buf)
+        buf[key] += g
+        return buf
 
-    return _make(a.data[key], (a,), bw)
+    return _make(a.data[key], (a, scatter))
 
 
 def gather_rows(a, idx):
@@ -282,33 +252,26 @@ def gather_rows(a, idx):
         raise ShapeError(f"gather_rows: incompatible shapes {a.data.shape} / {idx.shape}")
     rows = np.arange(a.data.shape[0])[:, None]
 
-    def bw(g):
+    def scatter(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, (rows, idx), g)
-        a._accumulate(buf)
+        return buf
 
-    return _make(a.data[rows, idx], (a,), bw)
+    return _make(a.data[rows, idx], (a, scatter))
 
 
 def stack(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            t._accumulate(np.take(g, i, axis=axis))
-
-    return _make(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), bw)
+    return _make(np.stack([t.data for t in tensors], axis=axis),
+                 *[(t, lambda g, i=i: np.take(g, i, axis=axis)) for i, t in enumerate(tensors)])
 
 
 def cross(a, b):
     """Cross product along the last axis (size 3)."""
     a, b = as_tensor(a), as_tensor(b)
-
-    def bw(g):
-        a._accumulate(_unbroadcast(np.cross(b.data, g), a.data.shape))
-        b._accumulate(_unbroadcast(np.cross(g, a.data), b.data.shape))
-
-    return _make(np.cross(a.data, b.data), (a, b), bw)
+    return _make(np.cross(a.data, b.data),
+                 (a, lambda g: _unbroadcast(np.cross(b.data, g), a.data.shape)),
+                 (b, lambda g: _unbroadcast(np.cross(g, a.data), b.data.shape)))
 
 
 # -- composites ---------------------------------------------------------------

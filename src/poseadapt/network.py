@@ -61,7 +61,7 @@ class Linear:
         self.b = ad.parameter(np.zeros(n_out))
 
     def __call__(self, x):
-        return ad.add(ad.matmul(x, self.w), self.b)
+        return ad.linear(x, self.w, self.b)
 
 
 class MLP:
@@ -151,7 +151,7 @@ class PoseNetwork:
             if state[k].shape != p.data.shape:
                 raise CheckpointIncompatibleError(
                     f"shape mismatch for {k}: {state[k].shape} vs {p.data.shape}")
-            p.data = state[k].astype(np.float64).copy()
+            p.data[...] = state[k]
 
     def copy(self):
         clone = PoseNetwork(self.config, seed=0)
@@ -176,27 +176,54 @@ class PoseNetwork:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction."""
+    """Adaptive-moment optimizer with bias correction.
+
+    The optimizer takes over its parameters' storage: every ``p.data``
+    becomes a view into one flat buffer, next to flat first and second
+    moments and gradients.  A step gathers the gradients (a missing one
+    counts as zero) and runs the update over the flat buffers in place,
+    with no temporaries, in the order of operations of
+    ``p - lr * (m / b1t) / (sqrt(v / b2t) + eps)`` per element.  Build
+    one optimizer per network: a second one takes the storage over.
+    """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = dict(params)
+        self.params = list(params.values())
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.flat = np.concatenate([p.data.ravel() for p in self.params])
+        self.m, self.v, self.g, self.tmp = (np.zeros_like(self.flat) for _ in range(4))
+        self.grad_views, lo = [], 0
+        for p in self.params:
+            hi = lo + p.data.size
+            p.data = self.flat[lo:hi].reshape(p.data.shape)
+            self.grad_views.append(self.g[lo:hi].reshape(p.data.shape))
+            lo = hi
 
     def step(self):
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for k, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            m = self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            v = self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        for p, view in zip(self.params, self.grad_views):
+            if p.grad is None:
+                view.fill(0.0)
+            else:
+                view[...] = p.grad
+        m, v, g, tmp = self.m, self.v, self.g, self.tmp
+        m *= self.beta1                              # m = beta1 m + (1 - beta1) g
+        m += np.multiply(g, 1 - self.beta1, out=tmp)
+        v *= self.beta2                              # v = beta2 v + (1 - beta2) g^2
+        g *= g
+        g *= 1 - self.beta2
+        v += g
+        np.divide(m, b1t, out=tmp)                   # lr (m / b1t)
+        tmp *= self.lr
+        np.divide(v, b2t, out=g)                     # sqrt(v / b2t) + eps
+        np.sqrt(g, out=g)
+        g += self.eps
+        tmp /= g
+        self.flat -= tmp
 
 
 # ---------------------------------------------------------------------------

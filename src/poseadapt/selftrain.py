@@ -103,7 +103,7 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
             breakdown = total_objective(out, sup_all[idx], anchors, model, cam, objective)
             value = breakdown.total_value
             if not np.isfinite(value):
-                if all(np.isfinite(p).all() for p in net.state_arrays().values()):
+                if _finite_parameters(net):
                     snapshot = net.state_arrays()
                 raise TrainingFailureError(
                     f"non-finite loss {value}", snapshot=snapshot)
@@ -114,9 +114,14 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
             parts.append((breakdown.cls_value, breakdown.reg_value, breakdown.corr_value))
         stats.epoch_losses.append(float(np.mean(losses)))
         stats.epoch_breakdown.append(tuple(np.mean(parts, axis=0)))
-        if all(np.isfinite(p).all() for p in net.state_arrays().values()):
+        if _finite_parameters(net):
             snapshot = net.state_arrays()
     return stats
+
+
+def _finite_parameters(net: PoseNetwork):
+    """Whether every parameter is finite, tested in place."""
+    return all(np.isfinite(p.data).all() for p in net.parameters().values())
 
 
 def train_teacher(obs, poses: Pose, net: PoseNetwork, anchors: AnchorSet,

@@ -1,7 +1,8 @@
 """Test-only references, generators and run-config values.
 
 ``point_matching_distance`` is the point-set distance the closed-form
-regression terms stand for.  ``ANCHOR_RANGES`` and ``SAMPLE_RANGES`` are
+regression terms stand for.  ``OracleAdam`` is the per-parameter Adam
+the fused flat update must match bit for bit.  ``ANCHOR_RANGES`` and ``SAMPLE_RANGES`` are
 the run config's default anchor and pose sampling ranges, for tests that
 build anchors or datasets without a run config.
 """
@@ -36,3 +37,27 @@ def matrix_to_rot6d(m):
 def random_rotations(n, rng):
     """Uniform random rotation matrices (n, 3, 3)."""
     return quaternions_to_matrices(random_quaternions(n, rng))
+
+
+class OracleAdam:
+    """Adam one parameter at a time, with fresh arrays for every term."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = dict(params)
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self):
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for k, p in self.params.items():
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            m = self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
+            v = self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * (g * g)
+            p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

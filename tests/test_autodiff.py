@@ -5,6 +5,7 @@ import pytest
 
 from poseadapt import autodiff as ad
 from poseadapt.errors import InvalidArgumentError, ShapeError
+from poseadapt.losses import LOG_EPS
 
 
 def finite_diff(f, x, h=1e-6):
@@ -78,6 +79,25 @@ class TestMatmul:
 
         check_grad(build, (2, 5, 3))
 
+    def test_linear_is_the_matmul_add_pair(self):
+        """One ``linear`` node gives the bits of ``add(matmul(x, w), b)``,
+        in its value and in all three gradients."""
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal(s) for s in ((6, 4), (4, 5), (5,))]
+        weights = rng.standard_normal((6, 5))
+
+        def grads(build):
+            x, w, b = (ad.parameter(a) for a in arrays)
+            out = build(x, w, b)
+            ad.tsum(ad.mul(out, weights)).backward()
+            return [out.data, x.grad, w.grad, b.grad]
+
+        fused = grads(ad.linear)
+        pair = grads(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+        assert all(np.array_equal(f, p) for f, p in zip(fused, pair))
+        w, b = rng.standard_normal((4, 5)), rng.standard_normal(5)
+        check_grad(lambda t: ad.tsum(ad.mul(ad.linear(t, w, b), weights)), (6, 4))
+
     def test_vector_cases(self):
         # 1-D operands are rejected; a vector is written as a (n, 1) column
         v = ad.parameter(np.ones(4))
@@ -89,6 +109,16 @@ class TestMatmul:
 class TestIndexingOps:
     def test_slice_gradient(self):
         check_grad(lambda t: ad.tsum(ad.mul(t[..., :2], 3.0)), (4, 5))
+        check_grad(lambda t: ad.tsum(ad.mul(t[1], np.arange(5.0))), (4, 5))
+        check_grad(lambda t: ad.tsum(ad.mul(t[..., 2:], t[..., 2:])), (3, 4, 5))
+
+    @pytest.mark.parametrize("key", [np.array([0, 0]), [1, 1], (slice(None), np.array([2, 2]))],
+                             ids=["array", "list", "tuple-with-array"])
+    def test_index_arrays_are_refused(self, key):
+        """A repeated index would drop gradient; ``gather_rows`` is the
+        way to pick rows by an index array."""
+        with pytest.raises(ShapeError, match="gather_rows"):
+            ad.index(ad.parameter(np.ones((3, 4))), key)
 
     def test_gather_rows(self):
         idx = np.array([[0, 2], [1, 1], [3, 0]])
@@ -157,6 +187,20 @@ class TestBackwardContract:
         loss.backward()
         assert p.grad[0] == pytest.approx(7.0)
 
+    def test_gradient_shares_are_not_aliased(self):
+        """A share that the tape hands on unchanged (``add``) or as a view
+        (``reshape``) is copied before another share is added to it."""
+        def shared(t):
+            u, v = ad.mul(t, 2.0), ad.mul(t, 3.0)
+            return ad.tsum(ad.add(ad.add(u, v), ad.mul(u, v)))
+
+        check_grad(shared, (2,))
+        a = ad.mul(ad.parameter(np.ones((2, 3))), 2.0)
+        r = ad.reshape(a, (6,))
+        ad.add(ad.tsum(ad.mul(r, np.arange(6.0))), ad.tsum(ad.mul(a, 5.0))).backward()
+        np.testing.assert_array_equal(r.grad, np.arange(6.0))
+        np.testing.assert_array_equal(a.grad, np.arange(6.0).reshape(2, 3) + 5.0)
+
     def test_no_grad_suppresses_tape(self):
         p = ad.parameter(np.ones(3))
         with ad.no_grad():
@@ -167,3 +211,13 @@ class TestBackwardContract:
         a = ad.Tensor(np.ones(3))
         b = ad.mul(a, 2.0)
         assert b._parents == ()
+
+    def test_constant_operands_are_pruned(self):
+        p = ad.parameter(np.ones(3))
+        c = ad.Tensor(np.full(3, 2.0))
+        out = ad.add(ad.mul(p, c), LOG_EPS)
+        assert out._parents[0]._parents == (p,)
+        assert ad.add(p, LOG_EPS)._parents == (p,)
+        ad.tsum(out).backward()
+        np.testing.assert_array_equal(p.grad, [2.0, 2.0, 2.0])
+        assert c.grad is None

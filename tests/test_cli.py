@@ -1,5 +1,6 @@
 """Command-line pipeline: every stage end to end, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -71,6 +72,35 @@ def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, cap
         assert len(rounds) == 3
     again, _ = run_pipeline(tmp_path, "b", scalar)
     assert outputs(again) == first
+
+
+# SHA-256 over the names and bytes of every checkpoint and TSV of ``golden_run``
+GOLDEN_DIGEST = "0a0d87d4879377389d7ed1ba02cc1e77dbdee1aac2c9a4fb63afcdada373e7d3"
+
+
+def golden_run(tmp_path):
+    out = tmp_path / "golden"
+    base = ["--config", write_config(tmp_path, "golden", dict(TINY, out_dir=str(out))),
+            "--seed", "3"]
+    for step in (["gen-data"], ["train", "--stage", "teacher"], ["train", "--stage", "student"]):
+        assert cli.main(step + base) == 0
+    digest = hashlib.sha256()
+    for name, data in outputs(out).items():
+        if name != "dataset.txt":
+            digest.update(name.encode() + b"\0" + data)
+    return digest.hexdigest()
+
+
+def test_tiny_pipeline_matches_its_golden_digest(tmp_path, capsys):
+    """The ``TINY`` pose pipeline (gen-data, teacher, student; seed 3)
+    writes exactly the checkpoints and reports it always has.
+
+    A change that is meant to keep results (a refactor, a speed-up) must
+    keep this digest.  A change that moves results on purpose (a new
+    loss scale, a new gradient order, a method change) updates
+    ``GOLDEN_DIGEST`` and says so in CHANGES.md.  The digest holds for one
+    numpy and BLAS build; another build may round differently."""
+    assert golden_run(tmp_path) == GOLDEN_DIGEST
 
 
 def report_rows(path):

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from poseadapt import selftrain
-from poseadapt.errors import InvalidArgumentError
+from poseadapt.errors import InvalidArgumentError, TrainingFailureError
 from poseadapt.geometry import AnchorSet, generate_translation_bins
 from poseadapt.labeling import ScoreConfig
 from poseadapt.losses import ObjectiveConfig, build_target_graph
-from poseadapt.network import NetworkConfig, PoseNetwork
+from poseadapt.network import Adam, NetworkConfig, PoseNetwork
 from poseadapt.selftrain import (
     TrainConfig,
     select_samples,
     threshold_schedule,
     train_student,
+    train_supervised,
 )
 from poseadapt.synth import OBS_DIM, make_domain_config, make_scalar_task
 
@@ -150,3 +151,23 @@ def test_empty_target_split_trains_on_source_only(monkeypatch):
                               anchors, ds.objects[0], ds.cam, objective, cfg, seed=0)
     assert [(r.n_candidates, len(r.selected)) for r in rounds] == [(0, 0), (0, 0)]
     assert [len(obs) for obs, _ in calls] == [8, 8]
+
+
+def test_non_finite_loss_raises_with_the_last_finite_parameters():
+    """One NaN observation makes its batch's loss NaN.  The check runs
+    before that batch's backward, so the snapshot is the network as it
+    stands at the raise: finite, and trained by the batches before it."""
+    ds, anchors, net, objective = scalar_setup()
+    obs, poses, _ = split_arrays(ds)
+    obs = obs.copy()
+    obs[np.random.default_rng(0).permutation(len(obs))[-1]] = np.nan  # the last batch
+    before = net.state_arrays()
+    with pytest.raises(TrainingFailureError) as info:
+        train_supervised(net, Adam(net.parameters(), lr=1e-3), obs, poses, anchors,
+                         ds.objects[0], ds.cam, objective, epochs=1, batch_size=2,
+                         rng=np.random.default_rng(0))
+    snapshot, now = info.value.snapshot, net.state_arrays()
+    assert set(snapshot) == set(now)
+    assert all(np.isfinite(a).all() for a in snapshot.values())
+    assert all(np.array_equal(snapshot[k], now[k]) for k in now)
+    assert any(not np.array_equal(snapshot[k], before[k]) for k in now)
