@@ -8,8 +8,13 @@ for every tensor that requires them.  Constant operands (numbers, plain
 arrays, tensors with neither ``requires_grad`` nor parents) are pruned
 from the tape: no gradient is computed for them and they receive no
 ``.grad``.  Broadcasting follows numpy semantics; gradients are summed
-back over broadcast axes.  ``linear(x, w, b)`` is the affine layer
-``x @ w + b`` as one node.
+back over broadcast axes.
+
+The node set is what the package calls: ``add``, ``mul``, ``tsum`` /
+``tmean``, ``reshape`` and ``gather_rows``, and for the MLPs ``linear``
+(``x @ w + b``), ``leaky_relu`` and ``softmax``.  ``node(data, *links)``
+makes a node from a value and one gradient function per parent; each
+loss term in ``losses`` is one such node with a closed-form gradient.
 """
 
 from __future__ import annotations
@@ -70,26 +75,23 @@ class Tensor:
             raise InvalidArgumentError("backward() requires a scalar loss node")
         topo, visited, stack = [], set(), [(self, False)]
         while stack:
-            node, expanded = stack.pop()
+            t, expanded = stack.pop()
             if expanded:
-                topo.append(node)
+                topo.append(t)
                 continue
-            if node in visited:
+            if t in visited:
                 continue
-            visited.add(node)
-            stack.append((node, True))
-            for p in node._parents:
+            visited.add(t)
+            stack.append((t, True))
+            for p in t._parents:
                 if p not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            g = node.grad
+        for t in reversed(topo):
+            g = t.grad
             if g is not None:
-                for p, fn in zip(node._parents, node._grad_fns):
+                for p, fn in zip(t._parents, t._grad_fns):
                     p._accumulate(fn(g), g)
-
-    def __getitem__(self, key):
-        return index(self, key)
 
 
 def as_tensor(x):
@@ -100,10 +102,11 @@ def parameter(data):
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
-def _make(data, *links):
-    """A node over ``(parent, grad_fn)`` links.  Only the parents a
-    gradient must reach stay on the tape: those that require one or have
-    parents of their own."""
+def node(data, *links):
+    """A node of value ``data`` over ``(parent, grad_fn)`` links, where
+    ``grad_fn`` maps the node's gradient to that parent's share.  Only the
+    parents a gradient must reach stay on the tape: those that require
+    one or have parents of their own."""
     links = [(p, fn) for p, fn in links if p.requires_grad or p._parents] if _grad_enabled else ()
     if not links:
         return Tensor(data)
@@ -129,78 +132,40 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data + b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
-                 (b, lambda g: _unbroadcast(g, b.data.shape)))
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data - b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
-                 (b, lambda g: _unbroadcast(-g, b.data.shape)))
+    return node(a.data + b.data, (a, lambda g: _unbroadcast(g, a.data.shape)),
+                (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
-
-
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data / b.data, (a, lambda g: _unbroadcast(g / b.data, a.data.shape)),
-                 (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-
-
-def matmul(a, b):
-    """Matrix product of operands with at least two dimensions each;
-    leading dimensions broadcast."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs 2-D or batched operands, got "
-                         f"{a.data.shape} @ {b.data.shape}")
-    return _make(a.data @ b.data,
-                 (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)),
-                 (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
+    return node(a.data * b.data, (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def linear(x, w, b):
     """Affine layer ``x @ w + b`` for a batch x (B, n_in), w (n_in, n_out)
     and b (n_out,), as one node."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    return _make(x.data @ w.data + b.data, (x, lambda g: g @ w.data.T),
-                 (w, lambda g: x.data.T @ g), (b, lambda g: g.sum(axis=0)))
+    return node(x.data @ w.data + b.data, (x, lambda g: g @ w.data.T),
+                (w, lambda g: x.data.T @ g), (b, lambda g: g.sum(axis=0)))
 
 
-# -- elementwise nonlinearities ---------------------------------------------
-
-
-def exp(a):
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, (a, lambda g: g * out))
-
-
-def log(a):
-    a = as_tensor(a)
-    return _make(np.log(a.data), (a, lambda g: g / a.data))
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-    return _make(out, (a, lambda g: g * 0.5 / out))
-
-
-def absolute(a):
-    a = as_tensor(a)
-    return _make(np.abs(a.data), (a, lambda g: g * np.sign(a.data)))
+# -- nonlinearities -----------------------------------------------------------
 
 
 def leaky_relu(a, alpha=0.01):
     a = as_tensor(a)
     pos = a.data > 0
-    return _make(np.where(pos, a.data, alpha * a.data),
-                 (a, lambda g: g * np.where(pos, 1.0, alpha)))
+    return node(np.where(pos, a.data, alpha * a.data),
+                (a, lambda g: g * np.where(pos, 1.0, alpha)))
+
+
+def softmax(a, axis=-1):
+    """Numerically stable softmax s, with the gradient s (g - sum(g s))."""
+    a = as_tensor(a)
+    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
+    s = e / e.sum(axis=axis, keepdims=True)
+    return node(s, (a, lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True))))
 
 
 # -- reductions and shape ops ------------------------------------------------
@@ -208,8 +173,8 @@ def leaky_relu(a, alpha=0.01):
 
 def tsum(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    return _make(a.data.sum(axis=axis, keepdims=keepdims),
-                 (a, lambda g: g if axis is None or keepdims else np.expand_dims(g, axis)))
+    return node(a.data.sum(axis=axis, keepdims=keepdims),
+                (a, lambda g: g if axis is None or keepdims else np.expand_dims(g, axis)))
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -220,28 +185,7 @@ def tmean(a, axis=None, keepdims=False):
 
 def reshape(a, shape):
     a = as_tensor(a)
-    return _make(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
-
-
-def swapaxes(a, ax1, ax2):
-    a = as_tensor(a)
-    return _make(np.swapaxes(a.data, ax1, ax2), (a, lambda g: np.swapaxes(g, ax1, ax2)))
-
-
-def index(a, key):
-    """Basic indexing only (integers, slices, ``...``), so no element is
-    picked twice; the gradient scatters back into the picked elements.
-    Select rows by an index array with ``gather_rows``."""
-    a = as_tensor(a)
-    if any(isinstance(k, (list, np.ndarray)) for k in (key if isinstance(key, tuple) else (key,))):
-        raise ShapeError("index takes basic keys only; use gather_rows for index arrays")
-
-    def scatter(g):
-        buf = np.zeros_like(a.data)
-        buf[key] += g
-        return buf
-
-    return _make(a.data[key], (a, scatter))
+    return node(a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def gather_rows(a, idx):
@@ -257,34 +201,4 @@ def gather_rows(a, idx):
         np.add.at(buf, (rows, idx), g)
         return buf
 
-    return _make(a.data[rows, idx], (a, scatter))
-
-
-def stack(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    return _make(np.stack([t.data for t in tensors], axis=axis),
-                 *[(t, lambda g, i=i: np.take(g, i, axis=axis)) for i, t in enumerate(tensors)])
-
-
-def cross(a, b):
-    """Cross product along the last axis (size 3)."""
-    a, b = as_tensor(a), as_tensor(b)
-    return _make(np.cross(a.data, b.data),
-                 (a, lambda g: _unbroadcast(np.cross(b.data, g), a.data.shape)),
-                 (b, lambda g: _unbroadcast(np.cross(g, a.data), b.data.shape)))
-
-
-# -- composites ---------------------------------------------------------------
-
-
-def softmax(a, axis=-1):
-    """Numerically stable softmax; the max shift is treated as a constant."""
-    a = as_tensor(a)
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    e = exp(sub(a, shift))
-    return div(e, tsum(e, axis=axis, keepdims=True))
-
-
-def norm(a, axis=-1, keepdims=False):
-    """L2 norm along an axis."""
-    return sqrt(tsum(mul(a, a), axis=axis, keepdims=keepdims))
+    return node(a.data[rows, idx], (a, scatter))

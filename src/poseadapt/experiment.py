@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import RunConfig, save_config
 from .errors import CheckpointIncompatibleError, DependencyError, InvalidArgumentError
-from .geometry import AnchorSet, CameraIntrinsics, Pose
+from .geometry import AnchorSet, CameraIntrinsics
 from .losses import ObjectiveConfig, build_target_graph
 from .metrics import average_recall, confidence_scores, evaluate_pose, predict_poses, scalar_mae
 from .network import NetworkConfig, PoseNetwork, load_checkpoint, save_checkpoint
@@ -24,7 +24,6 @@ from .reports import (
     write_pseudo_cache,
     write_recall_table,
     write_round_stats,
-    write_series,
     write_sweep,
 )
 from .selftrain import train_student, train_teacher
@@ -42,6 +41,7 @@ from .synth import (
 
 STAGES = ("teacher", "student", "baseline-regression", "no-ctc")
 DOMAINS = ("source", "target")
+SWEEP_TAUS = np.round(np.linspace(0.0, 0.95, 20), 6)
 
 _STAGE_PREFIX = {
     "teacher": "teacher",
@@ -190,8 +190,10 @@ def _pseudo_cache_path(out_dir, obj_id, round_index):
     return os.path.join(out_dir, f"pseudo_student_obj{obj_id}_round{round_index}.tsv")
 
 
-def _write_student_round_reports(cfg, ds, round_stats):
-    """Per-round selection statistics with the selected subset's recall."""
+def _write_student_round_reports(cfg, ds, round_stats, pseudo):
+    """Per-round selection statistics with the recall of the selected
+    pseudo labels; ``pseudo[i][r]`` is object i's pose stack of round r,
+    the labels its student trained on."""
     for i, rounds in round_stats.items():
         model = ds.objects[i]
         with evaluation_access():
@@ -200,20 +202,10 @@ def _write_student_round_reports(cfg, ds, round_stats):
         for r in rounds:
             recall = None
             if len(r.selected):
-                pred = _read_pseudo_poses(_pseudo_cache_path(cfg.out_dir, i, r.round_index))
-                recall = average_recall(evaluate_pose(pred[r.selected], gt[r.selected],
-                                                      model).hit)
+                pred = pseudo[i][r.round_index][r.selected]
+                recall = average_recall(evaluate_pose(pred, gt[r.selected], model).hit)
             rows.append((r.round_index, r.tau, r.n_candidates, len(r.selected), recall))
         write_round_stats(os.path.join(cfg.out_dir, f"rounds_student_obj{i}.tsv"), rows)
-
-
-def _read_pseudo_poses(path):
-    """The pose stack of a pseudo-label cache as written, six decimals, so
-    the report scores them."""
-    with open(path) as f:
-        rows = [line.split("\t")[1:13] for line in f.read().splitlines()[1:]]
-    vals = np.array(rows, dtype=float)
-    return Pose(vals[:, :9].reshape(-1, 3, 3), vals[:, 9:])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +230,7 @@ def run_train(cfg: RunConfig, stage, log=print):
     net_cfg = build_network_config(cfg, ds.obs_dim, anchors, scalar=scalar)
     objective = build_objective(cfg, anchors, stage)
     prefix = _STAGE_PREFIX[stage]
-    nets, checkpoints, round_stats = {}, [], {}
+    nets, checkpoints, round_stats, pseudo = {}, [], {}, {}
     for i, model in enumerate(ds.objects):
         source = ds.by_object(i, "source")
         if stage == "student":
@@ -247,10 +239,12 @@ def run_train(cfg: RunConfig, stage, log=print):
                 raise DependencyError(f"student stage needs {tpath}; run --stage teacher first")
             teacher, _ = load_checkpoint(tpath, expected_config=net_cfg)
             target = ds.by_object(i, "target")
+            pseudo[i] = []
 
             def sink(r, poses, confidence, _i=i, _ids=target.ids):
                 write_pseudo_cache(_pseudo_cache_path(cfg.out_dir, _i, r), _ids, poses,
                                    confidence, r)
+                pseudo[_i].append(poses)
 
             nets[i], round_stats[i] = train_student(
                 teacher, source.observation, source.gt_pose, target.observation, anchors,
@@ -271,7 +265,7 @@ def run_train(cfg: RunConfig, stage, log=print):
                **write_quality_reports(cfg, ds, nets, anchors, prefix, log)}
     if stage == "student":
         if not scalar:
-            _write_student_round_reports(cfg, ds, round_stats)
+            _write_student_round_reports(cfg, ds, round_stats, pseudo)
         summary["rounds"] = round_stats
     return summary
 
@@ -306,17 +300,17 @@ def run_eval(cfg: RunConfig, checkpoint, log=print):
 # threshold sweep
 
 
-def run_sweep(cfg: RunConfig, log=print, taus=None, stage="teacher"):
+def run_sweep(cfg: RunConfig, log=print, stage="teacher"):
     """Sweep the selection threshold over teacher pseudo labels.
 
-    For each confidence source (per-branch max probability) and each tau,
-    report the pooled recall of ADD(-S) hits among selected samples.
+    For each confidence source (per-branch max probability) and each tau
+    of ``SWEEP_TAUS``, report the pooled recall of ADD(-S) hits among
+    selected samples.
     """
     ds = load_dataset_or_fail(cfg)
     if ds.kind == "scalar":
         raise InvalidArgumentError("threshold sweep expects a pose dataset")
     anchors = build_anchors(cfg)
-    taus = list(taus if taus is not None else np.round(np.linspace(0.0, 0.95, 20), 6))
     ensure_dir(cfg.out_dir)
     # confidence + hit per target sample, pooled over objects
     per_branch_conf = {}
@@ -335,15 +329,12 @@ def run_sweep(cfg: RunConfig, log=print, taus=None, stage="teacher"):
     for branch, values in per_branch_conf.items():
         values = np.concatenate(values)
         rows = []
-        for tau in taus:
+        for tau in SWEEP_TAUS:
             sel = values > tau
             n = int(sel.sum())
             recall = float(100.0 * hits[sel].mean()) if n else None
             rows.append((float(tau), n, recall))
         write_sweep(os.path.join(cfg.out_dir, f"sweep_{branch}.tsv"), rows)
-        pairs = [(r[0], r[2]) for r in rows if r[2] is not None]
-        write_series(os.path.join(cfg.out_dir, f"sweep_{branch}_curve.tsv"), pairs,
-                     x_name="tau", y_name="recall_pct")
         curves[branch] = rows
         log(f"sweep: {branch}: {sum(1 for r in rows if r[2] is not None)} nonempty taus")
     return curves

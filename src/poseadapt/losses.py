@@ -11,6 +11,10 @@ Each distance has a closed form, so only the rotation term touches the
 model points.  The correlation regularizer pulls the batch's feature
 cosine-similarity matrix toward a precomputed graph whose entry for two
 depth bins is the cosine of their angle difference.
+
+Each term is one ``autodiff.node`` with its closed-form gradient next to
+its value: the cross-entropy, the 6D decode, the rotation and scalar
+point-matching terms, the feature graph and the correlation distance.
 """
 
 from __future__ import annotations
@@ -52,7 +56,9 @@ def soft_cross_entropy(probs, labels):
     labels = np.asarray(labels, dtype=np.float64)
     if p.data.shape != labels.shape:
         raise ShapeError(f"probs {p.data.shape} vs labels {labels.shape}")
-    return ad.mul(ad.tsum(ad.mul(ad.log(ad.add(p, LOG_EPS)), labels), axis=-1), -1.0)
+    shifted = p.data + LOG_EPS
+    return ad.node(-(np.log(shifted) * labels).sum(axis=-1),
+                   (p, lambda g: -g[..., None] * labels / shifted))
 
 
 def classification_loss(out: HeadOutput, sup: Supervision):
@@ -92,21 +98,39 @@ class Supervision:
 # 6D rotation decode on the tape
 
 
+def _dot(a, b):
+    return (a * b).sum(axis=-1, keepdims=True)
+
+
 def rot6d_to_matrix_t(r6):
     """Gram-Schmidt 6D-to-matrix on the tape; input (..., 6) -> (..., 3, 3).
     A degenerate row (see ``geometry.gram_schmidt``) is replaced by the
-    identity 6D rotation: it gives the identity with a zero gradient."""
+    identity 6D rotation: it gives the identity with a zero gradient.
+
+    The columns are b1 = a1 / |a1|, b2 = a2p / |a2p| with a2p = a2 - (b1 .
+    a2) b1, and b3 = b1 x b2; the backward pass runs that chain in reverse.
+    """
     r6 = ad.as_tensor(r6)
     degenerate = gram_schmidt(r6.data)[1][..., None]
-    if degenerate.any():
-        r6 = ad.add(ad.mul(r6, ~degenerate), np.where(degenerate, ROT6D_IDENTITY, 0.0))
-    a1, a2 = r6[..., :3], r6[..., 3:]
-    b1 = ad.div(a1, ad.norm(a1, axis=-1, keepdims=True))
-    proj = ad.tsum(ad.mul(b1, a2), axis=-1, keepdims=True)
-    a2p = ad.sub(a2, ad.mul(proj, b1))
-    b2 = ad.div(a2p, ad.norm(a2p, axis=-1, keepdims=True))
-    b3 = ad.cross(b1, b2)
-    return ad.stack([b1, b2, b3], axis=-1)
+    a = np.where(degenerate, ROT6D_IDENTITY, r6.data)
+    a1, a2 = a[..., :3], a[..., 3:]
+    n1 = np.sqrt(_dot(a1, a1))
+    b1 = a1 / n1
+    proj = _dot(b1, a2)
+    a2p = a2 - proj * b1
+    n2 = np.sqrt(_dot(a2p, a2p))
+    b2 = a2p / n2
+
+    def grad(g):
+        g1 = g[..., 0] + np.cross(b2, g[..., 2])      # b3 = b1 x b2
+        g2 = g[..., 1] + np.cross(g[..., 2], b1)
+        ga2p = (g2 - b2 * _dot(b2, g2)) / n2
+        gproj = -_dot(ga2p, b1)
+        g1 = g1 - proj * ga2p + gproj * a2
+        ga1 = (g1 - b1 * _dot(b1, g1)) / n1
+        return np.where(degenerate, 0.0, np.concatenate([ga1, ga2p + gproj * b1], axis=-1))
+
+    return ad.node(np.stack([b1, b2, np.cross(b1, b2)], axis=-1), (r6, grad))
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +171,16 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
     if "rot" in out.residuals:
         gt_rot = resolve_symmetric_gt(out, sup.rotation, anchors, model)
         idx = nearest_anchors(gt_rot, anchors.rotations, sup.k_rot)   # (B, k)
-        res = ad.gather_rows(out.residuals["rot"], idx)                # (B, k, 6)
-        rot = ad.matmul(rot6d_to_matrix_t(res), anchors.rotations[idx])
-        moved = ad.absolute(ad.matmul(ad.sub(rot, gt_rot[:, None]), model.points.T))
-        terms.append(ad.tsum(ad.tmean(ad.tsum(moved, axis=-2), axis=-1), axis=-1))
+        m = rot6d_to_matrix_t(ad.gather_rows(out.residuals["rot"], idx))  # (B, k, 3, 3)
+        anchor_rot, scale = anchors.rotations[idx], 1.0 / len(model.points)
+        moved = (m.data @ anchor_rot - gt_rot[:, None]) @ model.points.T   # (B, k, 3, P)
+
+        def rot_grad(g):
+            g_moved = np.sign(moved) * (g[:, None] * scale)[..., None, None]
+            return g_moved @ model.points @ np.swapaxes(anchor_rot, -1, -2)
+
+        terms.append(ad.node((np.abs(moved).sum(axis=-2).sum(axis=-1) * scale).sum(axis=-1),
+                             (m, rot_grad)))
     # scalar branch: (bins, target, weight of |t_i - t| in the point distance)
     z_weight = 1.0 + np.abs(sup.vx) / cam.fx + np.abs(sup.vy) / cam.fy
     scalar = {"z": (anchors.bins_z, sup.z, z_weight),
@@ -159,9 +189,10 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
     for name, (bins, target, weight) in scalar.items():
         if name in out.residuals:
             idx = sup.nearest[name]
-            pred = ad.add(ad.gather_rows(out.residuals[name], idx), bins[idx])  # (B, k)
-            l1 = ad.tsum(ad.absolute(ad.sub(pred, target[:, None])), axis=-1)
-            terms.append(ad.mul(l1, weight))
+            res = ad.gather_rows(out.residuals[name], idx)             # (B, k)
+            diff = res.data + bins[idx] - target[:, None]
+            terms.append(ad.node(np.abs(diff).sum(axis=-1) * weight,
+                                 (res, lambda g, d=diff, w=weight: (g * w)[:, None] * np.sign(d))))
     return reduce(ad.add, terms)
 
 
@@ -195,11 +226,16 @@ def build_target_graph(bins_z, z_min, z_max) -> TargetGraph:
 def batch_feature_graph(features):
     """Pairwise cosine-similarity matrix (B, B) of the batch features."""
     f = ad.as_tensor(features)
-    norms = np.linalg.norm(f.data, axis=1)
+    norms = np.linalg.norm(f.data, axis=1, keepdims=True)
     if np.any(norms <= 0):
         raise DegenerateFeatureError("zero-norm feature in batch")
-    fn = ad.div(f, ad.norm(f, axis=1, keepdims=True))
-    return ad.matmul(fn, ad.swapaxes(fn, 0, 1))
+    fn = f.data / norms
+
+    def grad(g):
+        g_fn = (g + g.T) @ fn
+        return (g_fn - fn * (g_fn * fn).sum(axis=1, keepdims=True)) / norms
+
+    return ad.node(fn @ fn.T, (f, grad))
 
 
 def z_class_indices(z_values, bins_z):
@@ -217,9 +253,8 @@ def target_correlation_loss(graph, class_indices, tg: TargetGraph):
         raise ShapeError(f"graph {g.data.shape} vs {len(idx)} class indices")
     if np.any(idx < 0) or np.any(idx >= tg.n_classes):
         raise InvalidArgumentError("class index out of range")
-    wanted = tg.g0[idx[:, None], idx[None, :]]
-    diff = ad.sub(g, wanted)
-    return ad.tsum(ad.mul(diff, diff))
+    diff = g.data - tg.g0[idx[:, None], idx[None, :]]
+    return ad.node((diff * diff).sum(), (g, lambda up: 2.0 * up * diff))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ ABSENT = "-"
 def _fmt(x):
     if x is None:
         return ABSENT
-    if isinstance(x, bool):
-        return "1" if x else "0"
     if isinstance(x, float):
         return f"{x:.6f}"
     return str(x)
@@ -54,14 +52,13 @@ def write_round_stats(path, rows):
                 rows)
 
 
-def write_series(path, pairs, x_name="x", y_name="y"):
-    """Two-column plot data."""
-    _write_rows(path, (x_name, y_name), pairs)
-
-
 def write_sweep(path, rows):
-    """Threshold sweep for one confidence source: (tau, count, recall|None)."""
+    """Threshold sweep for one confidence source: the table of (tau, count,
+    recall|None) rows at ``path``, and next to it (``<name>_curve.tsv``)
+    the curve of (tau, recall) over the taus with a recall."""
     _write_rows(path, ("tau", "selected", "recall_pct"), rows)
+    _write_rows(os.path.splitext(path)[0] + "_curve.tsv", ("tau", "recall_pct"),
+                [(tau, recall) for tau, _, recall in rows if recall is not None])
 
 
 def write_loss_curve(path, stats):

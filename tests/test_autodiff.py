@@ -1,4 +1,11 @@
-"""Tensor engine tests: every op against central finite differences."""
+"""Tensor engine tests: every op against central finite differences.
+
+The package's nodes (``poseadapt.autodiff``) and the ops that only the
+oracle tape has (``tape``: ``sub``, ``div``, ``matmul``, ``exp``,
+``log``, ``sqrt``, ``absolute``, ``swapaxes``, ``index``, ``stack``,
+``cross``) are checked alike, since the oracle's gradients are the
+reference for the loss terms.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +13,8 @@ import pytest
 from poseadapt import autodiff as ad
 from poseadapt.errors import InvalidArgumentError, ShapeError
 from poseadapt.losses import LOG_EPS
+
+import tape
 
 
 def finite_diff(f, x, h=1e-6):
@@ -24,14 +33,15 @@ def finite_diff(f, x, h=1e-6):
     return g
 
 
-def check_grad(build, shape, seed=0, h=1e-6, tol=1e-6):
-    """Compare analytic gradient of build(Tensor) against finite differences."""
+def check_grad(build, shape, seed=0, h=1e-6, tol=1e-6, lib=ad):
+    """Compare analytic gradient of build(Tensor) against finite
+    differences; ``lib`` is the engine whose tensors ``build`` takes."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape) + 0.5  # keep away from kinks at 0
-    p = ad.parameter(x.copy())
+    p = lib.parameter(x.copy())
     loss = build(p)
     loss.backward()
-    num = finite_diff(lambda arr: build(ad.Tensor(arr)).item(), x.copy(), h)
+    num = finite_diff(lambda arr: build(lib.Tensor(arr)).item(), x.copy(), h)
     np.testing.assert_allclose(p.grad, num, atol=tol, rtol=1e-4)
 
 
@@ -40,14 +50,16 @@ class TestElementaryOps:
         check_grad(lambda t: ad.tsum(ad.mul(ad.add(t, 2.0), t)), (3, 4))
 
     def test_sub_div(self):
-        check_grad(lambda t: ad.tsum(ad.div(ad.sub(t, 0.1), ad.add(t, 5.0))), (4,))
+        check_grad(lambda t: tape.tsum(tape.div(tape.sub(t, 0.1), tape.add(t, 5.0))), (4,),
+                   lib=tape)
 
     def test_exp_log_sqrt(self):
-        check_grad(lambda t: ad.tsum(ad.log(ad.add(ad.exp(t), 1.0))), (6,))
-        check_grad(lambda t: ad.tsum(ad.sqrt(ad.add(ad.mul(t, t), 1.0))), (6,))
+        check_grad(lambda t: tape.tsum(tape.log(tape.add(tape.exp(t), 1.0))), (6,), lib=tape)
+        check_grad(lambda t: tape.tsum(tape.sqrt(tape.add(tape.mul(t, t), 1.0))), (6,),
+                   lib=tape)
 
     def test_abs(self):
-        check_grad(lambda t: ad.tsum(ad.absolute(t)), (7,), seed=3)
+        check_grad(lambda t: tape.tsum(tape.absolute(t)), (7,), seed=3, lib=tape)
 
     def test_leaky_relu(self):
         check_grad(lambda t: ad.tsum(ad.leaky_relu(t, 0.01)), (5,), seed=1)
@@ -58,59 +70,60 @@ class TestElementaryOps:
 
     def test_reshape_swapaxes(self):
         check_grad(lambda t: ad.tsum(ad.mul(ad.reshape(t, (4, 3)), 2.0)), (3, 4))
-        check_grad(lambda t: ad.tsum(ad.mul(ad.swapaxes(t, 0, 1), np.arange(12.).reshape(4, 3))), (3, 4))
+        check_grad(lambda t: tape.tsum(tape.mul(tape.swapaxes(t, 0, 1),
+                                                np.arange(12.).reshape(4, 3))), (3, 4), lib=tape)
 
 
 class TestMatmul:
     def test_2d(self):
         w = np.random.default_rng(0).standard_normal((4, 3))
-        check_grad(lambda t: ad.tsum(ad.matmul(t, w)), (2, 4))
+        check_grad(lambda t: tape.tsum(tape.matmul(t, w)), (2, 4), lib=tape)
 
     def test_batched_broadcast(self):
         w = np.random.default_rng(1).standard_normal((3, 5))
-        check_grad(lambda t: ad.tsum(ad.matmul(t, w)), (2, 6, 4, 3))
+        check_grad(lambda t: tape.tsum(tape.matmul(t, w)), (2, 6, 4, 3), lib=tape)
 
     def test_batched_both_sides(self):
         rng = np.random.default_rng(2)
-        b = ad.parameter(rng.standard_normal((2, 3, 4)))
+        b = tape.parameter(rng.standard_normal((2, 3, 4)))
 
         def build(t):
-            return ad.tsum(ad.matmul(t, b))
+            return tape.tsum(tape.matmul(t, b))
 
-        check_grad(build, (2, 5, 3))
+        check_grad(build, (2, 5, 3), lib=tape)
 
     def test_linear_is_the_matmul_add_pair(self):
-        """One ``linear`` node gives the bits of ``add(matmul(x, w), b)``,
-        in its value and in all three gradients."""
+        """One ``linear`` node gives the bits of the oracle's
+        ``add(matmul(x, w), b)``, in its value and in all three gradients."""
         rng = np.random.default_rng(3)
         arrays = [rng.standard_normal(s) for s in ((6, 4), (4, 5), (5,))]
         weights = rng.standard_normal((6, 5))
 
-        def grads(build):
-            x, w, b = (ad.parameter(a) for a in arrays)
+        def grads(lib, build):
+            x, w, b = (lib.parameter(a) for a in arrays)
             out = build(x, w, b)
-            ad.tsum(ad.mul(out, weights)).backward()
+            lib.tsum(lib.mul(out, weights)).backward()
             return [out.data, x.grad, w.grad, b.grad]
 
-        fused = grads(ad.linear)
-        pair = grads(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+        fused = grads(ad, ad.linear)
+        pair = grads(tape, lambda x, w, b: tape.add(tape.matmul(x, w), b))
         assert all(np.array_equal(f, p) for f, p in zip(fused, pair))
         w, b = rng.standard_normal((4, 5)), rng.standard_normal(5)
         check_grad(lambda t: ad.tsum(ad.mul(ad.linear(t, w, b), weights)), (6, 4))
 
     def test_vector_cases(self):
         # 1-D operands are rejected; a vector is written as a (n, 1) column
-        v = ad.parameter(np.ones(4))
+        v = tape.parameter(np.ones(4))
         for a, b in ((np.ones((3, 4)), v), (v, np.ones((4, 3))), (v, v)):
             with pytest.raises(ShapeError):
-                ad.matmul(a, b)
+                tape.matmul(a, b)
 
 
 class TestIndexingOps:
     def test_slice_gradient(self):
-        check_grad(lambda t: ad.tsum(ad.mul(t[..., :2], 3.0)), (4, 5))
-        check_grad(lambda t: ad.tsum(ad.mul(t[1], np.arange(5.0))), (4, 5))
-        check_grad(lambda t: ad.tsum(ad.mul(t[..., 2:], t[..., 2:])), (3, 4, 5))
+        check_grad(lambda t: tape.tsum(tape.mul(t[..., :2], 3.0)), (4, 5), lib=tape)
+        check_grad(lambda t: tape.tsum(tape.mul(t[1], np.arange(5.0))), (4, 5), lib=tape)
+        check_grad(lambda t: tape.tsum(tape.mul(t[..., 2:], t[..., 2:])), (3, 4, 5), lib=tape)
 
     @pytest.mark.parametrize("key", [np.array([0, 0]), [1, 1], (slice(None), np.array([2, 2]))],
                              ids=["array", "list", "tuple-with-array"])
@@ -118,7 +131,7 @@ class TestIndexingOps:
         """A repeated index would drop gradient; ``gather_rows`` is the
         way to pick rows by an index array."""
         with pytest.raises(ShapeError, match="gather_rows"):
-            ad.index(ad.parameter(np.ones((3, 4))), key)
+            tape.index(tape.parameter(np.ones((3, 4))), key)
 
     def test_gather_rows(self):
         idx = np.array([[0, 2], [1, 1], [3, 0]])
@@ -137,13 +150,13 @@ class TestIndexingOps:
     def test_stack(self):
         def build(t):
             parts = [t[0], t[1], t[2]]
-            return ad.tsum(ad.mul(ad.stack(parts, axis=0), 1.5))
+            return tape.tsum(tape.mul(tape.stack(parts, axis=0), 1.5))
 
-        check_grad(build, (3, 4))
+        check_grad(build, (3, 4), lib=tape)
 
     def test_cross(self):
         b = np.random.default_rng(4).standard_normal((5, 3))
-        check_grad(lambda t: ad.tsum(ad.mul(ad.cross(t, b), b + 0.3)), (5, 3))
+        check_grad(lambda t: tape.tsum(tape.mul(tape.cross(t, b), b + 0.3)), (5, 3), lib=tape)
 
 
 class TestSoftmax:
@@ -159,8 +172,20 @@ class TestSoftmax:
         np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_gradient(self):
+        """Against finite differences, and against the oracle's softmax,
+        a composite of ``exp``, ``sub``, ``div`` and ``tsum``."""
         w = np.random.default_rng(6).standard_normal((4, 5))
         check_grad(lambda t: ad.tsum(ad.mul(ad.softmax(t, axis=1), w)), (4, 5))
+        for axis in (0, 1):
+            x = np.random.default_rng(7).standard_normal((4, 5)) * 3
+            grads = []
+            for lib in (ad, tape):
+                p = lib.parameter(x)
+                s = lib.softmax(p, axis=axis)
+                lib.tsum(lib.mul(s, w)).backward()
+                grads.append((s.data, p.grad))
+            np.testing.assert_array_equal(grads[0][0], grads[1][0])
+            np.testing.assert_allclose(grads[0][1], grads[1][1], rtol=1e-12, atol=1e-15)
 
 
 class TestBackwardContract:

@@ -8,6 +8,7 @@ import pytest
 from poseadapt import cli
 from poseadapt.config import config_from_dict
 from poseadapt.errors import ConfigError
+from poseadapt.experiment import SWEEP_TAUS
 
 TINY = {
     "anchors": {"n_rot": 4, "n_vx": 3, "n_vy": 3, "n_z": 4},
@@ -70,12 +71,18 @@ def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, cap
         assert rounds[0].split("\t") == ["round", "tau", "candidates", "selected",
                                          "selected_recall_pct"]
         assert len(rounds) == 3
+        # each sweep table has one row per tau; its curve keeps the rows with a recall
+        for b in BRANCHES:
+            table = report_rows(out / f"sweep_{b}.tsv")
+            assert [r[0] for r in table] == [f"{t:.6f}" for t in SWEEP_TAUS]
+            assert report_rows(out / f"sweep_{b}_curve.tsv") == \
+                [[tau, recall] for tau, _, recall in table if recall != "-"]
     again, _ = run_pipeline(tmp_path, "b", scalar)
     assert outputs(again) == first
 
 
 # SHA-256 over the names and bytes of every checkpoint and TSV of ``golden_run``
-GOLDEN_DIGEST = "0a0d87d4879377389d7ed1ba02cc1e77dbdee1aac2c9a4fb63afcdada373e7d3"
+GOLDEN_DIGEST = "398956398a2eb3e5e10caed7eb963824f775b9fa350be49b946b0b15d533aa15"
 
 
 def golden_run(tmp_path):

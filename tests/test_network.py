@@ -108,7 +108,7 @@ class TestAdam:
         losses = []
         for _ in range(200):
             w.grad = None
-            r = ad.sub(ad.matmul(A, w), b)
+            r = ad.add(ad.linear(A, w, np.zeros(1)), -b)
             loss = ad.tsum(ad.mul(r, r))
             loss.backward()
             opt.step()

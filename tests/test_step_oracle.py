@@ -89,7 +89,7 @@ def test_fused_adam_matches_the_oracle_on_a_parameter_used_unused_and_used_again
     def build(ps):
         def loss(step):
             pred = ps["w"] if 10 <= step < 20 else ad.add(ps["w"], ps["b"])
-            diff = ad.sub(pred, target)
+            diff = ad.add(pred, -target)
             return ad.tsum(ad.mul(diff, diff))
         return ps, loss
 
