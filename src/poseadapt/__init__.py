@@ -8,7 +8,7 @@ correlation-graph regularizer tying batch feature similarity to depth-bin
 similarity.  A confidence-gated teacher/student loop adapts the model to
 an unlabeled target domain.
 
-Modules, in dependency order: ``autodiff`` (tape engine), ``geometry``
+Modules, in dependency order: ``autodiff`` (backward entry), ``geometry``
 (poses, anchors), ``labeling`` (sparse scores), ``network`` (model, Adam,
 checkpoints), ``losses``, ``metrics`` (ADD / ADD-S, prediction),
 ``selftrain`` (teacher/student), ``synth`` (datasets), ``config``,

@@ -12,13 +12,15 @@ model points.  The correlation regularizer pulls the batch's feature
 cosine-similarity matrix toward a precomputed graph whose entry for two
 depth bins is the cosine of their angle difference.
 
-Each term is one ``autodiff.node`` with its closed-form gradient next to
-its value: the cross-entropy, the 6D decode, the rotation and scalar
-point-matching terms, the feature graph and the correlation distance.
+Each term (the cross-entropy, the 6D decode, the rotation and scalar
+point-matching terms, the feature graph and the correlation distance)
+returns its value and a closed-form map from the gradient of that value
+to the gradient of its input.  ``total_objective`` chains the maps.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -47,24 +49,24 @@ LOG_EPS = 1e-12
 
 
 def soft_cross_entropy(probs, labels):
-    """Cross-entropy -sum(labels * log(probs + eps)).
+    """Cross-entropy -sum(labels * log(probs + eps)), and its gradient map.
 
-    1-D inputs give a scalar; (B, N) inputs give a per-sample (B,) tensor.
-    ``probs`` may be a plain array or a Tensor on the tape.
+    1-D inputs give a scalar; (B, N) inputs give a per-sample (B,) array.
     """
-    p = ad.as_tensor(probs)
     labels = np.asarray(labels, dtype=np.float64)
-    if p.data.shape != labels.shape:
-        raise ShapeError(f"probs {p.data.shape} vs labels {labels.shape}")
-    shifted = p.data + LOG_EPS
-    return ad.node(-(np.log(shifted) * labels).sum(axis=-1),
-                   (p, lambda g: -g[..., None] * labels / shifted))
+    if probs.shape != labels.shape:
+        raise ShapeError(f"probs {probs.shape} vs labels {labels.shape}")
+    shifted = probs + LOG_EPS
+    return -(np.log(shifted) * labels).sum(axis=-1), lambda g: -g[..., None] * labels / shifted
 
 
 def classification_loss(out: HeadOutput, sup: Supervision):
-    """Per-sample sum of branch cross-entropies against sparse labels, (B,)."""
-    return reduce(ad.add, [soft_cross_entropy(probs, sup.labels[name])
-                           for name, probs in out.probs.items()])
+    """Per-sample sum of branch cross-entropies against sparse labels, (B,),
+    and the map to branch -> probability gradient."""
+    terms = {name: soft_cross_entropy(probs, sup.labels[name])
+             for name, probs in out.probs.items()}
+    return (reduce(operator.add, [value for value, _ in terms.values()]),
+            lambda g: {name: back(g) for name, (_, back) in terms.items()})
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class Supervision:
 
 
 # ---------------------------------------------------------------------------
-# 6D rotation decode on the tape
+# 6D rotation decode with its gradient
 
 
 def _dot(a, b):
@@ -103,16 +105,15 @@ def _dot(a, b):
 
 
 def rot6d_to_matrix_t(r6):
-    """Gram-Schmidt 6D-to-matrix on the tape; input (..., 6) -> (..., 3, 3).
-    A degenerate row (see ``geometry.gram_schmidt``) is replaced by the
-    identity 6D rotation: it gives the identity with a zero gradient.
+    """Gram-Schmidt 6D-to-matrix, (..., 6) -> (..., 3, 3), and its gradient
+    map.  A degenerate row (see ``geometry.gram_schmidt``) is replaced by
+    the identity 6D rotation: it gives the identity with a zero gradient.
 
     The columns are b1 = a1 / |a1|, b2 = a2p / |a2p| with a2p = a2 - (b1 .
     a2) b1, and b3 = b1 x b2; the backward pass runs that chain in reverse.
     """
-    r6 = ad.as_tensor(r6)
-    degenerate = gram_schmidt(r6.data)[1][..., None]
-    a = np.where(degenerate, ROT6D_IDENTITY, r6.data)
+    degenerate = gram_schmidt(r6)[1][..., None]
+    a = np.where(degenerate, ROT6D_IDENTITY, r6)
     a1, a2 = a[..., :3], a[..., 3:]
     n1 = np.sqrt(_dot(a1, a1))
     b1 = a1 / n1
@@ -130,7 +131,7 @@ def rot6d_to_matrix_t(r6):
         ga1 = (g1 - b1 * _dot(b1, g1)) / n1
         return np.where(degenerate, 0.0, np.concatenate([ga1, ga2p + gproj * b1], axis=-1))
 
-    return ad.node(np.stack([b1, b2, np.cross(b1, b2)], axis=-1), (r6, grad))
+    return np.stack([b1, b2, np.cross(b1, b2)], axis=-1), grad
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +144,16 @@ def resolve_symmetric_gt(out: HeadOutput, gt_rot, anchors: AnchorSet, model: Obj
     6D rotation decodes to its bare anchor rotation, as in prediction."""
     if not model.is_symmetric or "rot" not in out.probs:
         return gt_rot
-    picks = np.argmax(out.probs["rot"].data, axis=1)
-    res = out.residuals["rot"].data[np.arange(len(picks)), picks]
+    picks = np.argmax(out.probs["rot"], axis=1)
+    res = out.residuals["rot"][np.arange(len(picks)), picks]
     pred = rot6d_to_matrix(res) @ anchors.rotations[picks]
     return closest_symmetric_rotation(pred, gt_rot, model)
 
 
 def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
                           model: ObjectModel, cam: CameraIntrinsics):
-    """Per-sample regression loss (B,) over a batch of head outputs.
+    """Per-sample regression loss (B,) over a batch of head outputs, and
+    the map to branch -> residual gradient, in term order.
 
     Each branch sums, over the k nearest anchors of its target, the point
     matching distance between the ground truth and the ground truth with
@@ -167,20 +169,21 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
         raise InvalidArgumentError("empty batch")
     if len(model.points) == 0:
         raise InvalidArgumentError("empty object model")
-    terms = []
+    rows = np.arange(len(sup))[:, None]
+    terms = {}   # branch -> (value, gradient map of its gathered residuals, anchor rows)
     if "rot" in out.residuals:
         gt_rot = resolve_symmetric_gt(out, sup.rotation, anchors, model)
         idx = nearest_anchors(gt_rot, anchors.rotations, sup.k_rot)   # (B, k)
-        m = rot6d_to_matrix_t(ad.gather_rows(out.residuals["rot"], idx))  # (B, k, 3, 3)
+        m, m_grad = rot6d_to_matrix_t(out.residuals["rot"][rows, idx])  # (B, k, 3, 3)
         anchor_rot, scale = anchors.rotations[idx], 1.0 / len(model.points)
-        moved = (m.data @ anchor_rot - gt_rot[:, None]) @ model.points.T   # (B, k, 3, P)
+        moved = (m @ anchor_rot - gt_rot[:, None]) @ model.points.T   # (B, k, 3, P)
 
         def rot_grad(g):
             g_moved = np.sign(moved) * (g[:, None] * scale)[..., None, None]
-            return g_moved @ model.points @ np.swapaxes(anchor_rot, -1, -2)
+            return m_grad(g_moved @ model.points @ np.swapaxes(anchor_rot, -1, -2))
 
-        terms.append(ad.node((np.abs(moved).sum(axis=-2).sum(axis=-1) * scale).sum(axis=-1),
-                             (m, rot_grad)))
+        terms["rot"] = ((np.abs(moved).sum(axis=-2).sum(axis=-1) * scale).sum(axis=-1),
+                        rot_grad, idx)
     # scalar branch: (bins, target, weight of |t_i - t| in the point distance)
     z_weight = 1.0 + np.abs(sup.vx) / cam.fx + np.abs(sup.vy) / cam.fy
     scalar = {"z": (anchors.bins_z, sup.z, z_weight),
@@ -189,11 +192,18 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
     for name, (bins, target, weight) in scalar.items():
         if name in out.residuals:
             idx = sup.nearest[name]
-            res = ad.gather_rows(out.residuals[name], idx)             # (B, k)
-            diff = res.data + bins[idx] - target[:, None]
-            terms.append(ad.node(np.abs(diff).sum(axis=-1) * weight,
-                                 (res, lambda g, d=diff, w=weight: (g * w)[:, None] * np.sign(d))))
-    return reduce(ad.add, terms)
+            diff = out.residuals[name][rows, idx] + bins[idx] - target[:, None]   # (B, k)
+            terms[name] = (np.abs(diff).sum(axis=-1) * weight,
+                           lambda g, d=diff, w=weight: (g * w)[:, None] * np.sign(d), idx)
+
+    def grad(g):
+        grads = {}
+        for name, (_, term_grad, idx) in terms.items():
+            grads[name] = np.zeros(out.residuals[name].shape)
+            np.add.at(grads[name], (rows, idx), term_grad(g))
+        return grads
+
+    return reduce(operator.add, [value for value, _, _ in terms.values()]), grad
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +234,18 @@ def build_target_graph(bins_z, z_min, z_max) -> TargetGraph:
 
 
 def batch_feature_graph(features):
-    """Pairwise cosine-similarity matrix (B, B) of the batch features."""
-    f = ad.as_tensor(features)
-    norms = np.linalg.norm(f.data, axis=1, keepdims=True)
+    """Pairwise cosine-similarity matrix (B, B) of the batch features, and
+    its gradient map."""
+    norms = np.linalg.norm(features, axis=1, keepdims=True)
     if np.any(norms <= 0):
         raise DegenerateFeatureError("zero-norm feature in batch")
-    fn = f.data / norms
+    fn = features / norms
 
     def grad(g):
         g_fn = (g + g.T) @ fn
         return (g_fn - fn * (g_fn * fn).sum(axis=1, keepdims=True)) / norms
 
-    return ad.node(fn @ fn.T, (f, grad))
+    return fn @ fn.T, grad
 
 
 def z_class_indices(z_values, bins_z):
@@ -246,15 +256,14 @@ def z_class_indices(z_values, bins_z):
 
 def target_correlation_loss(graph, class_indices, tg: TargetGraph):
     """Squared L2 distance between the feature graph and the looked-up
-    target graph (sum over all B^2 entries)."""
-    g = ad.as_tensor(graph)
+    target graph (sum over all B^2 entries), and its gradient map."""
     idx = np.asarray(class_indices, dtype=int)
-    if idx.ndim != 1 or g.data.shape != (len(idx), len(idx)):
-        raise ShapeError(f"graph {g.data.shape} vs {len(idx)} class indices")
+    if idx.ndim != 1 or graph.shape != (len(idx), len(idx)):
+        raise ShapeError(f"graph {graph.shape} vs {len(idx)} class indices")
     if np.any(idx < 0) or np.any(idx >= tg.n_classes):
         raise InvalidArgumentError("class index out of range")
-    diff = g.data - tg.g0[idx[:, None], idx[None, :]]
-    return ad.node((diff * diff).sum(), (g, lambda up: 2.0 * up * diff))
+    diff = graph - tg.g0[idx[:, None], idx[None, :]]
+    return (diff * diff).sum(), lambda up: 2.0 * up * diff
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +315,29 @@ def total_objective(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
                     model: ObjectModel, cam: CameraIntrinsics,
                     cfg: ObjectiveConfig) -> LossBreakdown:
     """Batch mean of per-sample (classification + regression) losses plus
-    the once-per-batch correlation regularizer."""
-    per_sample = regression_loss_batch(out, sup, anchors, model, cam)
-    reg_value = float(per_sample.data.mean())
-    cls_value = 0.0
+    the once-per-batch correlation regularizer.  ``total.backward()``
+    hands the head-output gradients to the network's backward."""
+    per_sample, reg_grad = regression_loss_batch(out, sup, anchors, model, cam)
+    reg_value = float(per_sample.mean())
+    cls_value, cls_grad = 0.0, None
     if cfg.use_cls:
-        cls = classification_loss(out, sup)
-        cls_value = float(cls.data.mean())
-        per_sample = ad.add(per_sample, cls)
-    total = ad.tmean(per_sample)
-    corr_value = 0.0
+        cls, cls_grad = classification_loss(out, sup)
+        cls_value = float(cls.mean())
+        per_sample = per_sample + cls
+    n = len(per_sample)
+    total = per_sample.sum() * (1.0 / n)
+    corr_value, graph_grad = 0.0, None
     if cfg.ctc_weight > 0.0:
         classes = z_class_indices(sup.z, anchors.bins_z)
-        corr = target_correlation_loss(batch_feature_graph(out.feature), classes,
-                                       cfg.target_graph)
-        corr_value = float(corr.data)
-        total = ad.add(total, ad.mul(corr, cfg.ctc_weight))
-    return LossBreakdown(total=total, cls_value=cls_value, reg_value=reg_value,
-                         corr_value=corr_value)
+        graph, graph_grad = batch_feature_graph(out.feature)
+        corr, corr_grad = target_correlation_loss(graph, classes, cfg.target_graph)
+        corr_value = float(corr)
+        total = total + corr * cfg.ctc_weight
+
+    def backward():
+        g = np.full(n, 1.0 / n)
+        out.backward(cls_grad(g) if cls_grad else {}, reg_grad(g),
+                     graph_grad(corr_grad(cfg.ctc_weight)) if graph_grad else None)
+
+    return LossBreakdown(total=ad.Tensor(total, backward if out.backward else None),
+                         cls_value=cls_value, reg_value=reg_value, corr_value=corr_value)

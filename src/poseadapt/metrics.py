@@ -90,7 +90,7 @@ def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
     idx, res = [], []
     for name, absent in (("rot", ROT6D_IDENTITY), ("vx", 0.0), ("vy", 0.0), ("z", 0.0)):
         idx.append(picks.get(name, np.zeros_like(rows)))
-        res.append(out.residuals[name].data[rows, idx[-1]] if name in out.residuals
+        res.append(out.residuals[name][rows, idx[-1]] if name in out.residuals
                    else np.broadcast_to(absent, rows.shape + np.shape(absent)))
     rotations, translations = compose_pose(idx, res, anchors, cam)
     return Pose(rotations, translations), out
@@ -98,7 +98,7 @@ def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
 
 def confidence_scores(out):
     """Per-branch max classifier probability, (B,) arrays keyed by branch."""
-    return {name: probs.data.max(axis=1) for name, probs in out.probs.items()}
+    return {name: probs.max(axis=1) for name, probs in out.probs.items()}
 
 
 def scalar_mae(predicted, actual):

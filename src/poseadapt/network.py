@@ -5,11 +5,14 @@ classifier branches (softmax probabilities over rotation / v_x / v_y / z
 anchors) and four regressor branches (per-anchor residuals; rotation
 residuals are 6D representations).  Branches with zero anchors are
 disabled, which is how the scalar-target variant reuses the same code
-with only the z branch active.
+with only the z branch active.  The network's backward is written by
+hand: each MLP back-propagates through its own layers, straight into one
+flat gradient buffer that ``Adam`` steps.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -55,17 +58,22 @@ class NetworkConfig:
 
 
 class Linear:
+    """Affine layer ``x @ w + b``.  In a network, ``w`` and ``b`` are views
+    of its parameter buffer and ``gw`` and ``gb`` of its gradient buffer."""
+
     def __init__(self, n_in, n_out, rng, w_scale=None):
         scale = np.sqrt(2.0 / n_in) if w_scale is None else w_scale
-        self.w = ad.parameter(rng.standard_normal((n_in, n_out)) * scale)
-        self.b = ad.parameter(np.zeros(n_out))
-
-    def __call__(self, x):
-        return ad.linear(x, self.w, self.b)
+        self.w = rng.standard_normal((n_in, n_out)) * scale
+        self.b = np.zeros(n_out)
+        self.gw = self.gb = None
 
 
 class MLP:
-    """Linear stack with leaky-relu between layers; last layer is linear."""
+    """Linear stack with leaky-relu between layers; last layer is linear.
+
+    A forward pass with gradients on keeps each layer's input for
+    ``backward``, which lets them go.
+    """
 
     def __init__(self, n_in, hidden, n_out, rng, out_scale=None):
         dims = [n_in, *hidden, n_out]
@@ -74,29 +82,71 @@ class MLP:
             last = i == len(dims) - 2
             self.layers.append(Linear(dims[i], dims[i + 1], rng,
                                       w_scale=out_scale if last and out_scale is not None else None))
+        self._inputs = None
 
     def __call__(self, x):
+        self._inputs = [] if ad.grad_enabled else None
         for i, layer in enumerate(self.layers):
-            x = layer(x)
+            if self._inputs is not None:
+                self._inputs.append(x)
+            x = x @ layer.w + layer.b
             if i < len(self.layers) - 1:
-                x = ad.leaky_relu(x, LEAK)
+                x = np.where(x > 0, x, LEAK * x)
         return x
+
+    def backward(self, g, input_grad=True):
+        """Back-propagate ``g``, the gradient of the last output, writing
+        each layer's parameter gradients into ``gw`` and ``gb``; returns the
+        input's gradient, or None without ``input_grad``."""
+        inputs, self._inputs = self._inputs, None
+        for i in reversed(range(len(self.layers))):
+            layer, x = self.layers[i], inputs[i]
+            np.matmul(x.T, g, out=layer.gw)
+            np.sum(g, axis=0, out=layer.gb)
+            if i == 0 and not input_grad:
+                return None
+            g = g @ layer.w.T
+            if i > 0:
+                # x, a leaky-relu output, is positive where its input was
+                g = g * np.where(x > 0, 1.0, LEAK)
+        return g
+
+
+def softmax(logits):
+    """Numerically stable softmax over the rows of (B, N) logits."""
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_backward(s, g):
+    """Gradient of the logits of softmax rows ``s``, given the gradient
+    ``g`` of ``s``: s (g - sum(g s))."""
+    return s * (g - (g * s).sum(axis=1, keepdims=True))
 
 
 @dataclass
 class HeadOutput:
-    """Batched network output: probabilities, residuals, shared feature."""
+    """Batched network output: probabilities, residuals, shared feature,
+    and the network's backward for them (None without gradients)."""
 
-    probs: dict          # branch -> Tensor (B, N)
-    residuals: dict      # "rot" -> Tensor (B, N, 6); scalars -> Tensor (B, N)
-    feature: "ad.Tensor"  # (B, C)
+    probs: dict          # branch -> (B, N)
+    residuals: dict      # "rot" -> (B, N, 6); scalars -> (B, N)
+    feature: np.ndarray  # (B, C)
+    backward: object = None  # (d_probs, d_residuals, d_feature) -> None
 
     def picks(self):
         """Arg-max anchor index per branch; ties go to the lowest index."""
-        return {k: np.argmax(v.data, axis=1) for k, v in self.probs.items()}
+        return {k: np.argmax(v, axis=1) for k, v in self.probs.items()}
 
 
 class PoseNetwork:
+    """Encoder and heads over one flat parameter buffer ``flat``.
+
+    Every layer's ``w`` and ``b`` are views of ``flat``.  Training adds a
+    flat gradient buffer of the same layout (``grad_buffer()``); a network
+    that only predicts never makes one.
+    """
+
     def __init__(self, config: NetworkConfig, seed):
         self.config = config
         rng = np.random.default_rng(seed)
@@ -111,106 +161,121 @@ class PoseNetwork:
             if name == "rot":
                 # start every rotation residual at the identity so the 6D
                 # Gram-Schmidt map is far from its degenerate inputs
-                head.layers[-1].b.data[:] = np.tile(ROT6D_IDENTITY, n)
+                head.layers[-1].b[:] = np.tile(ROT6D_IDENTITY, n)
             self.reg_heads[name] = head
-        self._param_cache = None
+        self.flat = self._bind(np.concatenate([p.ravel() for p in self.parameters().values()]),
+                               "w", "b")
+        self.grad = None
 
     # -- parameters ----------------------------------------------------------
 
+    def _layers(self):
+        """Ordered parameter-name prefix -> layer."""
+        mlps = {"encoder": self.encoder, **{f"cls.{k}": m for k, m in self.cls_heads.items()},
+                **{f"reg.{k}": m for k, m in self.reg_heads.items()}}
+        return {f"{prefix}.{i}": layer for prefix, mlp in mlps.items()
+                for i, layer in enumerate(mlp.layers)}
+
+    def _bind(self, flat, w, b):
+        """Set each layer's attributes named ``w`` and ``b`` to views of
+        ``flat`` shaped as its weights and bias, in parameter order."""
+        lo = 0
+        for layer in self._layers().values():
+            for attr, shape in ((w, layer.w.shape), (b, layer.b.shape)):
+                hi = lo + int(np.prod(shape))
+                setattr(layer, attr, flat[lo:hi].reshape(shape))
+                lo = hi
+        return flat
+
     def parameters(self):
-        """Ordered name -> Tensor mapping of every trainable parameter."""
-        if self._param_cache is not None:
-            return self._param_cache
-        params = {}
+        """Ordered name -> parameter array of every trainable parameter."""
+        return {f"{name}.{k}": getattr(layer, k)
+                for name, layer in self._layers().items() for k in ("w", "b")}
 
-        def register(prefix, mlp):
-            for i, layer in enumerate(mlp.layers):
-                params[f"{prefix}.{i}.w"] = layer.w
-                params[f"{prefix}.{i}.b"] = layer.b
+    def gradients(self):
+        """Name -> gradient view of ``grad_buffer()``, as ``parameters()``."""
+        self.grad_buffer()
+        return {f"{name}.{k}": getattr(layer, "g" + k)
+                for name, layer in self._layers().items() for k in ("w", "b")}
 
-        register("encoder", self.encoder)
-        for name in self.cls_heads:
-            register(f"cls.{name}", self.cls_heads[name])
-        for name in self.reg_heads:
-            register(f"reg.{name}", self.reg_heads[name])
-        self._param_cache = params
-        return params
-
-    def zero_grad(self):
-        for p in self.parameters().values():
-            p.grad = None
+    def grad_buffer(self):
+        """The flat gradient buffer, laid out as ``flat``; made on first use."""
+        if self.grad is None:
+            self.grad = self._bind(np.zeros_like(self.flat), "gw", "gb")
+        return self.grad
 
     def state_arrays(self):
-        return {k: p.data.copy() for k, p in self.parameters().items()}
-
-    def load_state_arrays(self, state):
-        params = self.parameters()
-        if set(state) != set(params):
-            raise CheckpointIncompatibleError("parameter names do not match network config")
-        for k, p in params.items():
-            if state[k].shape != p.data.shape:
-                raise CheckpointIncompatibleError(
-                    f"shape mismatch for {k}: {state[k].shape} vs {p.data.shape}")
-            p.data[...] = state[k]
+        return {k: p.copy() for k, p in self.parameters().items()}
 
     def copy(self):
         clone = PoseNetwork(self.config, seed=0)
-        clone.load_state_arrays(self.state_arrays())
+        clone.flat[...] = self.flat
         return clone
 
-    # -- forward -------------------------------------------------------------
+    # -- forward and backward --------------------------------------------------
 
     def forward(self, obs):
         """Run a batch (B, obs_dim) through encoder and all branches."""
-        x = obs if isinstance(obs, ad.Tensor) else ad.Tensor(np.asarray(obs, dtype=np.float64))
-        if x.data.ndim != 2 or x.data.shape[1] != self.config.obs_dim:
+        x = np.asarray(obs, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.config.obs_dim:
             raise ShapeError(
-                f"expected observations (B, {self.config.obs_dim}), got {x.data.shape}")
+                f"expected observations (B, {self.config.obs_dim}), got {x.shape}")
         f = self.encoder(x)
         probs, residuals = {}, {}
         for name, n in self.config.branches().items():
-            probs[name] = ad.softmax(self.cls_heads[name](f), axis=1)
+            probs[name] = softmax(self.cls_heads[name](f))
             r = self.reg_heads[name](f)
-            residuals[name] = ad.reshape(r, (x.data.shape[0], n, 6)) if name == "rot" else r
-        return HeadOutput(probs=probs, residuals=residuals, feature=f)
+            residuals[name] = r.reshape(len(x), n, 6) if name == "rot" else r
+        # the output holds its backward, which must not hold the output
+        backward = functools.partial(self._backward, probs) if ad.grad_enabled else None
+        return HeadOutput(probs=probs, residuals=residuals, feature=f, backward=backward)
+
+    def _backward(self, probs, d_probs, d_residuals, d_feature):
+        """Back-propagate the last forward pass's output gradients into
+        ``grad_buffer()``: branch -> gradient of its probabilities
+        (``d_probs``) and residuals (``d_residuals``), and the feature's own
+        (``d_feature``, or None).  A head left out gets a zero gradient.
+        The feature's gradient sums the residual heads' shares in the order
+        of ``d_residuals``, then the classifier heads' in the order of
+        ``d_probs``, then ``d_feature``: a fixed order, so a training run
+        repeats to the bit."""
+        self.grad_buffer()
+        shares = [self.reg_heads[k].backward(g.reshape(len(g), -1))
+                  for k, g in d_residuals.items()]
+        shares += [self.cls_heads[k].backward(softmax_backward(probs[k], g))
+                   for k, g in d_probs.items()]
+        for heads, grads in ((self.reg_heads, d_residuals), (self.cls_heads, d_probs)):
+            for k in heads.keys() - grads.keys():
+                for layer in heads[k].layers:
+                    layer.gw.fill(0.0)
+                    layer.gb.fill(0.0)
+        if d_feature is not None:
+            shares.append(d_feature)
+        self.encoder.backward(functools.reduce(np.add, shares), input_grad=False)
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction.
+    """Adaptive-moment optimizer with bias correction over flat buffers.
 
-    The optimizer takes over its parameters' storage: every ``p.data``
-    becomes a view into one flat buffer, next to flat first and second
-    moments and gradients.  A step gathers the gradients (a missing one
-    counts as zero) and runs the update over the flat buffers in place,
-    with no temporaries, in the order of operations of
-    ``p - lr * (m / b1t) / (sqrt(v / b2t) + eps)`` per element.  Build
-    one optimizer per network: a second one takes the storage over.
+    A step updates ``params`` (a network's ``flat``) in place from ``grad``
+    (its ``grad_buffer()``), in the order of operations of
+    ``p - lr * (m / b1t) / (sqrt(v / b2t) + eps)`` per element.  Its one
+    scratch buffer is ``tmp``; ``grad`` is the other, so a step leaves it
+    overwritten.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params.values())
+    def __init__(self, params, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.grad = params, grad
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.flat = np.concatenate([p.data.ravel() for p in self.params])
-        self.m, self.v, self.g, self.tmp = (np.zeros_like(self.flat) for _ in range(4))
-        self.grad_views, lo = [], 0
-        for p in self.params:
-            hi = lo + p.data.size
-            p.data = self.flat[lo:hi].reshape(p.data.shape)
-            self.grad_views.append(self.g[lo:hi].reshape(p.data.shape))
-            lo = hi
+        self.m, self.v, self.tmp = (np.zeros_like(params) for _ in range(3))
 
     def step(self):
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, view in zip(self.params, self.grad_views):
-            if p.grad is None:
-                view.fill(0.0)
-            else:
-                view[...] = p.grad
-        m, v, g, tmp = self.m, self.v, self.g, self.tmp
+        m, v, g, tmp = self.m, self.v, self.grad, self.tmp
         m *= self.beta1                              # m = beta1 m + (1 - beta1) g
         m += np.multiply(g, 1 - self.beta1, out=tmp)
         v *= self.beta2                              # v = beta2 v + (1 - beta2) g^2
@@ -223,7 +288,7 @@ class Adam:
         np.sqrt(g, out=g)
         g += self.eps
         tmp /= g
-        self.flat -= tmp
+        self.params -= tmp
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +304,10 @@ def save_checkpoint(path, net: PoseNetwork, meta=None):
     RNG state are stored, so a loaded network is for evaluation, for
     annotation, or as the starting point of a new training stage.
     """
-    params = net.parameters()
-    names = list(params)
     header = {
         "version": 1,
         "config": asdict(net.config),
-        "params": [{"name": k, "shape": list(params[k].data.shape)} for k in names],
+        "params": [{"name": k, "shape": list(p.shape)} for k, p in net.parameters().items()],
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode()
@@ -252,8 +315,7 @@ def save_checkpoint(path, net: PoseNetwork, meta=None):
         f.write(_CKPT_MAGIC)
         f.write(len(blob).to_bytes(8, "big"))
         f.write(blob)
-        for k in names:
-            f.write(np.ascontiguousarray(params[k].data, dtype="<f8").tobytes())
+        f.write(net.flat.astype("<f8").tobytes())     # the parameters in order
 
 
 def load_checkpoint(path, expected_config: NetworkConfig = None):
@@ -272,15 +334,11 @@ def load_checkpoint(path, expected_config: NetworkConfig = None):
         cfg_dict = dict(header["config"])
         cfg_dict["encoder_hidden"] = tuple(cfg_dict["encoder_hidden"])
         config = NetworkConfig(**cfg_dict)
-        state = {}
-        for spec in header["params"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-            offset += count * 8
-            state[spec["name"]] = arr.copy()
         net = PoseNetwork(config, seed=0)
-        net.load_state_arrays(state)
+        if [(p["name"], tuple(p["shape"])) for p in header["params"]] != \
+                [(k, p.shape) for k, p in net.parameters().items()]:
+            raise CheckpointIncompatibleError("parameter names do not match network config")
+        net.flat[...] = np.frombuffer(raw, dtype="<f8", count=net.flat.size, offset=offset)
     except CheckpointIncompatibleError:
         raise
     except Exception as e:

@@ -103,32 +103,26 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
             breakdown = total_objective(out, sup_all[idx], anchors, model, cam, objective)
             value = breakdown.total_value
             if not np.isfinite(value):
-                if _finite_parameters(net):
+                if np.isfinite(net.flat).all():
                     snapshot = net.state_arrays()
                 raise TrainingFailureError(
                     f"non-finite loss {value}", snapshot=snapshot)
             breakdown.total.backward()
             optimizer.step()
-            net.zero_grad()
             losses.append(value)
             parts.append((breakdown.cls_value, breakdown.reg_value, breakdown.corr_value))
         stats.epoch_losses.append(float(np.mean(losses)))
         stats.epoch_breakdown.append(tuple(np.mean(parts, axis=0)))
-        if _finite_parameters(net):
+        if np.isfinite(net.flat).all():
             snapshot = net.state_arrays()
     return stats
-
-
-def _finite_parameters(net: PoseNetwork):
-    """Whether every parameter is finite, tested in place."""
-    return all(np.isfinite(p.data).all() for p in net.parameters().values())
 
 
 def train_teacher(obs, poses: Pose, net: PoseNetwork, anchors: AnchorSet,
                   model: ObjectModel, cam: CameraIntrinsics,
                   objective: ObjectiveConfig, cfg: TrainConfig, seed):
     """Fit the teacher on the labeled source split."""
-    optimizer = Adam(net.parameters(), lr=cfg.lr_teacher)
+    optimizer = Adam(net.flat, net.grad_buffer(), lr=cfg.lr_teacher)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7EAC]))
     return train_supervised(net, optimizer, obs, poses, anchors, model, cam,
                             objective, cfg.teacher_epochs, cfg.batch_size, rng)
@@ -166,7 +160,7 @@ def train_student(teacher: PoseNetwork, source_obs, source_poses: Pose, target_o
     rounds_stats = []
     if cfg.rounds == 0:
         return student, rounds_stats
-    optimizer = Adam(student.parameters(), lr=cfg.lr_student)
+    optimizer = Adam(student.flat, student.grad_buffer(), lr=cfg.lr_student)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57D]))
     for r in range(cfg.rounds):
         poses, confidence = pseudo_label(teacher if r == 0 else student, target_obs,

@@ -373,6 +373,7 @@ def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: D
 
 _DATASET_FORMAT = "poseadapt-dataset"
 _DATASET_VERSION = 1
+_ROTATION_TOL = 1e-9     # max |R R^T - I| of a stored rotation
 
 
 def _domain_cfg_dict(dc: DomainConfig):
@@ -438,7 +439,7 @@ def _parse_dataset(path, lines) -> Dataset:
         raise DatasetError(f"{path}: the header lists no objects")
     cfgs = {domain: DomainConfig(**header[f"{domain}_config"]) for domain in ("source", "target")}
     meta = header["meta"]
-    rows = {domain: ([], [], []) for domain in cfgs}   # ids, object ids, obs | r | t
+    rows = {domain: ([], [], [], []) for domain in cfgs}   # ids, object ids, obs | r | t, lines
     for n, line in enumerate(lines, start=2):
         rec = json.loads(line)
         domain, obj, r, t = rec["domain"], rec["object"], rec["pose"]["r"], rec["pose"]["t"]
@@ -452,19 +453,36 @@ def _parse_dataset(path, lines) -> Dataset:
         if row.shape != (width + 12,) or (len(r), len(t)) != (9, 3):
             raise DatasetError(f"{path}: corrupt dataset, line {n}: obs, r and t need "
                                f"{width}, 9 and 3 values")
-        for column, value in zip(rows[domain], (rec["id"], obj, row)):
+        for column, value in zip(rows[domain], (rec["id"], obj, row, n)):
             column.append(value)
     splits = {}
-    for domain, (ids, objs, values) in rows.items():
+    for domain, (ids, objs, values, line_numbers) in rows.items():
         if len(ids) != meta[f"n_{domain}"]:
             raise DatasetError(f"{path}: {len(ids)} {domain} samples, the header says "
                                f"{meta[f'n_{domain}']}")
         width = len(cfgs[domain].offset)
         values = np.array(values).reshape(-1, width + 12)
         gt = Pose(values[:, width:width + 9].reshape(-1, 3, 3), values[:, width + 9:])
+        _check_poses(path, line_numbers, values, gt)
         splits[domain] = Split(domain, np.array(ids, dtype=str), np.array(objs, dtype=int),
                                values[:, :width], gt)
     return Dataset(kind=header["kind"], source=splits["source"], target=splits["target"],
                    objects=objects, object_kinds=[od["kind"] for od in header["objects"]],
                    cam=cam, source_cfg=cfgs["source"], target_cfg=cfgs["target"],
                    seed=header["seed"], meta=meta)
+
+
+def _check_poses(path, line_numbers, values, gt: Pose):
+    """Refuse the first row that no pose can have: a non-finite value, a
+    depth at or behind the camera, or a rotation that is not orthonormal
+    with determinant +1."""
+    r = gt.rotation
+    with np.errstate(invalid="ignore"):       # a non-finite row is refused below
+        orthonormal = ((np.abs(r @ r.transpose(0, 2, 1) - np.eye(3)) <= _ROTATION_TOL)
+                       .all(axis=(1, 2)) & (np.linalg.det(r) > 0))
+    why = np.select([~np.isfinite(values).all(axis=1), ~(gt.translation[:, 2] > 0), ~orthonormal],
+                    ["a non-finite value", "a depth that is not positive",
+                     "a rotation that is not orthonormal"], default="")
+    bad = np.flatnonzero(why)
+    if bad.size:
+        raise DatasetError(f"{path}: corrupt dataset, line {line_numbers[bad[0]]}: {why[bad[0]]}")

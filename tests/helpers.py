@@ -40,24 +40,27 @@ def random_rotations(n, rng):
 
 
 class OracleAdam:
-    """Adam one parameter at a time, with fresh arrays for every term."""
+    """Adam one parameter at a time, with fresh arrays for every term;
+    ``params`` maps names to arrays, which each step writes in place."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.m = {k: np.zeros_like(p) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in self.params.items()}
 
-    def step(self):
+    def step(self, grads):
+        """One update from ``grads``, name -> gradient; a None gradient
+        counts as zero."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for k, p in self.params.items():
-            g = p.grad
+            g = grads[k]
             if g is None:
-                g = np.zeros_like(p.data)
+                g = np.zeros_like(p)
             m = self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             v = self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            p[...] = p - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

@@ -1,10 +1,13 @@
 """A small reverse-mode autodiff engine over numpy arrays: the gradient
-oracle of the tests.
+oracle of the tests for the whole backward pass.
 
-This is the general tape the package used before each loss term got its
-own closed-form gradient (``poseadapt.autodiff`` keeps only the nodes the
-package calls).  ``test_loss_oracle`` writes the loss terms over these
-generic ops and compares every parameter gradient with the package's.
+This is the general tape the package used before its backward was
+written by hand (closed-form loss gradients in ``poseadapt.losses``, the
+softmax and MLP backward in ``poseadapt.network``).
+``test_loss_oracle`` writes the network's forward pass and the loss
+terms over these generic ops and compares every parameter gradient with
+the package's; ``test_autodiff`` checks each op against finite
+differences.
 
 Every ``Tensor`` wraps a float64 ndarray; operations build a tape of
 parent links, each with a function that maps the node's gradient to

@@ -1,18 +1,20 @@
-"""Tensor engine tests: every op against central finite differences.
+"""Backward tests: every op of the oracle tape against central finite
+differences, and the package's hand-written network backward against the
+tape.
 
-The package's nodes (``poseadapt.autodiff``) and the ops that only the
-oracle tape has (``tape``: ``sub``, ``div``, ``matmul``, ``exp``,
-``log``, ``sqrt``, ``absolute``, ``swapaxes``, ``index``, ``stack``,
-``cross``) are checked alike, since the oracle's gradients are the
-reference for the loss terms.
+The tape (``tests/tape.py``) is the reference for the whole backward
+pass, so each of its ops is checked here.  The package's own pieces are
+the MLP (``MLP.__call__`` and ``MLP.backward``) and the softmax
+(``softmax`` and ``softmax_backward``); each must give the tape's bits or
+its gradients.
 """
 
 import numpy as np
 import pytest
 
-from poseadapt import autodiff as ad
 from poseadapt.errors import InvalidArgumentError, ShapeError
 from poseadapt.losses import LOG_EPS
+from poseadapt.network import LEAK, MLP, softmax, softmax_backward
 
 import tape
 
@@ -33,55 +35,63 @@ def finite_diff(f, x, h=1e-6):
     return g
 
 
-def check_grad(build, shape, seed=0, h=1e-6, tol=1e-6, lib=ad):
-    """Compare analytic gradient of build(Tensor) against finite
-    differences; ``lib`` is the engine whose tensors ``build`` takes."""
+def check_grad(build, shape, seed=0, h=1e-6, tol=1e-6):
+    """Compare the tape's gradient of build(Tensor) against finite
+    differences."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(shape) + 0.5  # keep away from kinks at 0
-    p = lib.parameter(x.copy())
+    p = tape.parameter(x.copy())
     loss = build(p)
     loss.backward()
-    num = finite_diff(lambda arr: build(lib.Tensor(arr)).item(), x.copy(), h)
+    num = finite_diff(lambda arr: build(tape.Tensor(arr)).item(), x.copy(), h)
     np.testing.assert_allclose(p.grad, num, atol=tol, rtol=1e-4)
+
+
+def mlp_with_gradients(n_in, hidden, n_out, seed=0):
+    """A standalone MLP whose layers own their gradient arrays."""
+    mlp = MLP(n_in, hidden, n_out, np.random.default_rng(seed))
+    for layer in mlp.layers:
+        layer.gw, layer.gb = np.full_like(layer.w, np.nan), np.full_like(layer.b, np.nan)
+    return mlp
 
 
 class TestElementaryOps:
     def test_add_mul_broadcast(self):
-        check_grad(lambda t: ad.tsum(ad.mul(ad.add(t, 2.0), t)), (3, 4))
+        check_grad(lambda t: tape.tsum(tape.mul(tape.add(t, 2.0), t)), (3, 4))
 
     def test_sub_div(self):
         check_grad(lambda t: tape.tsum(tape.div(tape.sub(t, 0.1), tape.add(t, 5.0))), (4,),
-                   lib=tape)
+                   )
 
     def test_exp_log_sqrt(self):
-        check_grad(lambda t: tape.tsum(tape.log(tape.add(tape.exp(t), 1.0))), (6,), lib=tape)
+        check_grad(lambda t: tape.tsum(tape.log(tape.add(tape.exp(t), 1.0))), (6,), )
         check_grad(lambda t: tape.tsum(tape.sqrt(tape.add(tape.mul(t, t), 1.0))), (6,),
-                   lib=tape)
+                   )
 
     def test_abs(self):
-        check_grad(lambda t: tape.tsum(tape.absolute(t)), (7,), seed=3, lib=tape)
+        check_grad(lambda t: tape.tsum(tape.absolute(t)), (7,), seed=3, )
 
     def test_leaky_relu(self):
-        check_grad(lambda t: ad.tsum(ad.leaky_relu(t, 0.01)), (5,), seed=1)
+        check_grad(lambda t: tape.tsum(tape.leaky_relu(t, 0.01)), (5,), seed=1)
 
     def test_mean_axis(self):
-        check_grad(lambda t: ad.tsum(ad.tmean(t, axis=0)), (3, 4))
-        check_grad(lambda t: ad.tmean(t), (3, 4))
+        check_grad(lambda t: tape.tsum(tape.tmean(t, axis=0)), (3, 4))
+        check_grad(lambda t: tape.tmean(t), (3, 4))
 
     def test_reshape_swapaxes(self):
-        check_grad(lambda t: ad.tsum(ad.mul(ad.reshape(t, (4, 3)), 2.0)), (3, 4))
+        check_grad(lambda t: tape.tsum(tape.mul(tape.reshape(t, (4, 3)), 2.0)), (3, 4))
         check_grad(lambda t: tape.tsum(tape.mul(tape.swapaxes(t, 0, 1),
-                                                np.arange(12.).reshape(4, 3))), (3, 4), lib=tape)
+                                                np.arange(12.).reshape(4, 3))), (3, 4), )
 
 
 class TestMatmul:
     def test_2d(self):
         w = np.random.default_rng(0).standard_normal((4, 3))
-        check_grad(lambda t: tape.tsum(tape.matmul(t, w)), (2, 4), lib=tape)
+        check_grad(lambda t: tape.tsum(tape.matmul(t, w)), (2, 4), )
 
     def test_batched_broadcast(self):
         w = np.random.default_rng(1).standard_normal((3, 5))
-        check_grad(lambda t: tape.tsum(tape.matmul(t, w)), (2, 6, 4, 3), lib=tape)
+        check_grad(lambda t: tape.tsum(tape.matmul(t, w)), (2, 6, 4, 3), )
 
     def test_batched_both_sides(self):
         rng = np.random.default_rng(2)
@@ -90,26 +100,54 @@ class TestMatmul:
         def build(t):
             return tape.tsum(tape.matmul(t, b))
 
-        check_grad(build, (2, 5, 3), lib=tape)
+        check_grad(build, (2, 5, 3), )
 
     def test_linear_is_the_matmul_add_pair(self):
-        """One ``linear`` node gives the bits of the oracle's
-        ``add(matmul(x, w), b)``, in its value and in all three gradients."""
+        """The tape's one-node ``linear`` and the package's MLP give the bits
+        of the oracle's ``add(matmul(x, w), b)`` chain with ``leaky_relu``
+        between layers, in the output and in every gradient."""
         rng = np.random.default_rng(3)
-        arrays = [rng.standard_normal(s) for s in ((6, 4), (4, 5), (5,))]
+        x = rng.standard_normal((6, 4))
+        mlp = mlp_with_gradients(4, [7, 3], 5)
         weights = rng.standard_normal((6, 5))
 
-        def grads(lib, build):
-            x, w, b = (lib.parameter(a) for a in arrays)
-            out = build(x, w, b)
-            lib.tsum(lib.mul(out, weights)).backward()
-            return [out.data, x.grad, w.grad, b.grad]
+        def grads(linear):
+            xt = tape.parameter(x)
+            params = [(tape.parameter(layer.w), tape.parameter(layer.b)) for layer in mlp.layers]
+            out = xt
+            for i, (w, b) in enumerate(params):
+                out = linear(out, w, b)
+                if i < len(params) - 1:
+                    out = tape.leaky_relu(out, LEAK)
+            tape.tsum(tape.mul(out, weights)).backward()
+            return [out.data, xt.grad, *(p.grad for pair in params for p in pair)]
 
-        fused = grads(ad, ad.linear)
-        pair = grads(tape, lambda x, w, b: tape.add(tape.matmul(x, w), b))
-        assert all(np.array_equal(f, p) for f, p in zip(fused, pair))
+        pair = grads(lambda x, w, b: tape.add(tape.matmul(x, w), b))
+        fused = grads(tape.linear)
+        out = mlp(x)
+        package = [out, mlp.backward(weights),
+                   *(g for layer in mlp.layers for g in (layer.gw, layer.gb))]
+        for got in (fused, package):
+            assert all(np.array_equal(g, p) for g, p in zip(got, pair))
         w, b = rng.standard_normal((4, 5)), rng.standard_normal(5)
-        check_grad(lambda t: ad.tsum(ad.mul(ad.linear(t, w, b), weights)), (6, 4))
+        check_grad(lambda t: tape.tsum(tape.mul(tape.linear(t, w, b), weights)), (6, 4))
+
+    def test_mlp_backward_against_finite_differences(self):
+        """``MLP.backward``'s input gradient; without ``input_grad`` it
+        returns None and still writes the parameter gradients."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((5, 3)) + 0.5
+        mlp = mlp_with_gradients(3, [6], 4, seed=1)
+        weights = rng.standard_normal((5, 4))
+        mlp(x)
+        got = mlp.backward(weights)
+        num = finite_diff(lambda arr: float((mlp(arr) * weights).sum()), x.copy())
+        np.testing.assert_allclose(got, num, atol=1e-6, rtol=1e-4)
+        mlp(x)
+        gw = mlp.layers[0].gw.copy()
+        mlp.layers[0].gw[...] = np.nan
+        assert mlp.backward(weights, input_grad=False) is None
+        np.testing.assert_array_equal(mlp.layers[0].gw, gw)
 
     def test_vector_cases(self):
         # 1-D operands are rejected; a vector is written as a (n, 1) column
@@ -121,9 +159,9 @@ class TestMatmul:
 
 class TestIndexingOps:
     def test_slice_gradient(self):
-        check_grad(lambda t: tape.tsum(tape.mul(t[..., :2], 3.0)), (4, 5), lib=tape)
-        check_grad(lambda t: tape.tsum(tape.mul(t[1], np.arange(5.0))), (4, 5), lib=tape)
-        check_grad(lambda t: tape.tsum(tape.mul(t[..., 2:], t[..., 2:])), (3, 4, 5), lib=tape)
+        check_grad(lambda t: tape.tsum(tape.mul(t[..., :2], 3.0)), (4, 5), )
+        check_grad(lambda t: tape.tsum(tape.mul(t[1], np.arange(5.0))), (4, 5), )
+        check_grad(lambda t: tape.tsum(tape.mul(t[..., 2:], t[..., 2:])), (3, 4, 5), )
 
     @pytest.mark.parametrize("key", [np.array([0, 0]), [1, 1], (slice(None), np.array([2, 2]))],
                              ids=["array", "list", "tuple-with-array"])
@@ -137,12 +175,12 @@ class TestIndexingOps:
         idx = np.array([[0, 2], [1, 1], [3, 0]])
 
         def build(t):
-            return ad.tsum(ad.mul(ad.gather_rows(t, idx), 2.0))
+            return tape.tsum(tape.mul(tape.gather_rows(t, idx), 2.0))
 
         check_grad(build, (3, 4, 2))
         # duplicate indices must accumulate
-        p = ad.parameter(np.ones((3, 4)))
-        loss = ad.tsum(ad.gather_rows(p, np.array([[1, 1], [0, 2], [2, 2]])))
+        p = tape.parameter(np.ones((3, 4)))
+        loss = tape.tsum(tape.gather_rows(p, np.array([[1, 1], [0, 2], [2, 2]])))
         loss.backward()
         assert p.grad[0, 1] == 2.0
         assert p.grad[2, 2] == 2.0
@@ -152,63 +190,64 @@ class TestIndexingOps:
             parts = [t[0], t[1], t[2]]
             return tape.tsum(tape.mul(tape.stack(parts, axis=0), 1.5))
 
-        check_grad(build, (3, 4), lib=tape)
+        check_grad(build, (3, 4), )
 
     def test_cross(self):
         b = np.random.default_rng(4).standard_normal((5, 3))
-        check_grad(lambda t: tape.tsum(tape.mul(tape.cross(t, b), b + 0.3)), (5, 3), lib=tape)
+        check_grad(lambda t: tape.tsum(tape.mul(tape.cross(t, b), b + 0.3)), (5, 3), )
 
 
 class TestSoftmax:
+    """The package's row softmax and its backward."""
+
     def test_rows_sum_to_one(self):
-        x = ad.Tensor(np.random.default_rng(5).standard_normal((6, 9)) * 3)
-        s = ad.softmax(x, axis=1)
-        np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
+        s = softmax(np.random.default_rng(5).standard_normal((6, 9)) * 3)
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
     def test_stable_for_huge_logits(self):
-        x = ad.Tensor(np.array([[1e4, 0.0, -1e4], [5e3, 5e3, 5e3]]))
-        s = ad.softmax(x, axis=1)
-        assert np.all(np.isfinite(s.data))
-        np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
+        s = softmax(np.array([[1e4, 0.0, -1e4], [5e3, 5e3, 5e3]]))
+        assert np.all(np.isfinite(s))
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
     def test_gradient(self):
         """Against finite differences, and against the oracle's softmax,
         a composite of ``exp``, ``sub``, ``div`` and ``tsum``."""
         w = np.random.default_rng(6).standard_normal((4, 5))
-        check_grad(lambda t: ad.tsum(ad.mul(ad.softmax(t, axis=1), w)), (4, 5))
-        for axis in (0, 1):
-            x = np.random.default_rng(7).standard_normal((4, 5)) * 3
-            grads = []
-            for lib in (ad, tape):
-                p = lib.parameter(x)
-                s = lib.softmax(p, axis=axis)
-                lib.tsum(lib.mul(s, w)).backward()
-                grads.append((s.data, p.grad))
-            np.testing.assert_array_equal(grads[0][0], grads[1][0])
-            np.testing.assert_allclose(grads[0][1], grads[1][1], rtol=1e-12, atol=1e-15)
+        x = np.random.default_rng(7).standard_normal((4, 5)) * 3
+        got = softmax_backward(softmax(x), w)
+        num = finite_diff(lambda arr: float((softmax(arr) * w).sum()), x.copy())
+        np.testing.assert_allclose(got, num, atol=1e-6, rtol=1e-4)
+        check_grad(lambda t: tape.tsum(tape.mul(tape.softmax(t, axis=1), w)), (4, 5))
+        p = tape.parameter(x)
+        s = tape.softmax(p, axis=1)
+        tape.tsum(tape.mul(s, w)).backward()
+        np.testing.assert_array_equal(softmax(x), s.data)
+        np.testing.assert_allclose(got, p.grad, rtol=1e-12, atol=1e-15)
 
 
 class TestBackwardContract:
+    """The oracle tape's accumulation, pruning and ``no_grad`` rules."""
+
     def test_sum_of_parameters_gradient_is_one(self):
-        p = ad.parameter(np.random.default_rng(8).standard_normal((3, 3)))
-        ad.tsum(p).backward()
+        p = tape.parameter(np.random.default_rng(8).standard_normal((3, 3)))
+        tape.tsum(p).backward()
         np.testing.assert_array_equal(p.grad, np.ones((3, 3)))
 
     def test_zero_times_anything_gives_zero_grads(self):
-        p = ad.parameter(np.random.default_rng(9).standard_normal(5))
-        loss = ad.tsum(ad.mul(ad.mul(p, p), 0.0))
+        p = tape.parameter(np.random.default_rng(9).standard_normal(5))
+        loss = tape.tsum(tape.mul(tape.mul(p, p), 0.0))
         loss.backward()
         np.testing.assert_array_equal(p.grad, np.zeros(5))
 
     def test_backward_requires_scalar(self):
-        p = ad.parameter(np.ones((2, 2)))
+        p = tape.parameter(np.ones((2, 2)))
         with pytest.raises(InvalidArgumentError):
-            ad.mul(p, 2.0).backward()
+            tape.mul(p, 2.0).backward()
 
     def test_grad_accumulates_over_reuse(self):
-        p = ad.parameter(np.array([2.0]))
-        loss = ad.add(ad.mul(p, p), ad.mul(p, 3.0))  # x^2 + 3x -> 2x + 3 = 7
-        loss = ad.tsum(loss)
+        p = tape.parameter(np.array([2.0]))
+        loss = tape.add(tape.mul(p, p), tape.mul(p, 3.0))  # x^2 + 3x -> 2x + 3 = 7
+        loss = tape.tsum(loss)
         loss.backward()
         assert p.grad[0] == pytest.approx(7.0)
 
@@ -216,33 +255,33 @@ class TestBackwardContract:
         """A share that the tape hands on unchanged (``add``) or as a view
         (``reshape``) is copied before another share is added to it."""
         def shared(t):
-            u, v = ad.mul(t, 2.0), ad.mul(t, 3.0)
-            return ad.tsum(ad.add(ad.add(u, v), ad.mul(u, v)))
+            u, v = tape.mul(t, 2.0), tape.mul(t, 3.0)
+            return tape.tsum(tape.add(tape.add(u, v), tape.mul(u, v)))
 
         check_grad(shared, (2,))
-        a = ad.mul(ad.parameter(np.ones((2, 3))), 2.0)
-        r = ad.reshape(a, (6,))
-        ad.add(ad.tsum(ad.mul(r, np.arange(6.0))), ad.tsum(ad.mul(a, 5.0))).backward()
+        a = tape.mul(tape.parameter(np.ones((2, 3))), 2.0)
+        r = tape.reshape(a, (6,))
+        tape.add(tape.tsum(tape.mul(r, np.arange(6.0))), tape.tsum(tape.mul(a, 5.0))).backward()
         np.testing.assert_array_equal(r.grad, np.arange(6.0))
         np.testing.assert_array_equal(a.grad, np.arange(6.0).reshape(2, 3) + 5.0)
 
     def test_no_grad_suppresses_tape(self):
-        p = ad.parameter(np.ones(3))
-        with ad.no_grad():
-            out = ad.mul(p, 2.0)
+        p = tape.parameter(np.ones(3))
+        with tape.no_grad():
+            out = tape.mul(p, 2.0)
         assert out._parents == ()
 
     def test_constant_subgraphs_are_pruned(self):
-        a = ad.Tensor(np.ones(3))
-        b = ad.mul(a, 2.0)
+        a = tape.Tensor(np.ones(3))
+        b = tape.mul(a, 2.0)
         assert b._parents == ()
 
     def test_constant_operands_are_pruned(self):
-        p = ad.parameter(np.ones(3))
-        c = ad.Tensor(np.full(3, 2.0))
-        out = ad.add(ad.mul(p, c), LOG_EPS)
+        p = tape.parameter(np.ones(3))
+        c = tape.Tensor(np.full(3, 2.0))
+        out = tape.add(tape.mul(p, c), LOG_EPS)
         assert out._parents[0]._parents == (p,)
-        assert ad.add(p, LOG_EPS)._parents == (p,)
-        ad.tsum(out).backward()
+        assert tape.add(p, LOG_EPS)._parents == (p,)
+        tape.tsum(out).backward()
         np.testing.assert_array_equal(p.grad, [2.0, 2.0, 2.0])
         assert c.grad is None

@@ -2,7 +2,8 @@
 
 ``bench/tracing.py`` wraps each PATCHES entry by looking its name up in
 the owner's own ``__dict__``; a rename or a move in the package breaks
-the traced benchmark.  ``bench/run.py`` recomputes the last stage's
+the traced benchmark.  Its backward time means one ``Tensor.backward``
+call per training step.  ``bench/run.py`` recomputes the last stage's
 quality through ``predict_poses`` and ``evaluate_pose`` and checks it
 against the reports the CLI wrote, and counts the training samples from
 the run's config through ``threshold_schedule``.
@@ -14,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from poseadapt import cli
 from poseadapt.config import load_config
-from test_cli import run_pipeline
+from test_cli import TINY, run_pipeline, write_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -48,3 +50,18 @@ def test_bench_quality_agrees_with_the_reports(tmp_path, workload):
     rc = load_config(str(out / "config.json"))
     n = run.train_samples(out, wl, rc)
     assert isinstance(n, int) and n >= rc.data.n_source * rc.train.teacher_epochs
+
+
+def test_each_training_step_runs_one_backward(tmp_path):
+    out = tmp_path / "run"
+    argv = ["--config", write_config(tmp_path, "run", dict(TINY, out_dir=str(out))), "--seed", "3"]
+    assert cli.main(["gen-data", *argv]) == 0
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert cli.main(["train", "--stage", "teacher", *argv]) == 0
+    loops = [s.id for s in tracer.spans if s.name == "selftrain.train_supervised"]
+    assert len(loops) == len(TINY["data"]["object_kinds"])
+    for loop in loops:
+        steps = [s.name for s in tracer.spans if s.parent == loop
+                 and s.name in ("autodiff.backward", "network.adam_step")]
+        assert steps and steps == ["autodiff.backward", "network.adam_step"] * (len(steps) // 2)

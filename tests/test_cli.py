@@ -142,6 +142,9 @@ CORRUPT_SAMPLES = {
     "unknown-domain-dataset": lambda rec: rec.update(domain="tgt"),
     "object-7-dataset": lambda rec: rec.update(object=7),
     "obs-63-dataset": lambda rec: rec["obs"].pop(),
+    "nan-observation-dataset": lambda rec: rec["obs"].__setitem__(0, float("nan")),
+    "negative-depth-dataset": lambda rec: rec["pose"]["t"].__setitem__(2, -0.7),
+    "scaled-rotation-dataset": lambda rec: rec["pose"].update(r=[2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0]),
 }
 
 

@@ -118,8 +118,8 @@ def crafted_output(seed, scalar=False):
                         feature_dim=8, encoder_hidden=(8,), head_hidden=8)
     out = PoseNetwork(cfg, seed=seed).forward(rng.standard_normal((300, 5)))
     if not scalar:
-        out.residuals["rot"].data[:] = awkward_rot6d(rng, 300 * 6).reshape(300, 6, 6)
-    out.residuals["z"].data[:] = rng.normal(-0.6, 0.5, (300, 5))
+        out.residuals["rot"][:] = awkward_rot6d(rng, 300 * 6).reshape(300, 6, 6)
+    out.residuals["z"][:] = rng.normal(-0.6, 0.5, (300, 5))
     return out
 
 
@@ -134,7 +134,7 @@ def test_predict_poses_matches_per_sample_decode(scalar):
     names, absent = ("rot", "vx", "vy", "z"), (IDENTITY_6D, 0.0, 0.0, 0.0)
     for b, p in enumerate(poses):
         i = [picks[k][b] if k in picks else 0 for k in names]
-        res = [out.residuals[k].data[b, j] if k in out.residuals else d
+        res = [out.residuals[k][b, j] if k in out.residuals else d
                for k, j, d in zip(names, i, absent)]
         want_rot, want_t = reference_compose_pose(i, res, anchors, CAM)
         np.testing.assert_array_equal(p.rotation, want_rot)
@@ -162,9 +162,9 @@ class TestSymmetricResolutionOracle:
         out = crafted_output(5)
         gt = random_rotations(300, np.random.default_rng(6))
         got = resolve_symmetric_gt(out, gt, anchors, self.cylinder)
-        picks = np.argmax(out.probs["rot"].data, axis=1)
+        picks = np.argmax(out.probs["rot"], axis=1)
         for b, i in enumerate(picks):
-            pred, _ = reference_compose_pose((i, 0, 0, 0), (out.residuals["rot"].data[b, i],
+            pred, _ = reference_compose_pose((i, 0, 0, 0), (out.residuals["rot"][b, i],
                                                             0.0, 0.0, 0.0), anchors, CAM)
             np.testing.assert_array_equal(
                 got[b], reference_closest_symmetric_rotation(pred, gt[b], self.cylinder))

@@ -1,12 +1,13 @@
-"""The closed-form loss gradients against the general tape.
+"""The hand-written backward pass against the general tape.
 
-``poseadapt.losses`` computes each loss term's gradient by hand.  Here
-the same objective is written over the generic ops of ``tape`` (the
-package's former loss code, op for op), on a twin of the network whose
-forward pass also runs on that tape.  Every parameter gradient of
-``total_objective(...).backward()`` must match the tape's to 1e-10
-relative (max abs difference over max abs), and the loss parts must
-agree.
+``poseadapt.losses`` computes each loss term's gradient by hand, and
+``poseadapt.network`` back-propagates the head-output gradients through
+the softmax and the MLPs.  Here the same objective is written over the
+generic ops of ``tape`` (the package's former loss code, op for op), on a
+twin of the network whose forward pass also runs on that tape.  Every
+parameter gradient that ``total_objective(...).backward()`` writes into
+the network's gradient buffer must match the tape's to 1e-10 relative
+(max abs difference over max abs), and the loss parts must agree.
 """
 
 from functools import reduce
@@ -78,7 +79,9 @@ def tape_rot6d_to_matrix(r6):
 def tape_regression(out, sup, anchors, model, cam):
     terms = []
     if "rot" in out.residuals:
-        gt_rot = resolve_symmetric_gt(out, sup.rotation, anchors, model)
+        values = HeadOutput({k: p.data for k, p in out.probs.items()},
+                            {k: r.data for k, r in out.residuals.items()}, out.feature.data)
+        gt_rot = resolve_symmetric_gt(values, sup.rotation, anchors, model)
         idx = nearest_anchors(gt_rot, anchors.rotations, sup.k_rot)
         res = tape.gather_rows(out.residuals["rot"], idx)
         rot = tape.matmul(tape_rot6d_to_matrix(res), anchors.rotations[idx])
@@ -149,8 +152,8 @@ def zero_a_supervised_rotation_anchor(net, anchors, sup):
     so its decode is degenerate."""
     j = nearest_anchors(sup.rotation[:1], anchors.rotations, sup.k_rot)[0, 0]
     last = net.reg_heads["rot"].layers[-1]
-    last.w.data[:, 6 * j:6 * j + 6] = 0.0
-    last.b.data[6 * j:6 * j + 6] = 0.0
+    last.w[:, 6 * j:6 * j + 6] = 0.0
+    last.b[6 * j:6 * j + 6] = 0.0
 
 
 def relative_difference(got, want):
@@ -182,8 +185,7 @@ def test_gradients_match_the_tape(case):
     net, ds, anchors, objective, sup = setup(kind, stage, scores)
     if degenerate:
         zero_a_supervised_rotation_anchor(net, anchors, sup)
-    params = net.parameters()
-    twin = {k: tape.parameter(p.data) for k, p in params.items()}
+    twin = {k: tape.parameter(p) for k, p in net.parameters().items()}
     rows = np.arange(batch)
     obs = ds.source.observation[rows]
     model, batch_sup = ds.objects[0], sup[rows]
@@ -191,7 +193,7 @@ def test_gradients_match_the_tape(case):
     out = net.forward(obs)
     if degenerate:
         idx = nearest_anchors(batch_sup.rotation, anchors.rotations, sup.k_rot)
-        assert gram_schmidt(out.residuals["rot"].data[rows[:, None], idx])[1].any()
+        assert gram_schmidt(out.residuals["rot"][rows[:, None], idx])[1].any()
     bd = total_objective(out, batch_sup, anchors, model, ds.cam, objective)
     bd.total.backward()
     total, parts = tape_objective(tape_forward(net, twin, obs), batch_sup, anchors, model,
@@ -200,12 +202,11 @@ def test_gradients_match_the_tape(case):
 
     np.testing.assert_allclose([bd.total_value, bd.cls_value, bd.reg_value, bd.corr_value],
                                [total.item(), *parts], rtol=1e-12, atol=0)
-    for k, p in params.items():
-        assert (p.grad is None) == (twin[k].grad is None), k
-        if p.grad is not None:
-            assert relative_difference(p.grad, twin[k].grad) <= TOLERANCE, k
-    # the classifier heads of the baseline get no gradient; every other
-    # case reaches every parameter
-    missing = {k for k, p in params.items() if p.grad is None}
-    assert missing == ({k for k in params if k.startswith("cls.")}
+    for k, g in net.gradients().items():
+        want = np.zeros_like(g) if twin[k].grad is None else twin[k].grad
+        assert relative_difference(g, want) <= TOLERANCE, k
+    # the classifier heads of the baseline get no gradient, which the
+    # buffer holds as zeros; every other case reaches every parameter
+    missing = {k for k, p in twin.items() if p.grad is None}
+    assert missing == ({k for k in twin if k.startswith("cls.")}
                        if stage == "baseline-regression" else set())

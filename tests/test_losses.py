@@ -90,24 +90,24 @@ class TestSoftCrossEntropy:
         labels = np.zeros(n)
         labels[3] = 1.0
         probs = np.full(n, 1.0 / n)
-        assert soft_cross_entropy(probs, labels).item() == pytest.approx(np.log(n), rel=1e-9)
+        assert soft_cross_entropy(probs, labels)[0] == pytest.approx(np.log(n), rel=1e-9)
 
     def test_probs_equal_labels_gives_entropy(self):
         labels = np.array([0.7, 0.1, 0.1, 0.1])
         entropy = -(labels * np.log(labels)).sum()
-        got = soft_cross_entropy(labels, labels).item()
+        got = soft_cross_entropy(labels, labels)[0]
         assert got == pytest.approx(entropy, rel=1e-6)
         # Gibbs: any other distribution scores worse
         rng = np.random.default_rng(0)
         for _ in range(20):
             q = rng.dirichlet(np.ones(4))
-            assert soft_cross_entropy(q, labels).item() >= got - 1e-9
+            assert soft_cross_entropy(q, labels)[0] >= got - 1e-9
 
     def test_sparse_label_against_uniform_60(self):
         labels = np.zeros(60)
         labels[[0, 1, 2, 3]] = [0.7, 0.1, 0.1, 0.1]
         probs = np.full(60, 1.0 / 60)
-        assert soft_cross_entropy(probs, labels).item() == pytest.approx(np.log(60), rel=1e-9)
+        assert soft_cross_entropy(probs, labels)[0] == pytest.approx(np.log(60), rel=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -116,7 +116,7 @@ class TestSoftCrossEntropy:
     def test_batched(self):
         probs = np.array([[0.5, 0.5], [0.9, 0.1]])
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        got = soft_cross_entropy(probs, labels).data
+        got = soft_cross_entropy(probs, labels)[0]
         np.testing.assert_allclose(
             got, [-np.log(0.5 + LOG_EPS), -np.log(0.1 + LOG_EPS)], rtol=1e-9)
 
@@ -159,14 +159,14 @@ def brute_force_regression_loss(out, b, gt_pose, anchors, model, cam,
     """Independent reimplementation for batch row ``b``: explicit python
     loops over neighbor sets, substituting one target at a time into the
     ground truth and measuring point-set distances point by point."""
-    rot_res = out.residuals["rot"].data[b]
-    vx_res = out.residuals["vx"].data[b]
-    vy_res = out.residuals["vy"].data[b]
-    z_res = out.residuals["z"].data[b]
+    rot_res = out.residuals["rot"][b]
+    vx_res = out.residuals["vx"][b]
+    vy_res = out.residuals["vy"][b]
+    z_res = out.residuals["z"][b]
     gt_rot_raw, vx_t, vy_t, z_t = pose_targets(gt_pose, cam)
     x_t, y_t, _ = gt_pose.translation
     if model.is_symmetric:
-        pick = int(np.argmax(out.probs["rot"].data[b]))
+        pick = int(np.argmax(out.probs["rot"][b]))
         pred = rot6d_to_matrix(rot_res[pick]) @ anchors.rotations[pick]
         gt_rot = closest_symmetric_rotation(pred[None], gt_rot_raw[None], model)[0]
     else:
@@ -218,21 +218,21 @@ class TestRegressionLoss:
         rot, vx, vy, z = pose_targets(gt, CAM)
         # craft residuals that exactly reproduce the ground truth per anchor
         for i in range(self.anchors.n_rot):
-            out.residuals["rot"].data[0, i] = matrix_to_rot6d(
+            out.residuals["rot"][0, i] = matrix_to_rot6d(
                 rot @ self.anchors.rotations[i].T)
-        out.residuals["vx"].data[0] = vx - self.anchors.bins_vx
-        out.residuals["vy"].data[0] = vy - self.anchors.bins_vy
-        out.residuals["z"].data[0] = z - self.anchors.bins_z
-        loss = regression_loss_batch(out, supervision([gt], self.anchors), self.anchors,
-                                     self.model, CAM)
-        assert loss.data[0] == pytest.approx(0.0, abs=1e-9)
+        out.residuals["vx"][0] = vx - self.anchors.bins_vx
+        out.residuals["vy"][0] = vy - self.anchors.bins_vy
+        out.residuals["z"][0] = z - self.anchors.bins_z
+        loss, _ = regression_loss_batch(out, supervision([gt], self.anchors), self.anchors,
+                                        self.model, CAM)
+        assert loss[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_anchor_aligned_gt_with_zero_residuals(self):
         out = self._out()
         for name in ("rot", "vx", "vy", "z"):
-            out.residuals[name].data[:] = 0.0
+            out.residuals[name][:] = 0.0
         for i in range(self.anchors.n_rot):
-            out.residuals["rot"].data[0, i] = [1, 0, 0, 0, 1, 0]
+            out.residuals["rot"][0, i] = [1, 0, 0, 0, 1, 0]
         k = 2
         vx = self.anchors.bins_vx[k]
         vy = self.anchors.bins_vy[1]
@@ -241,16 +241,16 @@ class TestRegressionLoss:
                   [vx * z / CAM.fx, vy * z / CAM.fy, z])
         one_hot = (1.0, 0.0, 1)
         sup = supervision([gt], self.anchors, ScoreConfig(one_hot, one_hot))
-        loss = regression_loss_batch(out, sup, self.anchors, self.model, CAM)
-        assert loss.data[0] == pytest.approx(0.0, abs=1e-9)
+        loss, _ = regression_loss_batch(out, sup, self.anchors, self.model, CAM)
+        assert loss[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         for trial in range(5):
             gt = [random_pose(rng) for _ in range(5)]
             out = self._out(seed=trial, batch=5)
-            got = regression_loss_batch(out, supervision(gt, self.anchors), self.anchors,
-                                        self.model, CAM).data
+            got, _ = regression_loss_batch(out, supervision(gt, self.anchors), self.anchors,
+                                           self.model, CAM)
             for b in range(5):
                 want = brute_force_regression_loss(out, b, gt[b], self.anchors,
                                                    self.model, CAM, 4, 3, 3)
@@ -264,8 +264,8 @@ class TestRegressionLoss:
         for trial in range(2):
             gt = [random_pose(rng) for _ in range(5)]
             out = self._out(seed=100 + trial, batch=5)
-            got = regression_loss_batch(out, supervision(gt, self.anchors), self.anchors,
-                                        sym_model, CAM).data
+            got, _ = regression_loss_batch(out, supervision(gt, self.anchors), self.anchors,
+                                           sym_model, CAM)
             for b in range(5):
                 want = brute_force_regression_loss(out, b, gt[b], self.anchors,
                                                    sym_model, CAM, 4, 3, 3)
@@ -285,7 +285,7 @@ class TestRegressionLoss:
                                         objective(anchors, ScoreConfig(), use_cls=False))
         assert sup.k_rot == 3 and sup.labels == {}
         assert [sup.nearest[name].shape[1] for name in ("vx", "vy", "z")] == [2, 5, 6]
-        got = regression_loss_batch(out, sup, anchors, self.model, CAM).data
+        got, _ = regression_loss_batch(out, sup, anchors, self.model, CAM)
         for b in range(3):
             want = brute_force_regression_loss(out, b, gt[b], anchors, self.model, CAM,
                                                3, 6, 2, k_vy=5)
@@ -320,18 +320,18 @@ class TestTargetGraph:
 class TestFeatureGraph:
     def test_identical_vectors(self):
         f = np.tile([1.0, 2.0, 3.0], (2, 1))
-        g = batch_feature_graph(f).data
+        g = batch_feature_graph(f)[0]
         np.testing.assert_allclose(g, 1.0, atol=1e-12)
 
     def test_orthogonal_vectors(self):
         f = np.array([[1.0, 0.0], [0.0, 2.0]])
-        g = batch_feature_graph(f).data
+        g = batch_feature_graph(f)[0]
         assert g[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_pairwise_computation(self):
         rng = np.random.default_rng(6)
         f = rng.standard_normal((8, 16))
-        g = batch_feature_graph(f).data
+        g = batch_feature_graph(f)[0]
         for i in range(8):
             for j in range(8):
                 want = f[i] @ f[j] / (np.linalg.norm(f[i]) * np.linalg.norm(f[j]))
@@ -341,8 +341,8 @@ class TestFeatureGraph:
         rng = np.random.default_rng(7)
         f = rng.standard_normal((5, 8))
         scales = rng.uniform(0.1, 10.0, (5, 1))
-        np.testing.assert_allclose(batch_feature_graph(f).data,
-                                   batch_feature_graph(f * scales).data, atol=1e-12)
+        np.testing.assert_allclose(batch_feature_graph(f)[0],
+                                   batch_feature_graph(f * scales)[0], atol=1e-12)
 
     def test_zero_norm_raises(self):
         f = np.zeros((3, 4))
@@ -357,7 +357,7 @@ class TestCorrelationLoss:
     def test_exact_match_gives_zero(self):
         classes = np.array([0, 3, 7])
         g = self.tg.g0[classes[:, None], classes[None, :]]
-        assert target_correlation_loss(g, classes, self.tg).item() == pytest.approx(0.0)
+        assert target_correlation_loss(g, classes, self.tg)[0] == pytest.approx(0.0)
 
     def test_two_by_two_expansion(self):
         classes = np.array([2, 2])  # target graph entries all 1
@@ -365,14 +365,14 @@ class TestCorrelationLoss:
         g = np.array([[1.0, a], [a, 1.0]])
         b = 1.0
         want = 2 * (a - b) ** 2
-        assert target_correlation_loss(g, classes, self.tg).item() == pytest.approx(want)
+        assert target_correlation_loss(g, classes, self.tg)[0] == pytest.approx(want)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             classes = rng.integers(0, 10, 6)
             g = rng.uniform(-1, 1, (6, 6))
-            got = target_correlation_loss(g, classes, self.tg).item()
+            got = target_correlation_loss(g, classes, self.tg)[0]
             want = sum((g[i, j] - self.tg.g0[classes[i], classes[j]]) ** 2
                        for i in range(6) for j in range(6))
             assert got == pytest.approx(want, rel=1e-12)
@@ -410,9 +410,9 @@ class TestTotalObjective:
         # zero out the correlation term: single sample graph is [[1]], target 1
         sup = supervision([gt], self.anchors)
         bd = total_objective(out, sup, self.anchors, self.model, CAM, self.cfg)
-        cls = classification_loss(out, sup)
-        reg = regression_loss_batch(out, sup, self.anchors, self.model, CAM)
-        assert bd.total_value == pytest.approx(cls.data[0] + reg.data[0], rel=1e-9)
+        cls, _ = classification_loss(out, sup)
+        reg, _ = regression_loss_batch(out, sup, self.anchors, self.model, CAM)
+        assert bd.total_value == pytest.approx(cls[0] + reg[0], rel=1e-9)
 
     def test_duplicating_samples_keeps_pose_loss(self):
         rng = np.random.default_rng(10)
@@ -436,11 +436,11 @@ class TestTotalObjective:
         sup = supervision(gt, self.anchors)
         bd = total_objective(out, sup, self.anchors, self.model, CAM, self.cfg)
         # independent composition from the separately computed pieces
-        cls = classification_loss(out, sup).data
-        reg = regression_loss_batch(out, sup, self.anchors, self.model, CAM).data
+        cls, _ = classification_loss(out, sup)
+        reg, _ = regression_loss_batch(out, sup, self.anchors, self.model, CAM)
         classes = z_class_indices([p.z for p in gt], self.anchors.bins_z)
-        corr = target_correlation_loss(batch_feature_graph(out.feature).data,
-                                       classes, self.cfg.target_graph).item()
+        corr, _ = target_correlation_loss(batch_feature_graph(out.feature)[0],
+                                          classes, self.cfg.target_graph)
         want = np.mean(cls + reg) + corr
         assert bd.total_value == pytest.approx(want, rel=1e-9)
         assert bd.cls_value == pytest.approx(np.mean(cls), rel=1e-9)
@@ -454,8 +454,8 @@ class TestTotalObjective:
         cylinder = make_object("cylinder", seed=7, n_points=16)
         net = PoseNetwork(self.netcfg, seed=4)
         last = net.reg_heads["rot"].layers[-1]
-        last.w.data[:] = 0.0
-        last.b.data[:] = 0.0
+        last.w[:] = 0.0
+        last.b[:] = 0.0
         rng = np.random.default_rng(15)
         gt = [random_pose(rng) for _ in range(6)]
         obs = rng.standard_normal((6, 6))
@@ -463,19 +463,35 @@ class TestTotalObjective:
         sup = supervision(gt, self.anchors)
         bd = total_objective(out, sup, self.anchors, cylinder, CAM, self.cfg)
         assert np.isfinite([bd.cls_value, bd.reg_value, bd.corr_value]).all()
+        _, reg_grad = regression_loss_batch(out, sup, self.anchors, cylinder, CAM)
+        np.testing.assert_array_equal(reg_grad(np.ones(6))["rot"], 0.0)
         bd.total.backward()
-        np.testing.assert_array_equal(out.residuals["rot"].grad, 0.0)
-        np.testing.assert_array_equal(last.w.grad, 0.0)
-        np.testing.assert_array_equal(last.b.grad, 0.0)
-        last.b.data[:] = np.tile(ROT6D_IDENTITY, self.anchors.n_rot)
+        np.testing.assert_array_equal(last.gw, 0.0)
+        np.testing.assert_array_equal(last.gb, 0.0)
+        last.b[:] = np.tile(ROT6D_IDENTITY, self.anchors.n_rot)
         identity = total_objective(net.forward(obs), sup, self.anchors, cylinder, CAM, self.cfg)
         assert bd.reg_value == identity.reg_value
-        picks = np.argmax(out.probs["rot"].data, axis=1)
+        picks = np.argmax(out.probs["rot"], axis=1)
         resolved = resolve_symmetric_gt(out, sup.rotation, self.anchors, cylinder)
         for b, p in enumerate(gt):
             cands = [p.rotation @ s for s in cylinder.symmetries]
             dists = [geodesic_distance(self.anchors.rotations[picks[b]], c) for c in cands]
             np.testing.assert_array_equal(resolved[b], cands[int(np.argmin(dists))])
+
+    def test_backward_runs_once_and_only_with_gradients(self):
+        gt = [random_pose(np.random.default_rng(16)) for _ in range(2)]
+        net = PoseNetwork(self.netcfg, seed=5)
+        obs = np.random.default_rng(17).standard_normal((2, 6))
+        bd = total_objective(net.forward(obs), supervision(gt, self.anchors), self.anchors,
+                             self.model, CAM, self.cfg)
+        bd.total.backward()
+        with pytest.raises(InvalidArgumentError, match="back-propagated already"):
+            bd.total.backward()
+        with ad.no_grad():
+            bd = total_objective(net.forward(obs), supervision(gt, self.anchors), self.anchors,
+                                 self.model, CAM, self.cfg)
+        with pytest.raises(InvalidArgumentError, match="without gradients"):
+            bd.total.backward()
 
     def test_all_losses_nonnegative(self):
         rng = np.random.default_rng(12)
@@ -492,7 +508,7 @@ class TestRot6dTensorPath:
     def test_matches_numpy_version(self):
         rng = np.random.default_rng(13)
         r6 = rng.standard_normal((4, 6))
-        got = rot6d_to_matrix_t(ad.Tensor(r6)).data
+        got = rot6d_to_matrix_t(r6)[0]
         np.testing.assert_allclose(got, rot6d_to_matrix(r6), atol=1e-12)
 
     def test_degenerate_rows_give_identity_and_zero_gradient(self):
@@ -500,46 +516,41 @@ class TestRot6dTensorPath:
         r6 = rng.standard_normal((5, 6))
         r6[1] = 0.0                          # vanishing first vector
         r6[3, 3:] = 2.0 * r6[3, :3]          # parallel vectors
-        x = ad.parameter(r6)
-        m = rot6d_to_matrix_t(x)
-        np.testing.assert_allclose(m.data, rot6d_to_matrix(r6), atol=1e-12)
-        np.testing.assert_array_equal(m.data[[1, 3]], np.tile(np.eye(3), (2, 1, 1)))
-        ad.tsum(ad.mul(m, rng.standard_normal(m.data.shape))).backward()
-        np.testing.assert_array_equal(x.grad[[1, 3]], 0.0)
-        assert np.isfinite(x.grad).all() and np.all(x.grad[[0, 2, 4]] != 0.0)
+        m, grad = rot6d_to_matrix_t(r6)
+        np.testing.assert_allclose(m, rot6d_to_matrix(r6), atol=1e-12)
+        np.testing.assert_array_equal(m[[1, 3]], np.tile(np.eye(3), (2, 1, 1)))
+        g = grad(rng.standard_normal(m.shape))
+        np.testing.assert_array_equal(g[[1, 3]], 0.0)
+        assert np.isfinite(g).all() and np.all(g[[0, 2, 4]] != 0.0)
 
 
 class TestGradientSpotChecks:
     """Central finite differences through each loss; the acceptance suite
     repeats this at scale."""
 
-    def _check_gradients(self, value_fn, params, n_probe=20, h=1e-4, seed=0):
+    def _check_gradients(self, value_fn, net, n_probe=20, h=1e-4, seed=0):
         """Backward once, snapshot every gradient, then probe random
         parameter entries with central finite differences."""
-        for p in params.values():
-            p.grad = None
         value_fn().backward()
-        grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                 for k, p in params.items()}
+        grads = {k: g.copy() for k, g in net.gradients().items()}
+        params = net.parameters()
         rng = np.random.default_rng(seed)
         names = list(params)
         for _ in range(n_probe):
             name = names[rng.integers(len(names))]
             p = params[name]
-            idx = np.unravel_index(rng.integers(p.data.size), p.data.shape)
-            orig = p.data[idx]
-            p.data[idx] = orig + h
+            idx = np.unravel_index(rng.integers(p.size), p.shape)
+            orig = p[idx]
+            p[idx] = orig + h
             hi = value_fn().item()
-            p.data[idx] = orig - h
+            p[idx] = orig - h
             lo = value_fn().item()
-            p.data[idx] = orig
+            p[idx] = orig
             numeric = (hi - lo) / (2 * h)
             analytic = grads[name][idx]
             denom = max(abs(analytic), abs(numeric), 1e-6)
             assert abs(analytic - numeric) / denom < 1e-4, \
                 f"{name}{idx}: {analytic} vs {numeric}"
-        for p in params.values():
-            p.grad = None
 
     def test_total_objective_gradient(self):
         anchors = small_anchors()
@@ -558,4 +569,4 @@ class TestGradientSpotChecks:
             out = net.forward(obs)
             return total_objective(out, sup, anchors, model, CAM, cfg).total
 
-        self._check_gradients(value, net.parameters(), n_probe=25)
+        self._check_gradients(value, net, n_probe=25)

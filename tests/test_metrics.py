@@ -191,7 +191,7 @@ class TestPredictPoses:
                             feature_dim=8, encoder_hidden=(8,), head_hidden=4)
         net = PoseNetwork(cfg, seed=0)
         # force a hugely negative depth residual on every anchor
-        net.reg_heads["z"].layers[-1].b.data[:] = -10.0
+        net.reg_heads["z"].layers[-1].b[:] = -10.0
         obs = np.random.default_rng(0).standard_normal((3, 5))
         poses, _ = predict_poses(net, obs, anchors, CAM)
         for p in poses:
@@ -204,10 +204,10 @@ class TestPredictPoses:
                             feature_dim=8, encoder_hidden=(8,), head_hidden=4)
         net = PoseNetwork(cfg, seed=0)
         # every 6D rotation residual is the zero vector, which has no rotation
-        net.reg_heads["rot"].layers[-1].w.data[:] = 0.0
-        net.reg_heads["rot"].layers[-1].b.data[:] = 0.0
+        net.reg_heads["rot"].layers[-1].w[:] = 0.0
+        net.reg_heads["rot"].layers[-1].b[:] = 0.0
         if negative_depth:
-            net.reg_heads["z"].layers[-1].b.data[:] = -10.0
+            net.reg_heads["z"].layers[-1].b[:] = -10.0
         obs = np.random.default_rng(1).standard_normal((3, 5))
         poses, out = predict_poses(net, obs, anchors, CAM)
         picks = out.picks()

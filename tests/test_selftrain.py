@@ -1,9 +1,18 @@
 """Self-training: threshold schedule, selection, and the student loop."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from poseadapt import selftrain
+from poseadapt.config import config_from_dict
+from poseadapt.experiment import (
+    build_anchors,
+    build_camera,
+    build_network_config,
+    build_objective,
+)
 from poseadapt.errors import InvalidArgumentError, TrainingFailureError
 from poseadapt.geometry import AnchorSet, generate_translation_bins
 from poseadapt.labeling import ScoreConfig
@@ -16,7 +25,9 @@ from poseadapt.selftrain import (
     train_student,
     train_supervised,
 )
-from poseadapt.synth import OBS_DIM, make_domain_config, make_scalar_task
+from poseadapt.synth import OBS_DIM, make_dataset, make_domain_config, make_object, make_scalar_task
+
+from helpers import SAMPLE_RANGES
 
 
 class TestThresholdSchedule:
@@ -138,7 +149,7 @@ def test_pseudo_label_is_a_stack_with_depth_confidence():
     _, _, target_obs = split_arrays(ds)
     poses, confidence = selftrain.pseudo_label(teacher, target_obs, anchors, ds.cam)
     assert poses.rotation.shape == (4, 3, 3) and confidence.shape == (4,)
-    want = teacher.forward(target_obs).probs["z"].data.max(axis=1)
+    want = teacher.forward(target_obs).probs["z"].max(axis=1)
     np.testing.assert_array_equal(confidence, want)
 
 
@@ -163,7 +174,7 @@ def test_non_finite_loss_raises_with_the_last_finite_parameters():
     obs[np.random.default_rng(0).permutation(len(obs))[-1]] = np.nan  # the last batch
     before = net.state_arrays()
     with pytest.raises(TrainingFailureError) as info:
-        train_supervised(net, Adam(net.parameters(), lr=1e-3), obs, poses, anchors,
+        train_supervised(net, Adam(net.flat, net.grad_buffer(), lr=1e-3), obs, poses, anchors,
                          ds.objects[0], ds.cam, objective, epochs=1, batch_size=2,
                          rng=np.random.default_rng(0))
     snapshot, now = info.value.snapshot, net.state_arrays()
@@ -171,3 +182,28 @@ def test_non_finite_loss_raises_with_the_last_finite_parameters():
     assert all(np.isfinite(a).all() for a in snapshot.values())
     assert all(np.array_equal(snapshot[k], now[k]) for k in now)
     assert any(not np.array_equal(snapshot[k], before[k]) for k in now)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "cylinder"])
+def test_training_leaves_no_reference_cycle(kind):
+    """A step's activations, head outputs and loss maps are freed by
+    reference counting alone: training leaves the cycle collector nothing."""
+    cfg = config_from_dict({"network": {"feature_dim": 16, "encoder_hidden": [32],
+                                        "head_hidden": 8}})
+    dc = make_domain_config(0.0, 0.02, 0.0, seed=1)
+    scalar = kind == "scalar"
+    ds = (make_scalar_task(16, 1, dc, dc, seed=0) if scalar else
+          make_dataset(16, 1, [make_object(kind, seed=1, n_points=16)], build_camera(cfg),
+                       dc, dc, seed=0, sample_ranges=SAMPLE_RANGES))
+    anchors = build_anchors(cfg, scalar=scalar)
+    net = PoseNetwork(build_network_config(cfg, OBS_DIM, anchors, scalar=scalar), seed=0)
+    obs, poses, _ = split_arrays(ds)
+    gc.collect()
+    gc.disable()
+    try:
+        train_supervised(net, Adam(net.flat, net.grad_buffer(), lr=1e-3), obs, poses, anchors,
+                         ds.objects[0], ds.cam, build_objective(cfg, anchors, "teacher"),
+                         epochs=2, batch_size=4, rng=np.random.default_rng(0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

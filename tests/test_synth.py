@@ -287,10 +287,15 @@ class TestMakeDataset:
         (3, lambda rec: dict(rec, obs=rec["obs"][:-1]), None),
         (6, lambda rec: dict(rec, obs=rec["obs"] + [0.0]), None),
         (6, lambda rec: dict(rec, domain="source"), None),
+        (3, lambda rec: dict(rec, obs=[float("nan"), *rec["obs"][1:]]), None),
+        (3, lambda rec: dict(rec, pose=dict(rec["pose"], t=[*rec["pose"]["t"][:2], -0.7])), None),
+        (5, lambda rec: dict(rec, pose=dict(rec["pose"], r=[2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0])),
+         None),
         (0, lambda header: dict(header, meta={"n_target": 2}), None),
         (0, lambda header: [header], None),
         (0, lambda header: dict(header, objects=[], meta={"n_source": 0, "n_target": 0}), 1),
     ], ids=["unknown-domain", "object-7", "obs-63", "target-obs-65", "target-row-as-source",
+            "nan-observation", "negative-depth", "scaled-rotation",
             "no-source-count", "header-not-an-object", "no-objects"])
     def test_malformed_row_raises_dataset_error(self, tmp_path, line, edit, keep):
         # line 0 is the header, lines 1-4 the source split, lines 5-6 the
