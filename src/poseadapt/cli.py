@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import experiment
 from .config import RunConfig, config_from_dict, load_config
 from .errors import (
-    CheckpointError,
     CheckpointIncompatibleError,
     ConfigError,
     DependencyError,
@@ -27,6 +27,10 @@ EXIT_CONFIG = 2
 EXIT_DEPENDENCY = 3
 EXIT_IO = 4
 EXIT_TRAINING = 5
+
+# error class -> exit code, the first match wins; any other error is I/O
+EXIT_CODES = (((ConfigError, CheckpointIncompatibleError, InvalidArgumentError), EXIT_CONFIG),
+              (DependencyError, EXIT_DEPENDENCY), (TrainingFailureError, EXIT_TRAINING))
 
 
 def build_parser():
@@ -46,8 +50,7 @@ def build_parser():
 
     sp = sub.add_parser("train", help="train one stage")
     common(sp)
-    sp.add_argument("--stage", required=True,
-                    choices=["teacher", "student", "baseline-regression", "no-ctc"])
+    sp.add_argument("--stage", required=True, choices=list(experiment.STAGES))
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint")
     common(sp)
@@ -76,7 +79,6 @@ def resolve_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from . import experiment
     try:
         cfg = resolve_config(args)
         if args.command == "gen-data":
@@ -87,18 +89,9 @@ def main(argv=None) -> int:
             experiment.run_eval(cfg, args.checkpoint)
         elif args.command == "sweep-threshold":
             experiment.run_sweep(cfg, stage=args.stage)
-    except (ConfigError, CheckpointIncompatibleError, InvalidArgumentError) as e:
+    except (PoseAdaptError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DependencyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEPENDENCY
-    except TrainingFailureError as e:
-        print(f"error: training diverged: {e}", file=sys.stderr)
-        return EXIT_TRAINING
-    except (CheckpointError, OSError, PoseAdaptError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return next((code for cls, code in EXIT_CODES if isinstance(e, cls)), EXIT_IO)
     return EXIT_OK
 
 

@@ -88,26 +88,16 @@ class RunConfig:
         return self.data_path or f"{self.out_dir}/dataset.txt"
 
 
-_SECTION_TYPES = {
-    "anchors": AnchorConfig,
-    "scores": ScoreConfig,
-    "network": NetConfig,
-    "data": DataConfig,
-    "train": TrainConfig,
-}
+# section name -> its class; the other RunConfig fields are plain values
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(RunConfig)
+                  if f.default_factory is not MISSING}
 
 
 def _coerce(cls, d):
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(d) - fields
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    kw = {}
-    for k, v in d.items():
-        if isinstance(v, list):
-            v = tuple(v)
-        kw[k] = v
-    return cls(**kw)
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 def config_from_dict(d) -> RunConfig:
@@ -121,8 +111,7 @@ def config_from_dict(d) -> RunConfig:
         if not isinstance(section, dict):
             raise ConfigError(f"section {name!r} must be an object")
         kw[name] = _coerce(cls, section)
-    known = {"seed", "scalar_task", "out_dir", "data_path"}
-    unknown = set(d) - known
+    unknown = set(d) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kw.update(d)
@@ -187,6 +176,12 @@ def validate_config(cfg: RunConfig):
     if k_rot > a.n_rot or k_t > min(a.n_vx, a.n_vy, a.n_z) \
             or (cfg.scalar_task and k_t > d.scalar_bins):
         raise ConfigError("a score k exceeds the anchor count of its branch")
+    for f in fields(d):
+        value = getattr(d, f.name)
+        if f.name.endswith("_noise") and value < 0:
+            raise ConfigError(f"data.{f.name} must be >= 0")
+        if f.name.endswith("_dropout") and not 0.0 <= value <= 1.0:
+            raise ConfigError(f"data.{f.name} must be in [0, 1]")
     if d.n_source < 1 or d.n_target < 1:
         raise ConfigError("dataset sizes must be positive")
     if d.n_points < 4:

@@ -9,10 +9,6 @@ class InvalidArgumentError(PoseAdaptError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class DegenerateFeatureError(InvalidArgumentError):
-    """A feature vector has zero norm and cannot be cosine-normalized."""
-
-
 class ShapeError(PoseAdaptError, ValueError):
     """Array shapes are inconsistent with the operation."""
 
@@ -38,11 +34,16 @@ class CheckpointIncompatibleError(CheckpointError):
 
 
 class TrainingFailureError(PoseAdaptError):
-    """Training diverged; carries the last finite parameter snapshot."""
+    """Training failed; a divergence carries the last finite parameter
+    snapshot."""
 
     def __init__(self, message, snapshot=None):
         super().__init__(message)
         self.snapshot = snapshot
+
+
+class DegenerateFeatureError(TrainingFailureError):
+    """A feature vector has zero norm and cannot be cosine-normalized."""
 
 
 class GroundTruthAccessError(PoseAdaptError):

@@ -3,6 +3,10 @@
 A run directory is driven entirely by one RunConfig: dataset generation,
 per-object teacher/student training (or the ablation variants), and
 evaluation reports all derive their randomness from configured seeds.
+Each ``run_*`` command writes its files into the run directory and
+returns nothing.  The student stage writes an object's pseudo-label
+caches and round table from the rounds ``train_student`` returns, so a
+student that fails to train leaves none.
 """
 
 from __future__ import annotations
@@ -39,16 +43,11 @@ from .synth import (
     save_dataset,
 )
 
-STAGES = ("teacher", "student", "baseline-regression", "no-ctc")
+# train stage -> file prefix of its checkpoints and reports
+STAGES = {"teacher": "teacher", "student": "student",
+          "baseline-regression": "baseline", "no-ctc": "teacher-noctc"}
 DOMAINS = ("source", "target")
 SWEEP_TAUS = np.round(np.linspace(0.0, 0.95, 20), 6)
-
-_STAGE_PREFIX = {
-    "teacher": "teacher",
-    "no-ctc": "teacher-noctc",
-    "baseline-regression": "baseline",
-    "student": "student",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +97,7 @@ def build_objective(cfg: RunConfig, anchors: AnchorSet, stage) -> ObjectiveConfi
 
 
 def run_gen_data(cfg: RunConfig, log=print):
-    """Generate and save the benchmark dataset; returns its path."""
+    """Generate and save the benchmark dataset."""
     ensure_dir(cfg.out_dir)
     save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
     d = cfg.data
@@ -126,7 +125,6 @@ def run_gen_data(cfg: RunConfig, log=print):
     save_dataset(path, ds)
     log(f"dataset: {path} kind={ds.kind} source={d.n_source} target={d.n_target} "
         f"objects={len(ds.objects)} seed={cfg.seed}")
-    return path
 
 
 def load_dataset_or_fail(cfg: RunConfig) -> Dataset:
@@ -165,8 +163,7 @@ def recall_by_object(nets, ds: Dataset, anchors, domain):
 def write_quality_reports(cfg: RunConfig, ds: Dataset, nets, anchors, tag, log=print):
     """Score ``nets`` (object id -> network) on both splits and write the
     report: one recall table per split for a pose dataset, one
-    ``mae_<tag>.tsv`` for the scalar task.  Returns {"recall" | "mae":
-    {domain: value}}."""
+    ``mae_<tag>.tsv`` for the scalar task."""
     if ds.kind == "scalar":
         (i, net), = nets.items()
         rows = []
@@ -175,37 +172,34 @@ def write_quality_reports(cfg: RunConfig, ds: Dataset, nets, anchors, tag, log=p
             rows.append((domain, len(poses), scalar_mae(poses.z, gt.z)))
         write_mae_table(os.path.join(cfg.out_dir, f"mae_{tag}.tsv"), rows)
         log(f"{tag}: MAE source {rows[0][2]:.4f} target {rows[1][2]:.4f}")
-        return {"mae": {r[0]: r[2] for r in rows}}
-    recall = {}
+        return
     for domain in DOMAINS:
-        rows = recall_by_object(nets, ds, anchors, domain)
-        recall[domain] = write_recall_table(
-            os.path.join(cfg.out_dir, f"recall_{tag}_{domain}.tsv"), rows)
-        log(f"{tag}: {domain} mean recall "
-            + ("n/a" if recall[domain] is None else f"{recall[domain]:.2f}%"))
-    return {"recall": recall}
+        recall = write_recall_table(os.path.join(cfg.out_dir, f"recall_{tag}_{domain}.tsv"),
+                                    recall_by_object(nets, ds, anchors, domain))
+        log(f"{tag}: {domain} mean recall " + ("n/a" if recall is None else f"{recall:.2f}%"))
 
 
-def _pseudo_cache_path(out_dir, obj_id, round_index):
-    return os.path.join(out_dir, f"pseudo_student_obj{obj_id}_round{round_index}.tsv")
-
-
-def _write_student_round_reports(cfg, ds, round_stats, pseudo):
-    """Per-round selection statistics with the recall of the selected
-    pseudo labels; ``pseudo[i][r]`` is object i's pose stack of round r,
-    the labels its student trained on."""
-    for i, rounds in round_stats.items():
-        model = ds.objects[i]
-        with evaluation_access():
-            gt = ds.by_object(i, "target").gt_pose
-        rows = []
-        for r in rounds:
-            recall = None
-            if len(r.selected):
-                pred = pseudo[i][r.round_index][r.selected]
-                recall = average_recall(evaluate_pose(pred, gt[r.selected], model).hit)
-            rows.append((r.round_index, r.tau, r.n_candidates, len(r.selected), recall))
-        write_round_stats(os.path.join(cfg.out_dir, f"rounds_student_obj{i}.tsv"), rows)
+def write_round_reports(cfg: RunConfig, ds: Dataset, i, rounds):
+    """Object ``i``'s pseudo-label cache of each self-training round and,
+    on a pose dataset, its round table: tau, candidates, selected count
+    and the recall of the selected pseudo labels."""
+    target = ds.by_object(i, "target")
+    for r in rounds:
+        write_pseudo_cache(
+            os.path.join(cfg.out_dir, f"pseudo_student_obj{i}_round{r.round_index}.tsv"),
+            target.ids, r.poses, r.confidence, r.round_index)
+    if ds.kind == "scalar":
+        return
+    with evaluation_access():
+        gt = target.gt_pose
+    rows = []
+    for r in rounds:
+        recall = None
+        if len(r.selected):
+            recall = average_recall(
+                evaluate_pose(r.poses[r.selected], gt[r.selected], ds.objects[i]).hit)
+        rows.append((r.round_index, r.tau, len(r.confidence), len(r.selected), recall))
+    write_round_stats(os.path.join(cfg.out_dir, f"rounds_student_obj{i}.tsv"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +207,15 @@ def _write_student_round_reports(cfg, ds, round_stats, pseudo):
 
 
 def _ckpt_path(out_dir, stage, obj_id):
-    return os.path.join(out_dir, f"{_STAGE_PREFIX[stage]}_obj{obj_id}.ckpt")
+    return os.path.join(out_dir, f"{STAGES[stage]}_obj{obj_id}.ckpt")
 
 
 def run_train(cfg: RunConfig, stage, log=print):
     """Train one stage for every object and write its checkpoints and
-    reports; returns a summary.  The scalar task runs the same path as one
-    object with only the z branch active."""
+    reports.  The scalar task runs the same path as one object with only
+    the z branch active."""
     if stage not in STAGES:
-        raise InvalidArgumentError(f"unknown stage {stage!r}; choose from {STAGES}")
+        raise InvalidArgumentError(f"unknown stage {stage!r}; choose from {tuple(STAGES)}")
     ds = load_dataset_or_fail(cfg)
     ensure_dir(cfg.out_dir)
     save_config(os.path.join(cfg.out_dir, f"config_{stage}.json"), cfg)
@@ -229,8 +223,8 @@ def run_train(cfg: RunConfig, stage, log=print):
     anchors = build_anchors(cfg, scalar=scalar, single=stage == "baseline-regression")
     net_cfg = build_network_config(cfg, ds.obs_dim, anchors, scalar=scalar)
     objective = build_objective(cfg, anchors, stage)
-    prefix = _STAGE_PREFIX[stage]
-    nets, checkpoints, round_stats, pseudo = {}, [], {}, {}
+    prefix = STAGES[stage]
+    nets = {}
     for i, model in enumerate(ds.objects):
         source = ds.by_object(i, "source")
         if stage == "student":
@@ -238,17 +232,11 @@ def run_train(cfg: RunConfig, stage, log=print):
             if not os.path.exists(tpath):
                 raise DependencyError(f"student stage needs {tpath}; run --stage teacher first")
             teacher, _ = load_checkpoint(tpath, expected_config=net_cfg)
-            target = ds.by_object(i, "target")
-            pseudo[i] = []
-
-            def sink(r, poses, confidence, _i=i, _ids=target.ids):
-                write_pseudo_cache(_pseudo_cache_path(cfg.out_dir, _i, r), _ids, poses,
-                                   confidence, r)
-                pseudo[_i].append(poses)
-
-            nets[i], round_stats[i] = train_student(
-                teacher, source.observation, source.gt_pose, target.observation, anchors,
-                model, ds.cam, objective, cfg.train, seed=cfg.seed + 100 + i, label_sink=sink)
+            nets[i], rounds = train_student(
+                teacher, source.observation, source.gt_pose,
+                ds.by_object(i, "target").observation, anchors, model, ds.cam, objective,
+                cfg.train, seed=cfg.seed + 100 + i)
+            write_round_reports(cfg, ds, i, rounds)
             log(f"{stage}: object {i} trained")
         else:
             nets[i] = PoseNetwork(net_cfg, seed=cfg.network.seed + i)
@@ -257,17 +245,9 @@ def run_train(cfg: RunConfig, stage, log=print):
             write_loss_curve(os.path.join(cfg.out_dir, f"loss_{prefix}_obj{i}.tsv"), stats)
             log(f"{stage}: object {i} trained" + ("" if stats.final_loss is None
                                                   else f", final loss {stats.final_loss:.4f}"))
-        path = _ckpt_path(cfg.out_dir, stage, i)
-        save_checkpoint(path, nets[i], meta={"stage": stage, "object_id": i,
-                                             "kind": ds.kind})
-        checkpoints.append(path)
-    summary = {"stage": stage, "checkpoints": checkpoints,
-               **write_quality_reports(cfg, ds, nets, anchors, prefix, log)}
-    if stage == "student":
-        if not scalar:
-            _write_student_round_reports(cfg, ds, round_stats, pseudo)
-        summary["rounds"] = round_stats
-    return summary
+        save_checkpoint(_ckpt_path(cfg.out_dir, stage, i), nets[i],
+                        meta={"stage": stage, "object_id": i, "kind": ds.kind})
+    write_quality_reports(cfg, ds, nets, anchors, prefix, log)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +272,7 @@ def run_eval(cfg: RunConfig, checkpoint, log=print):
         raise CheckpointIncompatibleError(
             f"checkpoint object {obj} is not in the dataset's {len(ds.objects)} objects")
     ensure_dir(cfg.out_dir)
-    return {"checkpoint": checkpoint, "object_id": obj,
-            **write_quality_reports(cfg, ds, {obj: net}, anchors, "eval", log)}
+    write_quality_reports(cfg, ds, {obj: net}, anchors, "eval", log)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +304,6 @@ def run_sweep(cfg: RunConfig, log=print, stage="teacher"):
         for branch, values in confidence_scores(out).items():
             per_branch_conf.setdefault(branch, []).append(values)
     hits = np.concatenate(hits)
-    curves = {}
     for branch, values in per_branch_conf.items():
         values = np.concatenate(values)
         rows = []
@@ -335,6 +313,4 @@ def run_sweep(cfg: RunConfig, log=print, stage="teacher"):
             recall = float(100.0 * hits[sel].mean()) if n else None
             rows.append((float(tau), n, recall))
         write_sweep(os.path.join(cfg.out_dir, f"sweep_{branch}.tsv"), rows)
-        curves[branch] = rows
         log(f"sweep: {branch}: {sum(1 for r in rows if r[2] is not None)} nonempty taus")
-    return curves

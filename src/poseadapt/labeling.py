@@ -6,8 +6,8 @@ score theta1, the next k-1 nearest get theta2, everything else is zero,
 and the vector sums to one.  Every helper takes one target or a stack of
 them: scalars of shape (...,) against a 1-D bin array, rotations of shape
 (..., 3, 3) against an (n, 3, 3) anchor stack.  ``losses.prepare_batch_supervision``
-builds the labels and neighbour sets of a whole training set in one call
-per branch.
+runs one nearest-anchor search per branch for a whole training set and
+builds both the labels and the regression's neighbour sets from it.
 
 ``ScoreConfig`` is the ``scores`` section of the run config, read as it
 is: one (theta1, theta2, k) for rotation, one shared by v_x, v_y and z.
@@ -79,10 +79,12 @@ def nearest_anchors(target, anchors, k):
     return np.argsort(d, axis=-1, kind="stable")[..., :k]
 
 
-def score_vector(target, anchors, cfg: ScoreAssignmentConfig):
-    """Sparse score vectors (..., n) over the anchor list, one per target."""
-    idx = nearest_anchors(target, anchors, cfg.k)
-    s = np.zeros(idx.shape[:-1] + (len(anchors),))
+def score_vector(idx, n_anchors, cfg: ScoreAssignmentConfig):
+    """Sparse score vectors (..., n_anchors), one per row of nearest-anchor
+    indices ``idx`` (..., k) as ``nearest_anchors`` orders them."""
+    if idx.shape[-1] != cfg.k:
+        raise InvalidArgumentError(f"{idx.shape[-1]} nearest anchors for k={cfg.k}")
+    s = np.zeros(idx.shape[:-1] + (n_anchors,))
     np.put_along_axis(s, idx, cfg.theta2, axis=-1)
     np.put_along_axis(s, idx[..., :1], cfg.theta1, axis=-1)
     return s

@@ -74,9 +74,10 @@ class Supervision:
     """Training targets of a set of samples as stacked arrays; ``sup[rows]``
     is the supervision of a batch.
 
-    ``nearest`` holds the k nearest anchors of the scalar branches.  The
-    rotation neighbours follow the symmetry-resolved rotation, which
-    depends on the current prediction, so only their count is kept.
+    ``nearest`` holds the k nearest anchors of the scalar branches, from
+    the same search as the labels; the first z column is each row's depth
+    class.  The rotation neighbours follow the symmetry-resolved rotation,
+    which depends on the current prediction, so only their count is kept.
     """
 
     rotation: np.ndarray     # (n, 3, 3)
@@ -248,12 +249,6 @@ def batch_feature_graph(features):
     return fn @ fn.T, grad
 
 
-def z_class_indices(z_values, bins_z):
-    """Depth class of each sample: index of its nearest z bin."""
-    z_values = np.atleast_1d(np.asarray(z_values, dtype=float))
-    return np.abs(z_values[:, None] - np.asarray(bins_z)[None, :]).argmin(axis=1)
-
-
 def target_correlation_loss(graph, class_indices, tg: TargetGraph):
     """Squared L2 distance between the feature graph and the looked-up
     target graph (sum over all B^2 entries), and its gradient map."""
@@ -304,9 +299,11 @@ def prepare_batch_supervision(gt: Pose, anchors: AnchorSet, cam: CameraIntrinsic
               "vx": (vx, anchors.bins_vx, cfg.labels.branch("vx")),
               "vy": (vy, anchors.bins_vy, cfg.labels.branch("vy")),
               "z": (z, anchors.bins_z, cfg.labels.branch("z"))}
-    labels = {name: score_vector(*branch[name]) for name in branches} if cfg.use_cls else {}
-    nearest = {name: nearest_anchors(t, a, min(c.k, len(a)))
-               for name, (t, a, c) in branch.items() if name in branches and name != "rot"}
+    nearest = {name: nearest_anchors(t, a, min(c.k, len(a))) for name, (t, a, c)
+               in branch.items() if name in branches and (cfg.use_cls or name != "rot")}
+    labels = ({name: score_vector(nearest[name], len(branch[name][1]), branch[name][2])
+               for name in branches} if cfg.use_cls else {})
+    nearest.pop("rot", None)
     return Supervision(rot, vx, vy, z, labels, nearest,
                        k_rot=min(cfg.labels.branch("rot").k, anchors.n_rot))
 
@@ -328,9 +325,9 @@ def total_objective(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
     total = per_sample.sum() * (1.0 / n)
     corr_value, graph_grad = 0.0, None
     if cfg.ctc_weight > 0.0:
-        classes = z_class_indices(sup.z, anchors.bins_z)
         graph, graph_grad = batch_feature_graph(out.feature)
-        corr, corr_grad = target_correlation_loss(graph, classes, cfg.target_graph)
+        corr, corr_grad = target_correlation_loss(graph, sup.nearest["z"][:, 0],
+                                                  cfg.target_graph)
         corr_value = float(corr)
         total = total + corr * cfg.ctc_weight
 

@@ -8,9 +8,10 @@ easy samples enter first.
 
 Everything here works on arrays of one object's split: observations
 (n, obs_dim), a ``Pose`` stack of n labels, confidences (n,) and the
-selected rows as an index array.  Sample ids and evaluation-only ground
-truth stay with the caller.  ``TrainConfig`` is the ``train`` section of
-the run config, read as it is.
+selected rows as an index array.  ``train_student`` returns each round's
+labels, confidences and selection as a ``RoundStats``; sample ids,
+evaluation-only ground truth and report files stay with the caller.
+``TrainConfig`` is the ``train`` section of the run config, read as it is.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
                 if np.isfinite(net.flat).all():
                     snapshot = net.state_arrays()
                 raise TrainingFailureError(
-                    f"non-finite loss {value}", snapshot=snapshot)
+                    f"training diverged: non-finite loss {value}", snapshot=snapshot)
             breakdown.total.backward()
             optimizer.step()
             losses.append(value)
@@ -137,24 +138,26 @@ def pseudo_label(annotator: PoseNetwork, obs, anchors: AnchorSet, cam: CameraInt
 
 @dataclass
 class RoundStats:
+    """One self-training round: its threshold, the pseudo labels of every
+    target row with their confidences, and the rows the student trained
+    on (empty: the round trained on source only)."""
+
     round_index: int
     tau: float
-    n_candidates: int
-    selected: np.ndarray              # target rows; empty: the round trained on source only
-    train_loss: float = None
+    poses: Pose
+    confidence: np.ndarray
+    selected: np.ndarray
 
 
 def train_student(teacher: PoseNetwork, source_obs, source_poses: Pose, target_obs,
                   anchors: AnchorSet, model: ObjectModel, cam: CameraIntrinsics,
-                  objective: ObjectiveConfig, cfg: TrainConfig, seed,
-                  label_sink=None):
+                  objective: ObjectiveConfig, cfg: TrainConfig, seed):
     """Self-training rounds: annotate, select by threshold, fit the student.
 
     The student starts as a copy of the teacher.  Round 0 is annotated by
     the teacher, later rounds by the current student.  Each round trains
     on the source split plus the selected target rows with their pseudo
-    poses.  ``label_sink(round_idx, poses, confidence)`` observes each
-    round's pseudo labels (cache files, diagnostics).
+    poses.  Returns the student and one ``RoundStats`` per round.
     """
     student = teacher.copy()
     rounds_stats = []
@@ -165,14 +168,10 @@ def train_student(teacher: PoseNetwork, source_obs, source_poses: Pose, target_o
     for r in range(cfg.rounds):
         poses, confidence = pseudo_label(teacher if r == 0 else student, target_obs,
                                          anchors, cam)
-        if label_sink is not None:
-            label_sink(r, poses, confidence)
         tau = threshold_schedule(r, cfg)
         selected = select_samples(confidence, tau)
-        stats = train_supervised(student, optimizer,
-                                 np.concatenate([source_obs, target_obs[selected]]),
-                                 Pose.stack([source_poses, poses[selected]]), anchors, model,
-                                 cam, objective, cfg.student_epochs, cfg.batch_size, rng)
-        rounds_stats.append(RoundStats(round_index=r, tau=tau, n_candidates=len(confidence),
-                                       selected=selected, train_loss=stats.final_loss))
+        train_supervised(student, optimizer, np.concatenate([source_obs, target_obs[selected]]),
+                         Pose.stack([source_poses, poses[selected]]), anchors, model, cam,
+                         objective, cfg.student_epochs, cfg.batch_size, rng)
+        rounds_stats.append(RoundStats(r, tau, poses, confidence, selected))
     return student, rounds_stats

@@ -2,7 +2,8 @@
 
 ``point_matching_distance`` is the point-set distance the closed-form
 regression terms stand for.  ``OracleAdam`` is the per-parameter Adam
-the fused flat update must match bit for bit.  ``ANCHOR_RANGES`` and ``SAMPLE_RANGES`` are
+the fused flat update must match bit for bit.  ``nearest_bin`` is the
+depth-class rule of the correlation term.  ``ANCHOR_RANGES`` and ``SAMPLE_RANGES`` are
 the run config's default anchor and pose sampling ranges, for tests that
 build anchors or datasets without a run config.
 """
@@ -26,6 +27,11 @@ def point_matching_distance(p, gt, model):
     moved = p.rotation @ pts_t + p.translation[:, None]
     gt_pts = gt.rotation @ pts_t + gt.translation[:, None]
     return float(np.abs(moved - gt_pts).sum(axis=0).mean())
+
+
+def nearest_bin(z, bins):
+    """Index of the bin nearest to each value, the first one on a tie."""
+    return np.abs(np.asarray(z, dtype=float)[:, None] - np.asarray(bins)[None, :]).argmin(axis=1)
 
 
 def matrix_to_rot6d(m):

@@ -83,12 +83,13 @@ def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, cap
 
 # SHA-256 over the names and bytes of every checkpoint and TSV of ``golden_run``
 GOLDEN_DIGEST = "398956398a2eb3e5e10caed7eb963824f775b9fa350be49b946b0b15d533aa15"
+SCALAR_GOLDEN_DIGEST = "c142aa4782650d79721798796a58795d206910c52cdee0b5ec0aa7307d24eb32"
 
 
-def golden_run(tmp_path):
+def golden_run(tmp_path, scalar=False):
     out = tmp_path / "golden"
     base = ["--config", write_config(tmp_path, "golden", dict(TINY, out_dir=str(out))),
-            "--seed", "3"]
+            "--seed", "3"] + (["--scalar-task"] if scalar else [])
     for step in (["gen-data"], ["train", "--stage", "teacher"], ["train", "--stage", "student"]):
         assert cli.main(step + base) == 0
     digest = hashlib.sha256()
@@ -103,11 +104,17 @@ def test_tiny_pipeline_matches_its_golden_digest(tmp_path, capsys):
     writes exactly the checkpoints and reports it always has.
 
     A change that is meant to keep results (a refactor, a speed-up) must
-    keep this digest.  A change that moves results on purpose (a new
-    loss scale, a new gradient order, a method change) updates
-    ``GOLDEN_DIGEST`` and says so in CHANGES.md.  The digest holds for one
-    numpy and BLAS build; another build may round differently."""
+    keep this digest and ``SCALAR_GOLDEN_DIGEST``.  A change that moves
+    results on purpose (a new loss scale, a new gradient order, a method
+    change) updates them and says so in CHANGES.md.  The digests hold for
+    one numpy and BLAS build; another build may round differently."""
     assert golden_run(tmp_path) == GOLDEN_DIGEST
+
+
+def test_tiny_scalar_pipeline_matches_its_golden_digest(tmp_path, capsys):
+    """The same pipeline with ``--scalar-task``: its pseudo-label caches
+    are the files the benchmark counts selected rows from."""
+    assert golden_run(tmp_path, scalar=True) == SCALAR_GOLDEN_DIGEST
 
 
 def report_rows(path):
@@ -185,6 +192,9 @@ BAD_CONFIGS = {
     "negative-student-epochs": {"train": {"student_epochs": -1}},
     "negative-teacher-lr": {"train": {"lr_teacher": -0.01}},
     "zero-student-lr": {"train": {"lr_student": 0.0}},
+    "negative-source-noise": {"data": {"source_noise": -1}},
+    "target-dropout-above-one": {"data": {"target_dropout": 1.5}},
+    "negative-scalar-noise": {"scalar_task": True, "data": {"scalar_target_noise": -1}},
 }
 
 
@@ -211,6 +221,19 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if not case.endswith("-dataset"):
         assert not (tmp_path / "run" / "dataset.txt").exists()
+        assert not (tmp_path / "run" / "config.json").exists()
+
+
+def test_zero_norm_features_are_a_training_failure(tmp_path, capsys):
+    """With every source value dropped the features are all zero, and the
+    correlation term cannot normalize them: a training failure, not a
+    config error."""
+    cfg = dict(TINY, data=dict(TINY["data"], source_dropout=1.0), out_dir=str(tmp_path))
+    argv = ["--config", write_config(tmp_path, "dropped", cfg)]
+    assert cli.main(["gen-data"] + argv) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--stage", "teacher"] + argv) == cli.EXIT_TRAINING
+    assert capsys.readouterr().err == "error: zero-norm feature in batch\n"
 
 
 @pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy", "use_ctc", "reannotate"])

@@ -86,6 +86,11 @@ def test_config_from_dict_rejects_with_config_error_only(raw):
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, (int, float)):     # finite, and an int converts to float
                 assert abs(v) <= sys.float_info.max, name
+    for name, value in values(cfg):
+        if name.endswith("_noise"):
+            assert value >= 0, name
+        if name.endswith("_dropout"):
+            assert 0 <= value <= 1, name
     t = cfg.train
     assert t.teacher_epochs >= 0 and t.student_epochs >= 0 and t.rounds >= 0
     assert t.lr_teacher > 0 and t.lr_student > 0 and t.batch_size >= 1
@@ -104,3 +109,18 @@ def test_schedule_ranges_are_checked(train):
     has the epoch and learning-rate cases."""
     with pytest.raises(ConfigError, match="train"):
         config_from_dict({"train": train})
+
+
+@pytest.mark.parametrize("raw", [
+    {"data": {"source_noise": -1}},
+    {"data": {"target_noise": -0.01}},
+    {"scalar_task": True, "data": {"scalar_target_noise": -1}},
+    {"data": {"scalar_source_noise": -2}},
+    {"data": {"target_dropout": 1.5}},
+    {"data": {"source_dropout": -0.1}},
+], ids=lambda raw: "-".join(f"{k}={v}" for k, v in raw["data"].items()))
+def test_noise_and_dropout_ranges_are_checked(raw):
+    """Noise scales are >= 0 and dropouts in [0, 1], checked before any
+    file is written."""
+    with pytest.raises(ConfigError, match=f"data.{next(iter(raw['data']))}"):
+        config_from_dict(raw)

@@ -99,25 +99,30 @@ class TestScoreAssignmentConfig:
         assert cfg.k == 1
 
 
+def scores(target, anchors, cfg):
+    """Sparse scores of a target, built from its nearest-anchor search."""
+    return score_vector(nearest_anchors(target, anchors, cfg.k), len(anchors), cfg)
+
+
 class TestScoreVectors:
     def test_rotation_parameterization(self):
         anchors = random_rotations(60, np.random.default_rng(3))
         target = random_rotations(1, np.random.default_rng(4))[0]
-        s = score_vector(target, anchors, ScoreAssignmentConfig(0.7, 0.1, 4))
+        s = scores(target, anchors, ScoreAssignmentConfig(0.7, 0.1, 4))
         nz = np.sort(s[s > 0])
         np.testing.assert_allclose(nz, [0.1, 0.1, 0.1, 0.7])
         assert s.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_translation_parameterization(self):
         bins = generate_translation_bins(0.0, 2.0, 40)
-        s = score_vector(0.83, bins, ScoreAssignmentConfig(0.55, 0.075, 7))
+        s = scores(0.83, bins, ScoreAssignmentConfig(0.55, 0.075, 7))
         assert np.count_nonzero(s) == 7
         assert s.max() == pytest.approx(0.55)
         assert s.sum() == pytest.approx(0.55 + 6 * 0.075, abs=1e-12)
 
     def test_one_hot_label(self):
         bins = generate_translation_bins(0.0, 2.0, 10)
-        s = score_vector(0.3, bins, ScoreAssignmentConfig(1.0, 0.0, 1))
+        s = scores(0.3, bins, ScoreAssignmentConfig(1.0, 0.0, 1))
         assert np.count_nonzero(s) == 1
         assert s[nearest_anchors(0.3, bins, 1)[0]] == 1.0
 
@@ -127,13 +132,23 @@ class TestScoreVectors:
         cfg = ScoreAssignmentConfig(0.55, 0.075, 7)
         for _ in range(50):
             x = rng.uniform(-210, 210)
-            s = score_vector(x, bins, cfg)
+            s = scores(x, bins, cfg)
             idx = nearest_anchors(x, bins, 7)
             assert s[idx[0]] == pytest.approx(0.55)
             np.testing.assert_allclose(s[idx[1:]], 0.075)
             mask = np.ones(len(bins), dtype=bool)
             mask[idx] = False
             assert np.all(s[mask] == 0.0)
+
+    def test_builds_a_stack_from_index_rows(self):
+        """theta1 at each row's first index, theta2 at the others; the row
+        length must be the config's k."""
+        cfg = ScoreAssignmentConfig(0.6, 0.2, 3)
+        idx = np.array([[2, 0, 1], [4, 3, 2]])
+        np.testing.assert_array_equal(score_vector(idx, 5, cfg),
+                                      [[0.2, 0.2, 0.6, 0, 0], [0, 0, 0.2, 0.2, 0.6]])
+        with pytest.raises(InvalidArgumentError, match="k=3"):
+            score_vector(idx[:, :2], 5, cfg)
 
 
 class TestAssignScores:
@@ -171,7 +186,7 @@ class TestAssignScores:
                     ("vy", vy, self.anchors.bins_vy, self.cfg.labels.branch("vy")),
                     ("z", z, self.anchors.bins_z, self.cfg.labels.branch("z"))):
                 np.testing.assert_array_equal(sup.labels[name][b],
-                                              score_vector(target, bins, cfg))
+                                              scores(target, bins, cfg))
                 if name != "rot":
                     np.testing.assert_array_equal(sup.nearest[name][b],
                                                   nearest_anchors(target, bins, cfg.k))

@@ -29,13 +29,12 @@ from poseadapt.losses import (
     prepare_batch_supervision,
     resolve_symmetric_gt,
     total_objective,
-    z_class_indices,
 )
 from poseadapt.network import LEAK, ROT6D_IDENTITY, HeadOutput, PoseNetwork
 from poseadapt.synth import OBS_DIM, make_dataset, make_domain_config, make_object, make_scalar_task
 
 import tape
-from helpers import SAMPLE_RANGES
+from helpers import SAMPLE_RANGES, nearest_bin
 
 NETWORK = {"feature_dim": 16, "encoder_hidden": [32], "head_hidden": 8}
 TOLERANCE = 1e-10
@@ -116,7 +115,7 @@ def tape_objective(out, sup, anchors, model, cam, cfg):
         f = out.feature
         fn = tape.div(f, tape.norm(f, axis=1, keepdims=True))
         graph = tape.matmul(fn, tape.swapaxes(fn, 0, 1))
-        idx = z_class_indices(sup.z, anchors.bins_z)
+        idx = nearest_bin(sup.z, anchors.bins_z)
         diff = tape.sub(graph, cfg.target_graph.g0[idx[:, None], idx[None, :]])
         corr = tape.tsum(tape.mul(diff, diff))
         parts[2] = float(corr.data)

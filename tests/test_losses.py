@@ -34,12 +34,17 @@ from poseadapt.losses import (
     soft_cross_entropy,
     target_correlation_loss,
     total_objective,
-    z_class_indices,
 )
 from poseadapt.network import ROT6D_IDENTITY, NetworkConfig, PoseNetwork
 from poseadapt.synth import make_object
 
-from helpers import ANCHOR_RANGES, matrix_to_rot6d, point_matching_distance, random_rotations
+from helpers import (
+    ANCHOR_RANGES,
+    matrix_to_rot6d,
+    nearest_bin,
+    point_matching_distance,
+    random_rotations,
+)
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 
@@ -381,9 +386,17 @@ class TestCorrelationLoss:
         with pytest.raises(InvalidArgumentError):
             target_correlation_loss(np.eye(2), np.array([0, 99]), self.tg)
 
-    def test_z_class_indices(self):
-        bins = generate_translation_bins(0, 2, 4)  # 0.25 0.75 1.25 1.75
-        np.testing.assert_array_equal(z_class_indices([0.3, 1.9, 1.0], bins), [0, 3, 1])
+    def test_depth_class_is_the_first_z_neighbour(self):
+        """The correlation term reads each row's depth class as its first
+        z neighbour in the supervision: the nearest bin, the lower one on
+        a tie (1.0 sits midway between 0.75 and 1.25)."""
+        anchors = small_anchors(n_z=4)
+        np.testing.assert_array_equal(anchors.bins_z, [0.25, 0.75, 1.25, 1.75])
+        sup = supervision([Pose(np.eye(3), [0.0, 0.0, z]) for z in (0.3, 1.9, 1.0)], anchors)
+        np.testing.assert_array_equal(sup.nearest["z"][:, 0], [0, 3, 1])
+        rng = np.random.default_rng(12)
+        sup = supervision([random_pose(rng) for _ in range(50)], anchors)
+        np.testing.assert_array_equal(sup.nearest["z"][:, 0], nearest_bin(sup.z, anchors.bins_z))
 
 
 class TestTotalObjective:
@@ -438,7 +451,7 @@ class TestTotalObjective:
         # independent composition from the separately computed pieces
         cls, _ = classification_loss(out, sup)
         reg, _ = regression_loss_batch(out, sup, self.anchors, self.model, CAM)
-        classes = z_class_indices([p.z for p in gt], self.anchors.bins_z)
+        classes = nearest_bin([p.z for p in gt], self.anchors.bins_z)
         corr, _ = target_correlation_loss(batch_feature_graph(out.feature)[0],
                                           classes, self.cfg.target_graph)
         want = np.mean(cls + reg) + corr

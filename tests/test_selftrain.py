@@ -111,10 +111,9 @@ def test_empty_selection_round_trains_on_source_only(monkeypatch):
     student, rounds = train_student(teacher, source_obs, source_poses, target_obs, anchors,
                                     ds.objects[0], ds.cam, objective, cfg, seed=0)
     assert len(rounds) == 1
-    assert rounds[0].n_candidates == 4
+    assert len(rounds[0].confidence) == len(rounds[0].poses) == 4
     assert len(rounds[0].selected) == 0
     assert [(len(obs), len(poses)) for obs, poses in calls] == [(8, 8)]
-    assert np.isfinite(rounds[0].train_loss)
     before, after = teacher.state_arrays(), student.state_arrays()
     assert any(not np.array_equal(before[k], after[k]) for k in before)
 
@@ -123,25 +122,23 @@ def test_selected_rows_join_the_source_with_their_pseudo_poses(monkeypatch):
     ds, anchors, teacher, objective = scalar_setup()
     cfg = TrainConfig(tau_start=0.3, tau_end=0.2, rounds=2, student_epochs=1)
     calls = record_training_sets(monkeypatch)
-    labels = []
     source_obs, source_poses, target_obs = split_arrays(ds)
     _, rounds = train_student(teacher, source_obs, source_poses, target_obs, anchors,
-                              ds.objects[0], ds.cam, objective, cfg, seed=0,
-                              label_sink=lambda r, poses, conf: labels.append((r, poses, conf)))
-    assert [r for r, _, _ in labels] == [0, 1]
+                              ds.objects[0], ds.cam, objective, cfg, seed=0)
+    assert [r.round_index for r in rounds] == [0, 1]
     assert sum(len(r.selected) for r in rounds) > 0
-    for r, (obs, poses), (_, pseudo, conf) in zip(rounds, calls, labels):
-        assert len(pseudo) == len(conf) == r.n_candidates == 4
-        np.testing.assert_array_equal(r.selected, np.flatnonzero(conf > r.tau))
+    for r, (obs, poses) in zip(rounds, calls):
+        assert len(r.poses) == len(r.confidence) == 4
+        np.testing.assert_array_equal(r.selected, np.flatnonzero(r.confidence > r.tau))
         assert len(obs) == len(poses) == 8 + len(r.selected)
         np.testing.assert_array_equal(obs, np.concatenate([source_obs, target_obs[r.selected]]))
-        np.testing.assert_array_equal(poses.rotation[8:], pseudo.rotation[r.selected])
+        np.testing.assert_array_equal(poses.rotation[8:], r.poses.rotation[r.selected])
         np.testing.assert_array_equal(poses.translation[:8], source_poses.translation)
-        np.testing.assert_array_equal(poses.translation[8:], pseudo.translation[r.selected])
+        np.testing.assert_array_equal(poses.translation[8:], r.poses.translation[r.selected])
     # the first round's labels come from the teacher
     want_poses, want_conf = selftrain.pseudo_label(teacher, target_obs, anchors, ds.cam)
-    np.testing.assert_array_equal(labels[0][1].z, want_poses.z)
-    np.testing.assert_array_equal(labels[0][2], want_conf)
+    np.testing.assert_array_equal(rounds[0].poses.z, want_poses.z)
+    np.testing.assert_array_equal(rounds[0].confidence, want_conf)
 
 
 def test_pseudo_label_is_a_stack_with_depth_confidence():
@@ -160,7 +157,7 @@ def test_empty_target_split_trains_on_source_only(monkeypatch):
     source_obs, source_poses, _ = split_arrays(ds)
     _, rounds = train_student(teacher, source_obs, source_poses, np.zeros((0, OBS_DIM)),
                               anchors, ds.objects[0], ds.cam, objective, cfg, seed=0)
-    assert [(r.n_candidates, len(r.selected)) for r in rounds] == [(0, 0), (0, 0)]
+    assert [(len(r.confidence), len(r.selected)) for r in rounds] == [(0, 0), (0, 0)]
     assert [len(obs) for obs, _ in calls] == [8, 8]
 
 
