@@ -2,11 +2,12 @@
 
 The package trains one fixed graph, and each part of it has a
 hand-written gradient: ``losses`` maps the loss to head-output gradients
-in closed form, and ``network`` back-propagates those through the softmax
-and the MLPs into one flat gradient buffer.  ``total_objective`` returns
-its loss as a ``Tensor`` whose ``backward()`` runs that chain, once per
-training step.  Inside ``no_grad()`` a forward pass keeps no activations
-and makes no gradient buffer.
+(of the classifier logits, the residuals and the feature) in closed form,
+and ``network`` back-propagates those through the MLPs into one flat
+gradient buffer.  ``total_objective`` returns its loss as a ``Tensor``
+whose ``backward()`` runs that chain, once per training step.  Inside
+``no_grad()`` a forward pass keeps no activations and makes no gradient
+buffer.
 """
 
 from __future__ import annotations

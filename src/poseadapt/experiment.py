@@ -60,14 +60,14 @@ def build_camera(cfg: RunConfig) -> CameraIntrinsics:
 
 
 def build_anchors(cfg: RunConfig, scalar=False, single=False) -> AnchorSet:
-    """The configured anchors; ``single`` gives the direct-regression
-    baseline one anchor per branch."""
+    """The configured anchors of the pose or the scalar task; ``single``
+    gives the direct-regression baseline one anchor per branch."""
     a = cfg.anchors
     if scalar:
-        n_z = 1 if single else cfg.data.scalar_bins
-        return AnchorSet.build(1, 1, 1, n_z, (-1.0, 1.0), (-1.0, 1.0), SCALAR_RANGE, a.seed)
-    counts = (1, 1, 1, 1) if single else (a.n_rot, a.n_vx, a.n_vy, a.n_z)
-    return AnchorSet.build(*counts, a.vx_range, a.vy_range, a.z_range, a.seed)
+        counts, ranges = (1, 1, 1, cfg.data.scalar_bins), ((-1.0, 1.0), (-1.0, 1.0), SCALAR_RANGE)
+    else:
+        counts, ranges = (a.n_rot, a.n_vx, a.n_vy, a.n_z), (a.vx_range, a.vy_range, a.z_range)
+    return AnchorSet.build(*((1, 1, 1, 1) if single else counts), *ranges, a.seed)
 
 
 def build_network_config(cfg: RunConfig, obs_dim, anchors: AnchorSet,
@@ -86,17 +86,16 @@ def build_objective(cfg: RunConfig, anchors: AnchorSet, stage) -> ObjectiveConfi
     classifier and the correlation term."""
     use_cls = stage != "baseline-regression"
     use_ctc = stage not in ("baseline-regression", "no-ctc")
-    tg = build_target_graph(anchors.bins_z, anchors.z_range[0], anchors.z_range[1])
     return ObjectiveConfig(labels=cfg.scores, use_cls=use_cls,
                            ctc_weight=cfg.train.ctc_weight if use_ctc else 0.0,
-                           target_graph=tg)
+                           target_graph=build_target_graph(anchors.bins_z, *anchors.z_range))
 
 
 # ---------------------------------------------------------------------------
 # gen-data
 
 
-def run_gen_data(cfg: RunConfig, log=print):
+def run_gen_data(cfg: RunConfig):
     """Generate and save the benchmark dataset."""
     ensure_dir(cfg.out_dir)
     save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
@@ -123,8 +122,8 @@ def run_gen_data(cfg: RunConfig, log=print):
     path = cfg.dataset_path()
     ensure_dir(os.path.dirname(path) or ".")
     save_dataset(path, ds)
-    log(f"dataset: {path} kind={ds.kind} source={d.n_source} target={d.n_target} "
-        f"objects={len(ds.objects)} seed={cfg.seed}")
+    print(f"dataset: {path} kind={ds.kind} source={d.n_source} target={d.n_target} "
+          f"objects={len(ds.objects)} seed={cfg.seed}")
 
 
 def load_dataset_or_fail(cfg: RunConfig) -> Dataset:
@@ -160,7 +159,7 @@ def recall_by_object(nets, ds: Dataset, anchors, domain):
     return rows
 
 
-def write_quality_reports(cfg: RunConfig, ds: Dataset, nets, anchors, tag, log=print):
+def write_quality_reports(cfg: RunConfig, ds: Dataset, nets, anchors, tag):
     """Score ``nets`` (object id -> network) on both splits and write the
     report: one recall table per split for a pose dataset, one
     ``mae_<tag>.tsv`` for the scalar task."""
@@ -171,12 +170,12 @@ def write_quality_reports(cfg: RunConfig, ds: Dataset, nets, anchors, tag, log=p
             poses, gt, _ = predict_split(net, ds, i, domain, anchors)
             rows.append((domain, len(poses), scalar_mae(poses.z, gt.z)))
         write_mae_table(os.path.join(cfg.out_dir, f"mae_{tag}.tsv"), rows)
-        log(f"{tag}: MAE source {rows[0][2]:.4f} target {rows[1][2]:.4f}")
+        print(f"{tag}: MAE source {rows[0][2]:.4f} target {rows[1][2]:.4f}")
         return
     for domain in DOMAINS:
         recall = write_recall_table(os.path.join(cfg.out_dir, f"recall_{tag}_{domain}.tsv"),
                                     recall_by_object(nets, ds, anchors, domain))
-        log(f"{tag}: {domain} mean recall " + ("n/a" if recall is None else f"{recall:.2f}%"))
+        print(f"{tag}: {domain} mean recall " + ("n/a" if recall is None else f"{recall:.2f}%"))
 
 
 def write_round_reports(cfg: RunConfig, ds: Dataset, i, rounds):
@@ -210,7 +209,7 @@ def _ckpt_path(out_dir, stage, obj_id):
     return os.path.join(out_dir, f"{STAGES[stage]}_obj{obj_id}.ckpt")
 
 
-def run_train(cfg: RunConfig, stage, log=print):
+def run_train(cfg: RunConfig, stage):
     """Train one stage for every object and write its checkpoints and
     reports.  The scalar task runs the same path as one object with only
     the z branch active."""
@@ -237,24 +236,24 @@ def run_train(cfg: RunConfig, stage, log=print):
                 ds.by_object(i, "target").observation, anchors, model, ds.cam, objective,
                 cfg.train, seed=cfg.seed + 100 + i)
             write_round_reports(cfg, ds, i, rounds)
-            log(f"{stage}: object {i} trained")
+            print(f"{stage}: object {i} trained")
         else:
             nets[i] = PoseNetwork(net_cfg, seed=cfg.network.seed + i)
             stats = train_teacher(source.observation, source.gt_pose, nets[i], anchors, model,
                                   ds.cam, objective, cfg.train, seed=cfg.seed + 10 + i)
             write_loss_curve(os.path.join(cfg.out_dir, f"loss_{prefix}_obj{i}.tsv"), stats)
-            log(f"{stage}: object {i} trained" + ("" if stats.final_loss is None
-                                                  else f", final loss {stats.final_loss:.4f}"))
+            print(f"{stage}: object {i} trained" + ("" if stats.final_loss is None
+                                                    else f", final loss {stats.final_loss:.4f}"))
         save_checkpoint(_ckpt_path(cfg.out_dir, stage, i), nets[i],
                         meta={"stage": stage, "object_id": i, "kind": ds.kind})
-    write_quality_reports(cfg, ds, nets, anchors, prefix, log)
+    write_quality_reports(cfg, ds, nets, anchors, prefix)
 
 
 # ---------------------------------------------------------------------------
 # eval
 
 
-def run_eval(cfg: RunConfig, checkpoint, log=print):
+def run_eval(cfg: RunConfig, checkpoint):
     """Evaluation-only pass of one checkpoint over the configured dataset."""
     ds = load_dataset_or_fail(cfg)
     if not os.path.exists(checkpoint):
@@ -272,14 +271,14 @@ def run_eval(cfg: RunConfig, checkpoint, log=print):
         raise CheckpointIncompatibleError(
             f"checkpoint object {obj} is not in the dataset's {len(ds.objects)} objects")
     ensure_dir(cfg.out_dir)
-    write_quality_reports(cfg, ds, {obj: net}, anchors, "eval", log)
+    write_quality_reports(cfg, ds, {obj: net}, anchors, "eval")
 
 
 # ---------------------------------------------------------------------------
 # threshold sweep
 
 
-def run_sweep(cfg: RunConfig, log=print, stage="teacher"):
+def run_sweep(cfg: RunConfig, stage="teacher"):
     """Sweep the selection threshold over teacher pseudo labels.
 
     For each confidence source (per-branch max probability) and each tau
@@ -290,6 +289,7 @@ def run_sweep(cfg: RunConfig, log=print, stage="teacher"):
     if ds.kind == "scalar":
         raise InvalidArgumentError("threshold sweep expects a pose dataset")
     anchors = build_anchors(cfg)
+    net_cfg = build_network_config(cfg, ds.obs_dim, anchors)
     ensure_dir(cfg.out_dir)
     # confidence + hit per target sample, pooled over objects
     per_branch_conf = {}
@@ -298,7 +298,7 @@ def run_sweep(cfg: RunConfig, log=print, stage="teacher"):
         tpath = _ckpt_path(cfg.out_dir, stage, i)
         if not os.path.exists(tpath):
             raise DependencyError(f"sweep needs {tpath}; run --stage {stage} first")
-        net, _ = load_checkpoint(tpath)
+        net, _ = load_checkpoint(tpath, expected_config=net_cfg)
         poses, gt, out = predict_split(net, ds, i, "target", anchors)
         hits.append(evaluate_pose(poses, gt, model).hit)
         for branch, values in confidence_scores(out).items():
@@ -313,4 +313,4 @@ def run_sweep(cfg: RunConfig, log=print, stage="teacher"):
             recall = float(100.0 * hits[sel].mean()) if n else None
             rows.append((float(tau), n, recall))
         write_sweep(os.path.join(cfg.out_dir, f"sweep_{branch}.tsv"), rows)
-        log(f"sweep: {branch}: {sum(1 for r in rows if r[2] is not None)} nonempty taus")
+        print(f"sweep: {branch}: {sum(1 for r in rows if r[2] is not None)} nonempty taus")

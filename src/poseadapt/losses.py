@@ -15,7 +15,8 @@ depth bins is the cosine of their angle difference.
 Each term (the cross-entropy, the 6D decode, the rotation and scalar
 point-matching terms, the feature graph and the correlation distance)
 returns its value and a closed-form map from the gradient of that value
-to the gradient of its input.  ``total_objective`` chains the maps.
+to the gradient of its input; the cross-entropy's input is the logits of
+its softmax.  ``total_objective`` chains the maps.
 """
 
 from __future__ import annotations
@@ -49,20 +50,25 @@ LOG_EPS = 1e-12
 
 
 def soft_cross_entropy(probs, labels):
-    """Cross-entropy -sum(labels * log(probs + eps)), and its gradient map.
+    """Cross-entropy -sum(labels * log(probs + eps)) of softmax rows, and
+    the map from its gradient to the gradient of their logits.
 
-    1-D inputs give a scalar; (B, N) inputs give a per-sample (B,) array.
+    With w = labels p / (p + eps), the logit gradient is p sum(w) - w: the
+    softmax backward in closed form.  1-D inputs give a scalar; (B, N)
+    inputs give a per-sample (B,) array.
     """
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape:
         raise ShapeError(f"probs {probs.shape} vs labels {labels.shape}")
     shifted = probs + LOG_EPS
-    return -(np.log(shifted) * labels).sum(axis=-1), lambda g: -g[..., None] * labels / shifted
+    w = labels * probs / shifted
+    return (-(np.log(shifted) * labels).sum(axis=-1),
+            lambda g: g[..., None] * (probs * w.sum(axis=-1, keepdims=True) - w))
 
 
 def classification_loss(out: HeadOutput, sup: Supervision):
     """Per-sample sum of branch cross-entropies against sparse labels, (B,),
-    and the map to branch -> probability gradient."""
+    and the map to branch -> logit gradient."""
     terms = {name: soft_cross_entropy(probs, sup.labels[name])
              for name, probs in out.probs.items()}
     return (reduce(operator.add, [value for value, _ in terms.values()]),
@@ -201,7 +207,7 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
         grads = {}
         for name, (_, term_grad, idx) in terms.items():
             grads[name] = np.zeros(out.residuals[name].shape)
-            np.add.at(grads[name], (rows, idx), term_grad(g))
+            grads[name][rows, idx] = term_grad(g)   # a row's k anchors are distinct
         return grads
 
     return reduce(operator.add, [value for value, _, _ in terms.values()]), grad
@@ -211,27 +217,14 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
 # target-correlation graph regularizer
 
 
-@dataclass(frozen=True)
-class TargetGraph:
-    """Precomputed bin-to-bin correlation graph over depth classes."""
-
-    g0: np.ndarray      # (N, N), cos of angle differences
-    angles: np.ndarray  # (N,) radians
-
-    @property
-    def n_classes(self):
-        return len(self.angles)
-
-
-def build_target_graph(bins_z, z_min, z_max) -> TargetGraph:
-    """Map depth bins linearly to angles in [0, pi/2] scale and take the
-    cosine of pairwise angle differences."""
+def build_target_graph(bins_z, z_min, z_max):
+    """Correlation graph (N, N) over the depth bins: map the bins linearly
+    to angles (the range to pi/2) and take the cosine of pairwise angle
+    differences."""
     if not z_max > z_min:
         raise InvalidArgumentError("z_max must exceed z_min")
-    bins_z = np.asarray(bins_z, dtype=float)
-    angles = bins_z / (z_max - z_min) * (np.pi / 2.0)
-    g0 = np.cos(np.abs(angles[:, None] - angles[None, :]))
-    return TargetGraph(g0=g0, angles=angles)
+    angles = np.asarray(bins_z, dtype=float) / (z_max - z_min) * (np.pi / 2.0)
+    return np.cos(np.abs(angles[:, None] - angles[None, :]))
 
 
 def batch_feature_graph(features):
@@ -249,15 +242,16 @@ def batch_feature_graph(features):
     return fn @ fn.T, grad
 
 
-def target_correlation_loss(graph, class_indices, tg: TargetGraph):
-    """Squared L2 distance between the feature graph and the looked-up
-    target graph (sum over all B^2 entries), and its gradient map."""
+def target_correlation_loss(graph, class_indices, g0):
+    """Squared L2 distance between the feature graph and the target graph
+    ``g0`` looked up at the depth classes (sum over all B^2 entries), and
+    its gradient map."""
     idx = np.asarray(class_indices, dtype=int)
     if idx.ndim != 1 or graph.shape != (len(idx), len(idx)):
         raise ShapeError(f"graph {graph.shape} vs {len(idx)} class indices")
-    if np.any(idx < 0) or np.any(idx >= tg.n_classes):
+    if np.any(idx < 0) or np.any(idx >= len(g0)):
         raise InvalidArgumentError("class index out of range")
-    diff = graph - tg.g0[idx[:, None], idx[None, :]]
+    diff = graph - g0[idx[:, None], idx[None, :]]
     return (diff * diff).sum(), lambda up: 2.0 * up * diff
 
 
@@ -274,7 +268,7 @@ class ObjectiveConfig:
     labels: ScoreConfig
     use_cls: bool
     ctc_weight: float
-    target_graph: TargetGraph
+    target_graph: np.ndarray   # (N, N) depth-bin graph of build_target_graph
 
 
 @dataclass

@@ -118,21 +118,16 @@ def softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_backward(s, g):
-    """Gradient of the logits of softmax rows ``s``, given the gradient
-    ``g`` of ``s``: s (g - sum(g s))."""
-    return s * (g - (g * s).sum(axis=1, keepdims=True))
-
-
 @dataclass
 class HeadOutput:
     """Batched network output: probabilities, residuals, shared feature,
-    and the network's backward for them (None without gradients)."""
+    and the network's backward (None without gradients), which takes the
+    gradients of the classifier logits, not of the probabilities."""
 
     probs: dict          # branch -> (B, N)
     residuals: dict      # "rot" -> (B, N, 6); scalars -> (B, N)
     feature: np.ndarray  # (B, C)
-    backward: object = None  # (d_probs, d_residuals, d_feature) -> None
+    backward: object = None  # (d_logits, d_residuals, d_feature) -> None
 
     def picks(self):
         """Arg-max anchor index per branch; ties go to the lowest index."""
@@ -226,25 +221,23 @@ class PoseNetwork:
             probs[name] = softmax(self.cls_heads[name](f))
             r = self.reg_heads[name](f)
             residuals[name] = r.reshape(len(x), n, 6) if name == "rot" else r
-        # the output holds its backward, which must not hold the output
-        backward = functools.partial(self._backward, probs) if ad.grad_enabled else None
-        return HeadOutput(probs=probs, residuals=residuals, feature=f, backward=backward)
+        return HeadOutput(probs=probs, residuals=residuals, feature=f,
+                          backward=self._backward if ad.grad_enabled else None)
 
-    def _backward(self, probs, d_probs, d_residuals, d_feature):
+    def _backward(self, d_logits, d_residuals, d_feature):
         """Back-propagate the last forward pass's output gradients into
-        ``grad_buffer()``: branch -> gradient of its probabilities
-        (``d_probs``) and residuals (``d_residuals``), and the feature's own
-        (``d_feature``, or None).  A head left out gets a zero gradient.
+        ``grad_buffer()``: branch -> gradient of its classifier logits
+        (``d_logits``) and residuals (``d_residuals``), and the feature's
+        own (``d_feature``, or None).  A head left out gets a zero gradient.
         The feature's gradient sums the residual heads' shares in the order
         of ``d_residuals``, then the classifier heads' in the order of
-        ``d_probs``, then ``d_feature``: a fixed order, so a training run
+        ``d_logits``, then ``d_feature``: a fixed order, so a training run
         repeats to the bit."""
         self.grad_buffer()
         shares = [self.reg_heads[k].backward(g.reshape(len(g), -1))
                   for k, g in d_residuals.items()]
-        shares += [self.cls_heads[k].backward(softmax_backward(probs[k], g))
-                   for k, g in d_probs.items()]
-        for heads, grads in ((self.reg_heads, d_residuals), (self.cls_heads, d_probs)):
+        shares += [self.cls_heads[k].backward(g) for k, g in d_logits.items()]
+        for heads, grads in ((self.reg_heads, d_residuals), (self.cls_heads, d_logits)):
             for k in heads.keys() - grads.keys():
                 for layer in heads[k].layers:
                     layer.gw.fill(0.0)

@@ -4,17 +4,18 @@ tape.
 
 The tape (``tests/tape.py``) is the reference for the whole backward
 pass, so each of its ops is checked here.  The package's own pieces are
-the MLP (``MLP.__call__`` and ``MLP.backward``) and the softmax
-(``softmax`` and ``softmax_backward``); each must give the tape's bits or
-its gradients.
+the MLP (``MLP.__call__`` and ``MLP.backward``), the ``softmax`` and the
+closed-form logit gradient of the cross-entropy over it
+(``soft_cross_entropy``); each must give the tape's bits or its
+gradients.
 """
 
 import numpy as np
 import pytest
 
 from poseadapt.errors import InvalidArgumentError, ShapeError
-from poseadapt.losses import LOG_EPS
-from poseadapt.network import LEAK, MLP, softmax, softmax_backward
+from poseadapt.losses import LOG_EPS, soft_cross_entropy
+from poseadapt.network import LEAK, MLP, softmax
 
 import tape
 
@@ -198,7 +199,8 @@ class TestIndexingOps:
 
 
 class TestSoftmax:
-    """The package's row softmax and its backward."""
+    """The package's row softmax, and the logit gradient of the
+    cross-entropy over it."""
 
     def test_rows_sum_to_one(self):
         s = softmax(np.random.default_rng(5).standard_normal((6, 9)) * 3)
@@ -210,19 +212,38 @@ class TestSoftmax:
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
     def test_gradient(self):
-        """Against finite differences, and against the oracle's softmax,
-        a composite of ``exp``, ``sub``, ``div`` and ``tsum``."""
+        """The oracle's softmax, a composite of ``exp``, ``sub``, ``div``
+        and ``tsum``, against finite differences; the package's softmax
+        gives its bits."""
         w = np.random.default_rng(6).standard_normal((4, 5))
         x = np.random.default_rng(7).standard_normal((4, 5)) * 3
-        got = softmax_backward(softmax(x), w)
-        num = finite_diff(lambda arr: float((softmax(arr) * w).sum()), x.copy())
-        np.testing.assert_allclose(got, num, atol=1e-6, rtol=1e-4)
         check_grad(lambda t: tape.tsum(tape.mul(tape.softmax(t, axis=1), w)), (4, 5))
+        np.testing.assert_array_equal(softmax(x), tape.softmax(tape.Tensor(x), axis=1).data)
+
+    def test_cross_entropy_logit_gradient(self):
+        """``soft_cross_entropy``'s logit map against finite differences,
+        and against the tape's chain ``-sum(labels * log(softmax + eps))``.
+        The last row's label sits on an entry of probability ~1e-35, far
+        below ``LOG_EPS``, which gets almost no gradient."""
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((4, 5)) * 3
+        x[3] = [40.0, 0.0, -40.0, 1.0, 2.0]
+        labels = np.zeros((4, 5))
+        labels[:3, :3] = [0.7, 0.2, 0.1]
+        labels[3, 2] = 1.0
+        g = rng.uniform(0.5, 1.5, 4)
+        value, back = soft_cross_entropy(softmax(x), labels)
+        got = back(g)
+        num = finite_diff(lambda arr: float((g * soft_cross_entropy(softmax(arr), labels)[0]).sum()),
+                          x.copy())
+        np.testing.assert_allclose(got, num, atol=1e-6, rtol=1e-4)
         p = tape.parameter(x)
-        s = tape.softmax(p, axis=1)
-        tape.tsum(tape.mul(s, w)).backward()
-        np.testing.assert_array_equal(softmax(x), s.data)
+        ce = tape.tsum(tape.mul(tape.log(tape.add(tape.softmax(p, axis=1), LOG_EPS)), labels),
+                       axis=-1)
+        tape.tsum(tape.mul(ce, -g)).backward()
+        np.testing.assert_allclose(value, -ce.data, rtol=1e-15)
         np.testing.assert_allclose(got, p.grad, rtol=1e-12, atol=1e-15)
+        assert np.abs(got[3, 2]) < 1e-20
 
 
 class TestBackwardContract:

@@ -3,12 +3,14 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from poseadapt import cli
 from poseadapt.config import config_from_dict
 from poseadapt.errors import ConfigError
-from poseadapt.experiment import SWEEP_TAUS
+from poseadapt.experiment import SWEEP_TAUS, build_anchors
+from poseadapt.geometry import AnchorSet
 
 TINY = {
     "anchors": {"n_rot": 4, "n_vx": 3, "n_vy": 3, "n_z": 4},
@@ -82,8 +84,8 @@ def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, cap
 
 
 # SHA-256 over the names and bytes of every checkpoint and TSV of ``golden_run``
-GOLDEN_DIGEST = "398956398a2eb3e5e10caed7eb963824f775b9fa350be49b946b0b15d533aa15"
-SCALAR_GOLDEN_DIGEST = "c142aa4782650d79721798796a58795d206910c52cdee0b5ec0aa7307d24eb32"
+GOLDEN_DIGEST = "2ba096d72e0cb21ccd2a65de2d497f32f0d82d8672edcc67e0cd848279d86021"
+SCALAR_GOLDEN_DIGEST = "3b771f45324f647f98665bf83ddeb77b77fa1437c678dc8480cf8c9845f57690"
 
 
 def golden_run(tmp_path, scalar=False):
@@ -256,6 +258,40 @@ def test_one_rotation_anchor_trains(tmp_path, capsys):
     argv = ["--config", write_config(tmp_path, "one", cfg)]
     assert cli.main(["gen-data"] + argv) == 0
     assert cli.main(["train", "--stage", "teacher"] + argv) == 0
+
+
+@pytest.mark.parametrize("scalar, single, counts, ranges", [
+    (False, False, (4, 3, 3, 4), ((-200.0, 200.0), (-200.0, 200.0), (0.0, 2.0))),
+    (False, True, (1, 1, 1, 1), ((-200.0, 200.0), (-200.0, 200.0), (0.0, 2.0))),
+    (True, False, (1, 1, 1, 4), ((-1.0, 1.0), (-1.0, 1.0), (0.5, 1.0))),
+    (True, True, (1, 1, 1, 1), ((-1.0, 1.0), (-1.0, 1.0), (0.5, 1.0))),
+], ids=["pose", "pose-single", "scalar", "scalar-single"])
+def test_anchor_sets(scalar, single, counts, ranges):
+    """The anchors of each task, and the direct-regression baseline's one
+    anchor per branch, under the ``TINY`` config."""
+    got = build_anchors(config_from_dict(TINY), scalar=scalar, single=single)
+    want = AnchorSet.build(*counts, *ranges, seed=0)
+    for field in ("rotations", "bins_vx", "bins_vy", "bins_z"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert (got.vx_range, got.vy_range, got.z_range) == ranges
+
+
+@pytest.mark.parametrize("step", [["sweep-threshold"], ["train", "--stage", "student"],
+                                  ["eval", "--checkpoint", "teacher_obj0.ckpt"]],
+                         ids=["sweep", "student", "eval"])
+def test_checkpoint_of_another_config_exits_with_one_line(tmp_path, capsys, step):
+    """A teacher trained with four depth anchors, read under a config with
+    six: every command that loads it refuses, as a config error."""
+    argv = ["--config", write_config(tmp_path, "four", dict(TINY, out_dir=str(tmp_path)))]
+    assert cli.main(["gen-data"] + argv) == 0
+    assert cli.main(["train", "--stage", "teacher"] + argv) == 0
+    six = dict(TINY, anchors=dict(TINY["anchors"], n_z=6), out_dir=str(tmp_path))
+    step = [str(tmp_path / a) if a.endswith(".ckpt") else a for a in step]
+    capsys.readouterr()
+    assert cli.main(step + ["--config", write_config(tmp_path, "six", six)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.glob("sweep_*.tsv"))
 
 
 @pytest.mark.parametrize("cfg", [

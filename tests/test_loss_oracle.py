@@ -1,8 +1,9 @@
 """The hand-written backward pass against the general tape.
 
-``poseadapt.losses`` computes each loss term's gradient by hand, and
-``poseadapt.network`` back-propagates the head-output gradients through
-the softmax and the MLPs.  Here the same objective is written over the
+``poseadapt.losses`` computes each loss term's gradient by hand (the
+cross-entropy's, of the classifier logits), and ``poseadapt.network``
+back-propagates the head-output gradients through the MLPs.  Here the
+same objective, cross-entropy over the softmax, is written over the
 generic ops of ``tape`` (the package's former loss code, op for op), on a
 twin of the network whose forward pass also runs on that tape.  Every
 parameter gradient that ``total_objective(...).backward()`` writes into
@@ -116,7 +117,7 @@ def tape_objective(out, sup, anchors, model, cam, cfg):
         fn = tape.div(f, tape.norm(f, axis=1, keepdims=True))
         graph = tape.matmul(fn, tape.swapaxes(fn, 0, 1))
         idx = nearest_bin(sup.z, anchors.bins_z)
-        diff = tape.sub(graph, cfg.target_graph.g0[idx[:, None], idx[None, :]])
+        diff = tape.sub(graph, cfg.target_graph[idx[:, None], idx[None, :]])
         corr = tape.tsum(tape.mul(diff, diff))
         parts[2] = float(corr.data)
         total = tape.add(total, tape.mul(corr, cfg.ctc_weight))

@@ -299,27 +299,31 @@ class TestRegressionLoss:
 
 class TestTargetGraph:
     def test_angle_arithmetic(self):
-        tg = build_target_graph(np.array([2.0]), 0.0, 2.0)
-        assert tg.angles[0] == pytest.approx(np.pi / 2)
+        """A bin gap of a quarter of the range is an angle of pi/8; the
+        graph does not depend on where the bins sit in the range."""
+        g0 = build_target_graph(np.array([0.5, 1.0]), 0.0, 2.0)
+        assert g0[0, 1] == pytest.approx(np.cos(np.pi / 8), rel=1e-15)
+        np.testing.assert_allclose(build_target_graph(np.array([1.5, 2.0]), 0.0, 2.0), g0,
+                                   rtol=1e-15)
+        assert build_target_graph(np.array([2.0]), 0.0, 2.0).tolist() == [[1.0]]
 
     def test_diagonal_is_one(self):
-        tg = build_target_graph(generate_translation_bins(0, 2, 40), 0.0, 2.0)
-        np.testing.assert_allclose(np.diag(tg.g0), 1.0)
-        np.testing.assert_allclose(tg.g0, tg.g0.T)
+        g0 = build_target_graph(generate_translation_bins(0, 2, 40), 0.0, 2.0)
+        assert g0.shape == (40, 40)
+        np.testing.assert_allclose(np.diag(g0), 1.0)
+        np.testing.assert_allclose(g0, g0.T)
 
     def test_extreme_angle_difference(self):
-        tg = build_target_graph(np.array([0.0, 2.0]), 0.0, 2.0)
-        assert tg.g0[0, 1] == pytest.approx(np.cos(np.pi / 2), abs=1e-12)
+        g0 = build_target_graph(np.array([0.0, 2.0]), 0.0, 2.0)
+        assert g0[0, 1] == pytest.approx(np.cos(np.pi / 2), abs=1e-12)
 
     def test_entries_nonincreasing_in_angle_gap(self):
-        bins = generate_translation_bins(0, 2, 40)
-        tg = build_target_graph(bins, 0.0, 2.0)
-        row = tg.g0[0]
-        assert np.all(np.diff(row) <= 1e-12)
+        g0 = build_target_graph(generate_translation_bins(0, 2, 40), 0.0, 2.0)
+        assert np.all(np.diff(g0[0]) <= 1e-12)
 
     def test_entries_in_unit_interval(self):
-        tg = build_target_graph(generate_translation_bins(0.5, 1.0, 20), 0.5, 1.0)
-        assert np.all(tg.g0 >= 0.0) and np.all(tg.g0 <= 1.0)
+        g0 = build_target_graph(generate_translation_bins(0.5, 1.0, 20), 0.5, 1.0)
+        assert np.all(g0 >= 0.0) and np.all(g0 <= 1.0)
 
 
 class TestFeatureGraph:
@@ -357,12 +361,12 @@ class TestFeatureGraph:
 
 class TestCorrelationLoss:
     def setup_method(self):
-        self.tg = build_target_graph(generate_translation_bins(0, 2, 10), 0.0, 2.0)
+        self.g0 = build_target_graph(generate_translation_bins(0, 2, 10), 0.0, 2.0)
 
     def test_exact_match_gives_zero(self):
         classes = np.array([0, 3, 7])
-        g = self.tg.g0[classes[:, None], classes[None, :]]
-        assert target_correlation_loss(g, classes, self.tg)[0] == pytest.approx(0.0)
+        g = self.g0[classes[:, None], classes[None, :]]
+        assert target_correlation_loss(g, classes, self.g0)[0] == pytest.approx(0.0)
 
     def test_two_by_two_expansion(self):
         classes = np.array([2, 2])  # target graph entries all 1
@@ -370,21 +374,22 @@ class TestCorrelationLoss:
         g = np.array([[1.0, a], [a, 1.0]])
         b = 1.0
         want = 2 * (a - b) ** 2
-        assert target_correlation_loss(g, classes, self.tg)[0] == pytest.approx(want)
+        assert target_correlation_loss(g, classes, self.g0)[0] == pytest.approx(want)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             classes = rng.integers(0, 10, 6)
             g = rng.uniform(-1, 1, (6, 6))
-            got = target_correlation_loss(g, classes, self.tg)[0]
-            want = sum((g[i, j] - self.tg.g0[classes[i], classes[j]]) ** 2
+            got = target_correlation_loss(g, classes, self.g0)[0]
+            want = sum((g[i, j] - self.g0[classes[i], classes[j]]) ** 2
                        for i in range(6) for j in range(6))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_index_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            target_correlation_loss(np.eye(2), np.array([0, 99]), self.tg)
+        for classes in ([0, 99], [0, 10], [-1, 0]):   # the graph has 10 classes
+            with pytest.raises(InvalidArgumentError):
+                target_correlation_loss(np.eye(2), np.array(classes), self.g0)
 
     def test_depth_class_is_the_first_z_neighbour(self):
         """The correlation term reads each row's depth class as its first
