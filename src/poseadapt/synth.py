@@ -11,9 +11,9 @@ target-sampling law; only the observation channel differs.
 
 A ``Dataset`` holds each domain as one ``Split``: the sample ids and
 object ids (n,), the observation matrix (n, obs_dim) and the ground-truth
-``Pose`` stack, indexed by row like a ``Pose``.  The dataset file is one
-JSON header line and then one line per sample, source rows before target
-rows; loading streams it and stacks each domain once.
+``Pose`` stack, indexed by row like a ``Pose``.  The dataset file is one JSON
+header line, then one JSON line per sample, source rows first, its arrays as
+base64 float64 (little-endian); loading streams it and stacks each domain once.
 
 Ground-truth poses of target-domain samples are evaluation-only: reading
 them outside an ``evaluation_access()`` block raises.
@@ -21,6 +21,7 @@ them outside an ``evaluation_access()`` block raises.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import contextvars
 import functools
@@ -372,7 +373,7 @@ def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: D
 # dataset file format (versioned JSON lines)
 
 _DATASET_FORMAT = "poseadapt-dataset"
-_DATASET_VERSION = 1
+_DATASET_VERSION = 2
 _ROTATION_TOL = 1e-9     # max |R R^T - I| of a stored rotation
 
 
@@ -380,9 +381,19 @@ def _domain_cfg_dict(dc: DomainConfig):
     return {**vars(dc), "offset": dc.offset.tolist()}
 
 
+def _encode(values):
+    """The base64 text of an array's little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode(text):
+    """The float64 values ``_encode`` wrote as ``text``."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+
+
 def save_dataset(path, ds: Dataset):
-    """Versioned structured text: one header line, then one line per
-    sample, the source rows before the target rows."""
+    """Versioned text: one JSON header line, then one JSON line per sample,
+    source rows first; a row's ``obs``, ``pose.r`` and ``pose.t`` are ``_encode``d."""
     header = {
         "format": _DATASET_FORMAT,
         "version": _DATASET_VERSION,
@@ -404,14 +415,10 @@ def save_dataset(path, ds: Dataset):
         for split in (ds.source, ds.target):
             gt = split.gt_pose
             for k in range(len(split)):
-                rec = {
-                    "id": str(split.ids[k]), "domain": split.domain,
-                    "object": int(split.object_id[k]),
-                    "obs": split.observation[k].tolist(),
-                    "pose": {"r": gt.rotation[k].reshape(9).tolist(),
-                             "t": gt.translation[k].tolist()},
-                    "gt_eval_only": split.domain == "target",
-                }
+                rec = {"id": str(split.ids[k]), "domain": split.domain,
+                       "object": int(split.object_id[k]), "obs": _encode(split.observation[k]),
+                       "pose": {"r": _encode(gt.rotation[k]), "t": _encode(gt.translation[k])},
+                       "gt_eval_only": split.domain == "target"}
                 f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -430,7 +437,8 @@ def _parse_dataset(path, lines) -> Dataset:
     if header.get("format") != _DATASET_FORMAT:
         raise DatasetError(f"{path}: not a poseadapt dataset file")
     if header.get("version") != _DATASET_VERSION:
-        raise DatasetError(f"{path}: unsupported dataset version")
+        raise DatasetError(f"{path}: dataset version {header.get('version')!r}, this build "
+                           f"reads version {_DATASET_VERSION}; re-run gen-data")
     cam = CameraIntrinsics(**header["camera"])
     objects = [ObjectModel(points=np.array(od["points"]), diameter=od["diameter"],
                            symmetries=tuple(np.array(s).reshape(3, 3) for s in od["symmetries"]))
@@ -442,18 +450,20 @@ def _parse_dataset(path, lines) -> Dataset:
     rows = {domain: ([], [], [], []) for domain in cfgs}   # ids, object ids, obs | r | t, lines
     for n, line in enumerate(lines, start=2):
         rec = json.loads(line)
-        domain, obj, r, t = rec["domain"], rec["object"], rec["pose"]["r"], rec["pose"]["t"]
+        domain, obj = rec["domain"], rec["object"]
         if domain not in rows:
             raise DatasetError(f"{path}: corrupt dataset, line {n}: unknown domain {domain!r}")
         if not isinstance(obj, int) or not 0 <= obj < len(objects):
             raise DatasetError(f"{path}: corrupt dataset, line {n}: object {obj!r} is not "
                                f"one of the {len(objects)} objects")
         width = len(cfgs[domain].offset)
-        row = np.array(rec["obs"] + r + t, dtype=float)
-        if row.shape != (width + 12,) or (len(r), len(t)) != (9, 3):
-            raise DatasetError(f"{path}: corrupt dataset, line {n}: obs, r and t need "
-                               f"{width}, 9 and 3 values")
-        for column, value in zip(rows[domain], (rec["id"], obj, row, n)):
+        try:
+            obs, r, t = (_decode(text) for text in (rec["obs"], rec["pose"]["r"], rec["pose"]["t"]))
+            if (len(obs), len(r), len(t)) != (width, 9, 3):
+                raise ValueError(f"obs, r and t need {width}, 9 and 3 values")
+        except (ValueError, TypeError) as e:      # not base64, not whole float64s, wrong width
+            raise DatasetError(f"{path}: corrupt dataset, line {n}: {e}") from e
+        for column, value in zip(rows[domain], (rec["id"], obj, np.concatenate([obs, r, t]), n)):
             column.append(value)
     splits = {}
     for domain, (ids, objs, values, line_numbers) in rows.items():

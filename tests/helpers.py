@@ -5,8 +5,13 @@ regression terms stand for.  ``OracleAdam`` is the per-parameter Adam
 the fused flat update must match bit for bit.  ``nearest_bin`` is the
 depth-class rule of the correlation term.  ``ANCHOR_RANGES`` and ``SAMPLE_RANGES`` are
 the run config's default anchor and pose sampling ranges, for tests that
-build anchors or datasets without a run config.
+build anchors or datasets without a run config.  ``encode_floats`` and
+``decode_floats`` read and write a dataset row's float fields with the
+standard library alone, and ``edit_row_floats`` edits one of them.
 """
+
+import base64
+import struct
 
 import numpy as np
 
@@ -70,3 +75,23 @@ class OracleAdam:
             m = self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             v = self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * (g * g)
             p[...] = p - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def encode_floats(values):
+    """A dataset row's text for a float array: the base64 of its
+    little-endian float64 bytes."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def decode_floats(text):
+    """The list of floats that ``encode_floats`` wrote as ``text``."""
+    data = base64.b64decode(text, validate=True)
+    return list(struct.unpack(f"<{len(data) // 8}d", data))
+
+
+def edit_row_floats(rec, key, edit):
+    """Replace a dataset row's float field ``key`` ("obs", or "r" / "t" of
+    its pose) by ``edit`` of its decoded list, encoded again; returns the row."""
+    holder = rec if key == "obs" else rec["pose"]
+    holder[key] = encode_floats(edit(decode_floats(holder[key])))
+    return rec

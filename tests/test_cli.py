@@ -1,5 +1,6 @@
 """Command-line pipeline: every stage end to end, determinism, exit codes."""
 
+import base64
 import hashlib
 import json
 
@@ -11,6 +12,8 @@ from poseadapt.config import config_from_dict
 from poseadapt.errors import ConfigError
 from poseadapt.experiment import SWEEP_TAUS, build_anchors
 from poseadapt.geometry import AnchorSet
+
+from helpers import decode_floats, edit_row_floats, encode_floats
 
 TINY = {
     "anchors": {"n_rot": 4, "n_vx": 3, "n_vy": 3, "n_z": 4},
@@ -119,6 +122,39 @@ def test_tiny_scalar_pipeline_matches_its_golden_digest(tmp_path, capsys):
     assert golden_run(tmp_path, scalar=True) == SCALAR_GOLDEN_DIGEST
 
 
+# SHA-256 of the ``TINY`` dataset.txt that gen-data writes with seed 3
+DATASET_GOLDEN_DIGEST = "d659b8e8add1f9d948639f088dd33e6c341e7b88432a4733caa889384d4651e0"
+SCALAR_DATASET_GOLDEN_DIGEST = "cca9c2d8b9b9a56d4af30396c0fac42c6d3a09f67a4a94e92e4f1f4e6e0bc6d7"
+
+
+def gen_tiny_data(tmp_path, scalar):
+    out = tmp_path / "data"
+    cfg = write_config(tmp_path, "data", dict(TINY, out_dir=str(out)))
+    argv = ["gen-data", "--config", cfg, "--seed", "3"] + (["--scalar-task"] if scalar else [])
+    assert cli.main(argv) == 0
+    return out / "dataset.txt"
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["pose", "scalar"])
+def test_tiny_dataset_matches_its_golden_digest(tmp_path, capsys, scalar):
+    """gen-data writes exactly the dataset file it always has.  A change to
+    the file format or to the synthesizer updates these digests and says
+    so in CHANGES.md; like ``GOLDEN_DIGEST`` they hold for one numpy build."""
+    digest = hashlib.sha256(gen_tiny_data(tmp_path, scalar).read_bytes()).hexdigest()
+    assert digest == (SCALAR_DATASET_GOLDEN_DIGEST if scalar else DATASET_GOLDEN_DIGEST)
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["pose", "scalar"])
+def test_dataset_file_is_ascii_with_a_json_header(tmp_path, capsys, scalar):
+    """The benchmark's output check opens dataset.txt as text and parses
+    its first line as JSON, so the file stays ASCII with the header first."""
+    path = gen_tiny_data(tmp_path, scalar)
+    assert path.read_bytes().isascii()
+    with open(path) as f:
+        header = json.loads(f.readline())
+    assert isinstance(header, dict) and header["format"] == "poseadapt-dataset"
+
+
 def report_rows(path):
     return [line.split("\t") for line in path.read_text().splitlines()[1:]]
 
@@ -147,20 +183,25 @@ def test_objects_with_empty_splits(tmp_path, capsys, n_source, n_target):
 
 
 CORRUPT_SAMPLES = {
-    "translation-4-dataset": lambda rec: rec["pose"]["t"].append(0.5),
+    "translation-4-dataset": lambda rec: edit_row_floats(rec, "t", lambda t: t + [0.5]),
     "unknown-domain-dataset": lambda rec: rec.update(domain="tgt"),
     "object-7-dataset": lambda rec: rec.update(object=7),
-    "obs-63-dataset": lambda rec: rec["obs"].pop(),
-    "nan-observation-dataset": lambda rec: rec["obs"].__setitem__(0, float("nan")),
-    "negative-depth-dataset": lambda rec: rec["pose"]["t"].__setitem__(2, -0.7),
-    "scaled-rotation-dataset": lambda rec: rec["pose"].update(r=[2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0]),
+    "obs-63-dataset": lambda rec: edit_row_floats(rec, "obs", lambda obs: obs[:-1]),
+    "nan-observation-dataset":
+        lambda rec: edit_row_floats(rec, "obs", lambda obs: [float("nan"), *obs[1:]]),
+    "negative-depth-dataset": lambda rec: edit_row_floats(rec, "t", lambda t: [*t[:2], -0.7]),
+    "scaled-rotation-dataset":
+        lambda rec: rec["pose"].update(r=encode_floats([2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0])),
+    "obs-bytes-not-float64s-dataset":
+        lambda rec: rec.update(obs=base64.b64encode(base64.b64decode(rec["obs"])[:-4]).decode()),
+    "obs-not-base64-dataset": lambda rec: rec.update(obs="*" + rec["obs"][1:]),
 }
 
 
 def _corrupt_dataset(tmp_path, case):
     """A generated dataset cut in half, reduced to a header that lists no
-    objects and no samples, or with its first sample edited as
-    ``CORRUPT_SAMPLES`` says."""
+    objects and no samples, rewritten in format version 1 (decimal lists),
+    or with its first sample edited as ``CORRUPT_SAMPLES`` says."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))
     assert cli.main(["gen-data", "--config", cfg, "--scalar-task"]) == 0
@@ -172,6 +213,13 @@ def _corrupt_dataset(tmp_path, case):
         header = json.loads(path.read_text().splitlines()[0])
         header.update(objects=[], meta=dict(header["meta"], n_source=0, n_target=0))
         path.write_text(json.dumps(header) + "\n")
+    elif case == "version-1-dataset":
+        header, *samples = map(json.loads, path.read_text().splitlines())
+        for rec in samples:
+            rec.update(obs=decode_floats(rec["obs"]),
+                       pose={k: decode_floats(v) for k, v in rec["pose"].items()})
+        path.write_text("".join(json.dumps(d, sort_keys=True) + "\n"
+                                for d in [dict(header, version=1), *samples]))
     else:
         header, first, *rest = path.read_text().splitlines()
         sample = json.loads(first)
@@ -205,6 +253,7 @@ BAD_CONFIGS = {
     ("out-under-a-file", cli.EXIT_IO),
     ("truncated-dataset", cli.EXIT_IO),
     ("no-objects-dataset", cli.EXIT_IO),
+    ("version-1-dataset", cli.EXIT_IO),
 ] + [(case, cli.EXIT_IO) for case in CORRUPT_SAMPLES])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case.endswith("-dataset"):
@@ -221,6 +270,10 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if case == "version-1-dataset":
+        assert "dataset version 1, this build reads version 2; re-run gen-data" in err, err
+    elif case in CORRUPT_SAMPLES:
+        assert ": corrupt dataset, line 2: " in err, err
     if not case.endswith("-dataset"):
         assert not (tmp_path / "run" / "dataset.txt").exists()
         assert not (tmp_path / "run" / "config.json").exists()

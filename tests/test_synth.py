@@ -1,9 +1,12 @@
 """Benchmark generator tests: determinism, domain statistics, guards."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from poseadapt.errors import DatasetError, GroundTruthAccessError, InvalidArgumentError
 from poseadapt.geometry import CameraIntrinsics, Pose, generate_rotation_anchors
@@ -25,9 +28,13 @@ from poseadapt.synth import (
     synthesize,
 )
 
-from helpers import SAMPLE_RANGES, random_rotations
+from helpers import SAMPLE_RANGES, edit_row_floats, encode_floats, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
+# finite float64s, with signed zeros, subnormals and +-1e308 drawn often
+FLOAT64S = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
 
 
 def rot_z(a):
@@ -275,39 +282,74 @@ class TestMakeDataset:
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
         rec = json.loads(lines[3])
-        rec["pose"][field] = value
+        rec["pose"][field] = encode_floats(value)
         lines[3] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetError, match="corrupt"):
+        with pytest.raises(DatasetError, match="corrupt dataset, line 4: obs, r and t need"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("line, edit, keep", [
-        (3, lambda rec: dict(rec, domain="tgt"), None),
-        (3, lambda rec: dict(rec, object=7), None),
-        (3, lambda rec: dict(rec, obs=rec["obs"][:-1]), None),
-        (6, lambda rec: dict(rec, obs=rec["obs"] + [0.0]), None),
-        (6, lambda rec: dict(rec, domain="source"), None),
-        (3, lambda rec: dict(rec, obs=[float("nan"), *rec["obs"][1:]]), None),
-        (3, lambda rec: dict(rec, pose=dict(rec["pose"], t=[*rec["pose"]["t"][:2], -0.7])), None),
-        (5, lambda rec: dict(rec, pose=dict(rec["pose"], r=[2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0])),
-         None),
-        (0, lambda header: dict(header, meta={"n_target": 2}), None),
-        (0, lambda header: [header], None),
-        (0, lambda header: dict(header, objects=[], meta={"n_source": 0, "n_target": 0}), 1),
+    @pytest.mark.parametrize("line, edit, keep, match", [
+        (3, lambda rec: dict(rec, domain="tgt"), None, "line 4: unknown domain"),
+        (3, lambda rec: dict(rec, object=7), None, "line 4: object 7"),
+        (3, lambda rec: edit_row_floats(rec, "obs", lambda obs: obs[:-1]), None,
+         "line 4: obs, r and t need 64, 9 and 3 values"),
+        (6, lambda rec: edit_row_floats(rec, "obs", lambda obs: obs + [0.0]), None,
+         "line 7: obs, r and t need 64"),
+        (6, lambda rec: dict(rec, domain="source"), None, "5 source samples, the header says 4"),
+        (3, lambda rec: edit_row_floats(rec, "obs", lambda obs: [float("nan"), *obs[1:]]), None,
+         "line 4: a non-finite value"),
+        (3, lambda rec: edit_row_floats(rec, "t", lambda t: [*t[:2], -0.7]), None,
+         "line 4: a depth that is not positive"),
+        (5, lambda rec: dict(rec, pose=dict(rec["pose"], r=encode_floats(
+            [2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0]))), None,
+         "line 6: a rotation that is not orthonormal"),
+        (3, lambda rec: dict(rec, obs=base64.b64encode(base64.b64decode(rec["obs"])[:-4]).decode()),
+         None, "line 4: buffer size must be a multiple"),
+        (3, lambda rec: dict(rec, obs="*" + rec["obs"][1:]), None, "line 4: Only base64 data"),
+        (0, lambda header: dict(header, version=1), None,
+         "dataset version 1, this build reads version 2; re-run gen-data"),
+        (0, lambda header: dict(header, meta={"n_target": 2}), None, "corrupt dataset"),
+        (0, lambda header: [header], None, "corrupt dataset"),
+        (0, lambda header: dict(header, objects=[], meta={"n_source": 0, "n_target": 0}), 1,
+         "the header lists no objects"),
     ], ids=["unknown-domain", "object-7", "obs-63", "target-obs-65", "target-row-as-source",
-            "nan-observation", "negative-depth", "scaled-rotation",
-            "no-source-count", "header-not-an-object", "no-objects"])
-    def test_malformed_row_raises_dataset_error(self, tmp_path, line, edit, keep):
+            "nan-observation", "negative-depth", "scaled-rotation", "obs-bytes-not-float64s",
+            "obs-not-base64", "version-1", "no-source-count", "header-not-an-object",
+            "no-objects"])
+    def test_malformed_row_raises_dataset_error(self, tmp_path, line, edit, keep, match):
         # line 0 is the header, lines 1-4 the source split, lines 5-6 the
-        # target split; only the first ``keep`` lines are written back
+        # target split (file lines 2-7); only the first ``keep`` lines are
+        # written back
         ds = self.dataset(4, 2, seed=8)
         path = tmp_path / "data.txt"
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
         lines[line] = json.dumps(edit(json.loads(lines[line])))
         path.write_text("\n".join(lines[:keep]) + "\n")
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match=match):
             load_dataset(path)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(obs=st.lists(FLOAT64S, min_size=OBS_DIM, max_size=OBS_DIM),
+           xy=st.lists(FLOAT64S, min_size=2, max_size=2),
+           z=st.one_of(st.sampled_from([5e-324, 2.0 ** -1030, 1e308, 1.7976931348623157e308]),
+                       st.floats(min_value=5e-324, allow_infinity=False)))
+    def test_round_trip_is_bit_exact(self, tmp_path, obs, xy, z):
+        ds = self.dataset(1, 1, seed=8)
+        ds.source.observation[0] = obs
+        ds.target.gt.translation[0] = [*xy, z]
+        # a rotation whose zeros are negative zeros
+        ds.source.gt.rotation[0] = np.where(np.eye(3) == 0, -0.0, 1.0)
+        path = tmp_path / "data.txt"
+        save_dataset(path, ds)
+        back = load_dataset(path)
+        with evaluation_access():
+            for sa, sb in ((ds.source, back.source), (ds.target, back.target)):
+                for a, b in ((sa.observation, sb.observation),
+                             (sa.gt_pose.rotation, sb.gt_pose.rotation),
+                             (sa.gt_pose.translation, sb.gt_pose.translation)):
+                    np.testing.assert_array_equal(a.view("<u8"), b.view("<u8"))
 
     @pytest.mark.parametrize("kind", ["pose", "scalar"])
     def test_load_then_save_reproduces_the_file(self, tmp_path, kind):
