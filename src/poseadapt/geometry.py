@@ -153,6 +153,15 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def cross(a, b):
+    """Cross products over the last axis of (..., 3) stacks: the products
+    and differences of ``np.cross``, so the same bits, without its axis
+    moves."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def gram_schmidt(r):
     """Matrices (..., 3, 3) of 6D rotations (..., 6) and the mask (...) of
     the degenerate rows, whose matrices are NaN: a first vector or a
@@ -165,7 +174,7 @@ def gram_schmidt(r):
         a2p = a2 - _dot(b1, a2)[..., None] * b1
         n2 = np.sqrt(_dot(a2p, a2p))[..., None]
         b2 = a2p / n2
-        m = np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
+        m = np.stack([b1, b2, cross(b1, b2)], axis=-1)
     return m, ((n1 < 1e-12) | (n2 < 1e-12))[..., 0]
 
 

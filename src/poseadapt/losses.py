@@ -35,6 +35,7 @@ from .geometry import (
     ObjectModel,
     Pose,
     closest_symmetric_rotation,
+    cross,
     gram_schmidt,
     pose_targets,
     rot6d_to_matrix,
@@ -130,15 +131,15 @@ def rot6d_to_matrix_t(r6):
     b2 = a2p / n2
 
     def grad(g):
-        g1 = g[..., 0] + np.cross(b2, g[..., 2])      # b3 = b1 x b2
-        g2 = g[..., 1] + np.cross(g[..., 2], b1)
+        g1 = g[..., 0] + cross(b2, g[..., 2])      # b3 = b1 x b2
+        g2 = g[..., 1] + cross(g[..., 2], b1)
         ga2p = (g2 - b2 * _dot(b2, g2)) / n2
         gproj = -_dot(ga2p, b1)
         g1 = g1 - proj * ga2p + gproj * a2
         ga1 = (g1 - b1 * _dot(b1, g1)) / n1
         return np.where(degenerate, 0.0, np.concatenate([ga1, ga2p + gproj * b1], axis=-1))
 
-    return np.stack([b1, b2, np.cross(b1, b2)], axis=-1), grad
+    return np.stack([b1, b2, cross(b1, b2)], axis=-1), grad
 
 
 # ---------------------------------------------------------------------------

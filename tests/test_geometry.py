@@ -12,6 +12,7 @@ from poseadapt.geometry import (
     apply_pose,
     closest_symmetric_rotation,
     compose_pose,
+    cross,
     generate_rotation_anchors,
     generate_translation_bins,
     geodesic_distances_to,
@@ -65,6 +66,18 @@ class TestRot6d:
         m = rot6d_to_matrix(r6)
         np.testing.assert_array_equal(m[[0, 1, 3]], np.broadcast_to(np.eye(3), (3, 3, 3)))
         np.testing.assert_allclose(m[2], [[0, 0, 1], [1, 0, 0], [0, 1, 0]], atol=1e-15)
+
+
+def test_cross_gives_the_bits_of_np_cross():
+    """Stacks, broadcast operands and signed zeros, in float64 and float32."""
+    rng = np.random.default_rng(2)
+    a, b = rng.standard_normal((4, 5, 3)), rng.standard_normal((5, 3))
+    a[0, 0] = [0.0, -0.0, 1.0]
+    for dtype in (np.float64, np.float32):
+        x, y = a.astype(dtype), b.astype(dtype)
+        got, want = cross(x, y), np.cross(x, y)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestGeodesicDistance:
