@@ -154,9 +154,7 @@ def _dot(a, b):
 
 
 def cross(a, b):
-    """Cross products over the last axis of (..., 3) stacks: the products
-    and differences of ``np.cross``, so the same bits, without its axis
-    moves."""
+    """``np.cross`` of (..., 3) stacks, its bits without its axis moves."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)

@@ -17,6 +17,10 @@ point-matching terms, the feature graph and the correlation distance)
 returns its value and a closed-form map from the gradient of that value
 to the gradient of its input; the cross-entropy's input is the logits of
 its softmax.  ``total_objective`` chains the maps.
+
+Each term computes in its network input's dtype, float32, but the 6D
+decode: in float32 a near-parallel row can round its orthogonal part to
+zero past the ``1e-12`` guard, a NaN.  The CTC agrees with float64 to 1e-6.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ def soft_cross_entropy(probs, labels):
     softmax backward in closed form.  1-D inputs give a scalar; (B, N)
     inputs give a per-sample (B,) array.
     """
-    labels = np.asarray(labels, dtype=np.float64)
+    labels = np.asarray(labels, dtype=probs.dtype)
     if probs.shape != labels.shape:
         raise ShapeError(f"probs {probs.shape} vs labels {labels.shape}")
     shifted = probs + LOG_EPS
@@ -114,12 +118,13 @@ def _dot(a, b):
 
 def rot6d_to_matrix_t(r6):
     """Gram-Schmidt 6D-to-matrix, (..., 6) -> (..., 3, 3), and its gradient
-    map.  A degenerate row (see ``geometry.gram_schmidt``) is replaced by
-    the identity 6D rotation: it gives the identity with a zero gradient.
+    map, in float64.  A degenerate row (see ``geometry.gram_schmidt``) is
+    replaced by the identity 6D rotation: the identity, a zero gradient.
 
     The columns are b1 = a1 / |a1|, b2 = a2p / |a2p| with a2p = a2 - (b1 .
     a2) b1, and b3 = b1 x b2; the backward pass runs that chain in reverse.
     """
+    r6 = np.asarray(r6, dtype=np.float64)
     degenerate = gram_schmidt(r6)[1][..., None]
     a = np.where(degenerate, ROT6D_IDENTITY, r6)
     a1, a2 = a[..., :3], a[..., 3:]
@@ -182,13 +187,15 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
     if "rot" in out.residuals:
         gt_rot = resolve_symmetric_gt(out, sup.rotation, anchors, model)
         idx = nearest_anchors(gt_rot, anchors.rotations, sup.k_rot)   # (B, k)
-        m, m_grad = rot6d_to_matrix_t(out.residuals["rot"][rows, idx])  # (B, k, 3, 3)
-        anchor_rot, scale = anchors.rotations[idx], 1.0 / len(model.points)
-        moved = (m @ anchor_rot - gt_rot[:, None]) @ model.points.T   # (B, k, 3, P)
+        res = out.residuals["rot"]
+        m, m_grad = rot6d_to_matrix_t(res[rows, idx])   # (B, k, 3, 3), float64
+        anchor_rot, scale = anchors.rotations[idx].astype(res.dtype), 1.0 / len(model.points)
+        points = model.points.astype(res.dtype)
+        moved = (m.astype(res.dtype) @ anchor_rot - gt_rot.astype(res.dtype)[:, None]) @ points.T
 
-        def rot_grad(g):
+        def rot_grad(g):   # moved is (B, k, 3, P)
             g_moved = np.sign(moved) * (g[:, None] * scale)[..., None, None]
-            return m_grad(g_moved @ model.points @ np.swapaxes(anchor_rot, -1, -2))
+            return m_grad(g_moved @ points @ np.swapaxes(anchor_rot, -1, -2))
 
         terms["rot"] = ((np.abs(moved).sum(axis=-2).sum(axis=-1) * scale).sum(axis=-1),
                         rot_grad, idx)
@@ -199,15 +206,16 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
               "vy": (anchors.bins_vy, sup.vy, sup.z / cam.fy)}
     for name, (bins, target, weight) in scalar.items():
         if name in out.residuals:
-            idx = sup.nearest[name]
-            diff = out.residuals[name][rows, idx] + bins[idx] - target[:, None]   # (B, k)
+            res, idx = out.residuals[name], sup.nearest[name]
+            diff = res[rows, idx] + (bins[idx] - target[:, None]).astype(res.dtype)   # (B, k)
+            weight = weight.astype(res.dtype)
             terms[name] = (np.abs(diff).sum(axis=-1) * weight,
                            lambda g, d=diff, w=weight: (g * w)[:, None] * np.sign(d), idx)
 
     def grad(g):
         grads = {}
         for name, (_, term_grad, idx) in terms.items():
-            grads[name] = np.zeros(out.residuals[name].shape)
+            grads[name] = np.zeros_like(out.residuals[name])
             grads[name][rows, idx] = term_grad(g)   # a row's k anchors are distinct
         return grads
 
@@ -252,7 +260,7 @@ def target_correlation_loss(graph, class_indices, g0):
         raise ShapeError(f"graph {graph.shape} vs {len(idx)} class indices")
     if np.any(idx < 0) or np.any(idx >= len(g0)):
         raise InvalidArgumentError("class index out of range")
-    diff = graph - g0[idx[:, None], idx[None, :]]
+    diff = graph - g0[idx[:, None], idx[None, :]].astype(graph.dtype)
     return (diff * diff).sum(), lambda up: 2.0 * up * diff
 
 
@@ -327,7 +335,7 @@ def total_objective(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
         total = total + corr * cfg.ctc_weight
 
     def backward():
-        g = np.full(n, 1.0 / n)
+        g = np.full(n, 1.0 / n, dtype=out.feature.dtype)
         out.backward(cls_grad(g) if cls_grad else {}, reg_grad(g),
                      graph_grad(corr_grad(cfg.ctc_weight)) if graph_grad else None)
 

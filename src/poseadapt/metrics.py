@@ -97,8 +97,9 @@ def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
 
 
 def confidence_scores(out):
-    """Per-branch max classifier probability, (B,) arrays keyed by branch."""
-    return {name: probs.max(axis=1) for name, probs in out.probs.items()}
+    """Per-branch max classifier probability, (B,) float64 arrays keyed by
+    branch: a float32 array would compare with tau rounded to float32."""
+    return {name: probs.max(axis=1).astype(np.float64) for name, probs in out.probs.items()}
 
 
 def scalar_mae(predicted, actual):

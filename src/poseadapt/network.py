@@ -8,6 +8,10 @@ disabled, which is how the scalar-target variant reuses the same code
 with only the z branch active.  The network's backward is written by
 hand: each MLP back-propagates through its own layers, straight into one
 flat gradient buffer that ``Adam`` steps.
+
+Parameters, gradients, Adam moments and activations are float32
+(``DTYPE``): observations are cast once on the way in, head-output
+gradients once on the way back.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import (
 )
 
 LEAK = 0.01  # leaky-relu slope: nonzero gradient almost everywhere
+DTYPE = np.dtype(np.float32)  # of every parameter, gradient and activation
 
 ROT6D_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
@@ -108,7 +113,7 @@ class MLP:
             g = g @ layer.w.T
             if i > 0:
                 # x, a leaky-relu output, is positive where its input was
-                g = g * np.where(x > 0, 1.0, LEAK)
+                g = np.where(x > 0, g, LEAK * g)
         return g
 
 
@@ -135,7 +140,7 @@ class HeadOutput:
 
 
 class PoseNetwork:
-    """Encoder and heads over one flat parameter buffer ``flat``.
+    """Encoder and heads over one flat float32 parameter buffer ``flat``.
 
     Every layer's ``w`` and ``b`` are views of ``flat``.  Training adds a
     flat gradient buffer of the same layout (``grad_buffer()``); a network
@@ -158,8 +163,8 @@ class PoseNetwork:
                 # Gram-Schmidt map is far from its degenerate inputs
                 head.layers[-1].b[:] = np.tile(ROT6D_IDENTITY, n)
             self.reg_heads[name] = head
-        self.flat = self._bind(np.concatenate([p.ravel() for p in self.parameters().values()]),
-                               "w", "b")
+        self.flat = self._bind(np.concatenate([p.ravel() for p in self.parameters().values()],
+                                              dtype=DTYPE), "w", "b")
         self.grad = None
 
     # -- parameters ----------------------------------------------------------
@@ -211,7 +216,7 @@ class PoseNetwork:
 
     def forward(self, obs):
         """Run a batch (B, obs_dim) through encoder and all branches."""
-        x = np.asarray(obs, dtype=np.float64)
+        x = np.asarray(obs, dtype=self.flat.dtype)
         if x.ndim != 2 or x.shape[1] != self.config.obs_dim:
             raise ShapeError(
                 f"expected observations (B, {self.config.obs_dim}), got {x.shape}")
@@ -228,22 +233,23 @@ class PoseNetwork:
         """Back-propagate the last forward pass's output gradients into
         ``grad_buffer()``: branch -> gradient of its classifier logits
         (``d_logits``) and residuals (``d_residuals``), and the feature's
-        own (``d_feature``, or None).  A head left out gets a zero gradient.
-        The feature's gradient sums the residual heads' shares in the order
-        of ``d_residuals``, then the classifier heads' in the order of
-        ``d_logits``, then ``d_feature``: a fixed order, so a training run
-        repeats to the bit."""
+        own (``d_feature``, or None), each cast to the parameters' dtype.
+        A head left out gets a zero gradient.  The feature's gradient sums
+        the residual heads' shares in the order of ``d_residuals``, then
+        the classifier heads' in the order of ``d_logits``, then
+        ``d_feature``: a fixed order, so a training run repeats to the bit."""
         self.grad_buffer()
-        shares = [self.reg_heads[k].backward(g.reshape(len(g), -1))
+        cast = functools.partial(np.asarray, dtype=self.flat.dtype)
+        shares = [self.reg_heads[k].backward(cast(g).reshape(len(g), -1))
                   for k, g in d_residuals.items()]
-        shares += [self.cls_heads[k].backward(g) for k, g in d_logits.items()]
+        shares += [self.cls_heads[k].backward(cast(g)) for k, g in d_logits.items()]
         for heads, grads in ((self.reg_heads, d_residuals), (self.cls_heads, d_logits)):
             for k in heads.keys() - grads.keys():
                 for layer in heads[k].layers:
                     layer.gw.fill(0.0)
                     layer.gb.fill(0.0)
         if d_feature is not None:
-            shares.append(d_feature)
+            shares.append(cast(d_feature))
         self.encoder.backward(functools.reduce(np.add, shares), input_grad=False)
 
 
@@ -285,9 +291,11 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint file: versioned binary, header JSON + raw float64 arrays
+# checkpoint file: versioned binary, header JSON + the raw little-endian
+# float32 parameter buffer; the header records that dtype
 
-_CKPT_MAGIC = b"poseadapt-ckpt v1\n"
+_CKPT_MAGIC = b"poseadapt-ckpt v2\n"
+_CKPT_DTYPE = DTYPE.newbyteorder("<").str
 
 
 def save_checkpoint(path, net: PoseNetwork, meta=None):
@@ -298,7 +306,8 @@ def save_checkpoint(path, net: PoseNetwork, meta=None):
     annotation, or as the starting point of a new training stage.
     """
     header = {
-        "version": 1,
+        "version": 2,
+        "dtype": _CKPT_DTYPE,
         "config": asdict(net.config),
         "params": [{"name": k, "shape": list(p.shape)} for k, p in net.parameters().items()],
         "meta": meta or {},
@@ -308,7 +317,7 @@ def save_checkpoint(path, net: PoseNetwork, meta=None):
         f.write(_CKPT_MAGIC)
         f.write(len(blob).to_bytes(8, "big"))
         f.write(blob)
-        f.write(net.flat.astype("<f8").tobytes())     # the parameters in order
+        f.write(net.flat.astype(_CKPT_DTYPE).tobytes())     # the parameters in order
 
 
 def load_checkpoint(path, expected_config: NetworkConfig = None):
@@ -318,6 +327,9 @@ def load_checkpoint(path, expected_config: NetworkConfig = None):
             raw = f.read()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    if raw.startswith(b"poseadapt-ckpt v1\n"):
+        raise CheckpointError(f"{path}: checkpoint version 1, this build reads version 2; "
+                              "re-train")
     if not raw.startswith(_CKPT_MAGIC):
         raise CheckpointError(f"{path}: not a poseadapt checkpoint")
     try:
@@ -331,7 +343,9 @@ def load_checkpoint(path, expected_config: NetworkConfig = None):
         if [(p["name"], tuple(p["shape"])) for p in header["params"]] != \
                 [(k, p.shape) for k, p in net.parameters().items()]:
             raise CheckpointIncompatibleError("parameter names do not match network config")
-        net.flat[...] = np.frombuffer(raw, dtype="<f8", count=net.flat.size, offset=offset)
+        if header["dtype"] != _CKPT_DTYPE:
+            raise ValueError(f"parameter dtype {header['dtype']}, not {_CKPT_DTYPE}")
+        net.flat[...] = np.frombuffer(raw, dtype=_CKPT_DTYPE, count=net.flat.size, offset=offset)
     except CheckpointIncompatibleError:
         raise
     except Exception as e:

@@ -2,7 +2,10 @@
 
 ``point_matching_distance`` is the point-set distance the closed-form
 regression terms stand for.  ``OracleAdam`` is the per-parameter Adam
-the fused flat update must match bit for bit.  ``nearest_bin`` is the
+the fused flat update must match bit for bit.  ``float64_twin`` is a
+network's double-precision twin, for oracles that check to the bit;
+``write_v1_checkpoint`` writes a network in the checkpoint format
+version 1 that this build refuses.  ``nearest_bin`` is the
 depth-class rule of the correlation term.  ``ANCHOR_RANGES`` and ``SAMPLE_RANGES`` are
 the run config's default anchor and pose sampling ranges, for tests that
 build anchors or datasets without a run config.  ``encode_floats`` and
@@ -11,7 +14,9 @@ standard library alone, and ``edit_row_floats`` edits one of them.
 """
 
 import base64
+import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -75,6 +80,27 @@ class OracleAdam:
             m = self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             v = self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * (g * g)
             p[...] = p - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def float64_twin(net):
+    """A copy of ``net`` whose parameter buffer holds the same values in
+    float64.  The network's code follows the dtype of its parameters, so
+    the twin's forward, backward and Adam steps all run in float64."""
+    twin = net.copy()
+    twin.flat = twin._bind(net.flat.astype(np.float64), "w", "b")
+    return twin
+
+
+def write_v1_checkpoint(path, net):
+    """``net`` as a checkpoint of format version 1: its magic and header,
+    then the parameters as little-endian float64."""
+    header = json.dumps({"version": 1, "config": asdict(net.config),
+                         "params": [{"name": k, "shape": list(p.shape)}
+                                    for k, p in net.parameters().items()],
+                         "meta": {}}, sort_keys=True).encode()
+    with open(path, "wb") as f:
+        f.write(b"poseadapt-ckpt v1\n" + len(header).to_bytes(8, "big") + header
+                + net.flat.astype("<f8").tobytes())
 
 
 def encode_floats(values):

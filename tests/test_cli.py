@@ -13,7 +13,9 @@ from poseadapt.errors import ConfigError
 from poseadapt.experiment import SWEEP_TAUS, build_anchors
 from poseadapt.geometry import AnchorSet
 
-from helpers import decode_floats, edit_row_floats, encode_floats
+from poseadapt.network import load_checkpoint
+
+from helpers import decode_floats, edit_row_floats, encode_floats, write_v1_checkpoint
 
 TINY = {
     "anchors": {"n_rot": 4, "n_vx": 3, "n_vy": 3, "n_z": 4},
@@ -87,8 +89,8 @@ def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, cap
 
 
 # SHA-256 over the names and bytes of every checkpoint and TSV of ``golden_run``
-GOLDEN_DIGEST = "2ba096d72e0cb21ccd2a65de2d497f32f0d82d8672edcc67e0cd848279d86021"
-SCALAR_GOLDEN_DIGEST = "3b771f45324f647f98665bf83ddeb77b77fa1437c678dc8480cf8c9845f57690"
+GOLDEN_DIGEST = "a8cbdfed2956b8755385215608a02529393c4d18ab679cabd748aecfad01ad73"
+SCALAR_GOLDEN_DIGEST = "b828d58ba483791c5f03f0377ead09448a3e9754424cf3d7512a41f60491ac8a"
 
 
 def golden_run(tmp_path, scalar=False):
@@ -345,6 +347,26 @@ def test_checkpoint_of_another_config_exits_with_one_line(tmp_path, capsys, step
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not list(tmp_path.glob("sweep_*.tsv"))
+
+
+@pytest.mark.parametrize("step", [["sweep-threshold"], ["train", "--stage", "student"],
+                                  ["eval", "--checkpoint", "teacher_obj0.ckpt"]],
+                         ids=["sweep", "student", "eval"])
+def test_version_1_checkpoint_exits_with_one_line(tmp_path, capsys, step):
+    """A teacher checkpoint of format version 1 (float64 parameters) is
+    refused by every command that loads it, as an I/O error that says to
+    re-train."""
+    argv = ["--config", write_config(tmp_path, "tiny", dict(TINY, out_dir=str(tmp_path)))]
+    assert cli.main(["gen-data"] + argv) == 0
+    assert cli.main(["train", "--stage", "teacher"] + argv) == 0
+    path = tmp_path / "teacher_obj0.ckpt"
+    write_v1_checkpoint(path, load_checkpoint(path)[0])
+    step = [str(tmp_path / a) if a.endswith(".ckpt") else a for a in step]
+    capsys.readouterr()
+    assert cli.main(step + argv) == cli.EXIT_IO
+    assert capsys.readouterr().err == (f"error: {path}: checkpoint version 1, this build reads "
+                                       "version 2; re-train\n")
+    assert not list(tmp_path.glob("sweep_*.tsv")) and not list(tmp_path.glob("student_*"))
 
 
 @pytest.mark.parametrize("cfg", [

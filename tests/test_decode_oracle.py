@@ -30,7 +30,9 @@ IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 
 def reference_rot6d_to_matrix(r):
-    """One 6D rotation to a matrix; None when it has no rotation."""
+    """One 6D rotation to a matrix; None when it has no rotation.  It
+    decodes in float64, also the network's float32 residuals."""
+    r = np.asarray(r, dtype=np.float64)
     a1, a2 = r[:3], r[3:]
     n1 = np.linalg.norm(a1)
     if n1 < 1e-12:

@@ -5,10 +5,16 @@ cross-entropy's, of the classifier logits), and ``poseadapt.network``
 back-propagates the head-output gradients through the MLPs.  Here the
 same objective, cross-entropy over the softmax, is written over the
 generic ops of ``tape`` (the package's former loss code, op for op), on a
-twin of the network whose forward pass also runs on that tape.  Every
-parameter gradient that ``total_objective(...).backward()`` writes into
-the network's gradient buffer must match the tape's to 1e-10 relative
-(max abs difference over max abs), and the loss parts must agree.
+twin of the network whose forward pass also runs on that tape, in
+float64 on the same parameter values.  Each parameter gradient that
+``total_objective(...).backward()`` writes into the network's gradient
+buffer is compared with the tape's by max abs difference over max abs:
+
+- on the network's float64 twin (``float64_twin``), to ``TOLERANCE``
+  (1e-10), with the loss parts to 1e-12;
+- on the float32 network itself, to ``FLOAT32_TOLERANCE``, with the tape
+  on the same float32 weights and float32-rounded observations, so that
+  only float32 rounding differs.
 """
 
 from functools import reduce
@@ -35,10 +41,18 @@ from poseadapt.network import LEAK, ROT6D_IDENTITY, HeadOutput, PoseNetwork
 from poseadapt.synth import OBS_DIM, make_dataset, make_domain_config, make_object, make_scalar_task
 
 import tape
-from helpers import SAMPLE_RANGES, nearest_bin
+from helpers import SAMPLE_RANGES, float64_twin, nearest_bin
 
 NETWORK = {"feature_dim": 16, "encoder_hidden": [32], "head_hidden": 8}
 TOLERANCE = 1e-10
+# A float32 sum of n products is within about n u of exact, relative to
+# the sum of their magnitudes (u = eps / 2 = 6.0e-8; Higham's gamma_n).
+# A gradient passes one such sum per layer forward and one backward.
+# Bounding each by the widest input of these networks (OBS_DIM = 64
+# observations) and counting both passes gives 2 * 64 * u = 64 eps
+# (7.6e-6).  A first-order estimate, not a bound; the worst of the cases
+# below reads 1.6e-6 (14 eps).
+FLOAT32_TOLERANCE = 64 * float(np.finfo(np.float32).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +193,21 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_gradients_match_the_tape(case):
+def check_against_tape(case, dtype, tolerance, parts_rtol, parts_atol=0.0):
+    """Backward the case's batch through the network in ``dtype`` (float32,
+    or its float64 twin) and through the tape on the same parameters and
+    inputs, upcast to float64; every parameter gradient must match to
+    ``tolerance``, and the loss parts to ``parts_rtol`` and ``parts_atol``."""
     kind, stage, batch, scores, degenerate = CASES[case]
     net, ds, anchors, objective, sup = setup(kind, stage, scores)
     if degenerate:
         zero_a_supervised_rotation_anchor(net, anchors, sup)
+    if dtype == np.float64:
+        net = float64_twin(net)
+    assert net.flat.dtype == dtype
     twin = {k: tape.parameter(p) for k, p in net.parameters().items()}
     rows = np.arange(batch)
-    obs = ds.source.observation[rows]
+    obs = ds.source.observation[rows].astype(dtype)
     model, batch_sup = ds.objects[0], sup[rows]
 
     out = net.forward(obs)
@@ -201,12 +221,29 @@ def test_gradients_match_the_tape(case):
     total.backward()
 
     np.testing.assert_allclose([bd.total_value, bd.cls_value, bd.reg_value, bd.corr_value],
-                               [total.item(), *parts], rtol=1e-12, atol=0)
+                               [total.item(), *parts], rtol=parts_rtol, atol=parts_atol)
     for k, g in net.gradients().items():
         want = np.zeros_like(g) if twin[k].grad is None else twin[k].grad
-        assert relative_difference(g, want) <= TOLERANCE, k
+        assert relative_difference(g, want) <= tolerance, k
     # the classifier heads of the baseline get no gradient, which the
     # buffer holds as zeros; every other case reaches every parameter
     missing = {k for k, p in twin.items() if p.grad is None}
     assert missing == ({k for k in twin if k.startswith("cls.")}
                        if stage == "baseline-regression" else set())
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_gradients_match_the_tape(case):
+    """The network's float64 twin runs every step in float64, so its
+    gradients match the tape's up to the order of operations."""
+    check_against_tape(case, np.float64, TOLERANCE, parts_rtol=1e-12)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_float32_gradients_match_the_tape(case):
+    """The float32 network against the tape on its own float32 weights
+    and inputs: what differs is float32 rounding.  A batch of one has a
+    correlation term of (1 - cos(f, f))^2, about eps^2, hence the parts'
+    absolute tolerance."""
+    check_against_tape(case, np.float32, FLOAT32_TOLERANCE, parts_rtol=FLOAT32_TOLERANCE,
+                       parts_atol=FLOAT32_TOLERANCE)

@@ -40,6 +40,7 @@ from poseadapt.synth import make_object
 
 from helpers import (
     ANCHOR_RANGES,
+    float64_twin,
     matrix_to_rot6d,
     nearest_bin,
     point_matching_distance,
@@ -213,7 +214,8 @@ class TestRegressionLoss:
                                     feature_dim=8, encoder_hidden=(8,), head_hidden=8)
 
     def _out(self, seed=0, batch=1):
-        net = PoseNetwork(self.netcfg, seed=seed)
+        # float64 outputs: the terms compute in their inputs' dtype
+        net = float64_twin(PoseNetwork(self.netcfg, seed=seed))
         return net.forward(np.random.default_rng(seed).standard_normal((batch, 6)))
 
     def test_perfect_residuals_give_zero(self):
@@ -281,9 +283,9 @@ class TestRegressionLoss:
         rng = np.random.default_rng(5)
         gt = [random_pose(rng) for _ in range(3)]
         anchors = AnchorSet.build(3, 2, 5, 6, *ANCHOR_RANGES, seed=0)
-        net = PoseNetwork(NetworkConfig(obs_dim=6, n_rot=3, n_vx=2, n_vy=5, n_z=6,
-                                        feature_dim=8, encoder_hidden=(8,), head_hidden=8),
-                          seed=0)
+        net = float64_twin(PoseNetwork(NetworkConfig(obs_dim=6, n_rot=3, n_vx=2, n_vy=5, n_z=6,
+                                                     feature_dim=8, encoder_hidden=(8,),
+                                                     head_hidden=8), seed=0))
         out = net.forward(rng.standard_normal((3, 6)))
         # default labels: k = 4 for rotation, 7 for each translation branch
         sup = prepare_batch_supervision(Pose.stack(gt), anchors, CAM,
@@ -436,7 +438,7 @@ class TestTotalObjective:
         rng = np.random.default_rng(10)
         gt = [random_pose(rng) for _ in range(3)]
         obs = rng.standard_normal((3, 6))
-        net = PoseNetwork(self.netcfg, seed=1)
+        net = float64_twin(PoseNetwork(self.netcfg, seed=1))
         cfg = objective(self.anchors, ctc_weight=0.0)
         bd1 = total_objective(net.forward(obs), supervision(gt, self.anchors), self.anchors,
                               self.model, CAM, cfg)
@@ -576,7 +578,7 @@ class TestGradientSpotChecks:
             np.random.default_rng(1).standard_normal((5, 3)) * 0.3)
         netcfg = NetworkConfig(obs_dim=6, n_rot=8, n_vx=5, n_vy=5, n_z=6,
                                feature_dim=8, encoder_hidden=(8,), head_hidden=8)
-        net = PoseNetwork(netcfg, seed=3)
+        net = float64_twin(PoseNetwork(netcfg, seed=3))
         rng = np.random.default_rng(14)
         gt = [random_pose(rng) for _ in range(3)]
         obs = rng.standard_normal((3, 6))

@@ -1,5 +1,7 @@
 """Network forward contracts, Adam behavior, checkpoint round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from poseadapt.network import (
     load_checkpoint,
     save_checkpoint,
 )
+
+from helpers import write_v1_checkpoint
 
 CFG = NetworkConfig(obs_dim=12, n_rot=6, n_vx=4, n_vy=4, n_z=5,
                     feature_dim=16, encoder_hidden=(16, 16), head_hidden=8)
@@ -125,14 +129,25 @@ class TestAdam:
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
+        """Parameters come back bit for bit, -0.0, a subnormal and the
+        largest float32 among them; the header records their dtype."""
         net = PoseNetwork(CFG, seed=3)
+        net.flat[:3] = [-0.0, np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max]
         path = tmp_path / "net.ckpt"
         save_checkpoint(path, net, meta={"stage": "teacher"})
         net2, meta = load_checkpoint(path)
         assert net2.config == net.config
+        assert net2.flat.dtype == np.float32
+        np.testing.assert_array_equal(net2.flat.view("<u4"), net.flat.view("<u4"))
         for k, p in net.parameters().items():
-            np.testing.assert_array_equal(p, net2.parameters()[k])
+            np.testing.assert_array_equal(p.view("<u4"), net2.parameters()[k].view("<u4"))
         assert meta == {"stage": "teacher"}
+        raw = path.read_bytes()
+        assert raw.startswith(b"poseadapt-ckpt v2\n")
+        n = int.from_bytes(raw[18:26], "big")
+        header = json.loads(raw[26:26 + n])
+        assert (header["version"], header["dtype"]) == (2, "<f4")
+        assert len(raw) == 26 + n + 4 * net.flat.size
         assert net2.grad is None
         # the reloaded network writes the same bytes
         save_checkpoint(tmp_path / "again.ckpt", net2, meta=meta)
@@ -140,13 +155,29 @@ class TestCheckpoint:
 
     def test_corrupt_checkpoint_raises(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"poseadapt-ckpt v1\n" + b"\x00" * 40)
+        path.write_bytes(b"poseadapt-ckpt v2\n" + b"\x00" * 40)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
         path2 = tmp_path / "notckpt.ckpt"
         path2.write_bytes(b"something else entirely")
         with pytest.raises(CheckpointError):
             load_checkpoint(path2)
+
+    def test_version_1_is_refused_with_one_line(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        write_v1_checkpoint(path, PoseNetwork(CFG, seed=0))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (f"{path}: checkpoint version 1, this build reads version 2; "
+                                   "re-train")
+
+    def test_another_parameter_dtype_is_corrupt(self, tmp_path):
+        path = tmp_path / "f8.ckpt"
+        save_checkpoint(path, PoseNetwork(CFG, seed=0))
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"dtype": "<f4"', b'"dtype": "<f8"'))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint.*dtype <f8"):
+            load_checkpoint(path)
 
     def test_config_mismatch_raises(self, tmp_path):
         net = PoseNetwork(CFG, seed=0)

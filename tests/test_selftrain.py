@@ -17,7 +17,8 @@ from poseadapt.errors import InvalidArgumentError, TrainingFailureError
 from poseadapt.geometry import AnchorSet, generate_translation_bins
 from poseadapt.labeling import ScoreConfig
 from poseadapt.losses import ObjectiveConfig, build_target_graph
-from poseadapt.network import Adam, NetworkConfig, PoseNetwork
+from poseadapt.metrics import confidence_scores, predict_poses
+from poseadapt.network import Adam, HeadOutput, NetworkConfig, PoseNetwork
 from poseadapt.selftrain import (
     TrainConfig,
     select_samples,
@@ -65,6 +66,16 @@ class TestSelectSamples:
     def test_tau_range(self):
         with pytest.raises(InvalidArgumentError):
             select_samples(np.array([0.5]), 1.5)
+
+    def test_float32_confidence_is_gated_against_the_configured_tau(self):
+        """Confidences leave the float32 network as float64, so a max
+        probability of exactly float32(0.1), 0.10000000149, clears tau 0.1.
+        Compared in float32, tau would round to that same value."""
+        out = HeadOutput(probs={"z": np.array([[0.1, 0.05]], dtype=np.float32)},
+                         residuals={}, feature=None)
+        confidence = confidence_scores(out)["z"]
+        assert confidence.dtype == np.float64
+        np.testing.assert_array_equal(select_samples(confidence, 0.1), [0])
 
 
 def scalar_setup():
@@ -204,3 +215,47 @@ def test_training_leaves_no_reference_cycle(kind):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_training_runs_in_float32_and_predictions_leave_in_float64(monkeypatch):
+    """After teacher steps the parameters, gradients and Adam buffers are
+    float32, as is every head output, every MLP input kept for backward
+    and every head-output gradient the loss hands back.  Poses and
+    confidences leave ``predict_poses`` as float64."""
+    cfg = config_from_dict({"network": {"feature_dim": 16, "encoder_hidden": [32],
+                                        "head_hidden": 8}})
+    dc = make_domain_config(0.0, 0.02, 0.0, seed=1)
+    ds = make_dataset(16, 1, [make_object("cylinder", seed=1, n_points=16)], build_camera(cfg),
+                      dc, dc, seed=0, sample_ranges=SAMPLE_RANGES)
+    anchors = build_anchors(cfg)
+    net = PoseNetwork(build_network_config(cfg, OBS_DIM, anchors), seed=0)
+    optimizer = Adam(net.flat, net.grad_buffer(), lr=1e-3)
+    seen, forward = [], net.forward
+
+    def spy(obs):
+        out = forward(obs)
+        mlps = [net.encoder, *net.cls_heads.values(), *net.reg_heads.values()]
+        seen.extend([*out.probs.values(), *out.residuals.values(), out.feature,
+                     *(x for m in mlps for x in m._inputs)])
+        backward = out.backward
+
+        def spy_backward(d_logits, d_residuals, d_feature):
+            seen.extend([*d_logits.values(), *d_residuals.values(), d_feature])
+            backward(d_logits, d_residuals, d_feature)
+
+        out.backward = spy_backward
+        return out
+
+    monkeypatch.setattr(net, "forward", spy)
+    obs, poses, _ = split_arrays(ds)
+    train_supervised(net, optimizer, obs, poses, anchors, ds.objects[0], ds.cam,
+                     build_objective(cfg, anchors, "teacher"), epochs=1, batch_size=4,
+                     rng=np.random.default_rng(0))
+    buffers = [net.flat, net.grad, optimizer.m, optimizer.v, optimizer.tmp]
+    # 4 steps of 9 head outputs, 2 inputs to each of 9 MLPs and 9 gradients
+    assert len(seen) == 4 * (9 + 18 + 9)
+    assert {a.dtype for a in seen + buffers} == {np.dtype(np.float32)}
+    monkeypatch.undo()
+    predicted, out = predict_poses(net, obs, anchors, ds.cam)
+    assert predicted.rotation.dtype == predicted.translation.dtype == np.float64
+    assert {c.dtype for c in confidence_scores(out).values()} == {np.dtype(np.float64)}
