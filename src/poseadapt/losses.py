@@ -18,9 +18,10 @@ returns its value and a closed-form map from the gradient of that value
 to the gradient of its input; the cross-entropy's input is the logits of
 its softmax.  ``total_objective`` chains the maps.
 
-Each term computes in its network input's dtype, float32, but the 6D
-decode: in float32 a near-parallel row can round its orthogonal part to
-zero past the ``1e-12`` guard, a NaN.  The CTC agrees with float64 to 1e-6.
+Each term computes in the dtype of its network input, float32, except the
+6D decode: in float32 a near-parallel row can round its orthogonal part
+to zero past the ``1e-12`` guard and decode to NaN.  The float32 CTC
+agrees with float64 to about 1e-6.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
         points = model.points.astype(res.dtype)
         moved = (m.astype(res.dtype) @ anchor_rot - gt_rot.astype(res.dtype)[:, None]) @ points.T
 
-        def rot_grad(g):   # moved is (B, k, 3, P)
+        def rot_grad(g):   # moved: (B, k, 3, P)
             g_moved = np.sign(moved) * (g[:, None] * scale)[..., None, None]
             return m_grad(g_moved @ points @ np.swapaxes(anchor_rot, -1, -2))
 
