@@ -3,9 +3,9 @@
 ``point_matching_distance`` is the point-set distance the closed-form
 regression terms stand for.  ``OracleAdam`` is the per-parameter Adam
 the fused flat update must match bit for bit.  ``float64_twin`` is a
-network's double-precision twin, for oracles that check to the bit;
-``write_v1_checkpoint`` writes a network in the checkpoint format
-version 1 that this build refuses.  ``nearest_bin`` is the
+network's double-precision twin, for oracles that check to float64
+precision; ``write_v1_checkpoint`` writes a network in the checkpoint
+format version 1 that this build refuses.  ``nearest_bin`` is the
 depth-class rule of the correlation term.  ``ANCHOR_RANGES`` and ``SAMPLE_RANGES`` are
 the run config's default anchor and pose sampling ranges, for tests that
 build anchors or datasets without a run config.  ``encode_floats`` and

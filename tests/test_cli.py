@@ -12,7 +12,6 @@ from poseadapt.config import config_from_dict
 from poseadapt.errors import ConfigError
 from poseadapt.experiment import SWEEP_TAUS, build_anchors
 from poseadapt.geometry import AnchorSet
-
 from poseadapt.network import load_checkpoint
 
 from helpers import decode_floats, edit_row_floats, encode_floats, write_v1_checkpoint
