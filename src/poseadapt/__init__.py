@@ -8,9 +8,10 @@ correlation-graph regularizer tying batch feature similarity to depth-bin
 similarity.  A confidence-gated teacher/student loop adapts the model to
 an unlabeled target domain.
 
-Modules, in dependency order: ``autodiff`` (backward entry), ``geometry``
-(poses, anchors), ``labeling`` (sparse scores), ``network`` (model, Adam,
-checkpoints), ``losses``, ``metrics`` (ADD / ADD-S, prediction),
+Modules, in dependency order: ``autodiff`` (the loss's backward entry),
+``geometry`` (poses, anchors, the 6D decode and its gradient), ``labeling``
+(sparse scores), ``network`` (model, its backward, Adam, checkpoints),
+``losses``, ``metrics`` (ADD / ADD-S, prediction),
 ``selftrain`` (teacher/student), ``synth`` (datasets), ``config``,
 ``reports``, ``experiment`` (the pipeline) and ``cli`` (its entry point).
 """

@@ -16,7 +16,12 @@ import os
 import numpy as np
 
 from .config import RunConfig, save_config
-from .errors import CheckpointIncompatibleError, DependencyError, InvalidArgumentError
+from .errors import (
+    CheckpointError,
+    CheckpointIncompatibleError,
+    DependencyError,
+    InvalidArgumentError,
+)
 from .geometry import AnchorSet, CameraIntrinsics
 from .losses import ObjectiveConfig, build_target_graph
 from .metrics import average_recall, confidence_scores, evaluate_pose, predict_poses, scalar_mae
@@ -266,7 +271,10 @@ def run_eval(cfg: RunConfig, checkpoint):
     if net.config != expected:
         raise CheckpointIncompatibleError(
             f"checkpoint network {net.config} does not match config-derived {expected}")
-    obj = int(meta.get("object_id", 0))
+    obj = meta.get("object_id", 0)
+    if type(obj) is not int:      # a bool or a float is no object id
+        raise CheckpointError(f"{checkpoint}: corrupt checkpoint (meta object_id {obj!r} is not "
+                              "an integer)")
     if not 0 <= obj < len(ds.objects):
         raise CheckpointIncompatibleError(
             f"checkpoint object {obj} is not in the dataset's {len(ds.objects)} objects")

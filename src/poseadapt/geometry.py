@@ -9,7 +9,8 @@ Conventions used throughout the package:
   ``v_x = f_x * x / z`` and ``v_y = f_y * y / z`` in pixels, relative to the
   principal point;
 * a 6D rotation encodes the first two columns of the matrix and is mapped
-  back through Gram-Schmidt orthonormalization.
+  back through Gram-Schmidt orthonormalization; ``gram_schmidt`` is the
+  one decode, for prediction and, with its gradient map, for the loss.
 
 A ``Pose`` is one transform or a stack of them, and ``apply_pose`` moves
 points by a whole stack.  ``rot6d_to_matrix``, ``compose_pose`` and
@@ -161,19 +162,39 @@ def cross(a, b):
 
 
 def gram_schmidt(r):
-    """Matrices (..., 3, 3) of 6D rotations (..., 6) and the mask (...) of
-    the degenerate rows, whose matrices are NaN: a first vector or a
-    second orthogonal part with a norm below 1e-12."""
-    r = np.asarray(r, dtype=float)
+    """Rotation matrices (..., 3, 3) of 6D rotations (..., 6), in float64,
+    and the map from a gradient of the matrices to the gradient of ``r``.
+
+    The columns are b1 = a1 / |a1|, b2 = a2p / |a2p| with a2p = a2 - (b1 .
+    a2) b1, and b3 = b1 x b2; the gradient map runs that chain in reverse.
+    A degenerate row, a first vector or a second orthogonal part with a
+    norm below 1e-12, has no rotation: it decodes to the identity and gets
+    a zero gradient.
+    """
+    r = np.asarray(r, dtype=np.float64)
     a1, a2 = r[..., :3], r[..., 3:]
     with np.errstate(divide="ignore", invalid="ignore"):
         n1 = np.sqrt(_dot(a1, a1))[..., None]
         b1 = a1 / n1
-        a2p = a2 - _dot(b1, a2)[..., None] * b1
+        proj = _dot(b1, a2)[..., None]
+        a2p = a2 - proj * b1
         n2 = np.sqrt(_dot(a2p, a2p))[..., None]
         b2 = a2p / n2
-        m = np.stack([b1, b2, cross(b1, b2)], axis=-1)
-    return m, ((n1 < 1e-12) | (n2 < 1e-12))[..., 0]
+    degenerate = (n1 < 1e-12) | (n2 < 1e-12)
+    b1 = np.where(degenerate, (1.0, 0.0, 0.0), b1)
+    b2 = np.where(degenerate, (0.0, 1.0, 0.0), b2)
+
+    def grad(g):
+        g1 = g[..., 0] + cross(b2, g[..., 2])      # b3 = b1 x b2
+        g2 = g[..., 1] + cross(g[..., 2], b1)
+        with np.errstate(all="ignore"):     # a norm near 0 is a degenerate row: zeroed
+            ga2p = (g2 - b2 * _dot(b2, g2)[..., None]) / n2
+            gproj = -_dot(ga2p, b1)[..., None]
+            g1 = g1 - proj * ga2p + gproj * a2
+            ga1 = (g1 - b1 * _dot(b1, g1)[..., None]) / n1
+            return np.where(degenerate, 0.0, np.concatenate([ga1, ga2p + gproj * b1], axis=-1))
+
+    return np.stack([b1, b2, cross(b1, b2)], axis=-1), grad
 
 
 def rot6d_to_matrix(r):
@@ -185,8 +206,7 @@ def rot6d_to_matrix(r):
     vanishes, or whose two vectors are parallel, has no rotation and maps
     to the identity.
     """
-    m, degenerate = gram_schmidt(r)
-    return np.where(degenerate[..., None, None], np.eye(3), m)
+    return gram_schmidt(r)[0]
 
 
 def geodesic_distances_to(rotations, r):

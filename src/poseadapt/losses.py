@@ -12,16 +12,18 @@ model points.  The correlation regularizer pulls the batch's feature
 cosine-similarity matrix toward a precomputed graph whose entry for two
 depth bins is the cosine of their angle difference.
 
-Each term (the cross-entropy, the 6D decode, the rotation and scalar
-point-matching terms, the feature graph and the correlation distance)
-returns its value and a closed-form map from the gradient of that value
-to the gradient of its input; the cross-entropy's input is the logits of
-its softmax.  ``total_objective`` chains the maps.
+Each term (the cross-entropy, the rotation and scalar point-matching
+terms, the feature graph and the correlation distance) returns its value
+and a closed-form map from the gradient of that value to the gradient of
+its input; the cross-entropy's input is the logits of its softmax.  The
+rotation term decodes its 6D residuals with ``geometry.gram_schmidt``,
+the decode of prediction, which returns its own gradient map.
+``total_objective`` chains the maps.
 
 Each term computes in the dtype of its network input, float32, except the
-6D decode: in float32 a near-parallel row can round its orthogonal part
-to zero past the ``1e-12`` guard and decode to NaN.  The float32 CTC
-agrees with float64 to about 1e-6.
+6D decode, which is float64: in float32 a near-parallel row can round its
+orthogonal part to zero past the ``1e-12`` guard and decode to NaN.  The
+float32 CTC agrees with float64 to about 1e-6.
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ from .geometry import (
     ObjectModel,
     Pose,
     closest_symmetric_rotation,
-    cross,
     gram_schmidt,
     pose_targets,
     rot6d_to_matrix,
 )
 from .labeling import ScoreConfig, nearest_anchors, score_vector
-from .network import ROT6D_IDENTITY, HeadOutput
+from .network import HeadOutput
 
 LOG_EPS = 1e-12
 
@@ -110,45 +111,6 @@ class Supervision:
 
 
 # ---------------------------------------------------------------------------
-# 6D rotation decode with its gradient
-
-
-def _dot(a, b):
-    return (a * b).sum(axis=-1, keepdims=True)
-
-
-def rot6d_to_matrix_t(r6):
-    """Gram-Schmidt 6D-to-matrix, (..., 6) -> (..., 3, 3), and its gradient
-    map, in float64.  A degenerate row (see ``geometry.gram_schmidt``) is
-    replaced by the identity 6D rotation: the identity, a zero gradient.
-
-    The columns are b1 = a1 / |a1|, b2 = a2p / |a2p| with a2p = a2 - (b1 .
-    a2) b1, and b3 = b1 x b2; the backward pass runs that chain in reverse.
-    """
-    r6 = np.asarray(r6, dtype=np.float64)
-    degenerate = gram_schmidt(r6)[1][..., None]
-    a = np.where(degenerate, ROT6D_IDENTITY, r6)
-    a1, a2 = a[..., :3], a[..., 3:]
-    n1 = np.sqrt(_dot(a1, a1))
-    b1 = a1 / n1
-    proj = _dot(b1, a2)
-    a2p = a2 - proj * b1
-    n2 = np.sqrt(_dot(a2p, a2p))
-    b2 = a2p / n2
-
-    def grad(g):
-        g1 = g[..., 0] + cross(b2, g[..., 2])      # b3 = b1 x b2
-        g2 = g[..., 1] + cross(g[..., 2], b1)
-        ga2p = (g2 - b2 * _dot(b2, g2)) / n2
-        gproj = -_dot(ga2p, b1)
-        g1 = g1 - proj * ga2p + gproj * a2
-        ga1 = (g1 - b1 * _dot(b1, g1)) / n1
-        return np.where(degenerate, 0.0, np.concatenate([ga1, ga2p + gproj * b1], axis=-1))
-
-    return np.stack([b1, b2, cross(b1, b2)], axis=-1), grad
-
-
-# ---------------------------------------------------------------------------
 # regression loss (anchor-substituted point matching)
 
 
@@ -189,7 +151,7 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
         gt_rot = resolve_symmetric_gt(out, sup.rotation, anchors, model)
         idx = nearest_anchors(gt_rot, anchors.rotations, sup.k_rot)   # (B, k)
         res = out.residuals["rot"]
-        m, m_grad = rot6d_to_matrix_t(res[rows, idx])   # (B, k, 3, 3), float64
+        m, m_grad = gram_schmidt(res[rows, idx])   # (B, k, 3, 3), float64
         anchor_rot, scale = anchors.rotations[idx].astype(res.dtype), 1.0 / len(model.points)
         points = model.points.astype(res.dtype)
         moved = (m.astype(res.dtype) @ anchor_rot - gt_rot.astype(res.dtype)[:, None]) @ points.T

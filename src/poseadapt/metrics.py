@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import InvalidArgumentError
 from .geometry import (
     AnchorSet,
@@ -83,8 +82,7 @@ def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
     network lacks contributes its only anchor with a zero residual.
     """
     obs = np.asarray(observations, dtype=float)
-    with ad.no_grad():
-        out = net.forward(obs)
+    out = net.forward(obs, train=False)
     picks = out.picks()
     rows = np.arange(obs.shape[0])
     idx, res = [], []

@@ -7,7 +7,9 @@ residuals are 6D representations).  Branches with zero anchors are
 disabled, which is how the scalar-target variant reuses the same code
 with only the z branch active.  The network's backward is written by
 hand: each MLP back-propagates through its own layers, straight into one
-flat gradient buffer that ``Adam`` steps.
+flat gradient buffer that ``Adam`` steps.  A training forward pass
+returns its backward with the activations it reads; a prediction pass
+(``train=False``) keeps none.
 
 Parameters, gradients, Adam moments and activations are float32
 (``DTYPE``): observations are cast once on the way in, head-output
@@ -22,7 +24,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import (
     CheckpointError,
     CheckpointIncompatibleError,
@@ -74,11 +75,7 @@ class Linear:
 
 
 class MLP:
-    """Linear stack with leaky-relu between layers; last layer is linear.
-
-    A forward pass with gradients on keeps each layer's input for
-    ``backward``, which lets them go.
-    """
+    """Linear stack with leaky-relu between layers; last layer is linear."""
 
     def __init__(self, n_in, hidden, n_out, rng, out_scale=None):
         dims = [n_in, *hidden, n_out]
@@ -87,23 +84,24 @@ class MLP:
             last = i == len(dims) - 2
             self.layers.append(Linear(dims[i], dims[i + 1], rng,
                                       w_scale=out_scale if last and out_scale is not None else None))
-        self._inputs = None
 
-    def __call__(self, x):
-        self._inputs = [] if ad.grad_enabled else None
+    def __call__(self, x, train):
+        """The output of a batch, and each layer's input for ``backward``
+        (None when not ``train``)."""
+        inputs = [] if train else None
         for i, layer in enumerate(self.layers):
-            if self._inputs is not None:
-                self._inputs.append(x)
+            if train:
+                inputs.append(x)
             x = x @ layer.w + layer.b
             if i < len(self.layers) - 1:
                 x = np.where(x > 0, x, LEAK * x)
-        return x
+        return x, inputs
 
-    def backward(self, g, input_grad=True):
-        """Back-propagate ``g``, the gradient of the last output, writing
-        each layer's parameter gradients into ``gw`` and ``gb``; returns the
-        input's gradient, or None without ``input_grad``."""
-        inputs, self._inputs = self._inputs, None
+    def backward(self, inputs, g, input_grad=True):
+        """Back-propagate ``g``, the gradient of the last output of the pass
+        whose layer ``inputs`` are given, writing each layer's parameter
+        gradients into ``gw`` and ``gb``; returns the input's gradient, or
+        None without ``input_grad``."""
         for i in reversed(range(len(self.layers))):
             layer, x = self.layers[i], inputs[i]
             np.matmul(x.T, g, out=layer.gw)
@@ -127,7 +125,8 @@ def softmax(logits):
 class HeadOutput:
     """Batched network output: probabilities, residuals, shared feature,
     and the network's backward (None without gradients), which takes the
-    gradients of the classifier logits, not of the probabilities."""
+    gradients of the classifier logits, not of the probabilities, and
+    holds the activations of this pass that it reads."""
 
     probs: dict          # branch -> (B, N)
     residuals: dict      # "rot" -> (B, N, 6); scalars -> (B, N)
@@ -214,35 +213,40 @@ class PoseNetwork:
 
     # -- forward and backward --------------------------------------------------
 
-    def forward(self, obs):
-        """Run a batch (B, obs_dim) through encoder and all branches."""
+    def forward(self, obs, train=True):
+        """Run a batch (B, obs_dim) through encoder and all branches.  A
+        training pass returns a backward with its activations; a pass with
+        ``train=False`` predicts and keeps none."""
         x = np.asarray(obs, dtype=self.flat.dtype)
         if x.ndim != 2 or x.shape[1] != self.config.obs_dim:
             raise ShapeError(
                 f"expected observations (B, {self.config.obs_dim}), got {x.shape}")
-        f = self.encoder(x)
-        probs, residuals = {}, {}
+        probs, residuals, inputs = {}, {}, {}     # inputs: MLP name -> its layer inputs
+        f, inputs["encoder"] = self.encoder(x, train)
         for name, n in self.config.branches().items():
-            probs[name] = softmax(self.cls_heads[name](f))
-            r = self.reg_heads[name](f)
+            logits, inputs[f"cls.{name}"] = self.cls_heads[name](f, train)
+            probs[name] = softmax(logits)
+            r, inputs[f"reg.{name}"] = self.reg_heads[name](f, train)
             residuals[name] = r.reshape(len(x), n, 6) if name == "rot" else r
         return HeadOutput(probs=probs, residuals=residuals, feature=f,
-                          backward=self._backward if ad.grad_enabled else None)
+                          backward=functools.partial(self._backward, inputs) if train else None)
 
-    def _backward(self, d_logits, d_residuals, d_feature):
-        """Back-propagate the last forward pass's output gradients into
-        ``grad_buffer()``: branch -> gradient of its classifier logits
-        (``d_logits``) and residuals (``d_residuals``), and the feature's
-        own (``d_feature``, or None), each cast to the parameters' dtype.
-        A head left out gets a zero gradient.  The feature's gradient sums
-        the residual heads' shares in the order of ``d_residuals``, then
-        the classifier heads' in the order of ``d_logits``, then
-        ``d_feature``: a fixed order, so a training run repeats to the bit."""
+    def _backward(self, inputs, d_logits, d_residuals, d_feature):
+        """Back-propagate the output gradients of the training pass whose
+        MLP layer ``inputs`` are given into ``grad_buffer()``: branch ->
+        gradient of its classifier logits (``d_logits``) and residuals
+        (``d_residuals``), and the feature's own (``d_feature``, or None),
+        each cast to the parameters' dtype.  A head left out gets a zero
+        gradient.  The feature's gradient sums the residual heads' shares in
+        the order of ``d_residuals``, then the classifier heads' in the
+        order of ``d_logits``, then ``d_feature``: a fixed order, so a
+        training run repeats to the bit."""
         self.grad_buffer()
         cast = functools.partial(np.asarray, dtype=self.flat.dtype)
-        shares = [self.reg_heads[k].backward(cast(g).reshape(len(g), -1))
+        shares = [self.reg_heads[k].backward(inputs[f"reg.{k}"], cast(g).reshape(len(g), -1))
                   for k, g in d_residuals.items()]
-        shares += [self.cls_heads[k].backward(cast(g)) for k, g in d_logits.items()]
+        shares += [self.cls_heads[k].backward(inputs[f"cls.{k}"], cast(g))
+                   for k, g in d_logits.items()]
         for heads, grads in ((self.reg_heads, d_residuals), (self.cls_heads, d_logits)):
             for k in heads.keys() - grads.keys():
                 for layer in heads[k].layers:
@@ -250,7 +254,8 @@ class PoseNetwork:
                     layer.gb.fill(0.0)
         if d_feature is not None:
             shares.append(cast(d_feature))
-        self.encoder.backward(functools.reduce(np.add, shares), input_grad=False)
+        self.encoder.backward(inputs["encoder"], functools.reduce(np.add, shares),
+                              input_grad=False)
 
 
 class Adam:
@@ -346,6 +351,9 @@ def load_checkpoint(path, expected_config: NetworkConfig = None):
         if header["dtype"] != _CKPT_DTYPE:
             raise ValueError(f"parameter dtype {header['dtype']}, not {_CKPT_DTYPE}")
         net.flat[...] = np.frombuffer(raw, dtype=_CKPT_DTYPE, count=net.flat.size, offset=offset)
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta {meta!r} is not an object")
     except CheckpointIncompatibleError:
         raise
     except Exception as e:
@@ -353,4 +361,4 @@ def load_checkpoint(path, expected_config: NetworkConfig = None):
     if expected_config is not None and config != expected_config:
         raise CheckpointIncompatibleError(
             f"checkpoint config {config} does not match requested {expected_config}")
-    return net, header.get("meta", {})
+    return net, meta

@@ -446,6 +446,10 @@ def _parse_dataset(path, lines) -> Dataset:
     if not objects:
         raise DatasetError(f"{path}: the header lists no objects")
     cfgs = {domain: DomainConfig(**header[f"{domain}_config"]) for domain in ("source", "target")}
+    shapes = [cfg.offset.shape for cfg in cfgs.values()]
+    if len(shapes[0]) != 1 or shapes[0][0] == 0 or shapes[1] != shapes[0]:
+        raise DatasetError(f"{path}: corrupt dataset header: the source and target offsets "
+                           f"need one equal, nonzero width, got shapes {shapes[0]} and {shapes[1]}")
     meta = header["meta"]
     rows = {domain: ([], [], [], []) for domain in cfgs}   # ids, object ids, obs | r | t, lines
     for n, line in enumerate(lines, start=2):

@@ -125,8 +125,8 @@ class TestMatmul:
 
         pair = grads(lambda x, w, b: tape.add(tape.matmul(x, w), b))
         fused = grads(tape.linear)
-        out = mlp(x)
-        package = [out, mlp.backward(weights),
+        out, inputs = mlp(x, train=True)
+        package = [out, mlp.backward(inputs, weights),
                    *(g for layer in mlp.layers for g in (layer.gw, layer.gb))]
         for got in (fused, package):
             assert all(np.array_equal(g, p) for g, p in zip(got, pair))
@@ -140,14 +140,13 @@ class TestMatmul:
         x = rng.standard_normal((5, 3)) + 0.5
         mlp = mlp_with_gradients(3, [6], 4, seed=1)
         weights = rng.standard_normal((5, 4))
-        mlp(x)
-        got = mlp.backward(weights)
-        num = finite_diff(lambda arr: float((mlp(arr) * weights).sum()), x.copy())
+        _, inputs = mlp(x, train=True)
+        got = mlp.backward(inputs, weights)
+        num = finite_diff(lambda arr: float((mlp(arr, train=False)[0] * weights).sum()), x.copy())
         np.testing.assert_allclose(got, num, atol=1e-6, rtol=1e-4)
-        mlp(x)
         gw = mlp.layers[0].gw.copy()
         mlp.layers[0].gw[...] = np.nan
-        assert mlp.backward(weights, input_grad=False) is None
+        assert mlp.backward(inputs, weights, input_grad=False) is None
         np.testing.assert_array_equal(mlp.layers[0].gw, gw)
 
     def test_vector_cases(self):

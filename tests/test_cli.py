@@ -12,7 +12,7 @@ from poseadapt.config import config_from_dict
 from poseadapt.errors import ConfigError
 from poseadapt.experiment import SWEEP_TAUS, build_anchors
 from poseadapt.geometry import AnchorSet
-from poseadapt.network import load_checkpoint
+from poseadapt.network import load_checkpoint, save_checkpoint
 
 from helpers import decode_floats, edit_row_floats, encode_floats, write_v1_checkpoint
 
@@ -199,10 +199,18 @@ CORRUPT_SAMPLES = {
 }
 
 
+# header cases: the offset and every observation of each domain cut to a slice
+OFFSET_CUTS = {
+    "empty-offsets-dataset": {"source": slice(0), "target": slice(0)},
+    "offset-widths-differ-dataset": {"source": slice(None), "target": slice(-1)},
+}
+
+
 def _corrupt_dataset(tmp_path, case):
     """A generated dataset cut in half, reduced to a header that lists no
     objects and no samples, rewritten in format version 1 (decimal lists),
-    or with its first sample edited as ``CORRUPT_SAMPLES`` says."""
+    with domain widths cut as ``OFFSET_CUTS`` says, or with its first
+    sample edited as ``CORRUPT_SAMPLES`` says."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))
     assert cli.main(["gen-data", "--config", cfg, "--scalar-task"]) == 0
@@ -221,6 +229,16 @@ def _corrupt_dataset(tmp_path, case):
                        pose={k: decode_floats(v) for k, v in rec["pose"].items()})
         path.write_text("".join(json.dumps(d, sort_keys=True) + "\n"
                                 for d in [dict(header, version=1), *samples]))
+    elif case in OFFSET_CUTS:
+        # the rows agree with the header: only the domains' widths are wrong
+        header, *samples = map(json.loads, path.read_text().splitlines())
+        cut = OFFSET_CUTS[case]
+        for domain in DOMAINS:
+            dc = header[f"{domain}_config"]
+            dc["offset"] = dc["offset"][cut[domain]]
+        for rec in samples:
+            edit_row_floats(rec, "obs", lambda obs: obs[cut[rec["domain"]]])
+        path.write_text("".join(json.dumps(d) + "\n" for d in [header, *samples]))
     else:
         header, first, *rest = path.read_text().splitlines()
         sample = json.loads(first)
@@ -255,7 +273,7 @@ BAD_CONFIGS = {
     ("truncated-dataset", cli.EXIT_IO),
     ("no-objects-dataset", cli.EXIT_IO),
     ("version-1-dataset", cli.EXIT_IO),
-] + [(case, cli.EXIT_IO) for case in CORRUPT_SAMPLES])
+] + [(case, cli.EXIT_IO) for case in [*OFFSET_CUTS, *CORRUPT_SAMPLES]])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case.endswith("-dataset"):
         argv = _corrupt_dataset(tmp_path, case)
@@ -275,6 +293,9 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert "dataset version 1, this build reads version 2; re-run gen-data" in err, err
     elif case in CORRUPT_SAMPLES:
         assert ": corrupt dataset, line 2: " in err, err
+    elif case in OFFSET_CUTS:
+        assert "dataset.txt: corrupt dataset header: the source and target offsets" in err, err
+        assert not list((tmp_path / "run").glob("*.ckpt"))
     if not case.endswith("-dataset"):
         assert not (tmp_path / "run" / "dataset.txt").exists()
         assert not (tmp_path / "run" / "config.json").exists()
@@ -346,6 +367,24 @@ def test_checkpoint_of_another_config_exits_with_one_line(tmp_path, capsys, step
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not list(tmp_path.glob("sweep_*.tsv"))
+
+
+@pytest.mark.parametrize("meta", [{"object_id": "x"}, {"object_id": None}, {"object_id": [0]},
+                                  {"object_id": 1.5}, {"object_id": True}, [0]],
+                         ids=["string", "null", "list", "float", "bool", "meta-not-an-object"])
+def test_bad_checkpoint_object_id_exits_with_one_line(tmp_path, capsys, meta):
+    """``eval`` refuses a checkpoint whose meta is not an object, or whose
+    object id is not an integer, as a corrupt checkpoint."""
+    argv = ["--config", write_config(tmp_path, "tiny", dict(TINY, out_dir=str(tmp_path)))]
+    assert cli.main(["gen-data"] + argv) == 0
+    assert cli.main(["train", "--stage", "teacher"] + argv) == 0
+    path = tmp_path / "teacher_obj0.ckpt"
+    save_checkpoint(path, load_checkpoint(path)[0], meta=meta)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(path)] + argv) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: corrupt checkpoint (") and err.count("\n") == 1, err
+    assert not list(tmp_path.glob("recall_eval_*.tsv"))
 
 
 @pytest.mark.parametrize("step", [["sweep-threshold"], ["train", "--stage", "student"],

@@ -6,7 +6,8 @@ with the bin center on a non-positive depth and with the identity 6D
 rotation on a degenerate one, and a scalar symmetry search per sample.
 The batched ``compose_pose``, ``predict_poses``,
 ``closest_symmetric_rotation`` and ``resolve_symmetric_gt`` must give
-exactly the same bits.
+exactly the same bits, and the rotation loss must decode its residuals
+to the bits of ``rot6d_to_matrix``.
 """
 
 import numpy as np
@@ -15,12 +16,15 @@ import pytest
 from poseadapt.geometry import (
     AnchorSet,
     CameraIntrinsics,
+    ObjectModel,
     closest_symmetric_rotation,
     compose_pose,
+    rot6d_to_matrix,
 )
-from poseadapt.losses import resolve_symmetric_gt
+from poseadapt.labeling import nearest_anchors
+from poseadapt.losses import Supervision, regression_loss_batch, resolve_symmetric_gt
 from poseadapt.metrics import predict_poses
-from poseadapt.network import NetworkConfig, PoseNetwork
+from poseadapt.network import HeadOutput, NetworkConfig, PoseNetwork
 from poseadapt.synth import make_object
 
 from helpers import ANCHOR_RANGES, random_rotations
@@ -107,7 +111,7 @@ class FixedOutputNet:
     def __init__(self, out):
         self.out = out
 
-    def forward(self, obs):
+    def forward(self, obs, train=True):
         return self.out
 
 
@@ -170,3 +174,23 @@ class TestSymmetricResolutionOracle:
                                                             0.0, 0.0, 0.0), anchors, CAM)
             np.testing.assert_array_equal(
                 got[b], reference_closest_symmetric_rotation(pred, gt[b], self.cylinder))
+
+
+def test_rotation_loss_decodes_the_matrices_of_prediction():
+    """The rotation term of ``regression_loss_batch`` on float64 residuals,
+    awkward rows included, equals that term recomputed from
+    ``rot6d_to_matrix`` to the bit: training and prediction decode alike."""
+    rng = np.random.default_rng(8)
+    anchors = AnchorSet.build(6, 4, 4, 5, *ANCHOR_RANGES, seed=2)
+    model = ObjectModel.from_points(rng.standard_normal((16, 3)) * 0.1)
+    n, k = 300, 3
+    gt = random_rotations(n, rng)
+    res = awkward_rot6d(rng, n * 6).reshape(n, 6, 6)
+    sup = Supervision(gt, np.zeros(n), np.zeros(n), np.ones(n), {}, {}, k_rot=k)
+    out = HeadOutput(probs={}, residuals={"rot": res}, feature=np.zeros((n, 1)))
+    got, _ = regression_loss_batch(out, sup, anchors, model, CAM)
+    idx = nearest_anchors(gt, anchors.rotations, k)
+    m = rot6d_to_matrix(res[np.arange(n)[:, None], idx])
+    moved = (m @ anchors.rotations[idx] - gt[:, None]) @ model.points.T
+    want = (np.abs(moved).sum(axis=-2).sum(axis=-1) * (1.0 / len(model.points))).sum(axis=-1)
+    np.testing.assert_array_equal(got, want)

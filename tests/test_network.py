@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from poseadapt import autodiff as ad
 from poseadapt.errors import (
     CheckpointError,
     CheckpointIncompatibleError,
@@ -77,16 +76,34 @@ class TestForward:
             np.testing.assert_array_equal(idx, 0)
 
     def test_no_grad_forward_keeps_no_activations(self):
-        """A prediction pass lets the last training pass's activations go,
-        keeps none of its own and makes no gradient buffer."""
+        """A training pass hands each MLP's layer inputs to its backward;
+        a prediction pass keeps none and makes no gradient buffer.  The
+        MLPs themselves hold no activations."""
         net = PoseNetwork(CFG, seed=0)
-        mlps = [net.encoder, *net.cls_heads.values(), *net.reg_heads.values()]
-        assert net.forward(rand_obs(3)).backward is not None
-        assert all(m._inputs is not None for m in mlps)
-        with ad.no_grad():
-            out = net.forward(rand_obs(3))
+        mlps = {"encoder": net.encoder, **{f"cls.{k}": m for k, m in net.cls_heads.items()},
+                **{f"reg.{k}": m for k, m in net.reg_heads.items()}}
+        inputs = net.forward(rand_obs(3)).backward.args[0]
+        assert {k: len(v) for k, v in inputs.items()} == {k: len(m.layers)
+                                                         for k, m in mlps.items()}
+        out = net.forward(rand_obs(3), train=False)
         assert out.backward is None and net.grad is None
-        assert all(m._inputs is None for m in mlps)
+        assert all(set(vars(m)) == {"layers"} for m in mlps.values())
+
+    def test_backward_reads_the_activations_of_its_own_pass(self):
+        """Two training passes, then the first one's backward: the
+        gradients of the first batch, to the bit."""
+        rng = np.random.default_rng(4)
+        net = PoseNetwork(CFG, seed=0)
+        first = net.forward(rand_obs(5, seed=1))
+        grads = ({k: rng.standard_normal(p.shape) for k, p in first.probs.items()},
+                 {k: rng.standard_normal(r.shape) for k, r in first.residuals.items()},
+                 rng.standard_normal(first.feature.shape))
+        first.backward(*grads)
+        want = net.grad.copy()
+        first = net.forward(rand_obs(5, seed=1))
+        net.forward(rand_obs(5, seed=2))
+        first.backward(*grads)
+        np.testing.assert_array_equal(net.grad, want)
 
     def test_disabled_branches(self):
         cfg = NetworkConfig(obs_dim=8, n_rot=0, n_vx=0, n_vy=0, n_z=5,

@@ -234,10 +234,9 @@ def test_training_runs_in_float32_and_predictions_leave_in_float64(monkeypatch):
 
     def spy(obs):
         out = forward(obs)
-        mlps = [net.encoder, *net.cls_heads.values(), *net.reg_heads.values()]
-        seen.extend([*out.probs.values(), *out.residuals.values(), out.feature,
-                     *(x for m in mlps for x in m._inputs)])
         backward = out.backward
+        seen.extend([*out.probs.values(), *out.residuals.values(), out.feature,
+                     *(x for inputs in backward.args[0].values() for x in inputs)])
 
         def spy_backward(d_logits, d_residuals, d_feature):
             seen.extend([*d_logits.values(), *d_residuals.values(), d_feature])

@@ -121,8 +121,8 @@ def test_observations_get_no_gradient(monkeypatch):
     net, loss = pipeline_setup("teacher", scalar=False, kind="box")
     returned, backward = [], net.encoder.backward
 
-    def spy(g, input_grad=True):
-        returned.append(backward(g, input_grad))
+    def spy(inputs, g, input_grad=True):
+        returned.append(backward(inputs, g, input_grad))
         return returned[-1]
 
     monkeypatch.setattr(net.encoder, "backward", spy)
