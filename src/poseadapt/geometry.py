@@ -241,6 +241,17 @@ def quaternions_to_matrices(q):
     return m
 
 
+def farthest_point_sample(pool, start, k, dist):
+    """``start`` and the k - 1 pool entries that greedy farthest-point
+    sampling adds to it, in order; ``dist(x)`` is every pool entry's
+    distance to ``x``, and the first farthest entry wins a tie."""
+    chosen, best = [start], dist(start)
+    for _ in range(k - 1):
+        chosen.append(pool[int(np.argmax(best))])
+        best = np.minimum(best, dist(chosen[-1]))
+    return np.array(chosen)
+
+
 def generate_rotation_anchors(n, seed):
     """Approximately uniform SO(3) anchors, deterministic for (n, seed).
 
@@ -250,18 +261,10 @@ def generate_rotation_anchors(n, seed):
     """
     if n < 1:
         raise InvalidArgumentError(f"need at least one anchor, got {n}")
-    rng = np.random.default_rng(seed)
-    pool = random_quaternions(50 * n, rng)
-    identity = np.array([1.0, 0.0, 0.0, 0.0])
-    chosen = [identity]
-    # min quaternion-geodesic distance from each pool entry to the chosen set
-    best = 2.0 * np.arccos(np.minimum(np.abs(pool @ identity), 1.0))
-    for _ in range(n - 1):
-        idx = int(np.argmax(best))
-        chosen.append(pool[idx])
-        d = 2.0 * np.arccos(np.minimum(np.abs(pool @ pool[idx]), 1.0))
-        best = np.minimum(best, d)
-    return quaternions_to_matrices(np.array(chosen))
+    pool = random_quaternions(50 * n, np.random.default_rng(seed))
+    return quaternions_to_matrices(farthest_point_sample(
+        pool, np.array([1.0, 0.0, 0.0, 0.0]), n,
+        lambda q: 2.0 * np.arccos(np.minimum(np.abs(pool @ q), 1.0))))
 
 
 def generate_translation_bins(d_min, d_max, n):

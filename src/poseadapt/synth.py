@@ -3,10 +3,12 @@
 Observations are 64-value vectors: a fixed smooth embedding (half linear,
 half sinusoidal, both drawn once from a constant seed) of a few raw
 channels, plus a per-domain nuisance offset, seeded Gaussian noise, and
-optional coordinate dropout standing in for occlusion.  The raw channels
-are the projected model keypoints and apparent size for the pose task and
-four fixed features of the target value for the scalar task; both tasks
-pass them through the same nuisance channel.  Source and target share the
+optional coordinate dropout standing in for occlusion.  A pose stack's
+raw channels come as one (n, r) matrix: projected model keypoints and
+apparent size for the pose task, four fixed features of the target value
+for the scalar task.  ``synthesize`` puts that matrix through the nuisance
+channel both tasks share, in one batch; only the noise and dropout draw,
+keyed by each row's pose, loops over rows.  Source and target share the
 target-sampling law; only the observation channel differs.
 
 A ``Dataset`` holds each domain as one ``Split``: the sample ids and
@@ -36,6 +38,7 @@ from .geometry import (
     CameraIntrinsics,
     ObjectModel,
     Pose,
+    farthest_point_sample,
     point_cloud_diameter,
     random_quaternions,
     quaternions_to_matrices,
@@ -175,18 +178,6 @@ def _kind_tag(kind):
     return int.from_bytes(hashlib.blake2b(kind.encode(), digest_size=4).digest(), "big")
 
 
-def farthest_point_indices(points, k, start=0):
-    """Greedy farthest-point subsample; deterministic for fixed input."""
-    points = np.asarray(points, dtype=float)
-    chosen = [start]
-    d = np.linalg.norm(points - points[start], axis=1)
-    for _ in range(k - 1):
-        nxt = int(np.argmax(d))
-        chosen.append(nxt)
-        d = np.minimum(d, np.linalg.norm(points - points[nxt], axis=1))
-    return np.array(chosen)
-
-
 # ---------------------------------------------------------------------------
 # observation synthesis
 
@@ -215,54 +206,45 @@ def _embedding(raw_dim, obs_dim=OBS_DIM):
     return a_lin, a_sin, phase
 
 
-def _embed(raw, obs_dim):
-    a_lin, a_sin, phase = _embedding(len(raw), obs_dim)
-    return np.concatenate([raw[:obs_dim], np.sin(a_sin @ raw + phase), a_lin @ raw])
+def raw_observation(poses: Pose, model: ObjectModel, cam: CameraIntrinsics):
+    """Geometric channels of a pose stack before embedding, (n, 2 *
+    N_KEYPOINTS + 1): u, then v, of the model's farthest-point keypoints
+    from its first point, then the apparent size."""
+    pts = model.points
+    kp = farthest_point_sample(pts, pts[0], N_KEYPOINTS, lambda x: np.linalg.norm(pts - x, axis=1))
+    moved = kp @ poses.rotation.transpose(0, 2, 1) + poses.translation[:, None]
+    u = cam.fx * moved[..., 0] / moved[..., 2] / _PIX_SCALE
+    v = cam.fy * moved[..., 1] / moved[..., 2] / _PIX_SCALE
+    size = cam.fx * model.diameter / poses.z / _REF_FOCAL
+    return np.concatenate([u, v, size[:, None]], axis=1)
 
 
-def keypoints(model: ObjectModel):
-    """The model's farthest-point keypoints, (N_KEYPOINTS, 3)."""
-    return model.points[farthest_point_indices(model.points, N_KEYPOINTS)]
+def synthesize(raw, poses: Pose, dc: DomainConfig):
+    """Observations (n, len(dc.offset)) of raw channels (n, r) under one
+    domain's nuisance model: embedded, offset, noised and dropped out.
 
-
-def raw_observation(pose: Pose, model: ObjectModel, cam: CameraIntrinsics, kp=None):
-    """Geometric channels before embedding: projected keypoints + size.
-    ``kp`` is ``keypoints(model)``, computed here when not given."""
-    kp = keypoints(model) if kp is None else kp
-    moved = kp @ pose.rotation.T + pose.translation
-    u = cam.fx * moved[:, 0] / moved[:, 2] / _PIX_SCALE
-    v = cam.fy * moved[:, 1] / moved[:, 2] / _PIX_SCALE
-    size = cam.fx * model.diameter / pose.z / _REF_FOCAL
-    return np.concatenate([u, v, [size]])
-
-
-def _pose_hash(pose: Pose):
-    h = hashlib.blake2b(digest_size=8)
-    h.update(np.ascontiguousarray(pose.rotation, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(pose.translation, dtype="<f8").tobytes())
-    return int.from_bytes(h.digest(), "big")
-
-
-def synthesize(pose: Pose, model: ObjectModel, cam: CameraIntrinsics,
-               dc: DomainConfig, kp=None):
-    """Observation vector for a pose under one domain's nuisance model.
-
-    Pure function of its arguments: the noise stream is seeded from the
-    domain seed and a digest of the pose.  ``kp`` as in ``raw_observation``.
+    Pure function of each row: row i's noise stream is seeded from the
+    domain seed and a digest of ``poses[i]``, normal draws first, then the
+    dropout's uniform draws.  The embedding is a stacked matrix-vector
+    product, which gives each row the bits of ``a @ raw[i]``.
     """
-    if pose.z <= 0:
+    if np.any(poses.z <= 0):
         raise InvalidArgumentError("pose must have positive depth")
-    return _observe(raw_observation(pose, model, cam, kp), pose, dc)
-
-
-def _observe(raw, pose: Pose, dc: DomainConfig):
-    """Embed raw channels and apply one domain's offset, noise and dropout;
-    the noise stream is keyed by the domain seed and the pose."""
-    clean = _embed(raw, len(dc.offset))
-    rng = np.random.default_rng(np.random.SeedSequence([dc.seed, _pose_hash(pose)]))
-    obs = clean + dc.offset + rng.standard_normal(len(clean)) * dc.noise_scale
+    width = len(dc.offset)
+    a_lin, a_sin, phase = _embedding(raw.shape[1], width)
+    clean = np.concatenate([raw[:, :width], np.sin((a_sin @ raw[..., None])[..., 0] + phase),
+                            (a_lin @ raw[..., None])[..., 0]], axis=1)
+    keys = np.concatenate([poses.rotation.reshape(-1, 9), poses.translation], axis=1).astype("<f8")
+    noise, uniform = np.empty((2, len(raw), width))
+    for i, key in enumerate(keys):
+        digest = int.from_bytes(hashlib.blake2b(key.tobytes(), digest_size=8).digest(), "big")
+        rng = np.random.default_rng(np.random.SeedSequence([dc.seed, digest]))
+        noise[i] = rng.standard_normal(width)
+        if dc.dropout_prob > 0:
+            uniform[i] = rng.random(width)
+    obs = clean + dc.offset + noise * dc.noise_scale
     if dc.dropout_prob > 0:
-        obs = np.where(rng.random(len(obs)) < dc.dropout_prob, 0.0, obs)
+        obs = np.where(uniform < dc.dropout_prob, 0.0, obs)
     return obs
 
 
@@ -292,17 +274,19 @@ class Dataset:
         return self.source.observation.shape[1]
 
 
-def _generate(kind, n_source, n_target, objects, cfgs, draw, observe, meta, **fields):
+def _generate(kind, n_source, n_target, objects, cfgs, draw, raw, meta, **fields):
     """Both splits, source first, objects assigned round-robin.  ``draw(n)``
-    draws the ground-truth pose stack of n samples, and ``observe(pose,
-    object_id, dc)`` fills one row of the observation matrix."""
+    draws the ground-truth pose stack of n samples, and ``raw(poses,
+    object_id)`` gives the raw channels of one object's pose stack."""
     if n_source < 1 or n_target < 1:
         raise InvalidArgumentError("need at least one sample per domain")
     splits = []
     for domain, n, dc in zip(("source", "target"), (n_source, n_target), cfgs):
         gt, obj = draw(n), np.arange(n) % len(objects)
-        obs = np.fromiter((observe(gt[i], k, dc) for i, k in enumerate(obj)),
-                          dtype=np.dtype((float, len(dc.offset))), count=n)
+        obs = np.empty((n, len(dc.offset)))
+        for k in range(len(objects)):
+            rows = obj == k
+            obs[rows] = synthesize(raw(gt[rows], k), gt[rows], dc)
         ids = np.array([f"{domain[0]}{i:06d}" for i in range(n)], dtype=str)
         splits.append(Split(domain, ids, obj, obs, gt))
     return Dataset(kind, *splits, objects=list(objects), source_cfg=cfgs[0],
@@ -320,7 +304,6 @@ def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics,
     same law.  Target ground truth is retained but evaluation-only.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
-    kps = [keypoints(model) for model in objects]
 
     def draw(n):
         rots = quaternions_to_matrices(random_quaternions(n, rng))
@@ -328,7 +311,7 @@ def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics,
         return Pose(rots, np.stack([vx * z / cam.fx, vy * z / cam.fy, z], axis=1))
 
     return _generate("pose", n_source, n_target, objects, (source_cfg, target_cfg), draw,
-                     lambda pose, k, dc: synthesize(pose, objects[k], cam, dc, kps[k]),
+                     lambda poses, k: raw_observation(poses, objects[k], cam),
                      {"ranges": sample_ranges},
                      object_kinds=list(object_kinds or [""] * len(objects)),
                      cam=cam, seed=seed)
@@ -344,7 +327,11 @@ _SCALAR_POINTS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
 
 
 def _scalar_raw(s):
-    return np.array([s, (s - 0.75) ** 2, np.sin(2 * np.pi * s), np.cos(np.pi * s)])
+    """The scalar task's raw channels (n, 4) of target values s (n,)."""
+    # the datasets define this channel by libm pow, which float_power calls;
+    # ** 2 on an array multiplies, off in the last bit for some s (0.6562978235505856)
+    return np.stack([s, np.float_power(s - 0.75, 2), np.sin(2 * np.pi * s),
+                     np.cos(np.pi * s)], axis=1)
 
 
 def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: DomainConfig,
@@ -363,7 +350,7 @@ def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: D
 
     return _generate("scalar", n_source, n_target, [ObjectModel.from_points(_SCALAR_POINTS)],
                      (source_cfg, target_cfg), draw,
-                     lambda pose, k, dc: _observe(_scalar_raw(pose.z), pose, dc),
+                     lambda poses, k: _scalar_raw(poses.z),
                      {"scalar_range": list(SCALAR_RANGE)}, object_kinds=["scalar"],
                      cam=CameraIntrinsics(fx=_REF_FOCAL, fy=_REF_FOCAL, cx=0.0, cy=0.0),
                      seed=seed)
@@ -439,6 +426,9 @@ def _parse_dataset(path, lines) -> Dataset:
     if header.get("version") != _DATASET_VERSION:
         raise DatasetError(f"{path}: dataset version {header.get('version')!r}, this build "
                            f"reads version {_DATASET_VERSION}; re-run gen-data")
+    if header["kind"] not in ("pose", "scalar"):
+        raise DatasetError(f"{path}: corrupt dataset header: kind {header['kind']!r} is "
+                           f"neither 'pose' nor 'scalar'")
     cam = CameraIntrinsics(**header["camera"])
     objects = [ObjectModel(points=np.array(od["points"]), diameter=od["diameter"],
                            symmetries=tuple(np.array(s).reshape(3, 3) for s in od["symmetries"]))

@@ -11,9 +11,13 @@ the run config's default anchor and pose sampling ranges, for tests that
 build anchors or datasets without a run config.  ``encode_floats`` and
 ``decode_floats`` read and write a dataset row's float fields with the
 standard library alone, and ``edit_row_floats`` edits one of them.
+``reference_observation`` and ``reference_scalar_observation`` synthesize
+one observation from one pose, as the package did before its synthesizer
+was batched.
 """
 
 import base64
+import hashlib
 import json
 import struct
 from dataclasses import asdict
@@ -23,6 +27,7 @@ import numpy as np
 from poseadapt.config import AnchorConfig, DataConfig
 from poseadapt.errors import InvalidArgumentError
 from poseadapt.geometry import quaternions_to_matrices, random_quaternions
+from poseadapt.synth import N_KEYPOINTS, _embedding
 
 ANCHOR_RANGES = (AnchorConfig.vx_range, AnchorConfig.vy_range, AnchorConfig.z_range)
 SAMPLE_RANGES = {"vx": DataConfig.vx_sample_range, "vy": DataConfig.vy_sample_range,
@@ -121,3 +126,52 @@ def edit_row_floats(rec, key, edit):
     holder = rec if key == "obs" else rec["pose"]
     holder[key] = encode_floats(edit(decode_floats(holder[key])))
     return rec
+
+
+def _reference_keypoints(points):
+    """The points at greedy farthest-point indices from point 0, chosen
+    one index at a time."""
+    chosen = [0]
+    d = np.linalg.norm(points - points[0], axis=1)
+    for _ in range(N_KEYPOINTS - 1):
+        nxt = int(np.argmax(d))
+        chosen.append(nxt)
+        d = np.minimum(d, np.linalg.norm(points - points[nxt], axis=1))
+    return points[chosen]
+
+
+def _reference_observe(raw, pose, dc):
+    """Embed one raw vector with matrix-vector products and apply the
+    domain's offset, noise and dropout, drawn from a stream keyed by the
+    domain seed and a digest of the pose."""
+    width = len(dc.offset)
+    a_lin, a_sin, phase = _embedding(len(raw), width)
+    clean = np.concatenate([raw[:width], np.sin(a_sin @ raw + phase), a_lin @ raw])
+    h = hashlib.blake2b(digest_size=8)
+    h.update(np.ascontiguousarray(pose.rotation, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(pose.translation, dtype="<f8").tobytes())
+    rng = np.random.default_rng(np.random.SeedSequence([dc.seed, int.from_bytes(h.digest(), "big")]))
+    obs = clean + dc.offset + rng.standard_normal(width) * dc.noise_scale
+    if dc.dropout_prob > 0:
+        obs = np.where(rng.random(width) < dc.dropout_prob, 0.0, obs)
+    return obs
+
+
+def reference_observation(pose, model, cam, dc):
+    """The observation of one pose of ``model``: its projected keypoints
+    and apparent size, embedded and put through the domain's nuisance."""
+    if pose.z <= 0:
+        raise InvalidArgumentError("pose must have positive depth")
+    moved = _reference_keypoints(model.points) @ pose.rotation.T + pose.translation
+    u = cam.fx * moved[:, 0] / moved[:, 2] / 200.0
+    v = cam.fy * moved[:, 1] / moved[:, 2] / 200.0
+    size = cam.fx * model.diameter / pose.z / 600.0
+    return _reference_observe(np.concatenate([u, v, [size]]), pose, dc)
+
+
+def reference_scalar_observation(pose, dc):
+    """The scalar task's observation of one pose, whose depth is the
+    target value.  ``** 2`` of one value calls libm ``pow``."""
+    s = float(pose.z)
+    raw = np.array([s, (s - 0.75) ** 2, np.sin(2 * np.pi * s), np.cos(np.pi * s)])
+    return _reference_observe(raw, pose, dc)

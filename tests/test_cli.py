@@ -208,9 +208,10 @@ OFFSET_CUTS = {
 
 def _corrupt_dataset(tmp_path, case):
     """A generated dataset cut in half, reduced to a header that lists no
-    objects and no samples, rewritten in format version 1 (decimal lists),
-    with domain widths cut as ``OFFSET_CUTS`` says, or with its first
-    sample edited as ``CORRUPT_SAMPLES`` says."""
+    objects and no samples, with a header kind that is neither "pose" nor
+    "scalar", rewritten in format version 1 (decimal lists), with domain
+    widths cut as ``OFFSET_CUTS`` says, or with its first sample edited as
+    ``CORRUPT_SAMPLES`` says."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))
     assert cli.main(["gen-data", "--config", cfg, "--scalar-task"]) == 0
@@ -222,6 +223,10 @@ def _corrupt_dataset(tmp_path, case):
         header = json.loads(path.read_text().splitlines()[0])
         header.update(objects=[], meta=dict(header["meta"], n_source=0, n_target=0))
         path.write_text(json.dumps(header) + "\n")
+    elif case == "unknown-kind-dataset":
+        header, *samples = path.read_text().splitlines()
+        path.write_text("\n".join([json.dumps(dict(json.loads(header), kind="banana")),
+                                   *samples]) + "\n")
     elif case == "version-1-dataset":
         header, *samples = map(json.loads, path.read_text().splitlines())
         for rec in samples:
@@ -272,6 +277,7 @@ BAD_CONFIGS = {
     ("out-under-a-file", cli.EXIT_IO),
     ("truncated-dataset", cli.EXIT_IO),
     ("no-objects-dataset", cli.EXIT_IO),
+    ("unknown-kind-dataset", cli.EXIT_IO),
     ("version-1-dataset", cli.EXIT_IO),
 ] + [(case, cli.EXIT_IO) for case in [*OFFSET_CUTS, *CORRUPT_SAMPLES]])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
@@ -293,6 +299,9 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert "dataset version 1, this build reads version 2; re-run gen-data" in err, err
     elif case in CORRUPT_SAMPLES:
         assert ": corrupt dataset, line 2: " in err, err
+    elif case == "unknown-kind-dataset":
+        assert "dataset.txt: corrupt dataset header: kind 'banana' is neither" in err, err
+        assert not list((tmp_path / "run").glob("*.ckpt"))
     elif case in OFFSET_CUTS:
         assert "dataset.txt: corrupt dataset header: the source and target offsets" in err, err
         assert not list((tmp_path / "run").glob("*.ckpt"))

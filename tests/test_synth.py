@@ -107,32 +107,34 @@ class TestSynthesize:
     def setup_method(self):
         self.obj = make_object("box", seed=0, n_points=64)
 
+    def observe(self, poses, dc):
+        return synthesize(raw_observation(poses, self.obj, CAM), poses, dc)
+
     def test_deterministic_for_same_pose_and_config(self):
         dc = make_domain_config(0.0, 0.0, 0.0, seed=5)
-        pose = Pose(rot_z(0.4), [0.05, 0.0, 1.2])
-        a = synthesize(pose, self.obj, CAM, dc)
-        b = synthesize(pose, self.obj, CAM, dc)
+        poses = Pose(np.stack([rot_z(0.4), rot_z(-1.3)]), [[0.05, 0.0, 1.2], [0.0, -0.1, 0.9]])
+        a = self.observe(poses, dc)
+        b = self.observe(poses, dc)
         np.testing.assert_array_equal(a, b)
-        assert a.shape == (OBS_DIM,)
+        assert a.shape == (2, OBS_DIM)
 
     def test_noise_is_pose_keyed(self):
         dc = make_domain_config(0.0, 0.1, 0.0, seed=5)
-        p1 = Pose(np.eye(3), [0.0, 0.0, 1.0])
-        p2 = Pose(np.eye(3), [0.0, 0.0, 1.1])
-        assert not np.array_equal(synthesize(p1, self.obj, CAM, dc),
-                                  synthesize(p2, self.obj, CAM, dc))
-        np.testing.assert_array_equal(synthesize(p1, self.obj, CAM, dc),
-                                      synthesize(p1, self.obj, CAM, dc))
+        poses = Pose(np.tile(np.eye(3), (3, 1, 1)), [[0.0, 0.0, 1.0], [0.0, 0.0, 1.1],
+                                                     [0.0, 0.0, 1.0]])
+        obs = self.observe(poses, dc)
+        noise = obs - self.observe(poses, make_domain_config(0.0, 0.0, 0.0, seed=5))
+        assert not np.array_equal(noise[0], noise[1])
+        np.testing.assert_array_equal(obs[0], obs[2])
+        np.testing.assert_array_equal(obs, self.observe(poses, dc))
 
     def test_depth_moves_size_channel(self):
         dc = make_domain_config(0.0, 0.0, 0.0, seed=0)
-        near = Pose(np.eye(3), [0.0, 0.0, 0.8])
-        far = Pose(np.eye(3), [0.0, 0.0, 1.6])
-        raw_near = raw_observation(near, self.obj, CAM)
-        raw_far = raw_observation(far, self.obj, CAM)
-        assert raw_near[SIZE_CHANNEL] > raw_far[SIZE_CHANNEL]
-        assert not np.array_equal(synthesize(near, self.obj, CAM, dc),
-                                  synthesize(far, self.obj, CAM, dc))
+        near_far = Pose(np.tile(np.eye(3), (2, 1, 1)), [[0.0, 0.0, 0.8], [0.0, 0.0, 1.6]])
+        raw = raw_observation(near_far, self.obj, CAM)
+        assert raw[0, SIZE_CHANNEL] > raw[1, SIZE_CHANNEL]
+        obs = self.observe(near_far, dc)
+        assert not np.array_equal(obs[0], obs[1])
 
     def test_mean_displacement_matches_offset(self):
         # Monte-Carlo oracle: averaged over poses, target minus source
@@ -142,26 +144,25 @@ class TestSynthesize:
         src = make_domain_config(0.0, noise, 0.0, seed=1)
         tgt = make_domain_config(0.9, noise, 0.0, seed=2)
         n = 200
-        diffs = []
-        for m in random_rotations(n, rng):
-            pose = Pose(m, [0.0, 0.0, rng.uniform(0.6, 1.5)])
-            diffs.append(synthesize(pose, self.obj, CAM, tgt)
-                         - synthesize(pose, self.obj, CAM, src))
-        mean_diff = np.mean(diffs, axis=0)
+        rotations = random_rotations(n, rng)
+        translations = np.zeros((n, 3))
+        translations[:, 2] = rng.uniform(0.6, 1.5, n)
+        poses = Pose(rotations, translations)
+        mean_diff = (self.observe(poses, tgt) - self.observe(poses, src)).mean(axis=0)
         # two independent noise draws: std of the mean is noise*sqrt(2/n)
         bound = 3.0 * noise * np.sqrt(2.0 / n)
         assert np.all(np.abs(mean_diff - (tgt.offset - src.offset)) < bound)
 
     def test_dropout_zeroes_coordinates(self):
         dc = make_domain_config(0.0, 0.0, 0.9, seed=3)
-        pose = Pose(np.eye(3), [0.0, 0.0, 1.0])
-        obs = synthesize(pose, self.obj, CAM, dc)
+        obs = self.observe(Pose(np.eye(3)[None], [[0.0, 0.0, 1.0]]), dc)
         assert np.count_nonzero(obs == 0.0) > OBS_DIM // 2
 
     def test_nonpositive_depth_rejected(self):
         dc = make_domain_config(0.0, 0.0, 0.0, seed=0)
+        poses = Pose(np.tile(np.eye(3), (2, 1, 1)), [[0, 0, 1.0], [0, 0, -1.0]])
         with pytest.raises(InvalidArgumentError):
-            synthesize(Pose(np.eye(3), [0, 0, -1.0]), self.obj, CAM, dc)
+            self.observe(poses, dc)
 
 
 class TestDomainConfig:
