@@ -4,9 +4,9 @@ A run directory is driven entirely by one RunConfig: dataset generation,
 per-object teacher/student training (or the ablation variants), and
 evaluation reports all derive their randomness from configured seeds.
 Each ``run_*`` command writes its files into the run directory and
-returns nothing.  The student stage writes an object's pseudo-label
-caches and round table from the rounds ``train_student`` returns, so a
-student that fails to train leaves none.
+returns nothing.  A student stage whose teacher is missing or
+incompatible writes nothing, and one whose student fails to train leaves
+that object's pseudo-label caches and round table unwritten.
 """
 
 from __future__ import annotations
@@ -75,25 +75,23 @@ def build_anchors(cfg: RunConfig, scalar=False, single=False) -> AnchorSet:
     return AnchorSet.build(*((1, 1, 1, 1) if single else counts), *ranges, a.seed)
 
 
-def build_network_config(cfg: RunConfig, obs_dim, anchors: AnchorSet,
-                         scalar=False) -> NetworkConfig:
-    """Branch sizes from the anchors; the scalar task keeps only z."""
+def build_stage(cfg: RunConfig, ds: Dataset, stage):
+    """Anchors, network config and objective of ``stage`` on ``ds``; the
+    direct-regression baseline has one anchor per branch, no classifier and
+    no correlation term, and the scalar task keeps only the z branch."""
+    scalar, baseline = ds.kind == "scalar", stage == "baseline-regression"
+    anchors = build_anchors(cfg, scalar=scalar, single=baseline)
     n = cfg.network
     n_rot, n_vx, n_vy = ((0, 0, 0) if scalar else
                          (anchors.n_rot, len(anchors.bins_vx), len(anchors.bins_vy)))
-    return NetworkConfig(obs_dim=obs_dim, n_rot=n_rot, n_vx=n_vx, n_vy=n_vy,
-                         n_z=len(anchors.bins_z), feature_dim=n.feature_dim,
-                         encoder_hidden=tuple(n.encoder_hidden), head_hidden=n.head_hidden)
-
-
-def build_objective(cfg: RunConfig, anchors: AnchorSet, stage) -> ObjectiveConfig:
-    """Loss terms of one stage; the direct-regression baseline drops the
-    classifier and the correlation term."""
-    use_cls = stage != "baseline-regression"
-    use_ctc = stage not in ("baseline-regression", "no-ctc")
-    return ObjectiveConfig(labels=cfg.scores, use_cls=use_cls,
-                           ctc_weight=cfg.train.ctc_weight if use_ctc else 0.0,
-                           target_graph=build_target_graph(anchors.bins_z, *anchors.z_range))
+    net_cfg = NetworkConfig(obs_dim=ds.obs_dim, n_rot=n_rot, n_vx=n_vx, n_vy=n_vy,
+                            n_z=len(anchors.bins_z), feature_dim=n.feature_dim,
+                            encoder_hidden=tuple(n.encoder_hidden), head_hidden=n.head_hidden)
+    objective = ObjectiveConfig(
+        labels=cfg.scores, use_cls=not baseline,
+        ctc_weight=0.0 if baseline or stage == "no-ctc" else cfg.train.ctc_weight,
+        target_graph=build_target_graph(anchors.bins_z, *anchors.z_range))
+    return anchors, net_cfg, objective
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +212,18 @@ def _ckpt_path(out_dir, stage, obj_id):
     return os.path.join(out_dir, f"{STAGES[stage]}_obj{obj_id}.ckpt")
 
 
+def load_stage(cfg: RunConfig, ds: Dataset, stage, needed_by):
+    """Object id -> network of a trained ``stage``, checked against
+    ``build_stage``; a missing checkpoint is a dependency of ``needed_by``."""
+    net_cfg, nets = build_stage(cfg, ds, stage)[1], {}
+    for i in range(len(ds.objects)):
+        path = _ckpt_path(cfg.out_dir, stage, i)
+        if not os.path.exists(path):
+            raise DependencyError(f"{needed_by} needs {path}; run --stage {stage} first")
+        nets[i] = load_checkpoint(path, expected_config=net_cfg)[0]
+    return nets
+
+
 def run_train(cfg: RunConfig, stage):
     """Train one stage for every object and write its checkpoints and
     reports.  The scalar task runs the same path as one object with only
@@ -221,23 +231,17 @@ def run_train(cfg: RunConfig, stage):
     if stage not in STAGES:
         raise InvalidArgumentError(f"unknown stage {stage!r}; choose from {tuple(STAGES)}")
     ds = load_dataset_or_fail(cfg)
+    anchors, net_cfg, objective = build_stage(cfg, ds, stage)
+    teachers = load_stage(cfg, ds, "teacher", "student stage") if stage == "student" else None
     ensure_dir(cfg.out_dir)
     save_config(os.path.join(cfg.out_dir, f"config_{stage}.json"), cfg)
-    scalar = ds.kind == "scalar"
-    anchors = build_anchors(cfg, scalar=scalar, single=stage == "baseline-regression")
-    net_cfg = build_network_config(cfg, ds.obs_dim, anchors, scalar=scalar)
-    objective = build_objective(cfg, anchors, stage)
     prefix = STAGES[stage]
     nets = {}
     for i, model in enumerate(ds.objects):
         source = ds.by_object(i, "source")
         if stage == "student":
-            tpath = _ckpt_path(cfg.out_dir, "teacher", i)
-            if not os.path.exists(tpath):
-                raise DependencyError(f"student stage needs {tpath}; run --stage teacher first")
-            teacher, _ = load_checkpoint(tpath, expected_config=net_cfg)
             nets[i], rounds = train_student(
-                teacher, source.observation, source.gt_pose,
+                teachers.pop(i), source.observation, source.gt_pose,   # freed once used
                 ds.by_object(i, "target").observation, anchors, model, ds.cam, objective,
                 cfg.train, seed=cfg.seed + 100 + i)
             write_round_reports(cfg, ds, i, rounds)
@@ -264,10 +268,7 @@ def run_eval(cfg: RunConfig, checkpoint):
     if not os.path.exists(checkpoint):
         raise DependencyError(f"checkpoint {checkpoint} not found")
     net, meta = load_checkpoint(checkpoint)
-    scalar = ds.kind == "scalar"
-    anchors = build_anchors(cfg, scalar=scalar,
-                            single=meta.get("stage") == "baseline-regression")
-    expected = build_network_config(cfg, ds.obs_dim, anchors, scalar=scalar)
+    anchors, expected, _ = build_stage(cfg, ds, meta.get("stage"))
     if net.config != expected:
         raise CheckpointIncompatibleError(
             f"checkpoint network {net.config} does not match config-derived {expected}")
@@ -296,19 +297,15 @@ def run_sweep(cfg: RunConfig, stage="teacher"):
     ds = load_dataset_or_fail(cfg)
     if ds.kind == "scalar":
         raise InvalidArgumentError("threshold sweep expects a pose dataset")
-    anchors = build_anchors(cfg)
-    net_cfg = build_network_config(cfg, ds.obs_dim, anchors)
+    anchors = build_stage(cfg, ds, stage)[0]
+    nets = load_stage(cfg, ds, stage, "sweep")
     ensure_dir(cfg.out_dir)
     # confidence + hit per target sample, pooled over objects
     per_branch_conf = {}
     hits = []
-    for i, model in enumerate(ds.objects):
-        tpath = _ckpt_path(cfg.out_dir, stage, i)
-        if not os.path.exists(tpath):
-            raise DependencyError(f"sweep needs {tpath}; run --stage {stage} first")
-        net, _ = load_checkpoint(tpath, expected_config=net_cfg)
+    for i, net in nets.items():
         poses, gt, out = predict_split(net, ds, i, "target", anchors)
-        hits.append(evaluate_pose(poses, gt, model).hit)
+        hits.append(evaluate_pose(poses, gt, ds.objects[i]).hit)
         for branch, values in confidence_scores(out).items():
             per_branch_conf.setdefault(branch, []).append(values)
     hits = np.concatenate(hits)

@@ -80,7 +80,7 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class ObjectModel:
-    """A point cloud in meters plus its diameter and discrete symmetries.
+    """A finite, nonempty point cloud in meters, its positive diameter and its symmetries.
 
     ``symmetries`` always contains the identity; additional entries are
     rotations that map the shape onto itself (finite sets only).
@@ -91,11 +91,15 @@ class ObjectModel:
     symmetries: tuple = (np.eye(3),)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise InvalidArgumentError(f"points must be (n, 3), got {pts.shape}")
+        pts, d = np.asarray(self.points, dtype=float), self.diameter
+        if pts.ndim != 2 or pts.shape[1] != 3 or not len(pts) or not np.isfinite(pts).all():
+            raise InvalidArgumentError(f"points {pts.shape} are not finite, nonempty and (n, 3)")
+        if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0 < d < np.inf:
+            raise InvalidArgumentError(f"diameter {d!r} is not a positive finite number")
         object.__setattr__(self, "points", pts)
         syms = tuple(np.asarray(s, dtype=float) for s in self.symmetries)
+        if any(s.shape != (3, 3) or not is_rotation(s) for s in syms):
+            raise InvalidArgumentError("every symmetry must be a rotation")
         if not any(np.allclose(s, np.eye(3)) for s in syms):
             syms = (np.eye(3),) + syms
         object.__setattr__(self, "symmetries", syms)
@@ -108,6 +112,13 @@ class ObjectModel:
     def from_points(cls, points, symmetries=(np.eye(3),)):
         points = np.asarray(points, dtype=float)
         return cls(points=points, diameter=point_cloud_diameter(points), symmetries=symmetries)
+
+
+def is_rotation(r):
+    """Per matrix of an (..., 3, 3) stack: finite, orthonormal within 1e-9, det +1."""
+    with np.errstate(invalid="ignore"):       # a non-finite matrix compares False
+        return ((np.abs(r @ np.swapaxes(r, -1, -2) - np.eye(3)) <= 1e-9).all(axis=(-2, -1))
+                & (np.linalg.det(r) > 0))
 
 
 def point_cloud_diameter(points):

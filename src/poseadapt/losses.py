@@ -143,8 +143,6 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
     """
     if len(sup) == 0:
         raise InvalidArgumentError("empty batch")
-    if len(model.points) == 0:
-        raise InvalidArgumentError("empty object model")
     rows = np.arange(len(sup))[:, None]
     terms = {}   # branch -> (value, gradient map of its gathered residuals, anchor rows)
     if "rot" in out.residuals:

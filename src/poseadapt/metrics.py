@@ -40,8 +40,6 @@ def evaluate_pose(pred: Pose, gt: Pose, model: ObjectModel) -> EvalRecord:
     ``HIT_FACTOR`` times the model diameter.  ADD-S is the exact mean
     closest-point distance, one pose at a time: the largest temporary is
     one pose's (3, N, N) coordinate differences."""
-    if len(model.points) == 0:
-        raise InvalidArgumentError("empty object model")
     a, b = np.broadcast_arrays(apply_pose(pred, model.points), apply_pose(gt, model.points))
     add = np.linalg.norm(a - b, axis=-1).mean(axis=-1)
     threshold = HIT_FACTOR * model.diameter

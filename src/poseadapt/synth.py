@@ -26,7 +26,6 @@ from __future__ import annotations
 import base64
 import contextlib
 import contextvars
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -39,6 +38,7 @@ from .geometry import (
     ObjectModel,
     Pose,
     farthest_point_sample,
+    is_rotation,
     point_cloud_diameter,
     random_quaternions,
     quaternions_to_matrices,
@@ -185,10 +185,9 @@ _REF_FOCAL = 600.0
 _PIX_SCALE = 200.0
 
 
-@functools.lru_cache(maxsize=None)
 def _embedding(raw_dim, obs_dim=OBS_DIM):
     """Fixed smooth embedding matrices (shared by every dataset), drawn
-    once per shape.
+    from a constant seed.
 
     The observation keeps the raw channels directly, then fills the rest
     with sinusoidal and linear mixtures: n_sin = n_lin split of whatever
@@ -201,8 +200,6 @@ def _embedding(raw_dim, obs_dim=OBS_DIM):
     a_lin = rng.standard_normal((n_lin, raw_dim)) / np.sqrt(raw_dim)
     a_sin = rng.standard_normal((n_sin, raw_dim)) * (1.5 / np.sqrt(raw_dim))
     phase = rng.uniform(0, 2 * np.pi, n_sin)
-    for a in (a_lin, a_sin, phase):
-        a.flags.writeable = False      # the cache hands the same arrays to every caller
     return a_lin, a_sin, phase
 
 
@@ -242,10 +239,12 @@ def synthesize(raw, poses: Pose, dc: DomainConfig):
         noise[i] = rng.standard_normal(width)
         if dc.dropout_prob > 0:
             uniform[i] = rng.random(width)
-    obs = clean + dc.offset + noise * dc.noise_scale
+    clean += dc.offset            # in place, in the order of clean + offset + noise * scale
+    noise *= dc.noise_scale
+    clean += noise
     if dc.dropout_prob > 0:
-        obs = np.where(uniform < dc.dropout_prob, 0.0, obs)
-    return obs
+        clean[uniform < dc.dropout_prob] = 0.0
+    return clean
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,6 @@ def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: D
 
 _DATASET_FORMAT = "poseadapt-dataset"
 _DATASET_VERSION = 2
-_ROTATION_TOL = 1e-9     # max |R R^T - I| of a stored rotation
 
 
 def _domain_cfg_dict(dc: DomainConfig):
@@ -447,7 +445,7 @@ def _parse_dataset(path, lines) -> Dataset:
         domain, obj = rec["domain"], rec["object"]
         if domain not in rows:
             raise DatasetError(f"{path}: corrupt dataset, line {n}: unknown domain {domain!r}")
-        if not isinstance(obj, int) or not 0 <= obj < len(objects):
+        if type(obj) is not int or not 0 <= obj < len(objects):
             raise DatasetError(f"{path}: corrupt dataset, line {n}: object {obj!r} is not "
                                f"one of the {len(objects)} objects")
         width = len(cfgs[domain].offset)
@@ -480,11 +478,8 @@ def _check_poses(path, line_numbers, values, gt: Pose):
     """Refuse the first row that no pose can have: a non-finite value, a
     depth at or behind the camera, or a rotation that is not orthonormal
     with determinant +1."""
-    r = gt.rotation
-    with np.errstate(invalid="ignore"):       # a non-finite row is refused below
-        orthonormal = ((np.abs(r @ r.transpose(0, 2, 1) - np.eye(3)) <= _ROTATION_TOL)
-                       .all(axis=(1, 2)) & (np.linalg.det(r) > 0))
-    why = np.select([~np.isfinite(values).all(axis=1), ~(gt.translation[:, 2] > 0), ~orthonormal],
+    why = np.select([~np.isfinite(values).all(axis=1), ~(gt.translation[:, 2] > 0),
+                     ~is_rotation(gt.rotation)],
                     ["a non-finite value", "a depth that is not positive",
                      "a rotation that is not orthonormal"], default="")
     bad = np.flatnonzero(why)

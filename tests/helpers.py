@@ -36,8 +36,6 @@ SAMPLE_RANGES = {"vx": DataConfig.vx_sample_range, "vy": DataConfig.vy_sample_ra
 
 def point_matching_distance(p, gt, model):
     """Point-set L1 distance (1/|O|) sum_x ||T x - T~ x||_1."""
-    if len(model.points) == 0:
-        raise InvalidArgumentError("empty object model")
     pts_t = model.points.T  # (3, N)
     moved = p.rotation @ pts_t + p.translation[:, None]
     gt_pts = gt.rotation @ pts_t + gt.translation[:, None]

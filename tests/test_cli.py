@@ -10,11 +10,19 @@ import pytest
 from poseadapt import cli
 from poseadapt.config import config_from_dict
 from poseadapt.errors import ConfigError
-from poseadapt.experiment import SWEEP_TAUS, build_anchors
+from poseadapt.experiment import SWEEP_TAUS, build_anchors, build_camera, build_stage
 from poseadapt.geometry import AnchorSet
+from poseadapt.losses import build_target_graph
 from poseadapt.network import load_checkpoint, save_checkpoint
+from poseadapt.synth import make_dataset, make_domain_config, make_object, make_scalar_task
 
-from helpers import decode_floats, edit_row_floats, encode_floats, write_v1_checkpoint
+from helpers import (
+    SAMPLE_RANGES,
+    decode_floats,
+    edit_row_floats,
+    encode_floats,
+    write_v1_checkpoint,
+)
 
 TINY = {
     "anchors": {"n_rot": 4, "n_vx": 3, "n_vy": 3, "n_z": 4},
@@ -187,6 +195,7 @@ CORRUPT_SAMPLES = {
     "translation-4-dataset": lambda rec: edit_row_floats(rec, "t", lambda t: t + [0.5]),
     "unknown-domain-dataset": lambda rec: rec.update(domain="tgt"),
     "object-7-dataset": lambda rec: rec.update(object=7),
+    "object-false-dataset": lambda rec: rec.update(object=False),   # not object 0
     "obs-63-dataset": lambda rec: edit_row_floats(rec, "obs", lambda obs: obs[:-1]),
     "nan-observation-dataset":
         lambda rec: edit_row_floats(rec, "obs", lambda obs: [float("nan"), *obs[1:]]),
@@ -196,6 +205,15 @@ CORRUPT_SAMPLES = {
     "obs-bytes-not-float64s-dataset":
         lambda rec: rec.update(obs=base64.b64encode(base64.b64decode(rec["obs"])[:-4]).decode()),
     "obs-not-base64-dataset": lambda rec: rec.update(obs="*" + rec["obs"][1:]),
+}
+
+
+# header cases: the first object model edited
+OBJECT_EDITS = {
+    "diameter-not-a-number-dataset": lambda od: od.update(diameter="big"),
+    "negative-diameter-dataset": lambda od: od.update(diameter=-1.0),
+    "scaled-symmetry-dataset": lambda od: od.update(symmetries=[[2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0]]),
+    "nan-point-dataset": lambda od: od["points"][0].__setitem__(0, float("nan")),
 }
 
 
@@ -209,8 +227,9 @@ OFFSET_CUTS = {
 def _corrupt_dataset(tmp_path, case):
     """A generated dataset cut in half, reduced to a header that lists no
     objects and no samples, with a header kind that is neither "pose" nor
-    "scalar", rewritten in format version 1 (decimal lists), with domain
-    widths cut as ``OFFSET_CUTS`` says, or with its first sample edited as
+    "scalar", rewritten in format version 1 (decimal lists), with its first
+    object model edited as ``OBJECT_EDITS`` says, with domain widths cut as
+    ``OFFSET_CUTS`` says, or with its first sample edited as
     ``CORRUPT_SAMPLES`` says."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))
@@ -234,6 +253,11 @@ def _corrupt_dataset(tmp_path, case):
                        pose={k: decode_floats(v) for k, v in rec["pose"].items()})
         path.write_text("".join(json.dumps(d, sort_keys=True) + "\n"
                                 for d in [dict(header, version=1), *samples]))
+    elif case in OBJECT_EDITS:
+        header, *samples = path.read_text().splitlines()
+        header = json.loads(header)
+        OBJECT_EDITS[case](header["objects"][0])
+        path.write_text("\n".join([json.dumps(header), *samples]) + "\n")
     elif case in OFFSET_CUTS:
         # the rows agree with the header: only the domains' widths are wrong
         header, *samples = map(json.loads, path.read_text().splitlines())
@@ -279,7 +303,7 @@ BAD_CONFIGS = {
     ("no-objects-dataset", cli.EXIT_IO),
     ("unknown-kind-dataset", cli.EXIT_IO),
     ("version-1-dataset", cli.EXIT_IO),
-] + [(case, cli.EXIT_IO) for case in [*OFFSET_CUTS, *CORRUPT_SAMPLES]])
+] + [(case, cli.EXIT_IO) for case in [*OBJECT_EDITS, *OFFSET_CUTS, *CORRUPT_SAMPLES]])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case.endswith("-dataset"):
         argv = _corrupt_dataset(tmp_path, case)
@@ -304,6 +328,9 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert not list((tmp_path / "run").glob("*.ckpt"))
     elif case in OFFSET_CUTS:
         assert "dataset.txt: corrupt dataset header: the source and target offsets" in err, err
+        assert not list((tmp_path / "run").glob("*.ckpt"))
+    elif case in OBJECT_EDITS:
+        assert "dataset.txt: corrupt dataset (InvalidArgumentError: " in err, err
         assert not list((tmp_path / "run").glob("*.ckpt"))
     if not case.endswith("-dataset"):
         assert not (tmp_path / "run" / "dataset.txt").exists()
@@ -360,6 +387,38 @@ def test_anchor_sets(scalar, single, counts, ranges):
     assert (got.vx_range, got.vy_range, got.z_range) == ranges
 
 
+@pytest.mark.parametrize("stage, single, use_cls, ctc", [
+    ("teacher", False, True, True),
+    ("student", False, True, True),
+    (None, False, True, True),
+    ("no-ctc", False, True, False),
+    ("baseline-regression", True, False, False),
+], ids=["teacher", "student", "missing-meta-stage", "no-ctc", "baseline-regression"])
+@pytest.mark.parametrize("scalar", [False, True], ids=["pose", "scalar"])
+def test_stage_definitions(scalar, stage, single, use_cls, ctc):
+    """``build_stage`` under ``TINY``: each stage's anchors, network branches
+    and loss terms.  A checkpoint whose meta names no stage reads as a
+    teacher; the scalar task keeps only the z branch."""
+    cfg = config_from_dict(dict(TINY, train=dict(TINY["train"], ctc_weight=2.5)))
+    dc = make_domain_config(seed=0)
+    ds = (make_scalar_task(2, 1, dc, dc, seed=0) if scalar else
+          make_dataset(2, 1, [make_object("box", seed=1, n_points=8)], build_camera(cfg), dc, dc,
+                       seed=0, sample_ranges=SAMPLE_RANGES))
+    anchors, net_cfg, objective = build_stage(cfg, ds, stage)
+    want = build_anchors(cfg, scalar=scalar, single=single)
+    for field in ("rotations", "bins_vx", "bins_vy", "bins_z"):
+        np.testing.assert_array_equal(getattr(anchors, field), getattr(want, field))
+    branches = (0, 0, 0) if scalar else (want.n_rot, len(want.bins_vx), len(want.bins_vy))
+    assert (net_cfg.n_rot, net_cfg.n_vx, net_cfg.n_vy, net_cfg.n_z) == \
+        (*branches, len(want.bins_z))
+    assert (net_cfg.obs_dim, net_cfg.feature_dim, net_cfg.encoder_hidden, net_cfg.head_hidden) == \
+        (ds.obs_dim, 8, (8,), 4)
+    assert (objective.use_cls, objective.ctc_weight) == (use_cls, 2.5 if ctc else 0.0)
+    assert objective.labels == cfg.scores
+    np.testing.assert_array_equal(objective.target_graph,
+                                  build_target_graph(want.bins_z, *want.z_range))
+
+
 @pytest.mark.parametrize("step", [["sweep-threshold"], ["train", "--stage", "student"],
                                   ["eval", "--checkpoint", "teacher_obj0.ckpt"]],
                          ids=["sweep", "student", "eval"])
@@ -414,6 +473,39 @@ def test_version_1_checkpoint_exits_with_one_line(tmp_path, capsys, step):
     assert capsys.readouterr().err == (f"error: {path}: checkpoint version 1, this build reads "
                                        "version 2; re-train\n")
     assert not list(tmp_path.glob("sweep_*.tsv")) and not list(tmp_path.glob("student_*"))
+
+
+MISSING = {
+    "train-without-dataset": (["train", "--stage", "teacher"],
+                              "dataset {out}/dataset.txt not found; run gen-data first"),
+    "student-without-teacher-1": (["train", "--stage", "student"], "student stage needs "
+                                  "{out}/teacher_obj1.ckpt; run --stage teacher first"),
+    "sweep-without-teacher": (["sweep-threshold"],
+                              "sweep needs {out}/teacher_obj0.ckpt; run --stage teacher first"),
+    "eval-of-missing-checkpoint": (["eval", "--checkpoint", "{out}/student_obj0.ckpt"],
+                                   "checkpoint {out}/student_obj0.ckpt not found"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING))
+def test_missing_dependency_exits_with_one_line(tmp_path, capsys, case):
+    """A missing dataset, teacher or checkpoint exits 3 with one line and
+    writes no file.  The student stage loads every teacher before it trains
+    any student, so a missing second teacher leaves no student file."""
+    out = tmp_path / "run"
+    argv = ["--config", write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))]
+    if case != "train-without-dataset":
+        assert cli.main(["gen-data"] + argv) == 0
+    if case == "student-without-teacher-1":
+        assert cli.main(["train", "--stage", "teacher"] + argv) == 0
+        (out / "teacher_obj1.ckpt").unlink()
+    before = sorted(tmp_path.rglob("*"))
+    step, message = MISSING[case]
+    capsys.readouterr()
+    assert cli.main([a.format(out=out) for a in step] + argv) == cli.EXIT_DEPENDENCY
+    assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
+    assert not [p.name for p in out.glob("*student_*")]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("cfg", [

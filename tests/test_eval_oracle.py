@@ -93,10 +93,9 @@ def test_single_pose_equals_its_row(kind):
 
 
 def test_empty_model_raises():
-    empty = ObjectModel(points=np.zeros((0, 3)), diameter=0.0)
-    poses = Pose(np.tile(np.eye(3), (3, 1, 1)), np.zeros((3, 3)))
-    with pytest.raises(InvalidArgumentError):
-        evaluate_pose(poses, poses, empty)
+    """A pose stack's ADD needs model points too: the model is refused when built."""
+    with pytest.raises(InvalidArgumentError, match="not finite, nonempty"):
+        ObjectModel(points=np.zeros((0, 3)), diameter=1.0)
 
 
 def test_recall_rows_match_oracle_and_mark_objects_without_samples(tmp_path):

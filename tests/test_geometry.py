@@ -358,6 +358,36 @@ class TestObjectModel:
         model = ObjectModel.from_points(np.eye(3), symmetries=(rot_z(np.pi),))
         assert any(np.allclose(s, np.eye(3)) for s in model.symmetries)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("points", np.zeros((4, 2)), "not finite, nonempty"),
+        ("points", np.zeros(3), "not finite, nonempty"),
+        ("points", [[0.0, 0.0, np.nan], [1.0, 0.0, 0.0]], "not finite, nonempty"),
+        ("diameter", "big", "diameter 'big'"),
+        ("diameter", -1.0, "diameter -1.0"),
+        ("diameter", 0, "diameter 0 "),
+        ("diameter", np.inf, "diameter inf"),
+        ("diameter", np.nan, "diameter nan"),
+        ("diameter", True, "diameter True"),
+        ("symmetries", (2.0 * np.eye(3),), "symmetry"),
+        ("symmetries", (np.diag([1.0, 1.0, -1.0]),), "symmetry"),        # a reflection
+        ("symmetries", (np.eye(3) + 2e-9,), "symmetry"),
+        ("symmetries", (np.full((3, 3), np.nan),), "symmetry"),
+        ("symmetries", (np.eye(2),), "symmetry"),
+    ], ids=["not-n-by-3", "one-dimensional", "nan-point", "diameter-string",
+            "negative-diameter", "zero-diameter", "infinite-diameter", "nan-diameter",
+            "bool-diameter", "scaled-symmetry", "reflection", "symmetry-off-by-2e-9",
+            "nan-symmetry", "2-by-2-symmetry"])
+    def test_constructor_refuses_what_no_model_has(self, field, value, match):
+        fields = {"points": np.eye(3), "diameter": 1.5, "symmetries": (np.eye(3),)}
+        with pytest.raises(InvalidArgumentError, match=match):
+            ObjectModel(**dict(fields, **{field: value}))
+
+    def test_constructor_keeps_rotations_within_the_load_tolerance(self):
+        """A symmetry off by 1e-10, as a dataset file may store it, is a
+        rotation; an integer diameter is a number."""
+        model = ObjectModel(np.eye(3), 2, (np.eye(3), rot_z(np.pi) + 1e-10))
+        assert model.is_symmetric and model.diameter == 2
+
     # object models are stored inside dataset files
 
     def test_save_load_round_trip(self, tmp_path):

@@ -23,12 +23,7 @@ import numpy as np
 import pytest
 
 from poseadapt.config import config_from_dict
-from poseadapt.experiment import (
-    build_anchors,
-    build_camera,
-    build_network_config,
-    build_objective,
-)
+from poseadapt.experiment import build_camera, build_stage
 from poseadapt.labeling import nearest_anchors
 from poseadapt.losses import (
     LOG_EPS,
@@ -37,7 +32,7 @@ from poseadapt.losses import (
     total_objective,
 )
 from poseadapt.network import LEAK, ROT6D_IDENTITY, HeadOutput, PoseNetwork
-from poseadapt.synth import OBS_DIM, make_dataset, make_domain_config, make_object, make_scalar_task
+from poseadapt.synth import make_dataset, make_domain_config, make_object, make_scalar_task
 
 import tape
 from helpers import SAMPLE_RANGES, float64_twin, nearest_bin
@@ -163,9 +158,8 @@ def setup(kind, stage, scores=None):
     else:
         ds = make_dataset(24, 1, [make_object(kind, seed=1, n_points=16)], build_camera(cfg),
                           dc, dc, seed=0, sample_ranges=SAMPLE_RANGES)
-    anchors = build_anchors(cfg, scalar=scalar, single=stage == "baseline-regression")
-    net = PoseNetwork(build_network_config(cfg, OBS_DIM, anchors, scalar=scalar), seed=0)
-    objective = build_objective(cfg, anchors, stage)
+    anchors, net_cfg, objective = build_stage(cfg, ds, stage)
+    net = PoseNetwork(net_cfg, seed=0)
     sup = prepare_batch_supervision(ds.source.gt_pose, anchors, ds.cam, objective,
                                     branches=tuple(net.config.branches()))
     return net, ds, anchors, objective, sup

@@ -75,9 +75,9 @@ class TestAdd:
             assert got[b] == pytest.approx(want, rel=1e-12)
 
     def test_empty_model(self):
-        empty = ObjectModel(points=np.zeros((0, 3)), diameter=0.0)
-        with pytest.raises(InvalidArgumentError):
-            evaluate_pose(Pose(np.eye(3), np.zeros(3)), Pose(np.eye(3), np.zeros(3)), empty)
+        """ADD needs model points: an empty model is refused when built."""
+        with pytest.raises(InvalidArgumentError, match="not finite, nonempty"):
+            ObjectModel(points=np.zeros((0, 3)), diameter=1.0)
 
 
 class TestAddS:

@@ -7,12 +7,7 @@ import pytest
 
 from poseadapt import selftrain
 from poseadapt.config import config_from_dict
-from poseadapt.experiment import (
-    build_anchors,
-    build_camera,
-    build_network_config,
-    build_objective,
-)
+from poseadapt.experiment import build_camera, build_stage
 from poseadapt.errors import InvalidArgumentError, TrainingFailureError
 from poseadapt.geometry import AnchorSet, generate_translation_bins
 from poseadapt.labeling import ScoreConfig
@@ -203,15 +198,15 @@ def test_training_leaves_no_reference_cycle(kind):
     ds = (make_scalar_task(16, 1, dc, dc, seed=0) if scalar else
           make_dataset(16, 1, [make_object(kind, seed=1, n_points=16)], build_camera(cfg),
                        dc, dc, seed=0, sample_ranges=SAMPLE_RANGES))
-    anchors = build_anchors(cfg, scalar=scalar)
-    net = PoseNetwork(build_network_config(cfg, OBS_DIM, anchors, scalar=scalar), seed=0)
+    anchors, net_cfg, objective = build_stage(cfg, ds, "teacher")
+    net = PoseNetwork(net_cfg, seed=0)
     obs, poses, _ = split_arrays(ds)
     gc.collect()
     gc.disable()
     try:
         train_supervised(net, Adam(net.flat, net.grad_buffer(), lr=1e-3), obs, poses, anchors,
-                         ds.objects[0], ds.cam, build_objective(cfg, anchors, "teacher"),
-                         epochs=2, batch_size=4, rng=np.random.default_rng(0))
+                         ds.objects[0], ds.cam, objective, epochs=2, batch_size=4,
+                         rng=np.random.default_rng(0))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -227,8 +222,8 @@ def test_training_runs_in_float32_and_predictions_leave_in_float64(monkeypatch):
     dc = make_domain_config(0.0, 0.02, 0.0, seed=1)
     ds = make_dataset(16, 1, [make_object("cylinder", seed=1, n_points=16)], build_camera(cfg),
                       dc, dc, seed=0, sample_ranges=SAMPLE_RANGES)
-    anchors = build_anchors(cfg)
-    net = PoseNetwork(build_network_config(cfg, OBS_DIM, anchors), seed=0)
+    anchors, net_cfg, objective = build_stage(cfg, ds, "teacher")
+    net = PoseNetwork(net_cfg, seed=0)
     optimizer = Adam(net.flat, net.grad_buffer(), lr=1e-3)
     seen, forward = [], net.forward
 
@@ -247,9 +242,8 @@ def test_training_runs_in_float32_and_predictions_leave_in_float64(monkeypatch):
 
     monkeypatch.setattr(net, "forward", spy)
     obs, poses, _ = split_arrays(ds)
-    train_supervised(net, optimizer, obs, poses, anchors, ds.objects[0], ds.cam,
-                     build_objective(cfg, anchors, "teacher"), epochs=1, batch_size=4,
-                     rng=np.random.default_rng(0))
+    train_supervised(net, optimizer, obs, poses, anchors, ds.objects[0], ds.cam, objective,
+                     epochs=1, batch_size=4, rng=np.random.default_rng(0))
     buffers = [net.flat, net.grad, optimizer.m, optimizer.v, optimizer.tmp]
     # 4 steps of 9 head outputs, 2 inputs to each of 9 MLPs and 9 gradients
     assert len(seen) == 4 * (9 + 18 + 9)

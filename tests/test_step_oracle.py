@@ -12,15 +12,10 @@ import numpy as np
 import pytest
 
 from poseadapt.config import config_from_dict
-from poseadapt.experiment import (
-    build_anchors,
-    build_camera,
-    build_network_config,
-    build_objective,
-)
+from poseadapt.experiment import STAGES, build_camera, build_stage
 from poseadapt.losses import prepare_batch_supervision, total_objective
 from poseadapt.network import Adam, PoseNetwork
-from poseadapt.synth import OBS_DIM, make_dataset, make_domain_config, make_object, make_scalar_task
+from poseadapt.synth import make_dataset, make_domain_config, make_object, make_scalar_task
 
 from helpers import SAMPLE_RANGES, OracleAdam
 
@@ -39,16 +34,18 @@ def pipeline_setup(stage, scalar, kind="cylinder"):
     else:
         ds = make_dataset(40, 1, [make_object(kind, seed=1, n_points=16)], build_camera(CFG),
                           dc, dc, seed=0, sample_ranges=SAMPLE_RANGES)
-    anchors = build_anchors(CFG, scalar=scalar, single=stage == "baseline-regression")
-    net = PoseNetwork(build_network_config(CFG, OBS_DIM, anchors, scalar=scalar), seed=0)
-    sup = prepare_batch_supervision(ds.source.gt_pose, anchors, ds.cam,
-                                    build_objective(CFG, anchors, stage),
+    anchors, net_cfg, objective = build_stage(CFG, ds, stage)
+    net = PoseNetwork(net_cfg, seed=0)
+    sup = prepare_batch_supervision(ds.source.gt_pose, anchors, ds.cam, objective,
                                     branches=tuple(net.config.branches()))
+    # every stage's objective; the baseline's has no correlation term, so
+    # its one-bin depth graph is never read beside these anchors
+    objectives = {s: build_stage(CFG, ds, s)[2] for s in STAGES}
 
     def loss(on, step, stage=stage):
         rows = np.arange(step * BATCH, (step + 1) * BATCH) % len(sup)
         return total_objective(on.forward(ds.source.observation[rows]), sup[rows], anchors,
-                               ds.objects[0], ds.cam, build_objective(CFG, anchors, stage)).total
+                               ds.objects[0], ds.cam, objectives[stage]).total
 
     return net, loss
 
