@@ -74,6 +74,9 @@ class CameraIntrinsics:
     cy: float = 0.0
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) < np.inf:
+                raise InvalidArgumentError(f"camera {name} {v!r} is not a finite number")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidArgumentError("focal lengths must be positive")
 

@@ -64,26 +64,28 @@ class NetworkConfig:
 
 
 class Linear:
-    """Affine layer ``x @ w + b``.  In a network, ``w`` and ``b`` are views
-    of its parameter buffer and ``gw`` and ``gb`` of its gradient buffer."""
+    """Affine layer ``x @ w + b`` with ``w`` of ``shape`` (n_in, n_out).  ``w``
+    and ``b`` view a network's parameter buffer, ``gw`` and ``gb`` its gradient buffer."""
 
-    def __init__(self, n_in, n_out, rng, w_scale=None):
-        scale = np.sqrt(2.0 / n_in) if w_scale is None else w_scale
-        self.w = rng.standard_normal((n_in, n_out)) * scale
-        self.b = np.zeros(n_out)
-        self.gw = self.gb = None
+    def __init__(self, n_in, n_out):
+        self.shape = (n_in, n_out)
+        self.w = self.b = self.gw = self.gb = None
 
 
 class MLP:
     """Linear stack with leaky-relu between layers; last layer is linear."""
 
-    def __init__(self, n_in, hidden, n_out, rng, out_scale=None):
+    def __init__(self, n_in, hidden, n_out):
         dims = [n_in, *hidden, n_out]
-        self.layers = []
-        for i in range(len(dims) - 1):
-            last = i == len(dims) - 2
-            self.layers.append(Linear(dims[i], dims[i + 1], rng,
-                                      w_scale=out_scale if last and out_scale is not None else None))
+        self.layers = [Linear(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
+
+    def draw_weights(self, rng, out_scale=None):
+        """Draw each layer's weights from ``rng`` with He scaling, the last
+        layer's with ``out_scale`` if one is given; biases stay as they are."""
+        for layer in self.layers:
+            last = layer is self.layers[-1] and out_scale is not None
+            layer.w[...] = rng.standard_normal(layer.shape) * (
+                out_scale if last else np.sqrt(2.0 / layer.shape[0]))
 
     def __call__(self, x, train):
         """The output of a batch, and each layer's input for ``backward``
@@ -143,28 +145,31 @@ class PoseNetwork:
 
     Every layer's ``w`` and ``b`` are views of ``flat``.  Training adds a
     flat gradient buffer of the same layout (``grad_buffer()``); a network
-    that only predicts never makes one.
+    that only predicts never makes one.  Without a ``seed`` every parameter
+    starts at zero, for a caller that fills ``flat`` itself.
     """
 
-    def __init__(self, config: NetworkConfig, seed):
-        self.config = config
-        rng = np.random.default_rng(seed)
-        c = config
-        self.encoder = MLP(c.obs_dim, list(c.encoder_hidden), c.feature_dim, rng)
-        self.cls_heads = {}
-        self.reg_heads = {}
-        for name, n in c.branches().items():
-            self.cls_heads[name] = MLP(c.feature_dim, [c.head_hidden], n, rng)
-            n_out = n * 6 if name == "rot" else n
-            head = MLP(c.feature_dim, [c.head_hidden], n_out, rng, out_scale=0.01)
-            if name == "rot":
-                # start every rotation residual at the identity so the 6D
-                # Gram-Schmidt map is far from its degenerate inputs
-                head.layers[-1].b[:] = np.tile(ROT6D_IDENTITY, n)
-            self.reg_heads[name] = head
-        self.flat = self._bind(np.concatenate([p.ravel() for p in self.parameters().values()],
-                                              dtype=DTYPE), "w", "b")
+    def __init__(self, config: NetworkConfig, seed=None):
+        self.config = c = config
+        self.encoder = MLP(c.obs_dim, list(c.encoder_hidden), c.feature_dim)
+        self.cls_heads = {k: MLP(c.feature_dim, [c.head_hidden], n)
+                          for k, n in c.branches().items()}
+        self.reg_heads = {k: MLP(c.feature_dim, [c.head_hidden], n * 6 if k == "rot" else n)
+                          for k, n in c.branches().items()}
+        size = sum((n + 1) * m for n, m in (layer.shape for layer in self._layers().values()))
+        self.flat = self._bind(np.zeros(size, dtype=DTYPE), "w", "b")
         self.grad = None
+        if seed is None:
+            return
+        rng = np.random.default_rng(seed)
+        self.encoder.draw_weights(rng)
+        for k in c.branches():
+            self.cls_heads[k].draw_weights(rng)
+            self.reg_heads[k].draw_weights(rng, out_scale=0.01)
+        if "rot" in self.reg_heads:
+            # start every rotation residual at the identity so the 6D
+            # Gram-Schmidt map is far from its degenerate inputs
+            self.reg_heads["rot"].layers[-1].b[:] = np.tile(ROT6D_IDENTITY, c.n_rot)
 
     # -- parameters ----------------------------------------------------------
 
@@ -180,7 +185,7 @@ class PoseNetwork:
         ``flat`` shaped as its weights and bias, in parameter order."""
         lo = 0
         for layer in self._layers().values():
-            for attr, shape in ((w, layer.w.shape), (b, layer.b.shape)):
+            for attr, shape in ((w, layer.shape), (b, layer.shape[1:])):
                 hi = lo + int(np.prod(shape))
                 setattr(layer, attr, flat[lo:hi].reshape(shape))
                 lo = hi
@@ -189,12 +194,6 @@ class PoseNetwork:
     def parameters(self):
         """Ordered name -> parameter array of every trainable parameter."""
         return {f"{name}.{k}": getattr(layer, k)
-                for name, layer in self._layers().items() for k in ("w", "b")}
-
-    def gradients(self):
-        """Name -> gradient view of ``grad_buffer()``, as ``parameters()``."""
-        self.grad_buffer()
-        return {f"{name}.{k}": getattr(layer, "g" + k)
                 for name, layer in self._layers().items() for k in ("w", "b")}
 
     def grad_buffer(self):
@@ -207,7 +206,7 @@ class PoseNetwork:
         return {k: p.copy() for k, p in self.parameters().items()}
 
     def copy(self):
-        clone = PoseNetwork(self.config, seed=0)
+        clone = PoseNetwork(self.config)
         clone.flat[...] = self.flat
         return clone
 
@@ -344,7 +343,7 @@ def load_checkpoint(path, expected_config: NetworkConfig = None):
         cfg_dict = dict(header["config"])
         cfg_dict["encoder_hidden"] = tuple(cfg_dict["encoder_hidden"])
         config = NetworkConfig(**cfg_dict)
-        net = PoseNetwork(config, seed=0)
+        net = PoseNetwork(config)
         if [(p["name"], tuple(p["shape"])) for p in header["params"]] != \
                 [(k, p.shape) for k, p in net.parameters().items()]:
             raise CheckpointIncompatibleError("parameter names do not match network config")

@@ -13,9 +13,12 @@ target-sampling law; only the observation channel differs.
 
 A ``Dataset`` holds each domain as one ``Split``: the sample ids and
 object ids (n,), the observation matrix (n, obs_dim) and the ground-truth
-``Pose`` stack, indexed by row like a ``Pose``.  The dataset file is one JSON
-header line, then one JSON line per sample, source rows first, its arrays as
-base64 float64 (little-endian); loading streams it and stacks each domain once.
+``Pose`` stack, indexed by row like a ``Pose``.  The dataset file is ASCII:
+one JSON header line, then one JSON line per split, source then target.  A
+split line holds its domain, its sample ids and object ids as lists, and
+three row-major blocks, each the base64 text of little-endian float64s:
+``obs`` (n, obs_dim), ``r`` (n, 3, 3) and ``t`` (n, 3).  Loading decodes
+each block once.
 
 Ground-truth poses of target-domain samples are evaluation-only: reading
 them outside an ``evaluation_access()`` block raises.
@@ -359,7 +362,7 @@ def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: D
 # dataset file format (versioned JSON lines)
 
 _DATASET_FORMAT = "poseadapt-dataset"
-_DATASET_VERSION = 2
+_DATASET_VERSION = 3
 
 
 def _domain_cfg_dict(dc: DomainConfig):
@@ -377,39 +380,30 @@ def _decode(text):
 
 
 def save_dataset(path, ds: Dataset):
-    """Versioned text: one JSON header line, then one JSON line per sample,
-    source rows first; a row's ``obs``, ``pose.r`` and ``pose.t`` are ``_encode``d."""
-    header = {
-        "format": _DATASET_FORMAT,
-        "version": _DATASET_VERSION,
-        "kind": ds.kind,
-        "seed": ds.seed,
-        "camera": {"fx": ds.cam.fx, "fy": ds.cam.fy, "cx": ds.cam.cx, "cy": ds.cam.cy},
-        "source_config": _domain_cfg_dict(ds.source_cfg),
-        "target_config": _domain_cfg_dict(ds.target_cfg),
-        "objects": [{
-            "kind": ds.object_kinds[i],
-            "points": ds.objects[i].points.tolist(),
-            "diameter": ds.objects[i].diameter,
-            "symmetries": [np.asarray(s).reshape(9).tolist() for s in ds.objects[i].symmetries],
-        } for i in range(len(ds.objects))],
-        "meta": ds.meta,
-    }
+    """Versioned text: one JSON header line, then one JSON line per split,
+    source then target, whose ``obs``, ``r`` and ``t`` blocks are ``_encode``d."""
+    header = {"format": _DATASET_FORMAT, "version": _DATASET_VERSION, "kind": ds.kind,
+              "seed": ds.seed, "camera": vars(ds.cam), "meta": ds.meta,
+              "source_config": _domain_cfg_dict(ds.source_cfg),
+              "target_config": _domain_cfg_dict(ds.target_cfg),
+              "objects": [{"kind": kind, "points": model.points.tolist(),
+                           "diameter": model.diameter,
+                           "symmetries": [np.asarray(s).reshape(9).tolist()
+                                          for s in model.symmetries]}
+                          for kind, model in zip(ds.object_kinds, ds.objects)]}
     with open(path, "w") as f, evaluation_access():
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for split in (ds.source, ds.target):
             gt = split.gt_pose
-            for k in range(len(split)):
-                rec = {"id": str(split.ids[k]), "domain": split.domain,
-                       "object": int(split.object_id[k]), "obs": _encode(split.observation[k]),
-                       "pose": {"r": _encode(gt.rotation[k]), "t": _encode(gt.translation[k])},
-                       "gt_eval_only": split.domain == "target"}
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
+            rec = {"domain": split.domain, "ids": split.ids.tolist(),
+                   "object": split.object_id.tolist(), "obs": _encode(split.observation),
+                   "r": _encode(gt.rotation), "t": _encode(gt.translation)}
+            f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file line by line, stacking each domain once; a
-    malformed or truncated file raises DatasetError."""
+    """Read a dataset file, decoding each split's blocks once; a malformed
+    or truncated file raises DatasetError."""
     try:
         with open(path) as f:
             return _parse_dataset(path, f)
@@ -438,50 +432,52 @@ def _parse_dataset(path, lines) -> Dataset:
     if len(shapes[0]) != 1 or shapes[0][0] == 0 or shapes[1] != shapes[0]:
         raise DatasetError(f"{path}: corrupt dataset header: the source and target offsets "
                            f"need one equal, nonzero width, got shapes {shapes[0]} and {shapes[1]}")
-    meta = header["meta"]
-    rows = {domain: ([], [], [], []) for domain in cfgs}   # ids, object ids, obs | r | t, lines
-    for n, line in enumerate(lines, start=2):
-        rec = json.loads(line)
-        domain, obj = rec["domain"], rec["object"]
-        if domain not in rows:
-            raise DatasetError(f"{path}: corrupt dataset, line {n}: unknown domain {domain!r}")
-        if type(obj) is not int or not 0 <= obj < len(objects):
-            raise DatasetError(f"{path}: corrupt dataset, line {n}: object {obj!r} is not "
-                               f"one of the {len(objects)} objects")
-        width = len(cfgs[domain].offset)
+    meta, splits = header["meta"], {}
+    for line, domain in enumerate(cfgs, start=2):     # one line per split, source then target
+        where, count = f"{path}: corrupt dataset, line {line}", meta[f"n_{domain}"]
+        text = next(lines, "")
+        if not text:
+            raise DatasetError(f"{where}: the file ends before the {domain} split")
+        rec, text = json.loads(text), None      # hold one copy of a split's text at a time
+        ids, objs, width = rec["ids"], rec["object"], len(cfgs[domain].offset)
+        if rec["domain"] != domain:
+            raise DatasetError(f"{where}: domain {rec['domain']!r}, expected {domain!r}")
+        if (len(ids), len(objs)) != (count, count):
+            raise DatasetError(f"{where}: {len(ids)} ids and {len(objs)} object ids, the "
+                               f"header says {count} {domain} samples")
+        bad = [i for i, obj in enumerate(objs)
+               if type(obj) is not int or not 0 <= obj < len(objects)]
+        if bad:
+            raise DatasetError(f"{where}: row {bad[0]}: object {objs[bad[0]]!r} is not one of "
+                               f"the {len(objects)} objects")
         try:
-            obs, r, t = (_decode(text) for text in (rec["obs"], rec["pose"]["r"], rec["pose"]["t"]))
-            if (len(obs), len(r), len(t)) != (width, 9, 3):
-                raise ValueError(f"obs, r and t need {width}, 9 and 3 values")
-        except (ValueError, TypeError) as e:      # not base64, not whole float64s, wrong width
-            raise DatasetError(f"{path}: corrupt dataset, line {n}: {e}") from e
-        for column, value in zip(rows[domain], (rec["id"], obj, np.concatenate([obs, r, t]), n)):
-            column.append(value)
-    splits = {}
-    for domain, (ids, objs, values, line_numbers) in rows.items():
-        if len(ids) != meta[f"n_{domain}"]:
-            raise DatasetError(f"{path}: {len(ids)} {domain} samples, the header says "
-                               f"{meta[f'n_{domain}']}")
-        width = len(cfgs[domain].offset)
-        values = np.array(values).reshape(-1, width + 12)
-        gt = Pose(values[:, width:width + 9].reshape(-1, 3, 3), values[:, width + 9:])
-        _check_poses(path, line_numbers, values, gt)
+            obs, r, t = (_decode(rec.pop(k)) for k in ("obs", "r", "t"))
+            if (len(obs), len(r), len(t)) != (count * width, count * 9, count * 3):
+                raise ValueError(f"obs, r and t need {count * width}, {count * 9} and "
+                                 f"{count * 3} values")
+        except (ValueError, TypeError) as e:      # not base64, not whole float64s, wrong size
+            raise DatasetError(f"{where}: {e}") from e
         splits[domain] = Split(domain, np.array(ids, dtype=str), np.array(objs, dtype=int),
-                               values[:, :width], gt)
+                               obs.reshape(-1, width), Pose(r.reshape(-1, 3, 3), t.reshape(-1, 3)))
+        _check_poses(where, splits[domain])
+    if next(lines, ""):
+        raise DatasetError(f"{path}: corrupt dataset, line 4: a line after the target split")
     return Dataset(kind=header["kind"], source=splits["source"], target=splits["target"],
                    objects=objects, object_kinds=[od["kind"] for od in header["objects"]],
                    cam=cam, source_cfg=cfgs["source"], target_cfg=cfgs["target"],
                    seed=header["seed"], meta=meta)
 
 
-def _check_poses(path, line_numbers, values, gt: Pose):
-    """Refuse the first row that no pose can have: a non-finite value, a
+def _check_poses(where, split: Split):
+    """Refuse the first row that no sample can have: a non-finite value, a
     depth at or behind the camera, or a rotation that is not orthonormal
     with determinant +1."""
-    why = np.select([~np.isfinite(values).all(axis=1), ~(gt.translation[:, 2] > 0),
-                     ~is_rotation(gt.rotation)],
+    gt = split.gt
+    finite = (np.isfinite(split.observation).all(axis=1) & np.isfinite(gt.translation).all(axis=1)
+              & np.isfinite(gt.rotation).all(axis=(1, 2)))
+    why = np.select([~finite, ~(gt.z > 0), ~is_rotation(gt.rotation)],
                     ["a non-finite value", "a depth that is not positive",
                      "a rotation that is not orthonormal"], default="")
     bad = np.flatnonzero(why)
     if bad.size:
-        raise DatasetError(f"{path}: corrupt dataset, line {line_numbers[bad[0]]}: {why[bad[0]]}")
+        raise DatasetError(f"{where}: row {bad[0]}: {why[bad[0]]}")

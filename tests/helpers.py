@@ -4,13 +4,17 @@
 regression terms stand for.  ``OracleAdam`` is the per-parameter Adam
 the fused flat update must match bit for bit.  ``float64_twin`` is a
 network's double-precision twin, for oracles that check to float64
-precision; ``write_v1_checkpoint`` writes a network in the checkpoint
-format version 1 that this build refuses.  ``nearest_bin`` is the
+precision; ``named_gradients`` names the views of a network's gradient
+buffer as ``parameters()`` names its parameters; ``write_v1_checkpoint``
+writes a network in the checkpoint format version 1 that this build
+refuses.  ``nearest_bin`` is the
 depth-class rule of the correlation term.  ``ANCHOR_RANGES`` and ``SAMPLE_RANGES`` are
 the run config's default anchor and pose sampling ranges, for tests that
 build anchors or datasets without a run config.  ``encode_floats`` and
-``decode_floats`` read and write a dataset row's float fields with the
-standard library alone, and ``edit_row_floats`` edits one of them.
+``decode_floats`` read and write the float blocks of a dataset file's
+split line with the standard library alone, and ``edit_block`` edits one
+of them; ``per_sample_records`` restates a split line as the
+one-record-per-sample lines of dataset formats 1 and 2.
 ``reference_observation`` and ``reference_scalar_observation`` synthesize
 one observation from one pose, as the package did before its synthesizer
 was batched.
@@ -94,6 +98,15 @@ def float64_twin(net):
     return twin
 
 
+def named_gradients(net):
+    """Name -> view of ``net.grad_buffer()``, cut in the order and shapes
+    of ``net.parameters()``."""
+    grad, out, lo = net.grad_buffer(), {}, 0
+    for name, p in net.parameters().items():
+        out[name], lo = grad[lo:lo + p.size].reshape(p.shape), lo + p.size
+    return out
+
+
 def write_v1_checkpoint(path, net):
     """``net`` as a checkpoint of format version 1: its magic and header,
     then the parameters as little-endian float64."""
@@ -107,7 +120,7 @@ def write_v1_checkpoint(path, net):
 
 
 def encode_floats(values):
-    """A dataset row's text for a float array: the base64 of its
+    """A dataset file's text for a float block: the base64 of its
     little-endian float64 bytes."""
     return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
@@ -118,12 +131,21 @@ def decode_floats(text):
     return list(struct.unpack(f"<{len(data) // 8}d", data))
 
 
-def edit_row_floats(rec, key, edit):
-    """Replace a dataset row's float field ``key`` ("obs", or "r" / "t" of
-    its pose) by ``edit`` of its decoded list, encoded again; returns the row."""
-    holder = rec if key == "obs" else rec["pose"]
-    holder[key] = encode_floats(edit(decode_floats(holder[key])))
+def edit_block(rec, key, edit):
+    """Replace a split line's float block ``key`` ("obs", "r" or "t") by
+    ``edit`` of its decoded list, encoded again; returns the line."""
+    rec[key] = encode_floats(edit(decode_floats(rec[key])))
     return rec
+
+
+def per_sample_records(rec, floats):
+    """The split line ``rec`` as one record per sample, the lines of
+    dataset format 1 (``floats`` is ``list``) or 2 (``encode_floats``)."""
+    n = len(rec["ids"])
+    obs, r, t = (np.reshape(decode_floats(rec[k]), (n, -1)).tolist() for k in ("obs", "r", "t"))
+    return [{"id": rec["ids"][i], "domain": rec["domain"], "object": rec["object"][i],
+             "obs": floats(obs[i]), "pose": {"r": floats(r[i]), "t": floats(t[i])},
+             "gt_eval_only": rec["domain"] == "target"} for i in range(n)]
 
 
 def _reference_keypoints(points):

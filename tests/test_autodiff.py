@@ -49,10 +49,13 @@ def check_grad(build, shape, seed=0, h=1e-6, tol=1e-6):
 
 
 def mlp_with_gradients(n_in, hidden, n_out, seed=0):
-    """A standalone MLP whose layers own their gradient arrays."""
-    mlp = MLP(n_in, hidden, n_out, np.random.default_rng(seed))
+    """A standalone float64 MLP whose layers own their parameter and
+    gradient arrays."""
+    mlp = MLP(n_in, hidden, n_out)
     for layer in mlp.layers:
+        layer.w, layer.b = np.empty(layer.shape), np.zeros(layer.shape[1])
         layer.gw, layer.gb = np.full_like(layer.w, np.nan), np.full_like(layer.b, np.nan)
+    mlp.draw_weights(np.random.default_rng(seed))
     return mlp
 
 

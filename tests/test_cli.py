@@ -19,8 +19,9 @@ from poseadapt.synth import make_dataset, make_domain_config, make_object, make_
 from helpers import (
     SAMPLE_RANGES,
     decode_floats,
-    edit_row_floats,
+    edit_block,
     encode_floats,
+    per_sample_records,
     write_v1_checkpoint,
 )
 
@@ -132,8 +133,8 @@ def test_tiny_scalar_pipeline_matches_its_golden_digest(tmp_path, capsys):
 
 
 # SHA-256 of the ``TINY`` dataset.txt that gen-data writes with seed 3
-DATASET_GOLDEN_DIGEST = "d659b8e8add1f9d948639f088dd33e6c341e7b88432a4733caa889384d4651e0"
-SCALAR_DATASET_GOLDEN_DIGEST = "cca9c2d8b9b9a56d4af30396c0fac42c6d3a09f67a4a94e92e4f1f4e6e0bc6d7"
+DATASET_GOLDEN_DIGEST = "569faf7b6338262efbeb4571551a4cd06a430e763250da910e97966d91a6ad2f"
+SCALAR_DATASET_GOLDEN_DIGEST = "b9e1782f9ba302cb93d25e69a1f48cc24e7e9b015fd838abe00131a936cbc903"
 
 
 def gen_tiny_data(tmp_path, scalar):
@@ -191,17 +192,19 @@ def test_objects_with_empty_splits(tmp_path, capsys, n_source, n_target):
             [["0", "-"], ["0", "-"]]
 
 
+# edits of the source split line; the row edits change its first sample
 CORRUPT_SAMPLES = {
-    "translation-4-dataset": lambda rec: edit_row_floats(rec, "t", lambda t: t + [0.5]),
+    "translation-4-dataset": lambda rec: edit_block(rec, "t", lambda t: t + [0.5]),
     "unknown-domain-dataset": lambda rec: rec.update(domain="tgt"),
-    "object-7-dataset": lambda rec: rec.update(object=7),
-    "object-false-dataset": lambda rec: rec.update(object=False),   # not object 0
-    "obs-63-dataset": lambda rec: edit_row_floats(rec, "obs", lambda obs: obs[:-1]),
+    "object-7-dataset": lambda rec: rec["object"].__setitem__(0, 7),
+    "object-false-dataset": lambda rec: rec["object"].__setitem__(0, False),   # not object 0
+    "short-object-list-dataset": lambda rec: rec["object"].pop(),
+    "obs-63-dataset": lambda rec: edit_block(rec, "obs", lambda obs: obs[:-1]),
     "nan-observation-dataset":
-        lambda rec: edit_row_floats(rec, "obs", lambda obs: [float("nan"), *obs[1:]]),
-    "negative-depth-dataset": lambda rec: edit_row_floats(rec, "t", lambda t: [*t[:2], -0.7]),
+        lambda rec: edit_block(rec, "obs", lambda obs: [float("nan"), *obs[1:]]),
+    "negative-depth-dataset": lambda rec: edit_block(rec, "t", lambda t: [*t[:2], -0.7, *t[3:]]),
     "scaled-rotation-dataset":
-        lambda rec: rec["pose"].update(r=encode_floats([2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0])),
+        lambda rec: edit_block(rec, "r", lambda r: [2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0, *r[9:]]),
     "obs-bytes-not-float64s-dataset":
         lambda rec: rec.update(obs=base64.b64encode(base64.b64decode(rec["obs"])[:-4]).decode()),
     "obs-not-base64-dataset": lambda rec: rec.update(obs="*" + rec["obs"][1:]),
@@ -217,6 +220,11 @@ OBJECT_EDITS = {
 }
 
 
+# header cases: the camera's fx set to a value that no camera has
+CAMERA_FX = {"nan-fx-dataset": float("nan"), "infinite-fx-dataset": float("inf"),
+             "true-fx-dataset": True}
+
+
 # header cases: the offset and every observation of each domain cut to a slice
 OFFSET_CUTS = {
     "empty-offsets-dataset": {"source": slice(0), "target": slice(0)},
@@ -225,11 +233,13 @@ OFFSET_CUTS = {
 
 
 def _corrupt_dataset(tmp_path, case):
-    """A generated dataset cut in half, reduced to a header that lists no
-    objects and no samples, with a header kind that is neither "pose" nor
-    "scalar", rewritten in format version 1 (decimal lists), with its first
-    object model edited as ``OBJECT_EDITS`` says, with domain widths cut as
-    ``OFFSET_CUTS`` says, or with its first sample edited as
+    """A generated dataset cut in half, cut after its source split line,
+    reduced to a header that lists no objects and no samples, with a
+    header kind that is neither "pose" nor "scalar", rewritten in format
+    version 1 (a line per sample, decimal lists) or 2 (a line per sample,
+    base64), with its first object model edited as ``OBJECT_EDITS`` says,
+    with its camera's fx set as ``CAMERA_FX`` says, with domain widths cut
+    as ``OFFSET_CUTS`` says, or with its source split line edited as
     ``CORRUPT_SAMPLES`` says."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))
@@ -238,6 +248,9 @@ def _corrupt_dataset(tmp_path, case):
     if case == "truncated-dataset":
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
+    elif case == "cut-after-source-dataset":
+        header, source, _ = path.read_text().splitlines()
+        path.write_text(header + "\n" + source + "\n")
     elif case == "no-objects-dataset":
         header = json.loads(path.read_text().splitlines()[0])
         header.update(objects=[], meta=dict(header["meta"], n_source=0, n_target=0))
@@ -246,33 +259,36 @@ def _corrupt_dataset(tmp_path, case):
         header, *samples = path.read_text().splitlines()
         path.write_text("\n".join([json.dumps(dict(json.loads(header), kind="banana")),
                                    *samples]) + "\n")
-    elif case == "version-1-dataset":
-        header, *samples = map(json.loads, path.read_text().splitlines())
-        for rec in samples:
-            rec.update(obs=decode_floats(rec["obs"]),
-                       pose={k: decode_floats(v) for k, v in rec["pose"].items()})
+    elif case in ("version-1-dataset", "version-2-dataset"):
+        header, *splits = map(json.loads, path.read_text().splitlines())
+        version, floats = (1, list) if case == "version-1-dataset" else (2, encode_floats)
+        samples = [row for rec in splits for row in per_sample_records(rec, floats)]
         path.write_text("".join(json.dumps(d, sort_keys=True) + "\n"
-                                for d in [dict(header, version=1), *samples]))
-    elif case in OBJECT_EDITS:
-        header, *samples = path.read_text().splitlines()
+                                for d in [dict(header, version=version), *samples]))
+    elif case in OBJECT_EDITS or case in CAMERA_FX:
+        header, *splits = path.read_text().splitlines()
         header = json.loads(header)
-        OBJECT_EDITS[case](header["objects"][0])
-        path.write_text("\n".join([json.dumps(header), *samples]) + "\n")
+        if case in CAMERA_FX:
+            header["camera"]["fx"] = CAMERA_FX[case]
+        else:
+            OBJECT_EDITS[case](header["objects"][0])
+        path.write_text("\n".join([json.dumps(header), *splits]) + "\n")
     elif case in OFFSET_CUTS:
-        # the rows agree with the header: only the domains' widths are wrong
-        header, *samples = map(json.loads, path.read_text().splitlines())
+        # the splits agree with the header: only the domains' widths are wrong
+        header, *splits = map(json.loads, path.read_text().splitlines())
         cut = OFFSET_CUTS[case]
         for domain in DOMAINS:
             dc = header[f"{domain}_config"]
             dc["offset"] = dc["offset"][cut[domain]]
-        for rec in samples:
-            edit_row_floats(rec, "obs", lambda obs: obs[cut[rec["domain"]]])
-        path.write_text("".join(json.dumps(d) + "\n" for d in [header, *samples]))
+        for rec in splits:
+            rows = np.reshape(decode_floats(rec["obs"]), (len(rec["ids"]), -1))
+            rec["obs"] = encode_floats(rows[:, cut[rec["domain"]]].ravel().tolist())
+        path.write_text("".join(json.dumps(d) + "\n" for d in [header, *splits]))
     else:
-        header, first, *rest = path.read_text().splitlines()
-        sample = json.loads(first)
-        CORRUPT_SAMPLES[case](sample)
-        path.write_text("\n".join([header, json.dumps(sample), *rest]) + "\n")
+        header, source, target = path.read_text().splitlines()
+        source = json.loads(source)
+        CORRUPT_SAMPLES[case](source)
+        path.write_text("\n".join([header, json.dumps(source), target]) + "\n")
     return ["train", "--stage", "teacher", "--config", cfg, "--scalar-task"]
 
 
@@ -300,10 +316,13 @@ BAD_CONFIGS = {
     ("negative-seed-flag", cli.EXIT_CONFIG),
     ("out-under-a-file", cli.EXIT_IO),
     ("truncated-dataset", cli.EXIT_IO),
+    ("cut-after-source-dataset", cli.EXIT_IO),
     ("no-objects-dataset", cli.EXIT_IO),
     ("unknown-kind-dataset", cli.EXIT_IO),
     ("version-1-dataset", cli.EXIT_IO),
-] + [(case, cli.EXIT_IO) for case in [*OBJECT_EDITS, *OFFSET_CUTS, *CORRUPT_SAMPLES]])
+    ("version-2-dataset", cli.EXIT_IO),
+] + [(case, cli.EXIT_IO) for case in [*OBJECT_EDITS, *CAMERA_FX, *OFFSET_CUTS,
+                                      *CORRUPT_SAMPLES]])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case.endswith("-dataset"):
         argv = _corrupt_dataset(tmp_path, case)
@@ -319,20 +338,24 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    if case == "version-1-dataset":
-        assert "dataset version 1, this build reads version 2; re-run gen-data" in err, err
+    if case in ("version-1-dataset", "version-2-dataset"):
+        assert (f"dataset version {case[8]}, this build reads version 3; re-run gen-data"
+                in err), err
     elif case in CORRUPT_SAMPLES:
         assert ": corrupt dataset, line 2: " in err, err
+    elif case == "cut-after-source-dataset":
+        assert "dataset.txt: corrupt dataset, line 3: the file ends before the target" in err, err
     elif case == "unknown-kind-dataset":
         assert "dataset.txt: corrupt dataset header: kind 'banana' is neither" in err, err
-        assert not list((tmp_path / "run").glob("*.ckpt"))
     elif case in OFFSET_CUTS:
         assert "dataset.txt: corrupt dataset header: the source and target offsets" in err, err
-        assert not list((tmp_path / "run").glob("*.ckpt"))
+    elif case in CAMERA_FX:
+        assert "dataset.txt: corrupt dataset (InvalidArgumentError: camera fx " in err, err
     elif case in OBJECT_EDITS:
         assert "dataset.txt: corrupt dataset (InvalidArgumentError: " in err, err
+    if case.endswith("-dataset"):
         assert not list((tmp_path / "run").glob("*.ckpt"))
-    if not case.endswith("-dataset"):
+    else:
         assert not (tmp_path / "run" / "dataset.txt").exists()
         assert not (tmp_path / "run" / "config.json").exists()
 

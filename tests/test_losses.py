@@ -41,6 +41,7 @@ from helpers import (
     ANCHOR_RANGES,
     float64_twin,
     matrix_to_rot6d,
+    named_gradients,
     nearest_bin,
     point_matching_distance,
     random_rotations,
@@ -552,7 +553,7 @@ class TestGradientSpotChecks:
         """Backward once, snapshot every gradient, then probe random
         parameter entries with central finite differences."""
         value_fn().backward()
-        grads = {k: g.copy() for k, g in net.gradients().items()}
+        grads = {k: g.copy() for k, g in named_gradients(net).items()}
         params = net.parameters()
         rng = np.random.default_rng(seed)
         names = list(params)

@@ -208,6 +208,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointIncompatibleError):
             load_checkpoint(path, expected_config=other)
 
+    def test_copy_and_load_draw_no_weights(self, tmp_path, monkeypatch):
+        """A copy and a loaded checkpoint take every parameter from their
+        source; neither draws initial weights."""
+        net = PoseNetwork(CFG, seed=4)
+        save_checkpoint(tmp_path / "net.ckpt", net)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        for other in (net.copy(), load_checkpoint(tmp_path / "net.ckpt")[0]):
+            np.testing.assert_array_equal(other.flat, net.flat)
+            assert other.flat.dtype == net.flat.dtype and other.flat.flags.writeable
+
     def test_copy_is_independent(self):
         net = PoseNetwork(CFG, seed=0)
         clone = net.copy()

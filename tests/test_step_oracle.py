@@ -17,7 +17,7 @@ from poseadapt.losses import prepare_batch_supervision, total_objective
 from poseadapt.network import Adam, PoseNetwork
 from poseadapt.synth import make_dataset, make_domain_config, make_object, make_scalar_task
 
-from helpers import SAMPLE_RANGES, OracleAdam
+from helpers import SAMPLE_RANGES, OracleAdam, named_gradients
 
 CFG = config_from_dict({"network": {"feature_dim": 16, "encoder_hidden": [32], "head_hidden": 8}})
 STEPS = 30
@@ -64,7 +64,8 @@ def assert_fused_matches_oracle(net, loss, unused=lambda step: set(), lr=1e-3):
         loss(net, step).backward()
         fused.step()
         loss(twin, step).backward()
-        oracle.step({k: None if k in unused(step) else g for k, g in twin.gradients().items()})
+        oracle.step({k: None if k in unused(step) else g
+                     for k, g in named_gradients(twin).items()})
         for k, p in net.parameters().items():
             assert np.array_equal(p, twin.parameters()[k]), (step, k)
 
@@ -79,7 +80,7 @@ def test_fused_adam_matches_the_oracle_on_a_network(stage, scalar):
         # gradient: a zero block in the buffer
         probe = net.copy()
         loss(probe, 0).backward()
-        unused = {k for k, g in probe.gradients().items() if not g.any()}
+        unused = {k for k, g in named_gradients(probe).items() if not g.any()}
         assert unused == classifier_parameters(net)
     assert_fused_matches_oracle(net, loss, lambda step: unused)
 
@@ -125,4 +126,4 @@ def test_observations_get_no_gradient(monkeypatch):
     monkeypatch.setattr(net.encoder, "backward", spy)
     loss(net, 0).backward()
     assert returned == [None]
-    assert all(g.any() for g in net.gradients().values())
+    assert all(g.any() for g in named_gradients(net).values())

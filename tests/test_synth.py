@@ -28,7 +28,7 @@ from poseadapt.synth import (
     synthesize,
 )
 
-from helpers import SAMPLE_RANGES, edit_row_floats, encode_floats, random_rotations
+from helpers import SAMPLE_RANGES, edit_block, encode_floats, per_sample_records, random_rotations
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 # finite float64s, with signed zeros, subnormals and +-1e308 drawn often
@@ -246,19 +246,6 @@ class TestMakeDataset:
         np.testing.assert_array_equal(back.objects[1].points, ds.objects[1].points)
         assert back.objects[1].is_symmetric
 
-    def test_files_with_box_field_still_load(self, tmp_path):
-        # dataset files used to carry a detection box per sample
-        ds = self.dataset(4, 2, seed=8)
-        path = tmp_path / "data.txt"
-        save_dataset(path, ds)
-        lines = path.read_text().splitlines()
-        old = [lines[0]] + [json.dumps(dict(json.loads(l), box=[1.0, 2.0, 3.0, 4.0]))
-                            for l in lines[1:]]
-        path.write_text("\n".join(old) + "\n")
-        back = load_dataset(path)
-        np.testing.assert_array_equal(back.source.observation, ds.source.observation)
-        np.testing.assert_array_equal(back.target.observation, ds.target.observation)
-
     @pytest.mark.parametrize("cut", ["mid-line", "line-boundary", "empty"])
     def test_truncated_file_raises_dataset_error(self, tmp_path, cut):
         ds = self.dataset(4, 2, seed=8)
@@ -272,54 +259,69 @@ class TestMakeDataset:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
-    @pytest.mark.parametrize("field, value", [
-        ("t", [0.0, 0.0, 1.0, 0.5]),
-        ("t", [0.0, 1.0]),
-        ("r", [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+    @pytest.mark.parametrize("field, edit", [
+        ("t", lambda t: [*t[:3], 0.5, *t[3:]]),
+        ("t", lambda t: t[:-1]),
+        ("r", lambda r: r[:-1]),
     ], ids=["translation-4", "translation-2", "rotation-8"])
-    def test_malformed_pose_raises_dataset_error(self, tmp_path, field, value):
+    def test_malformed_pose_raises_dataset_error(self, tmp_path, field, edit):
+        # one value more or less in the target split's translation or
+        # rotation block (file line 3)
         ds = self.dataset(4, 2, seed=8)
         path = tmp_path / "data.txt"
         save_dataset(path, ds)
         lines = path.read_text().splitlines()
-        rec = json.loads(lines[3])
-        rec["pose"][field] = encode_floats(value)
-        lines[3] = json.dumps(rec)
+        lines[2] = json.dumps(edit_block(json.loads(lines[2]), field, edit))
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetError, match="corrupt dataset, line 4: obs, r and t need"):
+        with pytest.raises(DatasetError, match="corrupt dataset, line 3: obs, r and t need "
+                                               "128, 18 and 6 values"):
             load_dataset(path)
 
     @pytest.mark.parametrize("line, edit, keep, match", [
-        (3, lambda rec: dict(rec, domain="tgt"), None, "line 4: unknown domain"),
-        (3, lambda rec: dict(rec, object=7), None, "line 4: object 7"),
-        (3, lambda rec: edit_row_floats(rec, "obs", lambda obs: obs[:-1]), None,
-         "line 4: obs, r and t need 64, 9 and 3 values"),
-        (6, lambda rec: edit_row_floats(rec, "obs", lambda obs: obs + [0.0]), None,
-         "line 7: obs, r and t need 64"),
-        (6, lambda rec: dict(rec, domain="source"), None, "5 source samples, the header says 4"),
-        (3, lambda rec: edit_row_floats(rec, "obs", lambda obs: [float("nan"), *obs[1:]]), None,
-         "line 4: a non-finite value"),
-        (3, lambda rec: edit_row_floats(rec, "t", lambda t: [*t[:2], -0.7]), None,
-         "line 4: a depth that is not positive"),
-        (5, lambda rec: dict(rec, pose=dict(rec["pose"], r=encode_floats(
-            [2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0]))), None,
-         "line 6: a rotation that is not orthonormal"),
-        (3, lambda rec: dict(rec, obs=base64.b64encode(base64.b64decode(rec["obs"])[:-4]).decode()),
-         None, "line 4: buffer size must be a multiple"),
-        (3, lambda rec: dict(rec, obs="*" + rec["obs"][1:]), None, "line 4: Only base64 data"),
+        (1, lambda rec: dict(rec, domain="tgt"), None,
+         "line 2: domain 'tgt', expected 'source'"),
+        (1, lambda rec: dict(rec, object=[0, 1, 7, 1]), None,
+         "line 2: row 2: object 7 is not one of the 2 objects"),
+        (1, lambda rec: edit_block(rec, "obs", lambda obs: obs[:-1]), None,
+         "line 2: obs, r and t need 256, 36 and 12 values"),
+        (2, lambda rec: edit_block(rec, "obs", lambda obs: obs + [0.0]), None,
+         "line 3: obs, r and t need 128"),
+        (2, lambda rec: dict(rec, domain="source"), None,
+         "line 3: domain 'source', expected 'target'"),
+        (1, lambda rec: edit_block(rec, "obs", lambda obs: [*obs[:64], float("nan"), *obs[65:]]),
+         None, "line 2: row 1: a non-finite value"),
+        (1, lambda rec: edit_block(rec, "t", lambda t: [*t[:5], -0.7, *t[6:]]), None,
+         "line 2: row 1: a depth that is not positive"),
+        (2, lambda rec: edit_block(rec, "r", lambda r: [*r[:9], 2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0]),
+         None, "line 3: row 1: a rotation that is not orthonormal"),
+        (1, lambda rec: dict(rec, obs=base64.b64encode(base64.b64decode(rec["obs"])[:-4]).decode()),
+         None, "line 2: buffer size must be a multiple"),
+        (1, lambda rec: dict(rec, obs="*" + rec["obs"][1:]), None, "line 2: Only base64 data"),
         (0, lambda header: dict(header, version=1), None,
-         "dataset version 1, this build reads version 2; re-run gen-data"),
+         "dataset version 1, this build reads version 3; re-run gen-data"),
         (0, lambda header: dict(header, meta={"n_target": 2}), None, "corrupt dataset"),
         (0, lambda header: [header], None, "corrupt dataset"),
         (0, lambda header: dict(header, objects=[], meta={"n_source": 0, "n_target": 0}), 1,
          "the header lists no objects"),
+        (1, lambda rec: dict(rec, ids=[*rec["ids"], "s000004"]), None,
+         "line 2: 5 ids and 4 object ids, the header says 4 source samples"),
+        (2, lambda rec: dict(rec, object=rec["object"][:-1]), None,
+         "line 3: 2 ids and 1 object ids, the header says 2 target samples"),
+        (1, lambda rec: dict(rec, object=[0, True, 0, 1]), None,
+         "line 2: row 1: object True is not one of the 2 objects"),
+        (0, lambda header: header, 2, "line 3: the file ends before the target split"),
+        (2, lambda rec: edit_block(rec, "t", lambda t: [*t[:3], float("nan"), *t[4:]]), None,
+         "line 3: row 1: a non-finite value"),
+        (1, lambda rec: edit_block(rec, "r", lambda r: [*r[:30], float("inf"), *r[31:]]), None,
+         "line 2: row 3: a non-finite value"),
     ], ids=["unknown-domain", "object-7", "obs-63", "target-obs-65", "target-row-as-source",
             "nan-observation", "negative-depth", "scaled-rotation", "obs-bytes-not-float64s",
             "obs-not-base64", "version-1", "no-source-count", "header-not-an-object",
-            "no-objects"])
+            "no-objects", "source-ids-5", "target-objects-1", "object-true",
+            "cut-after-source", "nan-translation-x", "infinite-rotation"])
     def test_malformed_row_raises_dataset_error(self, tmp_path, line, edit, keep, match):
-        # line 0 is the header, lines 1-4 the source split, lines 5-6 the
-        # target split (file lines 2-7); only the first ``keep`` lines are
+        # line 0 is the header, line 1 the source split (4 rows), line 2
+        # the target split (2 rows); only the first ``keep`` lines are
         # written back
         ds = self.dataset(4, 2, seed=8)
         path = tmp_path / "data.txt"
@@ -328,6 +330,33 @@ class TestMakeDataset:
         lines[line] = json.dumps(edit(json.loads(lines[line])))
         path.write_text("\n".join(lines[:keep]) + "\n")
         with pytest.raises(DatasetError, match=match):
+            load_dataset(path)
+
+    def test_file_has_one_line_per_split(self, tmp_path):
+        path = tmp_path / "data.txt"
+        save_dataset(path, self.dataset(4, 2, seed=8))
+        header, *splits = map(json.loads, path.read_text().splitlines())
+        assert header["version"] == 3
+        assert [(rec["domain"], len(rec["ids"])) for rec in splits] == [("source", 4), ("target", 2)]
+        assert all(set(rec) == {"domain", "ids", "object", "obs", "r", "t"} for rec in splits)
+
+    def test_a_line_after_the_target_split_is_refused(self, tmp_path):
+        path = tmp_path / "data.txt"
+        save_dataset(path, self.dataset(4, 2, seed=8))
+        path.write_text(path.read_text() + path.read_text().splitlines()[2] + "\n")
+        with pytest.raises(DatasetError, match="line 4: a line after the target split"):
+            load_dataset(path)
+
+    def test_a_version_2_file_is_refused(self, tmp_path):
+        """The one-line-per-sample layout of format 2 exits with a message
+        that says to re-run gen-data."""
+        path = tmp_path / "data.txt"
+        save_dataset(path, self.dataset(4, 2, seed=8))
+        header, *splits = map(json.loads, path.read_text().splitlines())
+        rows = [row for rec in splits for row in per_sample_records(rec, encode_floats)]
+        path.write_text("".join(json.dumps(d, sort_keys=True) + "\n"
+                                for d in [dict(header, version=2), *rows]))
+        with pytest.raises(DatasetError, match="dataset version 2, this build reads version 3"):
             load_dataset(path)
 
     @settings(max_examples=60, deadline=None,
