@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import experiment
 from .config import RunConfig, config_from_dict, load_config
 from .errors import (
@@ -81,14 +83,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if args.command == "gen-data":
-            experiment.run_gen_data(cfg)
-        elif args.command == "train":
-            experiment.run_train(cfg, args.stage)
-        elif args.command == "eval":
-            experiment.run_eval(cfg, args.checkpoint)
-        elif args.command == "sweep-threshold":
-            experiment.run_sweep(cfg, stage=args.stage)
+        # no floating-point warnings: a diverging run fails once, at its non-finite loss
+        with np.errstate(all="ignore"):
+            if args.command == "gen-data":
+                experiment.run_gen_data(cfg)
+            elif args.command == "train":
+                experiment.run_train(cfg, args.stage)
+            elif args.command == "eval":
+                experiment.run_eval(cfg, args.checkpoint)
+            elif args.command == "sweep-threshold":
+                experiment.run_sweep(cfg, stage=args.stage)
     except (PoseAdaptError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return next((code for cls, code in EXIT_CODES if isinstance(e, cls)), EXIT_IO)

@@ -241,7 +241,7 @@ def run_train(cfg: RunConfig, stage):
         source = ds.by_object(i, "source")
         if stage == "student":
             nets[i], rounds = train_student(
-                teachers.pop(i), source.observation, source.gt_pose,   # freed once used
+                teachers.pop(i), source.observation, source.gt_pose,   # adapted in place
                 ds.by_object(i, "target").observation, anchors, model, ds.cam, objective,
                 cfg.train, seed=cfg.seed + 100 + i)
             write_round_reports(cfg, ds, i, rounds)

@@ -139,9 +139,7 @@ class AnchorSet:
     bins_vx: np.ndarray          # pixels
     bins_vy: np.ndarray          # pixels
     bins_z: np.ndarray           # meters
-    vx_range: tuple
-    vy_range: tuple
-    z_range: tuple
+    z_range: tuple               # meters, the span of the depth graph
 
     @property
     def n_rot(self):
@@ -149,13 +147,11 @@ class AnchorSet:
 
     @classmethod
     def build(cls, n_rot, n_vx, n_vy, n_z, vx_range, vy_range, z_range, seed):
-        return cls(
-            rotations=generate_rotation_anchors(n_rot, seed),
-            bins_vx=generate_translation_bins(vx_range[0], vx_range[1], n_vx),
-            bins_vy=generate_translation_bins(vy_range[0], vy_range[1], n_vy),
-            bins_z=generate_translation_bins(z_range[0], z_range[1], n_z),
-            vx_range=tuple(vx_range), vy_range=tuple(vy_range), z_range=tuple(z_range),
-        )
+        return cls(rotations=generate_rotation_anchors(n_rot, seed),
+                   bins_vx=generate_translation_bins(vx_range[0], vx_range[1], n_vx),
+                   bins_vy=generate_translation_bins(vy_range[0], vy_range[1], n_vy),
+                   bins_z=generate_translation_bins(z_range[0], z_range[1], n_z),
+                   z_range=tuple(z_range))
 
 
 # ---------------------------------------------------------------------------

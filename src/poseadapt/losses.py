@@ -2,15 +2,16 @@
 matching, and the target-correlation graph regularizer.
 
 The supervision of a training set is one ``Supervision`` of stacked arrays
-(targets, sparse labels, neighbour sets), built once by
-``prepare_batch_supervision`` and sliced per batch.  The regression loss
-sums, for each target (rotation, v_x, v_y, z) and each of its k nearest
-anchors, the point-set L1 distance between the ground truth and the
-ground truth with only that target replaced by the anchor's prediction.
-Each distance has a closed form, so only the rotation term touches the
-model points.  The correlation regularizer pulls the batch's feature
-cosine-similarity matrix toward a precomputed graph whose entry for two
-depth bins is the cosine of their angle difference.
+(targets, sparse labels, and neighbour sets from the labels' search),
+built once by ``prepare_batch_supervision`` and sliced per batch; only a
+symmetric model's rotation is searched again per step.  The regression
+loss sums, for each target (rotation, v_x, v_y, z) and each of its k
+nearest anchors, the point-set L1 distance between the ground truth and
+the ground truth with only that target replaced by the anchor's
+prediction.  Each distance has a closed form, so only the rotation term
+touches the model points.  The correlation regularizer pulls the batch's
+feature cosine-similarity matrix toward a precomputed graph whose entry
+for two depth bins is the cosine of their angle difference.
 
 Each term (the cross-entropy, the rotation and scalar point-matching
 terms, the feature graph and the correlation distance) returns its value
@@ -87,10 +88,10 @@ class Supervision:
     """Training targets of a set of samples as stacked arrays; ``sup[rows]``
     is the supervision of a batch.
 
-    ``nearest`` holds the k nearest anchors of the scalar branches, from
-    the same search as the labels; the first z column is each row's depth
-    class.  The rotation neighbours follow the symmetry-resolved rotation,
-    which depends on the current prediction, so only their count is kept.
+    ``nearest`` holds the k nearest anchors of every branch, from the same
+    search as the labels; the first z column is each row's depth class.
+    The rotation neighbours are those of the raw ground truth; a symmetric
+    model's regression searches again from its resolved rotation.
     """
 
     rotation: np.ndarray     # (n, 3, 3)
@@ -98,8 +99,7 @@ class Supervision:
     vy: np.ndarray           # (n,) pixels
     z: np.ndarray            # (n,) meters
     labels: dict             # branch -> (n, anchors) sparse scores; empty without cls
-    nearest: dict            # "vx" / "vy" / "z" -> (n, k) anchor indices
-    k_rot: int
+    nearest: dict            # branch -> (n, k) anchor indices
 
     def __len__(self):
         return len(self.z)
@@ -107,7 +107,7 @@ class Supervision:
     def __getitem__(self, rows):
         return Supervision(self.rotation[rows], self.vx[rows], self.vy[rows], self.z[rows],
                            {name: a[rows] for name, a in self.labels.items()},
-                           {name: a[rows] for name, a in self.nearest.items()}, self.k_rot)
+                           {name: a[rows] for name, a in self.nearest.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def resolve_symmetric_gt(out: HeadOutput, gt_rot, anchors: AnchorSet, model: Obj
     """Ground-truth rotations (B, 3, 3), with symmetric models resolved to
     the variant closest to the current prediction.  A degenerate predicted
     6D rotation decodes to its bare anchor rotation, as in prediction."""
-    if not model.is_symmetric or "rot" not in out.probs:
+    if not model.is_symmetric:
         return gt_rot
     picks = np.argmax(out.probs["rot"], axis=1)
     res = out.residuals["rot"][np.arange(len(picks)), picks]
@@ -147,7 +147,8 @@ def regression_loss_batch(out: HeadOutput, sup: Supervision, anchors: AnchorSet,
     terms = {}   # branch -> (value, gradient map of its gathered residuals, anchor rows)
     if "rot" in out.residuals:
         gt_rot = resolve_symmetric_gt(out, sup.rotation, anchors, model)
-        idx = nearest_anchors(gt_rot, anchors.rotations, sup.k_rot)   # (B, k)
+        idx = (nearest_anchors(gt_rot, anchors.rotations, sup.nearest["rot"].shape[1])
+               if model.is_symmetric else sup.nearest["rot"])   # (B, k)
         res = out.residuals["rot"]
         m, m_grad = gram_schmidt(res[rows, idx])   # (B, k, 3, 3), float64
         anchor_rot, scale = anchors.rotations[idx].astype(res.dtype), 1.0 / len(model.points)
@@ -264,12 +265,10 @@ def prepare_batch_supervision(gt: Pose, anchors: AnchorSet, cam: CameraIntrinsic
               "vy": (vy, anchors.bins_vy, cfg.labels.branch("vy")),
               "z": (z, anchors.bins_z, cfg.labels.branch("z"))}
     nearest = {name: nearest_anchors(t, a, min(c.k, len(a))) for name, (t, a, c)
-               in branch.items() if name in branches and (cfg.use_cls or name != "rot")}
+               in branch.items() if name in branches}
     labels = ({name: score_vector(nearest[name], len(branch[name][1]), branch[name][2])
                for name in branches} if cfg.use_cls else {})
-    nearest.pop("rot", None)
-    return Supervision(rot, vx, vy, z, labels, nearest,
-                       k_rot=min(cfg.labels.branch("rot").k, anchors.n_rot))
+    return Supervision(rot, vx, vy, z, labels, nearest)
 
 
 def total_objective(out: HeadOutput, sup: Supervision, anchors: AnchorSet,

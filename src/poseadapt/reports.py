@@ -63,11 +63,8 @@ def write_sweep(path, rows):
 
 def write_loss_curve(path, stats):
     """Per-epoch total/cls/reg/corr losses from a TrainStats."""
-    rows = []
-    for i, total in enumerate(stats.epoch_losses):
-        cls_v, reg_v, corr_v = stats.epoch_breakdown[i]
-        rows.append((i, total, cls_v, reg_v, corr_v))
-    _write_rows(path, ("epoch", "total", "cls", "reg", "corr"), rows)
+    _write_rows(path, ("epoch", "total", "cls", "reg", "corr"),
+                [(i, *row) for i, row in enumerate(stats.epochs)])
 
 
 def write_pseudo_cache(path, ids, poses, confidence, round_index):

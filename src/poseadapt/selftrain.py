@@ -8,8 +8,9 @@ easy samples enter first.
 
 Everything here works on arrays of one object's split: observations
 (n, obs_dim), a ``Pose`` stack of n labels, confidences (n,) and the
-selected rows as an index array.  ``train_student`` returns each round's
-labels, confidences and selection as a ``RoundStats``; sample ids,
+selected rows as an index array.  ``train_student`` adapts the teacher's
+network in place into the student and returns each round's labels,
+confidences and selection as a ``RoundStats``; sample ids,
 evaluation-only ground truth and report files stay with the caller.
 ``TrainConfig`` is the ``train`` section of the run config, read as it is.
 """
@@ -73,12 +74,11 @@ def select_samples(confidence, tau):
 
 @dataclass
 class TrainStats:
-    epoch_losses: list = field(default_factory=list)
-    epoch_breakdown: list = field(default_factory=list)  # (cls, reg, corr) per epoch
+    epochs: list = field(default_factory=list)   # (total, cls, reg, corr) mean losses per epoch
 
     @property
     def final_loss(self):
-        return self.epoch_losses[-1] if self.epoch_losses else None
+        return self.epochs[-1][0] if self.epochs else None
 
 
 def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchors: AnchorSet,
@@ -112,8 +112,7 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
             optimizer.step()
             losses.append(value)
             parts.append((breakdown.cls_value, breakdown.reg_value, breakdown.corr_value))
-        stats.epoch_losses.append(float(np.mean(losses)))
-        stats.epoch_breakdown.append(tuple(np.mean(parts, axis=0)))
+        stats.epochs.append((float(np.mean(losses)), *np.mean(parts, axis=0)))
         if np.isfinite(net.flat).all():
             snapshot = net.state_arrays()
     return stats
@@ -154,20 +153,20 @@ def train_student(teacher: PoseNetwork, source_obs, source_poses: Pose, target_o
                   objective: ObjectiveConfig, cfg: TrainConfig, seed):
     """Self-training rounds: annotate, select by threshold, fit the student.
 
-    The student starts as a copy of the teacher.  Round 0 is annotated by
-    the teacher, later rounds by the current student.  Each round trains
-    on the source split plus the selected target rows with their pseudo
-    poses.  Returns the student and one ``RoundStats`` per round.
+    The student is the teacher's network, adapted in place: the caller
+    hands the teacher over, and passes a copy if it needs the teacher
+    afterwards.  Each round is annotated by the network as it stands, so
+    round 0 by the teacher, and trains on the source split plus the
+    selected target rows with their pseudo poses.  Returns the student and
+    one ``RoundStats`` per round.
     """
-    student = teacher.copy()
-    rounds_stats = []
+    student, rounds_stats = teacher, []
     if cfg.rounds == 0:
         return student, rounds_stats
     optimizer = Adam(student.flat, student.grad_buffer(), lr=cfg.lr_student)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57D]))
     for r in range(cfg.rounds):
-        poses, confidence = pseudo_label(teacher if r == 0 else student, target_obs,
-                                         anchors, cam)
+        poses, confidence = pseudo_label(student, target_obs, anchors, cam)
         tau = threshold_schedule(r, cfg)
         selected = select_samples(confidence, tau)
         train_supervised(student, optimizer, np.concatenate([source_obs, target_obs[selected]]),

@@ -186,10 +186,10 @@ def test_rotation_loss_decodes_the_matrices_of_prediction():
     n, k = 300, 3
     gt = random_rotations(n, rng)
     res = awkward_rot6d(rng, n * 6).reshape(n, 6, 6)
-    sup = Supervision(gt, np.zeros(n), np.zeros(n), np.ones(n), {}, {}, k_rot=k)
+    idx = nearest_anchors(gt, anchors.rotations, k)
+    sup = Supervision(gt, np.zeros(n), np.zeros(n), np.ones(n), {}, {"rot": idx})
     out = HeadOutput(probs={}, residuals={"rot": res}, feature=np.zeros((n, 1)))
     got, _ = regression_loss_batch(out, sup, anchors, model, CAM)
-    idx = nearest_anchors(gt, anchors.rotations, k)
     m = rot6d_to_matrix(res[np.arange(n)[:, None], idx])
     moved = (m @ anchors.rotations[idx] - gt[:, None]) @ model.points.T
     want = (np.abs(moved).sum(axis=-2).sum(axis=-1) * (1.0 / len(model.points))).sum(axis=-1)

@@ -202,7 +202,7 @@ class TestComposePose:
 
     def test_known_arithmetic(self):
         anchors = AnchorSet(np.eye(3)[None], np.array([10.0]), np.array([0.0]),
-                            np.array([1.025]), *ANCHOR_RANGES)
+                            np.array([1.025]), ANCHOR_RANGES[2])
         _, t = compose((0, 0, 0, 0), ([1, 0, 0, 0, 1, 0], 2.0, 0.0, -0.01), anchors)
         assert t[2] == pytest.approx(1.015)
         # x uses the composed z: (10 + 2) * z / fx
@@ -210,7 +210,7 @@ class TestComposePose:
 
     def test_vx_example(self):
         anchors = AnchorSet(np.eye(3)[None], np.array([10.0]), np.array([0.0]),
-                            np.array([1.0]), *ANCHOR_RANGES)
+                            np.array([1.0]), ANCHOR_RANGES[2])
         _, t = compose((0, 0, 0, 0), ([1, 0, 0, 0, 1, 0], 2.0, 0.0, 0.0), anchors)
         assert t[0] == pytest.approx(0.02)
 

@@ -95,13 +95,20 @@ def tape_rot6d_to_matrix(r6):
     return tape.stack([b1, b2, tape.cross(b1, b2)], axis=-1)
 
 
-def tape_regression(out, sup, anchors, model, cam):
+def rotation_k(anchors, cfg):
+    """The rotation neighbours of each row: the label k, at most every anchor."""
+    return min(cfg.labels.branch("rot").k, anchors.n_rot)
+
+
+def tape_regression(out, sup, anchors, model, cam, k_rot):
+    """The regression loss, each row's rotation neighbours searched afresh
+    from its (resolved) ground truth, whatever the model."""
     terms = []
     if "rot" in out.residuals:
         values = HeadOutput({k: p.data for k, p in out.probs.items()},
                             {k: r.data for k, r in out.residuals.items()}, out.feature.data)
         gt_rot = resolve_symmetric_gt(values, sup.rotation, anchors, model)
-        idx = nearest_anchors(gt_rot, anchors.rotations, sup.k_rot)
+        idx = nearest_anchors(gt_rot, anchors.rotations, k_rot)
         res = tape.gather_rows(out.residuals["rot"], idx)
         rot = tape.matmul(tape_rot6d_to_matrix(res), anchors.rotations[idx])
         moved = tape.absolute(tape.matmul(tape.sub(rot, gt_rot[:, None]), model.points.T))
@@ -121,7 +128,7 @@ def tape_regression(out, sup, anchors, model, cam):
 
 def tape_objective(out, sup, anchors, model, cam, cfg):
     """The total objective and its (cls, reg, corr) parts over the tape."""
-    per_sample = tape_regression(out, sup, anchors, model, cam)
+    per_sample = tape_regression(out, sup, anchors, model, cam, rotation_k(anchors, cfg))
     parts = [0.0, float(per_sample.data.mean()), 0.0]
     if cfg.use_cls:
         cls = reduce(tape.add, [
@@ -165,10 +172,10 @@ def setup(kind, stage, scores=None):
     return net, ds, anchors, objective, sup
 
 
-def zero_a_supervised_rotation_anchor(net, anchors, sup):
+def zero_a_supervised_rotation_anchor(net, anchors, objective, sup):
     """Zero the 6D residual of one anchor that the first sample supervises,
     so its decode is degenerate."""
-    j = nearest_anchors(sup.rotation[:1], anchors.rotations, sup.k_rot)[0, 0]
+    j = nearest_anchors(sup.rotation[:1], anchors.rotations, rotation_k(anchors, objective))[0, 0]
     last = net.reg_heads["rot"].layers[-1]
     last.w[:, 6 * j:6 * j + 6] = 0.0
     last.b[6 * j:6 * j + 6] = 0.0
@@ -205,7 +212,7 @@ def check_against_tape(case, dtype, tolerance, parts_rtol, parts_atol=0.0):
     kind, stage, batch, scores, degenerate = CASES[case]
     net, ds, anchors, objective, sup = setup(kind, stage, scores)
     if degenerate:
-        zero_a_supervised_rotation_anchor(net, anchors, sup)
+        zero_a_supervised_rotation_anchor(net, anchors, objective, sup)
     if dtype == np.float64:
         net = float64_twin(net)
     assert net.flat.dtype == dtype
@@ -216,7 +223,8 @@ def check_against_tape(case, dtype, tolerance, parts_rtol, parts_atol=0.0):
 
     out = net.forward(obs)
     if degenerate:
-        idx = nearest_anchors(batch_sup.rotation, anchors.rotations, sup.k_rot)
+        idx = nearest_anchors(batch_sup.rotation, anchors.rotations,
+                              rotation_k(anchors, objective))
         assert degenerate_rows(out.residuals["rot"][rows[:, None], idx]).any()
     bd = total_objective(out, batch_sup, anchors, model, ds.cam, objective)
     bd.total.backward()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from poseadapt import losses
+from poseadapt.config import config_from_dict
 from poseadapt.errors import (
     DegenerateFeatureError,
     InvalidArgumentError,
@@ -20,7 +22,8 @@ from poseadapt.geometry import (
     pose_targets,
     rot6d_to_matrix,
 )
-from poseadapt.labeling import ScoreConfig
+from poseadapt.experiment import build_camera, build_stage
+from poseadapt.labeling import ScoreConfig, nearest_anchors
 from poseadapt.losses import (
     LOG_EPS,
     ObjectiveConfig,
@@ -35,10 +38,11 @@ from poseadapt.losses import (
     total_objective,
 )
 from poseadapt.network import ROT6D_IDENTITY, NetworkConfig, PoseNetwork
-from poseadapt.synth import make_object
+from poseadapt.synth import make_dataset, make_domain_config, make_object
 
 from helpers import (
     ANCHOR_RANGES,
+    SAMPLE_RANGES,
     float64_twin,
     matrix_to_rot6d,
     named_gradients,
@@ -289,8 +293,8 @@ class TestRegressionLoss:
         # default labels: k = 4 for rotation, 7 for each translation branch
         sup = prepare_batch_supervision(Pose.stack(gt), anchors, CAM,
                                         objective(anchors, ScoreConfig(), use_cls=False))
-        assert sup.k_rot == 3 and sup.labels == {}
-        assert [sup.nearest[name].shape[1] for name in ("vx", "vy", "z")] == [2, 5, 6]
+        assert sup.labels == {}
+        assert [sup.nearest[name].shape[1] for name in ("rot", "vx", "vy", "z")] == [3, 2, 5, 6]
         got, _ = regression_loss_batch(out, sup, anchors, self.model, CAM)
         for b in range(3):
             want = brute_force_regression_loss(out, b, gt[b], anchors, self.model, CAM,
@@ -520,6 +524,51 @@ class TestTotalObjective:
             bd = total_objective(out, supervision(gt, self.anchors), self.anchors,
                                  self.model, CAM, self.cfg)
             assert bd.cls_value >= 0 and bd.reg_value >= 0 and bd.corr_value >= 0
+
+
+def pipeline_stage(kind, stage):
+    """One object's dataset, the anchors, objective and a network of
+    ``stage``, as ``run_train`` builds them, and the source supervision."""
+    cfg = config_from_dict({"network": {"feature_dim": 16, "encoder_hidden": [32],
+                                        "head_hidden": 8}})
+    dc = make_domain_config(0.0, 0.02, 0.0, seed=1)
+    ds = make_dataset(16, 1, [make_object(kind, seed=1, n_points=16)], build_camera(cfg),
+                      dc, dc, seed=0, sample_ranges=SAMPLE_RANGES)
+    anchors, net_cfg, objective = build_stage(cfg, ds, stage)
+    sup = prepare_batch_supervision(ds.source.gt_pose, anchors, ds.cam, objective)
+    return ds, anchors, PoseNetwork(net_cfg, seed=0), objective, sup
+
+
+class TestNeighbourSearches:
+    @pytest.mark.parametrize("kind, searches", [("box", 0), ("cylinder", 1), ("blob", 0)])
+    def test_only_a_symmetric_model_searches_per_step(self, monkeypatch, kind, searches):
+        """A step reads the rotation neighbours of the training set's
+        search; only the cylinder, whose resolved ground truth follows the
+        prediction, searches again."""
+        ds, anchors, net, objective, sup = pipeline_stage(kind, "teacher")
+        assert ds.objects[0].is_symmetric == (kind == "cylinder")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return nearest_anchors(*args)
+
+        monkeypatch.setattr(losses, "nearest_anchors", counting)
+        total_objective(net.forward(ds.source.observation[:8]), sup[:8], anchors, ds.objects[0],
+                        ds.cam, objective)
+        assert len(calls) == searches
+
+    @pytest.mark.parametrize("kind", ["box", "cylinder"])
+    def test_rotation_neighbours_are_those_of_the_ground_truth(self, kind):
+        """The supervision keeps the labels' k nearest rotation anchors of
+        the raw ground truth; the baseline's one anchor is every row's
+        neighbour."""
+        ds, anchors, _, objective, sup = pipeline_stage(kind, "teacher")
+        rotation, k = ds.source.gt_pose.rotation, objective.labels.branch("rot").k
+        np.testing.assert_array_equal(sup.nearest["rot"],
+                                      nearest_anchors(rotation, anchors.rotations, k))
+        sup = pipeline_stage(kind, "baseline-regression")[4]
+        np.testing.assert_array_equal(sup.nearest["rot"], np.zeros((len(rotation), 1)))
 
 
 class TestRot6dTensorPath:

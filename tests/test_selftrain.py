@@ -80,7 +80,7 @@ def scalar_setup():
                           make_domain_config(0.7, 0.02, 0.0, seed=2), seed=0)
     anchors = AnchorSet(rotations=np.eye(3)[None], bins_vx=np.zeros(1),
                         bins_vy=np.zeros(1), bins_z=generate_translation_bins(0.5, 1.0, 4),
-                        vx_range=(-1.0, 1.0), vy_range=(-1.0, 1.0), z_range=(0.5, 1.0))
+                        z_range=(0.5, 1.0))
     teacher = PoseNetwork(NetworkConfig(obs_dim=OBS_DIM, n_rot=0, n_vx=0, n_vy=0, n_z=4,
                                         feature_dim=8, encoder_hidden=(8,), head_hidden=4),
                           seed=0)
@@ -114,13 +114,14 @@ def test_empty_selection_round_trains_on_source_only(monkeypatch):
     cfg = TrainConfig(tau_start=1.0, tau_end=1.0, rounds=1, student_epochs=1)
     calls = record_training_sets(monkeypatch)
     source_obs, source_poses, target_obs = split_arrays(ds)
+    before = teacher.state_arrays()
     student, rounds = train_student(teacher, source_obs, source_poses, target_obs, anchors,
                                     ds.objects[0], ds.cam, objective, cfg, seed=0)
     assert len(rounds) == 1
     assert len(rounds[0].confidence) == len(rounds[0].poses) == 4
     assert len(rounds[0].selected) == 0
     assert [(len(obs), len(poses)) for obs, poses in calls] == [(8, 8)]
-    before, after = teacher.state_arrays(), student.state_arrays()
+    after = student.state_arrays()
     assert any(not np.array_equal(before[k], after[k]) for k in before)
 
 
@@ -129,6 +130,7 @@ def test_selected_rows_join_the_source_with_their_pseudo_poses(monkeypatch):
     cfg = TrainConfig(tau_start=0.3, tau_end=0.2, rounds=2, student_epochs=1)
     calls = record_training_sets(monkeypatch)
     source_obs, source_poses, target_obs = split_arrays(ds)
+    before = teacher.copy()
     _, rounds = train_student(teacher, source_obs, source_poses, target_obs, anchors,
                               ds.objects[0], ds.cam, objective, cfg, seed=0)
     assert [r.round_index for r in rounds] == [0, 1]
@@ -142,8 +144,25 @@ def test_selected_rows_join_the_source_with_their_pseudo_poses(monkeypatch):
         np.testing.assert_array_equal(poses.translation[:8], source_poses.translation)
         np.testing.assert_array_equal(poses.translation[8:], r.poses.translation[r.selected])
     # the first round's labels come from the teacher
-    want_poses, want_conf = selftrain.pseudo_label(teacher, target_obs, anchors, ds.cam)
+    want_poses, want_conf = selftrain.pseudo_label(before, target_obs, anchors, ds.cam)
     np.testing.assert_array_equal(rounds[0].poses.z, want_poses.z)
+    np.testing.assert_array_equal(rounds[0].confidence, want_conf)
+
+
+def test_student_is_the_teacher_network_adapted_in_place():
+    """``train_student`` trains the network it is handed and returns it;
+    round 0 is labelled by that network before any student step."""
+    ds, anchors, teacher, objective = scalar_setup()
+    cfg = TrainConfig(tau_start=0.3, tau_end=0.2, rounds=2, student_epochs=1)
+    source_obs, source_poses, target_obs = split_arrays(ds)
+    before = teacher.copy()
+    student, rounds = train_student(teacher, source_obs, source_poses, target_obs, anchors,
+                                    ds.objects[0], ds.cam, objective, cfg, seed=0)
+    assert student is teacher
+    assert not np.array_equal(student.flat, before.flat)
+    want_poses, want_conf = selftrain.pseudo_label(before, target_obs, anchors, ds.cam)
+    np.testing.assert_array_equal(rounds[0].poses.rotation, want_poses.rotation)
+    np.testing.assert_array_equal(rounds[0].poses.translation, want_poses.translation)
     np.testing.assert_array_equal(rounds[0].confidence, want_conf)
 
 
