@@ -105,9 +105,6 @@ def config_from_dict(d) -> RunConfig:
     kw = {}
     for name, cls in _SECTION_TYPES.items():
         section = d.pop(name, {})
-        if isinstance(section, cls):
-            kw[name] = section
-            continue
         if not isinstance(section, dict):
             raise ConfigError(f"section {name!r} must be an object")
         kw[name] = _coerce(cls, section)

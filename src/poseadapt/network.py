@@ -349,7 +349,9 @@ def load_checkpoint(path, expected_config: NetworkConfig = None):
             raise CheckpointIncompatibleError("parameter names do not match network config")
         if header["dtype"] != _CKPT_DTYPE:
             raise ValueError(f"parameter dtype {header['dtype']}, not {_CKPT_DTYPE}")
-        net.flat[...] = np.frombuffer(raw, dtype=_CKPT_DTYPE, count=net.flat.size, offset=offset)
+        if len(raw) - offset != net.flat.nbytes:
+            raise ValueError(f"{len(raw) - offset} parameter bytes, expected {net.flat.nbytes}")
+        net.flat[...] = np.frombuffer(raw, dtype=_CKPT_DTYPE, offset=offset)
         meta = header.get("meta", {})
         if not isinstance(meta, dict):
             raise ValueError(f"meta {meta!r} is not an object")

@@ -85,8 +85,9 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
                      model: ObjectModel, cam: CameraIntrinsics,
                      objective: ObjectiveConfig, epochs, batch_size, rng) -> TrainStats:
     """Minimize the total objective over observations (n, obs_dim) labeled
-    by a stack of n poses; deterministic for a fixed RNG state.  Non-finite
-    loss raises TrainingFailureError carrying the last finite parameter
+    by a stack of n poses; deterministic for a fixed RNG state.  A
+    non-finite loss, or a non-finite Adam second moment at an epoch's end,
+    raises TrainingFailureError carrying the last finite parameter
     snapshot."""
     stats = TrainStats()
     n = len(obs)
@@ -113,6 +114,9 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
             losses.append(value)
             parts.append((breakdown.cls_value, breakdown.reg_value, breakdown.corr_value))
         stats.epochs.append((float(np.mean(losses)), *np.mean(parts, axis=0)))
+        if not np.isfinite(optimizer.v).all():      # float32 g * g overflowed
+            raise TrainingFailureError("training diverged: non-finite Adam second moment",
+                                       snapshot=snapshot)
         if np.isfinite(net.flat).all():
             snapshot = net.state_arrays()
     return stats

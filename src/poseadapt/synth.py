@@ -11,14 +11,16 @@ channel both tasks share, in one batch; only the noise and dropout draw,
 keyed by each row's pose, loops over rows.  Source and target share the
 target-sampling law; only the observation channel differs.
 
-A ``Dataset`` holds each domain as one ``Split``: the sample ids and
-object ids (n,), the observation matrix (n, obs_dim) and the ground-truth
-``Pose`` stack, indexed by row like a ``Pose``.  The dataset file is ASCII:
-one JSON header line, then one JSON line per split, source then target.  A
-split line holds its domain, its sample ids and object ids as lists, and
+A ``Dataset`` holds each domain as one ``Split``: the sample ids (n,),
+the observation matrix (n, obs_dim) and the ground-truth ``Pose`` stack,
+indexed by row like a ``Pose``.  Row order alone says which object a row
+shows and what it is called: with K objects, row j of a split shows
+object j mod K and is named ``<d>{j:06d}``, d the domain's initial.  The
+dataset file (format 4) is ASCII: one JSON header line, then one JSON
+line per split, source then target.  A split line holds its domain and
 three row-major blocks, each the base64 text of little-endian float64s:
-``obs`` (n, obs_dim), ``r`` (n, 3, 3) and ``t`` (n, 3).  Loading decodes
-each block once.
+``obs`` (n, obs_dim), ``r`` (n, 3, 3) and ``t`` (n, 3); n is the header's
+sample count.  Loading decodes each block once.
 
 Ground-truth poses of target-domain samples are evaluation-only: reading
 them outside an ``evaluation_access()`` block raises.
@@ -66,14 +68,13 @@ def evaluation_access():
 
 @dataclass
 class Split:
-    """One domain's samples as stacked arrays: ``ids`` and ``object_id``
-    (n,), ``observation`` (n, obs_dim) and the ground-truth pose stack
-    ``gt``.  ``len(split)`` and ``split[rows]`` follow the leading axis; an
-    int row is one sample, with an (obs_dim,) observation and one ``Pose``."""
+    """One domain's samples as stacked arrays: ``ids`` (n,), ``observation``
+    (n, obs_dim) and the ground-truth pose stack ``gt``.  ``len(split)`` and
+    ``split[rows]`` follow the leading axis; an int row is one sample, with
+    an (obs_dim,) observation and one ``Pose``."""
 
     domain: str                  # "source" | "target"
     ids: np.ndarray
-    object_id: np.ndarray
     observation: np.ndarray
     gt: Pose = field(repr=False)
 
@@ -81,8 +82,7 @@ class Split:
         return len(self.ids)
 
     def __getitem__(self, rows):
-        return Split(self.domain, self.ids[rows], self.object_id[rows],
-                     self.observation[rows], self.gt[rows])
+        return Split(self.domain, self.ids[rows], self.observation[rows], self.gt[rows])
 
     @property
     def gt_pose(self) -> Pose:
@@ -90,6 +90,12 @@ class Split:
         if self.domain == "target" and not _EVAL_ACCESS.get():
             raise GroundTruthAccessError("target-domain ground truth is evaluation-only")
         return self.gt
+
+
+def _split(domain, observation, gt: Pose) -> Split:
+    """A whole split of one domain, its rows named ``<d>{j:06d}``."""
+    ids = np.array([f"{domain[0]}{j:06d}" for j in range(len(observation))], dtype=str)
+    return Split(domain, ids, observation, gt)
 
 
 @dataclass(frozen=True)
@@ -107,9 +113,6 @@ class DomainConfig:
             raise InvalidArgumentError("noise scale must be >= 0")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise InvalidArgumentError("dropout probability must be in [0, 1]")
-
-
-SIZE_CHANNEL = 2 * N_KEYPOINTS  # the apparent-size coordinate of pose observations
 
 
 def make_domain_config(offset_scale=0.0, noise_scale=0.0, dropout_prob=0.0,
@@ -268,8 +271,9 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def by_object(self, object_id, domain):
+        """Object ``object_id``'s rows of one split, as views: every K-th row."""
         split = {"source": self.source, "target": self.target}[domain]
-        return split[split.object_id == object_id]
+        return split[object_id::len(self.objects)]
 
     @property
     def obs_dim(self):
@@ -277,20 +281,17 @@ class Dataset:
 
 
 def _generate(kind, n_source, n_target, objects, cfgs, draw, raw, meta, **fields):
-    """Both splits, source first, objects assigned round-robin.  ``draw(n)``
+    """Both splits, source first, row j showing object j mod K.  ``draw(n)``
     draws the ground-truth pose stack of n samples, and ``raw(poses,
     object_id)`` gives the raw channels of one object's pose stack."""
     if n_source < 1 or n_target < 1:
         raise InvalidArgumentError("need at least one sample per domain")
-    splits = []
+    splits, n_obj = [], len(objects)
     for domain, n, dc in zip(("source", "target"), (n_source, n_target), cfgs):
-        gt, obj = draw(n), np.arange(n) % len(objects)
-        obs = np.empty((n, len(dc.offset)))
-        for k in range(len(objects)):
-            rows = obj == k
-            obs[rows] = synthesize(raw(gt[rows], k), gt[rows], dc)
-        ids = np.array([f"{domain[0]}{i:06d}" for i in range(n)], dtype=str)
-        splits.append(Split(domain, ids, obj, obs, gt))
+        gt, obs = draw(n), np.empty((n, len(dc.offset)))
+        for k in range(n_obj):
+            obs[k::n_obj] = synthesize(raw(gt[k::n_obj], k), gt[k::n_obj], dc)
+        splits.append(_split(domain, obs, gt))
     return Dataset(kind, *splits, objects=list(objects), source_cfg=cfgs[0],
                    target_cfg=cfgs[1], meta={"n_source": n_source, "n_target": n_target, **meta},
                    **fields)
@@ -362,7 +363,7 @@ def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: D
 # dataset file format (versioned JSON lines)
 
 _DATASET_FORMAT = "poseadapt-dataset"
-_DATASET_VERSION = 3
+_DATASET_VERSION = 4
 
 
 def _domain_cfg_dict(dc: DomainConfig):
@@ -395,10 +396,10 @@ def save_dataset(path, ds: Dataset):
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for split in (ds.source, ds.target):
             gt = split.gt_pose
-            rec = {"domain": split.domain, "ids": split.ids.tolist(),
-                   "object": split.object_id.tolist(), "obs": _encode(split.observation),
+            rec = {"domain": split.domain, "obs": _encode(split.observation),
                    "r": _encode(gt.rotation), "t": _encode(gt.translation)}
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+            json.dump(rec, f, sort_keys=True)
+            f.write("\n")
 
 
 def load_dataset(path) -> Dataset:
@@ -439,17 +440,9 @@ def _parse_dataset(path, lines) -> Dataset:
         if not text:
             raise DatasetError(f"{where}: the file ends before the {domain} split")
         rec, text = json.loads(text), None      # hold one copy of a split's text at a time
-        ids, objs, width = rec["ids"], rec["object"], len(cfgs[domain].offset)
+        width = len(cfgs[domain].offset)
         if rec["domain"] != domain:
             raise DatasetError(f"{where}: domain {rec['domain']!r}, expected {domain!r}")
-        if (len(ids), len(objs)) != (count, count):
-            raise DatasetError(f"{where}: {len(ids)} ids and {len(objs)} object ids, the "
-                               f"header says {count} {domain} samples")
-        bad = [i for i, obj in enumerate(objs)
-               if type(obj) is not int or not 0 <= obj < len(objects)]
-        if bad:
-            raise DatasetError(f"{where}: row {bad[0]}: object {objs[bad[0]]!r} is not one of "
-                               f"the {len(objects)} objects")
         try:
             obs, r, t = (_decode(rec.pop(k)) for k in ("obs", "r", "t"))
             if (len(obs), len(r), len(t)) != (count * width, count * 9, count * 3):
@@ -457,8 +450,8 @@ def _parse_dataset(path, lines) -> Dataset:
                                  f"{count * 3} values")
         except (ValueError, TypeError) as e:      # not base64, not whole float64s, wrong size
             raise DatasetError(f"{where}: {e}") from e
-        splits[domain] = Split(domain, np.array(ids, dtype=str), np.array(objs, dtype=int),
-                               obs.reshape(-1, width), Pose(r.reshape(-1, 3, 3), t.reshape(-1, 3)))
+        splits[domain] = _split(domain, obs.reshape(-1, width),
+                                Pose(r.reshape(-1, 3, 3), t.reshape(-1, 3)))
         _check_poses(where, splits[domain])
     if next(lines, ""):
         raise DatasetError(f"{path}: corrupt dataset, line 4: a line after the target split")

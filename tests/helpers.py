@@ -13,8 +13,9 @@ the run config's default anchor and pose sampling ranges, for tests that
 build anchors or datasets without a run config.  ``encode_floats`` and
 ``decode_floats`` read and write the float blocks of a dataset file's
 split line with the standard library alone, and ``edit_block`` edits one
-of them; ``per_sample_records`` restates a split line as the
-one-record-per-sample lines of dataset formats 1 and 2.
+of them; ``version_3_record`` restates a split line as dataset format 3
+wrote it, and ``per_sample_records`` as the one-record-per-sample lines of
+formats 1 and 2.
 ``reference_observation`` and ``reference_scalar_observation`` synthesize
 one observation from one pose, as the package did before its synthesizer
 was batched.
@@ -138,9 +139,19 @@ def edit_block(rec, key, edit):
     return rec
 
 
-def per_sample_records(rec, floats):
+def version_3_record(rec, n_objects):
+    """The split line ``rec`` of a dataset with ``n_objects`` objects, with
+    the per-row lists of format 3: sample ids ``<d>{j:06d}`` and object
+    ids ``j mod n_objects``."""
+    n = len(decode_floats(rec["t"])) // 3
+    return dict(rec, ids=[f"{rec['domain'][0]}{j:06d}" for j in range(n)],
+                object=[j % n_objects for j in range(n)])
+
+
+def per_sample_records(rec, floats, n_objects):
     """The split line ``rec`` as one record per sample, the lines of
     dataset format 1 (``floats`` is ``list``) or 2 (``encode_floats``)."""
+    rec = version_3_record(rec, n_objects)
     n = len(rec["ids"])
     obs, r, t = (np.reshape(decode_floats(rec[k]), (n, -1)).tolist() for k in ("obs", "r", "t"))
     return [{"id": rec["ids"][i], "domain": rec["domain"], "object": rec["object"][i],

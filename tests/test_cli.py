@@ -25,6 +25,7 @@ from helpers import (
     edit_block,
     encode_floats,
     per_sample_records,
+    version_3_record,
     write_v1_checkpoint,
 )
 
@@ -136,8 +137,8 @@ def test_tiny_scalar_pipeline_matches_its_golden_digest(tmp_path, capsys):
 
 
 # SHA-256 of the ``TINY`` dataset.txt that gen-data writes with seed 3
-DATASET_GOLDEN_DIGEST = "569faf7b6338262efbeb4571551a4cd06a430e763250da910e97966d91a6ad2f"
-SCALAR_DATASET_GOLDEN_DIGEST = "b9e1782f9ba302cb93d25e69a1f48cc24e7e9b015fd838abe00131a936cbc903"
+DATASET_GOLDEN_DIGEST = "1d0693b18e24cf2b2c7426da2fac34cca96045598d2a4f3bedb369506acd1921"
+SCALAR_DATASET_GOLDEN_DIGEST = "4bf467378eccb3f39df83c6227fd3002dd167b13e6e0bee4f3bceaab3ffe35e9"
 
 
 def gen_tiny_data(tmp_path, scalar):
@@ -199,9 +200,6 @@ def test_objects_with_empty_splits(tmp_path, capsys, n_source, n_target):
 CORRUPT_SAMPLES = {
     "translation-4-dataset": lambda rec: edit_block(rec, "t", lambda t: t + [0.5]),
     "unknown-domain-dataset": lambda rec: rec.update(domain="tgt"),
-    "object-7-dataset": lambda rec: rec["object"].__setitem__(0, 7),
-    "object-false-dataset": lambda rec: rec["object"].__setitem__(0, False),   # not object 0
-    "short-object-list-dataset": lambda rec: rec["object"].pop(),
     "obs-63-dataset": lambda rec: edit_block(rec, "obs", lambda obs: obs[:-1]),
     "nan-observation-dataset":
         lambda rec: edit_block(rec, "obs", lambda obs: [float("nan"), *obs[1:]]),
@@ -239,8 +237,9 @@ def _corrupt_dataset(tmp_path, case):
     """A generated dataset cut in half, cut after its source split line,
     reduced to a header that lists no objects and no samples, with a
     header kind that is neither "pose" nor "scalar", rewritten in format
-    version 1 (a line per sample, decimal lists) or 2 (a line per sample,
-    base64), with its first object model edited as ``OBJECT_EDITS`` says,
+    version 1 (a line per sample, decimal lists), 2 (a line per sample,
+    base64) or 3 (a line per split, with per-row id and object lists),
+    with its first object model edited as ``OBJECT_EDITS`` says,
     with its camera's fx set as ``CAMERA_FX`` says, with domain widths cut
     as ``OFFSET_CUTS`` says, or with its source split line edited as
     ``CORRUPT_SAMPLES`` says."""
@@ -262,12 +261,16 @@ def _corrupt_dataset(tmp_path, case):
         header, *samples = path.read_text().splitlines()
         path.write_text("\n".join([json.dumps(dict(json.loads(header), kind="banana")),
                                    *samples]) + "\n")
-    elif case in ("version-1-dataset", "version-2-dataset"):
+    elif case in ("version-1-dataset", "version-2-dataset", "version-3-dataset"):
         header, *splits = map(json.loads, path.read_text().splitlines())
-        version, floats = (1, list) if case == "version-1-dataset" else (2, encode_floats)
-        samples = [row for rec in splits for row in per_sample_records(rec, floats)]
+        n_objects, version = len(header["objects"]), int(case[8])
+        if version == 3:
+            rows = [version_3_record(rec, n_objects) for rec in splits]
+        else:
+            floats = list if version == 1 else encode_floats
+            rows = [row for rec in splits for row in per_sample_records(rec, floats, n_objects)]
         path.write_text("".join(json.dumps(d, sort_keys=True) + "\n"
-                                for d in [dict(header, version=version), *samples]))
+                                for d in [dict(header, version=version), *rows]))
     elif case in OBJECT_EDITS or case in CAMERA_FX:
         header, *splits = path.read_text().splitlines()
         header = json.loads(header)
@@ -284,7 +287,8 @@ def _corrupt_dataset(tmp_path, case):
             dc = header[f"{domain}_config"]
             dc["offset"] = dc["offset"][cut[domain]]
         for rec in splits:
-            rows = np.reshape(decode_floats(rec["obs"]), (len(rec["ids"]), -1))
+            n = header["meta"][f"n_{rec['domain']}"]
+            rows = np.reshape(decode_floats(rec["obs"]), (n, -1))
             rec["obs"] = encode_floats(rows[:, cut[rec["domain"]]].ravel().tolist())
         path.write_text("".join(json.dumps(d) + "\n" for d in [header, *splits]))
     else:
@@ -324,11 +328,21 @@ BAD_CONFIGS = {
     ("unknown-kind-dataset", cli.EXIT_IO),
     ("version-1-dataset", cli.EXIT_IO),
     ("version-2-dataset", cli.EXIT_IO),
+    ("version-3-dataset", cli.EXIT_IO),
+    ("trailing-bytes-checkpoint", cli.EXIT_IO),
 ] + [(case, cli.EXIT_IO) for case in [*OBJECT_EDITS, *CAMERA_FX, *OFFSET_CUTS,
                                       *CORRUPT_SAMPLES]])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case.endswith("-dataset"):
         argv = _corrupt_dataset(tmp_path, case)
+    elif case == "trailing-bytes-checkpoint":
+        cfg = dict(TINY, out_dir=str(tmp_path / "run"))
+        argv = ["--config", write_config(tmp_path, "tiny", cfg)]
+        assert cli.main(["gen-data"] + argv) == 0
+        assert cli.main(["train", "--stage", "teacher"] + argv) == 0
+        path = tmp_path / "run" / "teacher_obj0.ckpt"
+        path.write_bytes(path.read_bytes() + b"\0" * 7)
+        argv = ["eval", "--checkpoint", str(path)] + argv
     elif case == "negative-seed-flag":
         argv = ["gen-data", "--seed", "-1", "--out", str(tmp_path / "run")]
     elif case == "out-under-a-file":
@@ -341,9 +355,12 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    if case in ("version-1-dataset", "version-2-dataset"):
-        assert (f"dataset version {case[8]}, this build reads version 3; re-run gen-data"
+    if case in ("version-1-dataset", "version-2-dataset", "version-3-dataset"):
+        assert (f"dataset version {case[8]}, this build reads version 4; re-run gen-data"
                 in err), err
+    elif case == "trailing-bytes-checkpoint":
+        assert "teacher_obj0.ckpt: corrupt checkpoint (" in err, err
+        assert "parameter bytes, expected" in err, err
     elif case in CORRUPT_SAMPLES:
         assert ": corrupt dataset, line 2: " in err, err
     elif case == "cut-after-source-dataset":
@@ -358,6 +375,8 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert "dataset.txt: corrupt dataset (InvalidArgumentError: " in err, err
     if case.endswith("-dataset"):
         assert not list((tmp_path / "run").glob("*.ckpt"))
+    elif case.endswith("-checkpoint"):
+        assert not list((tmp_path / "run").glob("recall_eval_*.tsv"))
     else:
         assert not (tmp_path / "run" / "dataset.txt").exists()
         assert not (tmp_path / "run" / "config.json").exists()
@@ -376,23 +395,31 @@ def test_zero_norm_features_are_a_training_failure(tmp_path, capsys):
 
 
 def test_diverging_training_exits_with_one_line(tmp_path, capsys):
-    """A learning rate of 1e10 overflows the float32 network within three
-    epochs.  The run fails once, at its non-finite loss: exit 5 and one
-    line, in-process, where pytest turns numpy's warnings into errors, and
-    as a command, where numpy would print them."""
-    cfg = dict(TINY, train=dict(TINY["train"], lr_teacher=1e10, teacher_epochs=3),
-               out_dir=str(tmp_path))
-    argv = ["--config", write_config(tmp_path, "diverging", cfg)]
-    train = ["train", "--stage", "teacher"] + argv
-    assert cli.main(["gen-data"] + argv) == 0
-    capsys.readouterr()
-    assert cli.main(train) == cli.EXIT_TRAINING
-    err = capsys.readouterr().err
-    assert err.startswith("error: training diverged: non-finite loss ") and err.count("\n") == 1
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    run = subprocess.run([sys.executable, "-m", "poseadapt.cli"] + train, capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert (run.returncode, run.stderr) == (cli.EXIT_TRAINING, err)
+    """A run that diverges fails once: exit 5 and one line, in-process,
+    where pytest turns numpy's warnings into errors, and as a command,
+    where numpy would print them.  A learning rate of 1e10 overflows the
+    float32 pose network within three epochs, at a non-finite loss.  At
+    1e6 the scalar network's loss stays finite, but Adam's float32
+    squared gradients overflow its second moment."""
+    cases = [(False, dict(lr_teacher=1e10, teacher_epochs=3), {}, "non-finite loss "),
+             (True, dict(lr_teacher=1e6, teacher_epochs=4), dict(n_source=600),
+              "non-finite Adam second moment\n")]
+    for scalar, train, data, message in cases:
+        out = tmp_path / ("scalar" if scalar else "pose")
+        cfg = dict(TINY, train=dict(TINY["train"], **train), data=dict(TINY["data"], **data),
+                   out_dir=str(out))
+        argv = ["--config", write_config(tmp_path, out.name, cfg)] + \
+            (["--scalar-task"] if scalar else [])
+        step = ["train", "--stage", "teacher"] + argv
+        assert cli.main(["gen-data"] + argv) == 0
+        capsys.readouterr()
+        assert cli.main(step) == cli.EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged: " + message) and err.count("\n") == 1
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        run = subprocess.run([sys.executable, "-m", "poseadapt.cli"] + step,
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert (run.returncode, run.stderr) == (cli.EXIT_TRAINING, err)
 
 
 @pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy", "use_ctc", "reannotate"])

@@ -16,7 +16,6 @@ from poseadapt.metrics import evaluate_pose
 from poseadapt.synth import (
     OBS_DIM,
     SCALAR_RANGE,
-    SIZE_CHANNEL,
     evaluation_access,
     load_dataset,
     make_dataset,
@@ -28,7 +27,15 @@ from poseadapt.synth import (
     synthesize,
 )
 
-from helpers import SAMPLE_RANGES, edit_block, encode_floats, per_sample_records, random_rotations
+from helpers import (
+    SAMPLE_RANGES,
+    decode_floats,
+    edit_block,
+    encode_floats,
+    per_sample_records,
+    random_rotations,
+    version_3_record,
+)
 
 CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
 # finite float64s, with signed zeros, subnormals and +-1e308 drawn often
@@ -132,7 +139,7 @@ class TestSynthesize:
         dc = make_domain_config(0.0, 0.0, 0.0, seed=0)
         near_far = Pose(np.tile(np.eye(3), (2, 1, 1)), [[0.0, 0.0, 0.8], [0.0, 0.0, 1.6]])
         raw = raw_observation(near_far, self.obj, CAM)
-        assert raw[0, SIZE_CHANNEL] > raw[1, SIZE_CHANNEL]
+        assert raw[0, -1] > raw[1, -1]       # the apparent size, the last raw channel
         obs = self.observe(near_far, dc)
         assert not np.array_equal(obs[0], obs[1])
 
@@ -238,7 +245,6 @@ class TestMakeDataset:
             for sa, sb in ((ds.source, back.source), (ds.target, back.target)):
                 assert sa.domain == sb.domain and len(sa) == len(sb)
                 np.testing.assert_array_equal(sa.ids, sb.ids)
-                np.testing.assert_array_equal(sa.object_id, sb.object_id)
                 np.testing.assert_array_equal(sa.observation, sb.observation)
                 np.testing.assert_array_equal(sa.gt_pose.rotation, sb.gt_pose.rotation)
                 np.testing.assert_array_equal(sa.gt_pose.translation,
@@ -280,8 +286,6 @@ class TestMakeDataset:
     @pytest.mark.parametrize("line, edit, keep, match", [
         (1, lambda rec: dict(rec, domain="tgt"), None,
          "line 2: domain 'tgt', expected 'source'"),
-        (1, lambda rec: dict(rec, object=[0, 1, 7, 1]), None,
-         "line 2: row 2: object 7 is not one of the 2 objects"),
         (1, lambda rec: edit_block(rec, "obs", lambda obs: obs[:-1]), None,
          "line 2: obs, r and t need 256, 36 and 12 values"),
         (2, lambda rec: edit_block(rec, "obs", lambda obs: obs + [0.0]), None,
@@ -298,27 +302,20 @@ class TestMakeDataset:
          None, "line 2: buffer size must be a multiple"),
         (1, lambda rec: dict(rec, obs="*" + rec["obs"][1:]), None, "line 2: Only base64 data"),
         (0, lambda header: dict(header, version=1), None,
-         "dataset version 1, this build reads version 3; re-run gen-data"),
+         "dataset version 1, this build reads version 4; re-run gen-data"),
         (0, lambda header: dict(header, meta={"n_target": 2}), None, "corrupt dataset"),
         (0, lambda header: [header], None, "corrupt dataset"),
         (0, lambda header: dict(header, objects=[], meta={"n_source": 0, "n_target": 0}), 1,
          "the header lists no objects"),
-        (1, lambda rec: dict(rec, ids=[*rec["ids"], "s000004"]), None,
-         "line 2: 5 ids and 4 object ids, the header says 4 source samples"),
-        (2, lambda rec: dict(rec, object=rec["object"][:-1]), None,
-         "line 3: 2 ids and 1 object ids, the header says 2 target samples"),
-        (1, lambda rec: dict(rec, object=[0, True, 0, 1]), None,
-         "line 2: row 1: object True is not one of the 2 objects"),
         (0, lambda header: header, 2, "line 3: the file ends before the target split"),
         (2, lambda rec: edit_block(rec, "t", lambda t: [*t[:3], float("nan"), *t[4:]]), None,
          "line 3: row 1: a non-finite value"),
         (1, lambda rec: edit_block(rec, "r", lambda r: [*r[:30], float("inf"), *r[31:]]), None,
          "line 2: row 3: a non-finite value"),
-    ], ids=["unknown-domain", "object-7", "obs-63", "target-obs-65", "target-row-as-source",
+    ], ids=["unknown-domain", "obs-63", "target-obs-65", "target-row-as-source",
             "nan-observation", "negative-depth", "scaled-rotation", "obs-bytes-not-float64s",
             "obs-not-base64", "version-1", "no-source-count", "header-not-an-object",
-            "no-objects", "source-ids-5", "target-objects-1", "object-true",
-            "cut-after-source", "nan-translation-x", "infinite-rotation"])
+            "no-objects", "cut-after-source", "nan-translation-x", "infinite-rotation"])
     def test_malformed_row_raises_dataset_error(self, tmp_path, line, edit, keep, match):
         # line 0 is the header, line 1 the source split (4 rows), line 2
         # the target split (2 rows); only the first ``keep`` lines are
@@ -336,9 +333,10 @@ class TestMakeDataset:
         path = tmp_path / "data.txt"
         save_dataset(path, self.dataset(4, 2, seed=8))
         header, *splits = map(json.loads, path.read_text().splitlines())
-        assert header["version"] == 3
-        assert [(rec["domain"], len(rec["ids"])) for rec in splits] == [("source", 4), ("target", 2)]
-        assert all(set(rec) == {"domain", "ids", "object", "obs", "r", "t"} for rec in splits)
+        assert header["version"] == 4
+        assert [(rec["domain"], len(decode_floats(rec["t"])) // 3) for rec in splits] == \
+            [("source", 4), ("target", 2)]
+        assert all(set(rec) == {"domain", "obs", "r", "t"} for rec in splits)
 
     def test_a_line_after_the_target_split_is_refused(self, tmp_path):
         path = tmp_path / "data.txt"
@@ -353,11 +351,43 @@ class TestMakeDataset:
         path = tmp_path / "data.txt"
         save_dataset(path, self.dataset(4, 2, seed=8))
         header, *splits = map(json.loads, path.read_text().splitlines())
-        rows = [row for rec in splits for row in per_sample_records(rec, encode_floats)]
+        rows = [row for rec in splits for row in per_sample_records(rec, encode_floats, 2)]
         path.write_text("".join(json.dumps(d, sort_keys=True) + "\n"
                                 for d in [dict(header, version=2), *rows]))
-        with pytest.raises(DatasetError, match="dataset version 2, this build reads version 3"):
+        with pytest.raises(DatasetError, match="dataset version 2, this build reads version 4"):
             load_dataset(path)
+
+    def test_a_version_3_file_is_refused(self, tmp_path):
+        """Format 3's split lines, which also list each row's sample id
+        and object id, exit with a message that says to re-run gen-data."""
+        path = tmp_path / "data.txt"
+        save_dataset(path, self.dataset(4, 2, seed=8))
+        header, *splits = map(json.loads, path.read_text().splitlines())
+        lines = [dict(header, version=3), *(version_3_record(rec, 2) for rec in splits)]
+        path.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in lines))
+        with pytest.raises(DatasetError, match="dataset version 3, this build reads version 4"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["fresh", "loaded"])
+    def test_an_object_is_every_kth_row(self, tmp_path, reload):
+        """With three objects, object i's rows of a split are rows i, i + 3,
+        ..., named by their row in the split, fresh from ``make_dataset``
+        and after a save and load."""
+        objects = [*self.objects, make_object("blob", seed=2, n_points=48)]
+        ds = make_dataset(11, 7, objects, CAM, self.src, self.tgt, seed=8,
+                          sample_ranges=SAMPLE_RANGES)
+        if reload:
+            save_dataset(tmp_path / "data.txt", ds)
+            ds = load_dataset(tmp_path / "data.txt")
+        with evaluation_access():
+            for domain, split in (("source", ds.source), ("target", ds.target)):
+                for i in range(3):
+                    got, rows = ds.by_object(i, domain), np.arange(i, len(split), 3)
+                    assert got.ids.tolist() == [f"{domain[0]}{j:06d}" for j in rows]
+                    np.testing.assert_array_equal(got.observation, split.observation[rows])
+                    np.testing.assert_array_equal(got.gt_pose.rotation, split.gt.rotation[rows])
+                    np.testing.assert_array_equal(got.gt_pose.translation,
+                                                  split.gt.translation[rows])
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
