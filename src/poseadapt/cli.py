@@ -3,18 +3,17 @@
 Subcommands: gen-data, train, eval, sweep-threshold.  Every command is
 reproducible from its config file and seed alone.  Exit codes: 0 success,
 2 configuration error, 3 missing dependency, 4 I/O error, 5 training
-failure.
+failure.  The command runs one BLAS thread per process and at most one
+training worker per CPU; numpy loads inside ``main``, after ``entrypoint``
+pins the threads.  A call of ``main`` from Python trains serially.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-import numpy as np
-
-from . import experiment
-from .config import RunConfig, config_from_dict, load_config
 from .errors import (
     CheckpointIncompatibleError,
     ConfigError,
@@ -36,6 +35,7 @@ EXIT_CODES = (((ConfigError, CheckpointIncompatibleError, InvalidArgumentError),
 
 
 def build_parser():
+    from .experiment import STAGES
     p = argparse.ArgumentParser(prog="poseadapt",
                                 description="Sim2Real pose-regression adaptation experiments")
     sub = p.add_subparsers(dest="command", required=True)
@@ -52,7 +52,7 @@ def build_parser():
 
     sp = sub.add_parser("train", help="train one stage")
     common(sp)
-    sp.add_argument("--stage", required=True, choices=list(experiment.STAGES))
+    sp.add_argument("--stage", required=True, choices=list(STAGES))
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint")
     common(sp)
@@ -66,7 +66,8 @@ def build_parser():
     return p
 
 
-def resolve_config(args) -> RunConfig:
+def resolve_config(args):
+    from .config import config_from_dict, load_config
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -79,7 +80,11 @@ def resolve_config(args) -> RunConfig:
     return config_from_dict(overrides)
 
 
-def main(argv=None) -> int:
+def main(argv=None, workers=1) -> int:
+    """Run one command; up to ``workers`` processes train a stage's objects."""
+    import numpy as np
+
+    from . import experiment
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
@@ -88,7 +93,7 @@ def main(argv=None) -> int:
             if args.command == "gen-data":
                 experiment.run_gen_data(cfg)
             elif args.command == "train":
-                experiment.run_train(cfg, args.stage)
+                experiment.run_train(cfg, args.stage, workers)
             elif args.command == "eval":
                 experiment.run_eval(cfg, args.checkpoint)
             elif args.command == "sweep-threshold":
@@ -100,7 +105,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    raise SystemExit(main())
+    # numpy reads these when it loads; a value the user set wins
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    raise SystemExit(main(workers=len(os.sched_getaffinity(0))))
 
 
 if __name__ == "__main__":

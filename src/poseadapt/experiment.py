@@ -12,6 +12,7 @@ that object's pseudo-label caches and round table unwritten.
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 
@@ -149,35 +150,34 @@ def predict_split(net, ds: Dataset, i, domain, anchors):
         return poses, split.gt_pose, out
 
 
-def recall_by_object(nets, ds: Dataset, anchors, domain):
-    """Recall-table rows (name, count, recall or None), one per network of
-    ``nets`` (object id -> network), each object scored in one
-    ``evaluate_pose`` call."""
-    rows = []
-    for i, net in nets.items():
+def quality_rows(net, ds: Dataset, i, anchors):
+    """Object ``i``'s report row on each split (domain -> row): on a pose
+    dataset (name, count, recall or None), each split scored in one
+    ``evaluate_pose`` call; on the scalar task (domain, count, MAE)."""
+    rows = {}
+    for domain in DOMAINS:
         poses, gt, _ = predict_split(net, ds, i, domain, anchors)
+        if ds.kind == "scalar":
+            rows[domain] = (domain, len(poses), scalar_mae(poses.z, gt.z))
+            continue
         hits = evaluate_pose(poses, gt, ds.objects[i]).hit
         name = ds.object_kinds[i] or f"object{i}"
-        rows.append((f"{name}{i}", len(hits), average_recall(hits) if len(hits) else None))
+        rows[domain] = (f"{name}{i}", len(hits), average_recall(hits) if len(hits) else None)
     return rows
 
 
-def write_quality_reports(cfg: RunConfig, ds: Dataset, nets, anchors, tag):
-    """Score ``nets`` (object id -> network) on both splits and write the
-    report: one recall table per split for a pose dataset, one
-    ``mae_<tag>.tsv`` for the scalar task."""
+def write_quality_reports(cfg: RunConfig, ds: Dataset, rows, tag):
+    """Write the report of ``rows``, one ``quality_rows`` per object: one
+    recall table per split for a pose dataset, one ``mae_<tag>.tsv`` for
+    the scalar task."""
     if ds.kind == "scalar":
-        (i, net), = nets.items()
-        rows = []
-        for domain in DOMAINS:
-            poses, gt, _ = predict_split(net, ds, i, domain, anchors)
-            rows.append((domain, len(poses), scalar_mae(poses.z, gt.z)))
-        write_mae_table(os.path.join(cfg.out_dir, f"mae_{tag}.tsv"), rows)
-        print(f"{tag}: MAE source {rows[0][2]:.4f} target {rows[1][2]:.4f}")
+        (mae,) = rows
+        write_mae_table(os.path.join(cfg.out_dir, f"mae_{tag}.tsv"), list(mae.values()))
+        print(f"{tag}: MAE source {mae['source'][2]:.4f} target {mae['target'][2]:.4f}")
         return
     for domain in DOMAINS:
         recall = write_recall_table(os.path.join(cfg.out_dir, f"recall_{tag}_{domain}.tsv"),
-                                    recall_by_object(nets, ds, anchors, domain))
+                                    [r[domain] for r in rows])
         print(f"{tag}: {domain} mean recall " + ("n/a" if recall is None else f"{recall:.2f}%"))
 
 
@@ -224,10 +224,26 @@ def load_stage(cfg: RunConfig, ds: Dataset, stage, needed_by):
     return nets
 
 
-def run_train(cfg: RunConfig, stage):
+_job = None     # a forked worker's training function, set once in the worker
+
+
+def _start_worker(job):
+    global _job
+    _job = job
+
+
+def _run_job(i):
+    return _job(i)
+
+
+def run_train(cfg: RunConfig, stage, workers=1):
     """Train one stage for every object and write its checkpoints and
     reports.  The scalar task runs the same path as one object with only
-    the z branch active."""
+    the z branch active.  Up to ``workers`` forked processes train the
+    objects; this process scores each trained object and writes every file
+    and line in object order, so the outputs and the first error do not
+    depend on ``workers``.  The command line runs one worker per CPU and
+    one BLAS thread per process; a library call trains serially by default."""
     if stage not in STAGES:
         raise InvalidArgumentError(f"unknown stage {stage!r}; choose from {tuple(STAGES)}")
     ds = load_dataset_or_fail(cfg)
@@ -236,26 +252,49 @@ def run_train(cfg: RunConfig, stage):
     ensure_dir(cfg.out_dir)
     save_config(os.path.join(cfg.out_dir, f"config_{stage}.json"), cfg)
     prefix = STAGES[stage]
-    nets = {}
-    for i, model in enumerate(ds.objects):
-        source = ds.by_object(i, "source")
+
+    def train(i):
+        source, model = ds.by_object(i, "source"), ds.objects[i]
         if stage == "student":
-            nets[i], rounds = train_student(
+            net, stats = train_student(
                 teachers.pop(i), source.observation, source.gt_pose,   # adapted in place
                 ds.by_object(i, "target").observation, anchors, model, ds.cam, objective,
                 cfg.train, seed=cfg.seed + 100 + i)
-            write_round_reports(cfg, ds, i, rounds)
-            print(f"{stage}: object {i} trained")
         else:
-            nets[i] = PoseNetwork(net_cfg, seed=cfg.network.seed + i)
-            stats = train_teacher(source.observation, source.gt_pose, nets[i], anchors, model,
+            net = PoseNetwork(net_cfg, seed=cfg.network.seed + i)
+            stats = train_teacher(source.observation, source.gt_pose, net, anchors, model,
                                   ds.cam, objective, cfg.train, seed=cfg.seed + 10 + i)
-            write_loss_curve(os.path.join(cfg.out_dir, f"loss_{prefix}_obj{i}.tsv"), stats)
-            print(f"{stage}: object {i} trained" + ("" if stats.final_loss is None
-                                                    else f", final loss {stats.final_loss:.4f}"))
-        save_checkpoint(_ckpt_path(cfg.out_dir, stage, i), nets[i],
-                        meta={"stage": stage, "object_id": i, "kind": ds.kind})
-    write_quality_reports(cfg, ds, nets, anchors, prefix)
+        return net.flat, stats
+
+    objects, n, quality, pool = range(len(ds.objects)), min(workers, len(ds.objects)), [], None
+    if n > 1:
+        # the fork hands each worker ``train`` with the dataset, anchors and teachers
+        # it reads; only the object ids and the results are pickled
+        import multiprocessing      # 25 ms at start-up, paid only by a step that forks
+        from concurrent.futures import ProcessPoolExecutor
+        sys.stdout.flush()          # else each worker flushes the buffer it inherits again
+        pool = ProcessPoolExecutor(n, multiprocessing.get_context("fork"), _start_worker,
+                                   (train,))
+    try:
+        # unlike a multiprocessing.Pool, the executor raises if a worker is killed
+        results = pool.map(_run_job, objects) if pool else map(train, objects)
+        for i, (flat, stats) in enumerate(results):
+            net = PoseNetwork(net_cfg)
+            net.flat[...] = flat
+            if stage == "student":
+                write_round_reports(cfg, ds, i, stats)
+                print(f"{stage}: object {i} trained")
+            else:
+                write_loss_curve(os.path.join(cfg.out_dir, f"loss_{prefix}_obj{i}.tsv"), stats)
+                loss = "" if stats.final_loss is None else f", final loss {stats.final_loss:.4f}"
+                print(f"{stage}: object {i} trained{loss}")
+            save_checkpoint(_ckpt_path(cfg.out_dir, stage, i), net,
+                            meta={"stage": stage, "object_id": i, "kind": ds.kind})
+            quality.append(quality_rows(net, ds, i, anchors))   # while the workers train
+    finally:
+        if pool:    # also after an error: no worker outlives the stage
+            pool.shutdown(cancel_futures=True)
+    write_quality_reports(cfg, ds, quality, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +319,7 @@ def run_eval(cfg: RunConfig, checkpoint):
         raise CheckpointIncompatibleError(
             f"checkpoint object {obj} is not in the dataset's {len(ds.objects)} objects")
     ensure_dir(cfg.out_dir)
-    write_quality_reports(cfg, ds, {obj: net}, anchors, "eval")
+    write_quality_reports(cfg, ds, [quality_rows(net, ds, obj, anchors)], "eval")
 
 
 # ---------------------------------------------------------------------------

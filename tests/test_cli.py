@@ -385,13 +385,26 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
 def test_zero_norm_features_are_a_training_failure(tmp_path, capsys):
     """With every source value dropped the features are all zero, and the
     correlation term cannot normalize them: a training failure, not a
-    config error."""
+    config error.  The command trains the two objects in two processes
+    and fails the same way."""
     cfg = dict(TINY, data=dict(TINY["data"], source_dropout=1.0), out_dir=str(tmp_path))
     argv = ["--config", write_config(tmp_path, "dropped", cfg)]
+    step = ["train", "--stage", "teacher"] + argv
     assert cli.main(["gen-data"] + argv) == 0
     capsys.readouterr()
-    assert cli.main(["train", "--stage", "teacher"] + argv) == cli.EXIT_TRAINING
-    assert capsys.readouterr().err == "error: zero-norm feature in batch\n"
+    assert cli.main(step) == cli.EXIT_TRAINING
+    err = capsys.readouterr().err
+    assert err == "error: zero-norm feature in batch\n"
+    assert python("-m", "poseadapt.cli", *step)[::2] == (cli.EXIT_TRAINING, err)
+
+
+def python(*args):
+    """Exit code, stdout and stderr of ``python *args`` with the package on
+    the path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    return run.returncode, run.stdout, run.stderr
 
 
 def test_diverging_training_exits_with_one_line(tmp_path, capsys):
@@ -416,10 +429,27 @@ def test_diverging_training_exits_with_one_line(tmp_path, capsys):
         assert cli.main(step) == cli.EXIT_TRAINING
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged: " + message) and err.count("\n") == 1
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        run = subprocess.run([sys.executable, "-m", "poseadapt.cli"] + step,
-                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
-        assert (run.returncode, run.stderr) == (cli.EXIT_TRAINING, err)
+        assert python("-m", "poseadapt.cli", *step)[::2] == (cli.EXIT_TRAINING, err)
+
+
+def test_the_command_pins_one_blas_thread_before_numpy_loads(monkeypatch):
+    """Importing the CLI loads no numpy, so ``entrypoint`` can still set the
+    thread counts; a value the user set wins, and one worker per CPU trains."""
+    probe = "import sys, poseadapt.cli; print({'numpy', 'poseadapt.experiment'} & set(sys.modules))"
+    assert python("-c", probe)[:2] == (0, "set()\n")
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv=None, workers=1: calls.append(workers) or 0)
+    for user in (None, "3"):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if user is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user)
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint()
+        assert exit_.value.code == 0
+        assert (os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"]) == \
+            (user or "1", "1")
+    assert len(calls) == 2 and min(calls) >= 1
 
 
 @pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy", "use_ctc", "reannotate"])

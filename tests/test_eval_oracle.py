@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from poseadapt.errors import InvalidArgumentError
-from poseadapt.experiment import recall_by_object
+from poseadapt.experiment import quality_rows
 from poseadapt.geometry import AnchorSet, CameraIntrinsics, ObjectModel, Pose, apply_pose
 from poseadapt.metrics import HIT_FACTOR, evaluate_pose, predict_poses
 from poseadapt.network import NetworkConfig, PoseNetwork
@@ -108,9 +108,8 @@ def test_recall_rows_match_oracle_and_mark_objects_without_samples(tmp_path):
     net = PoseNetwork(NetworkConfig(obs_dim=ds.obs_dim, n_rot=4, n_vx=3, n_vy=3, n_z=4,
                                     feature_dim=8, encoder_hidden=(8,), head_hidden=4),
                       seed=0)
-    nets = {0: net, 1: net}
     for domain in ("source", "target"):
-        rows = recall_by_object(nets, ds, anchors, domain)
+        rows = [quality_rows(net, ds, i, anchors)[domain] for i in range(2)]
         for i, (_, count, recall) in enumerate(rows):
             split = ds.by_object(i, domain)
             assert count == len(split)
