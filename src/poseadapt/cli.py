@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, sweep-threshold.  Every command is
-reproducible from its config file and seed alone.  Exit codes: 0 success,
-2 configuration error, 3 missing dependency, 4 I/O error, 5 training
-failure.  The command runs one BLAS thread per process and at most one
-training worker per CPU; numpy loads inside ``main``, after ``entrypoint``
-pins the threads.  A call of ``main`` from Python trains serially.
+reproducible from its config file and seed alone.  ``sweep-threshold``
+reads the run's teacher; a teacher without CTC is ``train --stage
+teacher`` under ``train.ctc_weight: 0`` in its own ``--out``.  Exit codes:
+0 success, 2 configuration error, 3 missing dependency, 4 I/O error,
+5 training failure.  The command runs one BLAS thread per process and at
+most one training worker per CPU; numpy loads inside ``main``, after
+``entrypoint`` pins the threads.  A call of ``main`` from Python trains
+serially.
 """
 
 from __future__ import annotations
@@ -58,11 +61,9 @@ def build_parser():
     common(sp)
     sp.add_argument("--checkpoint", required=True)
 
-    sp = sub.add_parser("sweep-threshold", help="confidence-threshold sweep")
+    sp = sub.add_parser("sweep-threshold", help="confidence-threshold sweep of the run's "
+                        "teacher; a run at train.ctc_weight 0 has one without CTC")
     common(sp)
-    sp.add_argument("--stage", default="teacher",
-                    choices=["teacher", "no-ctc"],
-                    help="which trained annotator to sweep")
     return p
 
 
@@ -97,7 +98,7 @@ def main(argv=None, workers=1) -> int:
             elif args.command == "eval":
                 experiment.run_eval(cfg, args.checkpoint)
             elif args.command == "sweep-threshold":
-                experiment.run_sweep(cfg, stage=args.stage)
+                experiment.run_sweep(cfg)
     except (PoseAdaptError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return next((code for cls, code in EXIT_CODES if isinstance(e, cls)), EXIT_IO)

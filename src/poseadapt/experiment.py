@@ -1,7 +1,7 @@
 """End-to-end experiment orchestration used by the command line.
 
 A run directory is driven entirely by one RunConfig: dataset generation,
-per-object teacher/student training (or the ablation variants), and
+per-object teacher/student training (or the direct-regression baseline), and
 evaluation reports all derive their randomness from configured seeds.
 Each ``run_*`` command writes its files into the run directory and
 returns nothing.  A student stage whose teacher is missing or
@@ -22,6 +22,7 @@ from .errors import (
     CheckpointIncompatibleError,
     DependencyError,
     InvalidArgumentError,
+    TrainingFailureError,
 )
 from .geometry import AnchorSet, CameraIntrinsics
 from .losses import ObjectiveConfig, build_target_graph
@@ -50,8 +51,7 @@ from .synth import (
 )
 
 # train stage -> file prefix of its checkpoints and reports
-STAGES = {"teacher": "teacher", "student": "student",
-          "baseline-regression": "baseline", "no-ctc": "teacher-noctc"}
+STAGES = {"teacher": "teacher", "student": "student", "baseline-regression": "baseline"}
 DOMAINS = ("source", "target")
 SWEEP_TAUS = np.round(np.linspace(0.0, 0.95, 20), 6)
 
@@ -90,7 +90,7 @@ def build_stage(cfg: RunConfig, ds: Dataset, stage):
                             encoder_hidden=tuple(n.encoder_hidden), head_hidden=n.head_hidden)
     objective = ObjectiveConfig(
         labels=cfg.scores, use_cls=not baseline,
-        ctc_weight=0.0 if baseline or stage == "no-ctc" else cfg.train.ctc_weight,
+        ctc_weight=0.0 if baseline else cfg.train.ctc_weight,
         target_graph=build_target_graph(anchors.bins_z, *anchors.z_range))
     return anchors, net_cfg, objective
 
@@ -212,14 +212,14 @@ def _ckpt_path(out_dir, stage, obj_id):
     return os.path.join(out_dir, f"{STAGES[stage]}_obj{obj_id}.ckpt")
 
 
-def load_stage(cfg: RunConfig, ds: Dataset, stage, needed_by):
-    """Object id -> network of a trained ``stage``, checked against
+def load_teachers(cfg: RunConfig, ds: Dataset, needed_by):
+    """Object id -> network of the run's trained teacher, checked against
     ``build_stage``; a missing checkpoint is a dependency of ``needed_by``."""
-    net_cfg, nets = build_stage(cfg, ds, stage)[1], {}
+    net_cfg, nets = build_stage(cfg, ds, "teacher")[1], {}
     for i in range(len(ds.objects)):
-        path = _ckpt_path(cfg.out_dir, stage, i)
+        path = _ckpt_path(cfg.out_dir, "teacher", i)
         if not os.path.exists(path):
-            raise DependencyError(f"{needed_by} needs {path}; run --stage {stage} first")
+            raise DependencyError(f"{needed_by} needs {path}; run --stage teacher first")
         nets[i] = load_checkpoint(path, expected_config=net_cfg)[0]
     return nets
 
@@ -248,7 +248,7 @@ def run_train(cfg: RunConfig, stage, workers=1):
         raise InvalidArgumentError(f"unknown stage {stage!r}; choose from {tuple(STAGES)}")
     ds = load_dataset_or_fail(cfg)
     anchors, net_cfg, objective = build_stage(cfg, ds, stage)
-    teachers = load_stage(cfg, ds, "teacher", "student stage") if stage == "student" else None
+    teachers = load_teachers(cfg, ds, "student stage") if stage == "student" else None
     ensure_dir(cfg.out_dir)
     save_config(os.path.join(cfg.out_dir, f"config_{stage}.json"), cfg)
     prefix = STAGES[stage]
@@ -267,11 +267,13 @@ def run_train(cfg: RunConfig, stage, workers=1):
         return net.flat, stats
 
     objects, n, quality, pool = range(len(ds.objects)), min(workers, len(ds.objects)), [], None
+    broken = ()     # the error of a worker that died; a serial run has none
     if n > 1:
         # the fork hands each worker ``train`` with the dataset, anchors and teachers
         # it reads; only the object ids and the results are pickled
         import multiprocessing      # 25 ms at start-up, paid only by a step that forks
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool as broken
         sys.stdout.flush()          # else each worker flushes the buffer it inherits again
         pool = ProcessPoolExecutor(n, multiprocessing.get_context("fork"), _start_worker,
                                    (train,))
@@ -291,6 +293,8 @@ def run_train(cfg: RunConfig, stage, workers=1):
             save_checkpoint(_ckpt_path(cfg.out_dir, stage, i), net,
                             meta={"stage": stage, "object_id": i, "kind": ds.kind})
             quality.append(quality_rows(net, ds, i, anchors))   # while the workers train
+    except broken as e:     # say, at the hands of the out-of-memory killer
+        raise TrainingFailureError(f"a training worker died: {e}") from e
     finally:
         if pool:    # also after an error: no worker outlives the stage
             pool.shutdown(cancel_futures=True)
@@ -326,8 +330,8 @@ def run_eval(cfg: RunConfig, checkpoint):
 # threshold sweep
 
 
-def run_sweep(cfg: RunConfig, stage="teacher"):
-    """Sweep the selection threshold over teacher pseudo labels.
+def run_sweep(cfg: RunConfig):
+    """Sweep the selection threshold over the run's teacher pseudo labels.
 
     For each confidence source (per-branch max probability) and each tau
     of ``SWEEP_TAUS``, report the pooled recall of ADD(-S) hits among
@@ -336,8 +340,8 @@ def run_sweep(cfg: RunConfig, stage="teacher"):
     ds = load_dataset_or_fail(cfg)
     if ds.kind == "scalar":
         raise InvalidArgumentError("threshold sweep expects a pose dataset")
-    anchors = build_stage(cfg, ds, stage)[0]
-    nets = load_stage(cfg, ds, stage, "sweep")
+    anchors = build_stage(cfg, ds, "teacher")[0]
+    nets = load_teachers(cfg, ds, "sweep")
     ensure_dir(cfg.out_dir)
     # confidence + hit per target sample, pooled over objects
     per_branch_conf = {}

@@ -94,9 +94,11 @@ class MLP:
         for i, layer in enumerate(self.layers):
             if train:
                 inputs.append(x)
-            x = x @ layer.w + layer.b
+            x = x @ layer.w
+            x += layer.b
             if i < len(self.layers) - 1:
-                x = np.where(x > 0, x, LEAK * x)
+                # 0 < LEAK < 1: equals np.where(x > 0, x, LEAK * x) for every non-NaN x
+                np.maximum(x, LEAK * x, out=x)
         return x, inputs
 
     def backward(self, inputs, g, input_grad=True):
@@ -107,20 +109,22 @@ class MLP:
         for i in reversed(range(len(self.layers))):
             layer, x = self.layers[i], inputs[i]
             np.matmul(x.T, g, out=layer.gw)
-            np.sum(g, axis=0, out=layer.gb)
+            g.sum(axis=0, out=layer.gb)
             if i == 0 and not input_grad:
                 return None
             g = g @ layer.w.T
             if i > 0:
                 # x, a leaky-relu output, is positive where its input was
-                g = np.where(x > 0, g, LEAK * g)
+                np.copyto(g, LEAK * g, where=x <= 0)
         return g
 
 
 def softmax(logits):
     """Numerically stable softmax over the rows of (B, N) logits."""
-    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - np.max(logits, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 @dataclass

@@ -49,22 +49,21 @@ def write_config(tmp_path, name, cfg):
 
 
 def run_pipeline(tmp_path, name, scalar, cfg=TINY):
-    """gen-data, the four train stages, eval and sweep-threshold into one
+    """gen-data, the three train stages, eval and sweep-threshold into one
     run directory; returns the directory and each command's exit code."""
     out = tmp_path / name
     base = ["--config", write_config(tmp_path, name, dict(cfg, out_dir=str(out))),
             "--seed", "3"] + (["--scalar-task"] if scalar else [])
     steps = [["gen-data"]]
-    steps += [["train", "--stage", s] for s in ("teacher", "no-ctc", "baseline-regression",
-                                                "student")]
+    steps += [["train", "--stage", s] for s in ("teacher", "baseline-regression", "student")]
     steps += [["eval", "--checkpoint", str(out / "student_obj0.ckpt")], ["sweep-threshold"]]
     return out, [cli.main(step + base) for step in steps]
 
 
 def expected_reports(n_objects, scalar):
-    prefixes = ("teacher", "teacher-noctc", "baseline", "student")
+    prefixes = ("teacher", "baseline", "student")
     names = {f"{p}_obj{i}.ckpt" for p in prefixes for i in range(n_objects)}
-    names |= {f"loss_{p}_obj{i}.tsv" for p in prefixes[:3] for i in range(n_objects)}
+    names |= {f"loss_{p}_obj{i}.tsv" for p in prefixes[:2] for i in range(n_objects)}
     names |= {f"pseudo_student_obj{i}_round{r}.tsv" for i in range(n_objects) for r in (0, 1)}
     if scalar:
         return names | {f"mae_{p}.tsv" for p in prefixes + ("eval",)}
@@ -82,7 +81,7 @@ def outputs(out):
 def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, capsys, scalar):
     out, codes = run_pipeline(tmp_path, "a", scalar)
     # the threshold sweep is a pose-task tool; the scalar task refuses it
-    assert codes == [0] * 6 + [cli.EXIT_CONFIG if scalar else 0]
+    assert codes == [0] * 5 + [cli.EXIT_CONFIG if scalar else 0]
     first = outputs(out)
     assert set(first) - {"dataset.txt"} == expected_reports(1 if scalar else 2, scalar)
     if not scalar:
@@ -181,10 +180,10 @@ def test_objects_with_empty_splits(tmp_path, capsys, n_source, n_target):
     data = dict(TINY["data"], n_source=n_source, n_target=n_target,
                 object_kinds=["box", "cylinder", "blob"])
     out, codes = run_pipeline(tmp_path, "run", False, dict(TINY, data=data))
-    assert codes == [0] * 7
+    assert codes == [0] * 6
     counts = {"source": n_source, "target": n_target}
     for domain, n in counts.items():
-        for stage in ("teacher", "teacher-noctc", "baseline", "student"):
+        for stage in ("teacher", "baseline", "student"):
             rows = report_rows(out / f"recall_{stage}_{domain}.tsv")
             assert [row[1] for row in rows[:3]] == [str(int(i < n)) for i in range(3)]
             assert all(row[2] == "-" for row in rows[n:3])
@@ -455,7 +454,7 @@ def test_the_command_pins_one_blas_thread_before_numpy_loads(monkeypatch):
 @pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy", "use_ctc", "reannotate"])
 def test_removed_score_keys_are_rejected(tmp_path, capsys, key):
     """Removed keys fail as unknown; ``train.use_ctc`` went with the
-    scores' k keys (the no-ctc stage and ctc_weight 0 remain), and
+    scores' k keys (``train.ctc_weight: 0`` remains), and
     ``train.reannotate`` with the option of a teacher-only annotator."""
     old = ({"train": {key: False}} if key in ("use_ctc", "reannotate")
            else {"scores": {key: 2}})
@@ -490,19 +489,20 @@ def test_anchor_sets(scalar, single, counts, ranges):
     assert got.z_range == ranges[2]
 
 
-@pytest.mark.parametrize("stage, single, use_cls, ctc", [
-    ("teacher", False, True, True),
-    ("student", False, True, True),
-    (None, False, True, True),
-    ("no-ctc", False, True, False),
-    ("baseline-regression", True, False, False),
+@pytest.mark.parametrize("stage, ctc_weight, single, use_cls, objective_ctc", [
+    ("teacher", 2.5, False, True, 2.5),
+    ("student", 2.5, False, True, 2.5),
+    (None, 2.5, False, True, 2.5),
+    ("teacher", 0.0, False, True, 0.0),
+    ("baseline-regression", 2.5, True, False, 0.0),
 ], ids=["teacher", "student", "missing-meta-stage", "no-ctc", "baseline-regression"])
 @pytest.mark.parametrize("scalar", [False, True], ids=["pose", "scalar"])
-def test_stage_definitions(scalar, stage, single, use_cls, ctc):
-    """``build_stage`` under ``TINY``: each stage's anchors, network branches
-    and loss terms.  A checkpoint whose meta names no stage reads as a
-    teacher; the scalar task keeps only the z branch."""
-    cfg = config_from_dict(dict(TINY, train=dict(TINY["train"], ctc_weight=2.5)))
+def test_stage_definitions(scalar, stage, ctc_weight, single, use_cls, objective_ctc):
+    """``build_stage`` under ``TINY`` with ``train.ctc_weight`` set: each
+    stage's anchors, network branches and loss terms.  The CTC ablation is
+    a teacher at weight 0.  A checkpoint whose meta names no stage reads
+    as a teacher; the scalar task keeps only the z branch."""
+    cfg = config_from_dict(dict(TINY, train=dict(TINY["train"], ctc_weight=ctc_weight)))
     dc = make_domain_config(seed=0)
     ds = (make_scalar_task(2, 1, dc, dc, seed=0) if scalar else
           make_dataset(2, 1, [make_object("box", seed=1, n_points=8)], build_camera(cfg), dc, dc,
@@ -516,10 +516,68 @@ def test_stage_definitions(scalar, stage, single, use_cls, ctc):
         (*branches, len(want.bins_z))
     assert (net_cfg.obs_dim, net_cfg.feature_dim, net_cfg.encoder_hidden, net_cfg.head_hidden) == \
         (ds.obs_dim, 8, (8,), 4)
-    assert (objective.use_cls, objective.ctc_weight) == (use_cls, 2.5 if ctc else 0.0)
+    assert (objective.use_cls, objective.ctc_weight) == (use_cls, objective_ctc)
     assert objective.labels == cfg.scores
     np.testing.assert_array_equal(objective.target_graph,
                                   build_target_graph(want.bins_z, *want.z_range))
+
+
+@pytest.mark.parametrize("step", [["train", "--stage", "no-ctc"],
+                                  ["sweep-threshold", "--stage", "teacher"]],
+                         ids=["no-ctc-stage", "sweep-stage"])
+def test_removed_stage_options_are_usage_errors(tmp_path, capsys, step):
+    """There is no ``no-ctc`` stage and no ``sweep-threshold --stage``: a
+    teacher without CTC is ``train.ctc_weight: 0``, and the sweep reads
+    the run's teacher.  Either option is a usage error that writes nothing."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(step + ["--out", str(tmp_path)])
+    assert exit_.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert ("invalid choice: 'no-ctc'" if step[0] == "train" else
+            "unrecognized arguments: --stage teacher") in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_zero_ctc_weight_is_the_ctc_ablation(tmp_path, capsys):
+    """``train --stage teacher`` with ``train.ctc_weight: 0``, in its own
+    run directory on a dataset shared through ``data_path``, trains without
+    the correlation term: its loss curves read ``corr`` 0 in every epoch,
+    where the default weight's read more.  A student then adapts from that
+    teacher in the same directory."""
+    train = dict(TINY["train"], teacher_epochs=2)
+    runs = {"ctc": dict(TINY, train=train, out_dir=str(tmp_path / "ctc"))}
+    runs["zero"] = dict(TINY, train=dict(train, ctc_weight=0.0), out_dir=str(tmp_path / "zero"),
+                        data_path=str(tmp_path / "ctc" / "dataset.txt"))
+    argvs = {name: ["--config", write_config(tmp_path, name, cfg)] for name, cfg in runs.items()}
+    assert cli.main(["gen-data"] + argvs["ctc"]) == 0
+    for argv in argvs.values():
+        assert cli.main(["train", "--stage", "teacher"] + argv) == 0
+    for i in range(2):
+        corr = {name: [float(row[4]) for row in
+                       report_rows(tmp_path / name / f"loss_teacher_obj{i}.tsv")]
+                for name in runs}
+        assert corr["zero"] == [0.0, 0.0]
+        assert len(corr["ctc"]) == 2 and min(corr["ctc"]) > 0
+    assert cli.main(["train", "--stage", "student"] + argvs["zero"]) == 0
+    assert (tmp_path / "zero" / "student_obj1.ckpt").exists()
+    assert not (tmp_path / "zero" / "dataset.txt").exists()
+
+
+def test_a_checkpoint_of_the_removed_no_ctc_stage_still_evaluates(tmp_path, capsys):
+    """Checkpoints that the removed ``no-ctc`` stage wrote name it in their
+    meta; ``eval`` reads them as the teacher network they are."""
+    argv = ["--config", write_config(tmp_path, "tiny", dict(TINY, out_dir=str(tmp_path)))]
+    assert cli.main(["gen-data"] + argv) == 0
+    assert cli.main(["train", "--stage", "teacher"] + argv) == 0
+    reports = {}
+    for name in ("teacher", "teacher-noctc"):
+        path = tmp_path / f"{name}_obj1.ckpt"
+        if name == "teacher-noctc":
+            net, meta = load_checkpoint(tmp_path / "teacher_obj1.ckpt")
+            save_checkpoint(path, net, meta=dict(meta, stage="no-ctc"))
+        assert cli.main(["eval", "--checkpoint", str(path)] + argv) == 0
+        reports[name] = [(tmp_path / f"recall_eval_{d}.tsv").read_bytes() for d in DOMAINS]
+    assert reports["teacher-noctc"] == reports["teacher"]
 
 
 @pytest.mark.parametrize("step", [["sweep-threshold"], ["train", "--stage", "student"],

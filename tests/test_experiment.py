@@ -4,7 +4,6 @@ lines as the serial run, the same failure, and no process left over."""
 import multiprocessing
 import os
 import signal
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from poseadapt.synth import load_dataset
 from test_cli import TINY, outputs, write_config
 
 THREE = dict(TINY, data=dict(TINY["data"], object_kinds=["box", "cylinder", "blob"]), seed=3)
-STAGES = ("teacher", "no-ctc", "baseline-regression", "student")
+STAGES = ("teacher", "baseline-regression", "student")
 
 
 @pytest.fixture
@@ -30,7 +29,7 @@ def pools(monkeypatch):
 
 
 def train_stages(out, workers, capsys, scalar=False):
-    """Every checkpoint and report of the four stages, and their stdout."""
+    """Every checkpoint and report of the three stages, and their stdout."""
     cfg = config_from_dict(dict(THREE, out_dir=str(out), scalar_task=scalar))
     experiment.run_gen_data(cfg)
     capsys.readouterr()
@@ -45,9 +44,9 @@ def test_workers_write_the_serial_bytes_and_lines(tmp_path, capsys, pools):
     assert pools == []
     forked = train_stages(tmp_path / "forked", 2, capsys)
     assert pools == ["fork"] * len(STAGES)
-    assert len(serial[0]) == 4 * 3 + 3 * 3 + 2 * 3 + 3 + 4 * 2
+    assert len(serial[0]) == 3 * 3 + 2 * 3 + 2 * 3 + 3 + 3 * 2
     assert forked == serial
-    assert serial[1].count("\n") == 4 * (3 + 2)
+    assert serial[1].count("\n") == 3 * (3 + 2)
     assert multiprocessing.active_children() == []
 
 
@@ -104,11 +103,14 @@ def test_a_failing_object_stops_the_stage_as_in_a_serial_run(tmp_path, capsys, m
 
 def test_a_killed_worker_fails_the_stage(tmp_path, capsys, monkeypatch):
     """A worker that dies, as at the hands of the out-of-memory killer,
-    fails the stage; the stage does not wait for its result for ever."""
-    cfg = config_from_dict(dict(THREE, out_dir=str(tmp_path)))
-    experiment.run_gen_data(cfg)
+    fails the stage as a training failure: one line and exit 5.  The stage
+    does not wait for its result for ever."""
+    argv = ["--config", write_config(tmp_path, "run", dict(THREE, out_dir=str(tmp_path)))]
+    assert cli.main(["gen-data", *argv]) == 0
     fail_object_1(monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    with pytest.raises(BrokenProcessPool):
-        experiment.run_train(cfg, "teacher", workers=2)
+    capsys.readouterr()
+    assert cli.main(["train", "--stage", "teacher", *argv], workers=2) == cli.EXIT_TRAINING
+    err = capsys.readouterr().err
+    assert err.startswith("error: a training worker died: ") and err.count("\n") == 1, err
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "recall_teacher_source.tsv").exists()

@@ -154,11 +154,12 @@ def tape_objective(out, sup, anchors, model, cam, cfg):
 # cases
 
 
-def setup(kind, stage, scores=None):
+def setup(kind, stage, sections=None):
     """Network, objective and supervision of one object's source split, as
-    the pipeline builds them; ``kind`` "scalar" is the scalar task."""
+    the pipeline builds them under the config ``sections`` given; ``kind``
+    "scalar" is the scalar task."""
     scalar = kind == "scalar"
-    cfg = config_from_dict({"network": NETWORK, **({"scores": scores} if scores else {})})
+    cfg = config_from_dict({"network": NETWORK, **(sections or {})})
     dc = make_domain_config(0.0, 0.02, 0.0, seed=1)
     if scalar:
         ds = make_scalar_task(24, 1, dc, dc, seed=0)
@@ -187,20 +188,22 @@ def relative_difference(got, want):
     return diff / scale if scale > 0 else diff
 
 
-# case -> (object kind or "scalar", stage, batch size, scores section, degenerate 6D row)
+NO_CTC = {"train": {"ctc_weight": 0.0}}
+
+# case -> (object kind or "scalar", stage, batch size, config sections, degenerate 6D row)
 CASES = {
     "box-ctc": ("box", "teacher", 8, None, False),
-    "box-no-ctc": ("box", "no-ctc", 8, None, False),
+    "box-no-ctc": ("box", "teacher", 8, NO_CTC, False),
     "cylinder-ctc": ("cylinder", "teacher", 8, None, False),
-    "cylinder-no-ctc": ("cylinder", "no-ctc", 8, None, False),
+    "cylinder-no-ctc": ("cylinder", "teacher", 8, NO_CTC, False),
     "blob-ctc": ("blob", "teacher", 8, None, False),
-    "blob-no-ctc": ("blob", "no-ctc", 8, None, False),
+    "blob-no-ctc": ("blob", "teacher", 8, NO_CTC, False),
     "scalar-ctc": ("scalar", "teacher", 8, None, False),
-    "scalar-no-ctc": ("scalar", "no-ctc", 8, None, False),
+    "scalar-no-ctc": ("scalar", "teacher", 8, NO_CTC, False),
     "box-baseline-regression": ("box", "baseline-regression", 8, None, False),
     "box-degenerate-6d-row": ("box", "teacher", 8, None, True),
     "cylinder-batch-of-one": ("cylinder", "teacher", 1, None, False),
-    "box-one-hot-labels": ("box", "teacher", 8, {"rotation": [1.0, 0.0, 1]}, False),
+    "box-one-hot-labels": ("box", "teacher", 8, {"scores": {"rotation": [1.0, 0.0, 1]}}, False),
 }
 
 
@@ -209,8 +212,9 @@ def check_against_tape(case, dtype, tolerance, parts_rtol, parts_atol=0.0):
     or its float64 twin) and through the tape on the same parameters and
     inputs, upcast to float64; every parameter gradient must match to
     ``tolerance``, and the loss parts to ``parts_rtol`` and ``parts_atol``."""
-    kind, stage, batch, scores, degenerate = CASES[case]
-    net, ds, anchors, objective, sup = setup(kind, stage, scores)
+    kind, stage, batch, sections, degenerate = CASES[case]
+    net, ds, anchors, objective, sup = setup(kind, stage, sections)
+    assert (objective.ctc_weight == 0.0) == (stage == "baseline-regression" or sections is NO_CTC)
     if degenerate:
         zero_a_supervised_rotation_anchor(net, anchors, objective, sup)
     if dtype == np.float64:
