@@ -7,9 +7,11 @@ optional coordinate dropout standing in for occlusion.  A pose stack's
 raw channels come as one (n, r) matrix: projected model keypoints and
 apparent size for the pose task, four fixed features of the target value
 for the scalar task.  ``synthesize`` puts that matrix through the nuisance
-channel both tasks share, in one batch; only the noise and dropout draw,
-keyed by each row's pose, loops over rows.  Source and target share the
-target-sampling law; only the observation channel differs.
+channel both tasks share, in one batch, and seeds every row's noise
+stream at once from the domain seed and a digest of the row's pose, with
+the bits of ``SeedSequence([seed, digest])``; only the draws loop over
+rows.  Source and target share the target-sampling law; only the
+observation channel differs.
 
 A ``Dataset`` holds each domain as one ``Split``: the sample ids (n,),
 the observation matrix (n, obs_dim) and the ground-truth ``Pose`` stack,
@@ -32,6 +34,7 @@ import base64
 import contextlib
 import contextvars
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -222,12 +225,65 @@ def raw_observation(poses: Pose, model: ObjectModel, cam: CameraIntrinsics):
     return np.concatenate([u, v, size[:, None]], axis=1)
 
 
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645     # PCG64's 128-bit multiplier
+
+
+def _hashmix(const, mult):
+    """SeedSequence's hashmix on uint32 row vectors.  Its running constant
+    stays a masked Python int: numpy scalar uint32 products warn on
+    overflow, where array products wrap."""
+    def hashmix(words):
+        nonlocal const
+        words, const = words ^ const, const * mult & _MASK32
+        words = words * const
+        return words ^ (words >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    out = 0xCA01F9DD * x - 0x4973F715 * y
+    return out ^ (out >> 16)
+
+
+def _pcg64_states(seed, digests):
+    """Yield ``PCG64(SeedSequence([seed, d])).state``'s (state, inc) for each
+    digest d (uint64, n).  SeedSequence's entropy mixing and
+    ``generate_state(4, uint64)`` run on all rows at once.  The entropy is
+    the seed's then the digest's 32-bit words, low first; rows group by
+    length, and hashing past the entropy hashes zeros, so short entropy is
+    padded to the pool of 4.  ``pcg64_set_seed`` then steps each state."""
+    if seed < 0:
+        raise InvalidArgumentError("domain seed must be >= 0")
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    high = (digests >> 32).astype(np.uint32)
+    words = np.empty((len(digests), 4), np.uint64)
+    for long in (False, True):
+        rows = (high != 0) == long
+        low = digests[rows].astype(np.uint32)
+        entropy = [np.full_like(low, w) for w in seed_words] + [low] + [high[rows]] * long
+        entropy += [np.zeros_like(low)] * (4 - len(entropy))
+        hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(e) for e in entropy[:4]]
+        for src, dst in itertools.permutations(range(4), 2):
+            pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for e, dst in itertools.product(entropy[4:], range(4)):
+            pool[dst] = _mix(pool[dst], hashmix(e))
+        hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
+        state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+        words[rows] = state.astype("<u4").view("<u8")       # word pairs, low word first
+    for s0, s1, q0, q1 in words.tolist():
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        yield ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128, inc
+
+
 def synthesize(raw, poses: Pose, dc: DomainConfig):
     """Observations (n, len(dc.offset)) of raw channels (n, r) under one
     domain's nuisance model: embedded, offset, noised and dropped out.
 
-    Pure function of each row: row i's noise stream is seeded from the
-    domain seed and a digest of ``poses[i]``, normal draws first, then the
+    Pure function of each row: row i's noise stream has the bits of
+    ``PCG64(SeedSequence([dc.seed, digest]))``, digest a blake2b hash of
+    ``poses[i]``, seeded for all rows at once; normal draws first, then the
     dropout's uniform draws.  The embedding is a stacked matrix-vector
     product, which gives each row the bits of ``a @ raw[i]``.
     """
@@ -238,17 +294,22 @@ def synthesize(raw, poses: Pose, dc: DomainConfig):
     clean = np.concatenate([raw[:, :width], np.sin((a_sin @ raw[..., None])[..., 0] + phase),
                             (a_lin @ raw[..., None])[..., 0]], axis=1)
     keys = np.concatenate([poses.rotation.reshape(-1, 9), poses.translation], axis=1).astype("<f8")
-    noise, uniform = np.empty((2, len(raw), width))
-    for i, key in enumerate(keys):
-        digest = int.from_bytes(hashlib.blake2b(key.tobytes(), digest_size=8).digest(), "big")
-        rng = np.random.default_rng(np.random.SeedSequence([dc.seed, digest]))
-        noise[i] = rng.standard_normal(width)
-        if dc.dropout_prob > 0:
-            uniform[i] = rng.random(width)
+    digests = np.frombuffer(b"".join(hashlib.blake2b(key, digest_size=8).digest() for key in keys),
+                            ">u8").astype(np.uint64)
+    noise = np.empty((len(raw), width))
+    uniform = np.empty((len(raw), width)) if dc.dropout_prob > 0 else None
+    bits = np.random.PCG64(0)
+    rng, pcg = np.random.Generator(bits), bits.state    # its has_uint32 and uinteger are 0
+    for i, (state, inc) in enumerate(_pcg64_states(dc.seed, digests)):
+        pcg["state"] = {"state": state, "inc": inc}
+        bits.state = pcg
+        rng.standard_normal(out=noise[i])
+        if uniform is not None:
+            rng.random(out=uniform[i])
     clean += dc.offset            # in place, in the order of clean + offset + noise * scale
     noise *= dc.noise_scale
     clean += noise
-    if dc.dropout_prob > 0:
+    if uniform is not None:
         clean[uniform < dc.dropout_prob] = 0.0
     return clean
 
@@ -395,11 +456,10 @@ def save_dataset(path, ds: Dataset):
     with open(path, "w") as f, evaluation_access():
         f.write(json.dumps(header, sort_keys=True) + "\n")
         for split in (ds.source, ds.target):
+            # the line json.dump(..., sort_keys=True) writes: base64 has nothing to escape
             gt = split.gt_pose
-            rec = {"domain": split.domain, "obs": _encode(split.observation),
-                   "r": _encode(gt.rotation), "t": _encode(gt.translation)}
-            json.dump(rec, f, sort_keys=True)
-            f.write("\n")
+            f.write(f'{{"domain": "{split.domain}", "obs": "{_encode(split.observation)}", '
+                    f'"r": "{_encode(gt.rotation)}", "t": "{_encode(gt.translation)}"}}\n')
 
 
 def load_dataset(path) -> Dataset:

@@ -138,23 +138,36 @@ def test_tiny_scalar_pipeline_matches_its_golden_digest(tmp_path, capsys):
 # SHA-256 of the ``TINY`` dataset.txt that gen-data writes with seed 3
 DATASET_GOLDEN_DIGEST = "1d0693b18e24cf2b2c7426da2fac34cca96045598d2a4f3bedb369506acd1921"
 SCALAR_DATASET_GOLDEN_DIGEST = "4bf467378eccb3f39df83c6227fd3002dd167b13e6e0bee4f3bceaab3ffe35e9"
+# seed 2**64 + 5 makes the domain seeds three 32-bit words, so each row's noise
+# seed is longer than SeedSequence's pool of four words
+LONG_SEED = 2 ** 64 + 5
 
 
-def gen_tiny_data(tmp_path, scalar):
+def gen_tiny_data(tmp_path, scalar, seed=3, **data):
     out = tmp_path / "data"
-    cfg = write_config(tmp_path, "data", dict(TINY, out_dir=str(out)))
-    argv = ["gen-data", "--config", cfg, "--seed", "3"] + (["--scalar-task"] if scalar else [])
-    assert cli.main(argv) == 0
+    cfg = dict(TINY, out_dir=str(out), data=dict(TINY["data"], **data))
+    argv = ["gen-data", "--config", write_config(tmp_path, "data", cfg), "--seed", str(seed)]
+    assert cli.main(argv + (["--scalar-task"] if scalar else [])) == 0
     return out / "dataset.txt"
 
 
-@pytest.mark.parametrize("scalar", [False, True], ids=["pose", "scalar"])
-def test_tiny_dataset_matches_its_golden_digest(tmp_path, capsys, scalar):
+@pytest.mark.parametrize("scalar, options, digest", [
+    (False, {}, DATASET_GOLDEN_DIGEST),
+    (True, {}, SCALAR_DATASET_GOLDEN_DIGEST),
+    (False, {"seed": LONG_SEED},
+     "b27a3058112e21b2a231941ff88eafb0d055b38a8df647421a1b0c3cf4c1ab90"),
+    (True, {"seed": LONG_SEED},
+     "9fb36cee38eaedb536e9bf41ab4dc5ea812b555439d3f554ca1f7a349133a89e"),
+    # three objects over 2 source and 1 target rows: objects with empty splits
+    (False, {"n_source": 2, "n_target": 1, "object_kinds": ["box", "cylinder", "blob"]},
+     "b59d50809dd4ab7ca3389745f4e3cd91e70ce5d85fea6c3c339b560c0a445c08"),
+], ids=["pose", "scalar", "pose-long-seed", "scalar-long-seed", "pose-empty-splits"])
+def test_tiny_dataset_matches_its_golden_digest(tmp_path, capsys, scalar, options, digest):
     """gen-data writes exactly the dataset file it always has.  A change to
     the file format or to the synthesizer updates these digests and says
     so in CHANGES.md; like ``GOLDEN_DIGEST`` they hold for one numpy build."""
-    digest = hashlib.sha256(gen_tiny_data(tmp_path, scalar).read_bytes()).hexdigest()
-    assert digest == (SCALAR_DATASET_GOLDEN_DIGEST if scalar else DATASET_GOLDEN_DIGEST)
+    path = gen_tiny_data(tmp_path, scalar, **options)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("scalar", [False, True], ids=["pose", "scalar"])

@@ -4,12 +4,17 @@
 observation from one pose, as the package did before its synthesizer was
 batched.  Every row of a generated dataset must have exactly their bits,
 and a row synthesized alone must equal the same row inside its stack.
+The synthesizer seeds all rows' noise streams at once; each row's stream
+must be the one ``SeedSequence([seed, digest])`` seeds.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poseadapt import synth
+from poseadapt.errors import InvalidArgumentError
 from poseadapt.geometry import CameraIntrinsics, Pose
 from poseadapt.synth import (
     evaluation_access,
@@ -103,3 +108,45 @@ def test_a_row_alone_equals_the_row_in_its_stack(task):
     stack = synthesize(raw(poses), poses, dc)
     for i in range(n):
         assert_bits_equal(synthesize(raw(poses[i:i + 1]), poses[i:i + 1], dc)[0], stack[i])
+
+
+# domain seeds of one to five 32-bit words; past four the entropy outgrows the pool
+SEEDS = [0, 7, 2 ** 32 + 4, 2 ** 64 + 5, 2 ** 128 + 3]
+# digests of one word (the high word zero, or 0 itself) and of two
+DIGESTS = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.sampled_from(SEEDS), digests=st.lists(DIGESTS, max_size=6))
+def test_bulk_seeding_equals_a_seed_sequence_per_row(seed, digests):
+    """Each row's PCG64 state, and its first normal and uniform draws from
+    the reused generator, equal those of a generator seeded alone."""
+    states = list(synth._pcg64_states(seed, np.array(digests, dtype=np.uint64)))
+    assert len(states) == len(digests)
+    bits = np.random.PCG64(0)
+    rng, pcg = np.random.Generator(bits), bits.state
+    for digest, (state, inc) in zip(digests, states):
+        want = np.random.PCG64(np.random.SeedSequence([seed, digest]))
+        assert want.state["state"] == {"state": state, "inc": inc}
+        pcg["state"] = {"state": state, "inc": inc}
+        bits.state = pcg
+        alone = np.random.Generator(want)
+        assert_bits_equal(rng.standard_normal(5), alone.standard_normal(5))
+        assert_bits_equal(rng.random(5), alone.random(5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.sampled_from(SEEDS), depths=st.lists(st.floats(0.5, 1.0), max_size=5),
+       dropout=st.sampled_from([0.0, 0.4]))
+def test_a_stack_under_any_seed_matches_the_per_pose_reference(seed, depths, dropout):
+    poses = scalar_poses(np.array(depths, dtype=float))
+    dc = make_domain_config(0.8, 0.05, dropout, seed=seed)
+    got = synthesize(synth._scalar_raw(poses.z), poses, dc)
+    want = [reference_scalar_observation(poses[i], dc) for i in range(len(poses))]
+    assert_bits_equal(got, np.array(want).reshape(len(poses), synth.OBS_DIM))
+
+
+def test_a_negative_domain_seed_is_refused():
+    poses = scalar_poses(np.array([0.7]))
+    with pytest.raises(InvalidArgumentError):
+        synthesize(synth._scalar_raw(poses.z), poses, make_domain_config(seed=-1))
