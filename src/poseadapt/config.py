@@ -56,7 +56,7 @@ class DataConfig:
     object_kinds: tuple = OBJECT_KINDS
     n_points: int = 128
     object_seed: int = 7
-    camera: tuple = (600.0, 600.0, 320.0, 240.0)   # fx, fy, cx, cy
+    camera: tuple = (600.0, 600.0)   # fx, fy
     source_offset: float = 0.0
     source_noise: float = 0.02
     source_dropout: float = 0.0
@@ -191,7 +191,7 @@ def validate_config(cfg: RunConfig):
     if not (d.z_sample_range[0] > 0 and d.z_sample_range[1] <= a.z_range[1]
             and d.z_sample_range[0] >= a.z_range[0]):
         raise ConfigError("z sample range must be positive and inside the anchor range")
-    if min(d.camera[:2]) <= 0:
+    if min(d.camera) <= 0:
         raise ConfigError("focal lengths must be positive")
     t = cfg.train
     if not 0.0 < t.tau_end <= t.tau_start <= 1.0:

@@ -47,6 +47,7 @@ from .synth import (
     make_domain_config,
     make_object,
     make_scalar_task,
+    row_names,
     save_dataset,
 )
 
@@ -61,8 +62,7 @@ SWEEP_TAUS = np.round(np.linspace(0.0, 0.95, 20), 6)
 
 
 def build_camera(cfg: RunConfig) -> CameraIntrinsics:
-    fx, fy, cx, cy = cfg.data.camera
-    return CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy)
+    return CameraIntrinsics(*cfg.data.camera)     # fx, fy
 
 
 def build_anchors(cfg: RunConfig, scalar=False, single=False) -> AnchorSet:
@@ -186,10 +186,11 @@ def write_round_reports(cfg: RunConfig, ds: Dataset, i, rounds):
     on a pose dataset, its round table: tau, candidates, selected count
     and the recall of the selected pseudo labels."""
     target = ds.by_object(i, "target")
+    names = row_names("target", range(len(ds.target))[i::len(ds.objects)])
     for r in rounds:
         write_pseudo_cache(
             os.path.join(cfg.out_dir, f"pseudo_student_obj{i}_round{r.round_index}.tsv"),
-            target.ids, r.poses, r.confidence, r.round_index)
+            names, r.poses, r.confidence, r.round_index)
     if ds.kind == "scalar":
         return
     with evaluation_access():

@@ -66,12 +66,10 @@ class Pose:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole camera: focal lengths and principal point in pixels."""
+    """Pinhole camera: focal lengths in pixels."""
 
     fx: float
     fy: float
-    cx: float = 0.0
-    cy: float = 0.0
 
     def __post_init__(self):
         for name, v in vars(self).items():

@@ -79,10 +79,9 @@ def predict_poses(net, observations, anchors: AnchorSet, cam: CameraIntrinsics):
     center, a degenerate 6D rotation to the anchor rotation.  A branch the
     network lacks contributes its only anchor with a zero residual.
     """
-    obs = np.asarray(observations, dtype=float)
-    out = net.forward(obs, train=False)
+    out = net.forward(observations, train=False)
     picks = out.picks()
-    rows = np.arange(obs.shape[0])
+    rows = np.arange(len(observations))
     idx, res = [], []
     for name, absent in (("rot", ROT6D_IDENTITY), ("vx", 0.0), ("vy", 0.0), ("z", 0.0)):
         idx.append(picks.get(name, np.zeros_like(rows)))

@@ -10,7 +10,7 @@ Everything here works on arrays of one object's split: observations
 (n, obs_dim), a ``Pose`` stack of n labels, confidences (n,) and the
 selected rows as an index array.  ``train_student`` adapts the teacher's
 network in place into the student and returns each round's labels,
-confidences and selection as a ``RoundStats``; sample ids,
+confidences and selection as a ``RoundStats``; row names,
 evaluation-only ground truth and report files stay with the caller.
 ``TrainConfig`` is the ``train`` section of the run config, read as it is.
 """

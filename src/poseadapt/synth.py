@@ -13,16 +13,18 @@ the bits of ``SeedSequence([seed, digest])``; only the draws loop over
 rows.  Source and target share the target-sampling law; only the
 observation channel differs.
 
-A ``Dataset`` holds each domain as one ``Split``: the sample ids (n,),
-the observation matrix (n, obs_dim) and the ground-truth ``Pose`` stack,
-indexed by row like a ``Pose``.  Row order alone says which object a row
-shows and what it is called: with K objects, row j of a split shows
-object j mod K and is named ``<d>{j:06d}``, d the domain's initial.  The
-dataset file (format 4) is ASCII: one JSON header line, then one JSON
-line per split, source then target.  A split line holds its domain and
-three row-major blocks, each the base64 text of little-endian float64s:
-``obs`` (n, obs_dim), ``r`` (n, 3, 3) and ``t`` (n, 3); n is the header's
-sample count.  Loading decodes each block once.
+A ``Dataset`` holds each domain as one ``Split``: the observation matrix
+(n, obs_dim) and the ground-truth ``Pose`` stack, indexed by row like a
+``Pose``.  Row order alone says which object a row shows and what it is
+called: with K objects, row j of a split shows object j mod K, and
+``row_names`` calls it ``<d>{j:06d}``, d the domain's initial.  The
+dataset file (format 5) is ASCII: a JSON header line (kind, focal
+lengths, object models, ``obs_dim``, ``n_source``, ``n_target``), then a
+JSON line per split, source then target, with its domain and three
+row-major blocks, each the base64 text of little-endian floats: ``obs``
+(n, obs_dim) in float32, the network's input precision, ``r`` (n, 3, 3)
+and ``t`` (n, 3) in float64.  How the rows were generated is the run's
+``config.json``.  Loading decodes each block once.
 
 Ground-truth poses of target-domain samples are evaluation-only: reading
 them outside an ``evaluation_access()`` block raises.
@@ -71,21 +73,21 @@ def evaluation_access():
 
 @dataclass
 class Split:
-    """One domain's samples as stacked arrays: ``ids`` (n,), ``observation``
-    (n, obs_dim) and the ground-truth pose stack ``gt``.  ``len(split)`` and
+    """One domain's samples as stacked arrays: the observation matrix (n,
+    obs_dim) and the ground-truth pose stack ``gt``.  ``len(split)`` and
     ``split[rows]`` follow the leading axis; an int row is one sample, with
-    an (obs_dim,) observation and one ``Pose``."""
+    an (obs_dim,) observation and one ``Pose``.  A loaded split's
+    observations are float32, a generated one's float64."""
 
     domain: str                  # "source" | "target"
-    ids: np.ndarray
     observation: np.ndarray
     gt: Pose = field(repr=False)
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.observation)
 
     def __getitem__(self, rows):
-        return Split(self.domain, self.ids[rows], self.observation[rows], self.gt[rows])
+        return Split(self.domain, self.observation[rows], self.gt[rows])
 
     @property
     def gt_pose(self) -> Pose:
@@ -95,10 +97,10 @@ class Split:
         return self.gt
 
 
-def _split(domain, observation, gt: Pose) -> Split:
-    """A whole split of one domain, its rows named ``<d>{j:06d}``."""
-    ids = np.array([f"{domain[0]}{j:06d}" for j in range(len(observation))], dtype=str)
-    return Split(domain, ids, observation, gt)
+def row_names(domain, rows):
+    """The names of a split's rows, given by their indices in the whole
+    split: row j is ``<d>{j:06d}``, d the domain's initial."""
+    return [f"{domain[0]}{j:06d}" for j in rows]
 
 
 @dataclass(frozen=True)
@@ -320,16 +322,15 @@ def synthesize(raw, poses: Pose, dc: DomainConfig):
 
 @dataclass
 class Dataset:
+    """Both domains' splits, row j of each showing object j mod K, with
+    the K object models, their kinds and the camera."""
+
     kind: str                    # "pose" | "scalar"
     source: Split
     target: Split
     objects: list                # ObjectModel per object id
     object_kinds: list
     cam: CameraIntrinsics
-    source_cfg: DomainConfig
-    target_cfg: DomainConfig
-    seed: int
-    meta: dict = field(default_factory=dict)
 
     def by_object(self, object_id, domain):
         """Object ``object_id``'s rows of one split, as views: every K-th row."""
@@ -341,7 +342,7 @@ class Dataset:
         return self.source.observation.shape[1]
 
 
-def _generate(kind, n_source, n_target, objects, cfgs, draw, raw, meta, **fields):
+def _generate(kind, n_source, n_target, objects, cfgs, draw, raw, **fields):
     """Both splits, source first, row j showing object j mod K.  ``draw(n)``
     draws the ground-truth pose stack of n samples, and ``raw(poses,
     object_id)`` gives the raw channels of one object's pose stack."""
@@ -352,10 +353,8 @@ def _generate(kind, n_source, n_target, objects, cfgs, draw, raw, meta, **fields
         gt, obs = draw(n), np.empty((n, len(dc.offset)))
         for k in range(n_obj):
             obs[k::n_obj] = synthesize(raw(gt[k::n_obj], k), gt[k::n_obj], dc)
-        splits.append(_split(domain, obs, gt))
-    return Dataset(kind, *splits, objects=list(objects), source_cfg=cfgs[0],
-                   target_cfg=cfgs[1], meta={"n_source": n_source, "n_target": n_target, **meta},
-                   **fields)
+        splits.append(Split(domain, obs, gt))
+    return Dataset(kind, *splits, objects=list(objects), **fields)
 
 
 def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics,
@@ -376,9 +375,7 @@ def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics,
 
     return _generate("pose", n_source, n_target, objects, (source_cfg, target_cfg), draw,
                      lambda poses, k: raw_observation(poses, objects[k], cam),
-                     {"ranges": sample_ranges},
-                     object_kinds=list(object_kinds or [""] * len(objects)),
-                     cam=cam, seed=seed)
+                     object_kinds=list(object_kinds or [""] * len(objects)), cam=cam)
 
 
 # ---------------------------------------------------------------------------
@@ -414,40 +411,43 @@ def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: D
 
     return _generate("scalar", n_source, n_target, [ObjectModel.from_points(_SCALAR_POINTS)],
                      (source_cfg, target_cfg), draw,
-                     lambda poses, k: _scalar_raw(poses.z),
-                     {"scalar_range": list(SCALAR_RANGE)}, object_kinds=["scalar"],
-                     cam=CameraIntrinsics(fx=_REF_FOCAL, fy=_REF_FOCAL, cx=0.0, cy=0.0),
-                     seed=seed)
+                     lambda poses, k: _scalar_raw(poses.z), object_kinds=["scalar"],
+                     cam=CameraIntrinsics(fx=_REF_FOCAL, fy=_REF_FOCAL))
 
 
 # ---------------------------------------------------------------------------
 # dataset file format (versioned JSON lines)
 
 _DATASET_FORMAT = "poseadapt-dataset"
-_DATASET_VERSION = 4
+_DATASET_VERSION = 5
 
 
-def _domain_cfg_dict(dc: DomainConfig):
-    return {**vars(dc), "offset": dc.offset.tolist()}
+def _encode(values, dtype):
+    """The base64 text of an array's bytes as ``dtype``."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _encode(values):
-    """The base64 text of an array's little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode(text):
-    """The float64 values ``_encode`` wrote as ``text``."""
-    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+def _decode(text, dtype):
+    """The ``dtype`` values ``_encode`` wrote as ``text``."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
 
 
 def save_dataset(path, ds: Dataset):
     """Versioned text: one JSON header line, then one JSON line per split,
-    source then target, whose ``obs``, ``r`` and ``t`` blocks are ``_encode``d."""
+    source then target, whose ``obs``, ``r`` and ``t`` blocks are ``_encode``d.
+    An observation that float32 cannot hold raises InvalidArgumentError
+    before the file is opened."""
+    splits = (ds.source, ds.target)
+    with np.errstate(over="ignore"):        # a value past float32's range becomes inf
+        obs = [split.observation.astype("<f4") for split in splits]
+    for split, values in zip(splits, obs):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise InvalidArgumentError(f"{split.domain} row {bad[0]}: an observation value "
+                                       f"that is not a finite float32")
     header = {"format": _DATASET_FORMAT, "version": _DATASET_VERSION, "kind": ds.kind,
-              "seed": ds.seed, "camera": vars(ds.cam), "meta": ds.meta,
-              "source_config": _domain_cfg_dict(ds.source_cfg),
-              "target_config": _domain_cfg_dict(ds.target_cfg),
+              "camera": vars(ds.cam), "obs_dim": ds.obs_dim,
+              "n_source": len(ds.source), "n_target": len(ds.target),
               "objects": [{"kind": kind, "points": model.points.tolist(),
                            "diameter": model.diameter,
                            "symmetries": [np.asarray(s).reshape(9).tolist()
@@ -455,11 +455,12 @@ def save_dataset(path, ds: Dataset):
                           for kind, model in zip(ds.object_kinds, ds.objects)]}
     with open(path, "w") as f, evaluation_access():
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        for split in (ds.source, ds.target):
+        for split, values in zip(splits, obs):
             # the line json.dump(..., sort_keys=True) writes: base64 has nothing to escape
             gt = split.gt_pose
-            f.write(f'{{"domain": "{split.domain}", "obs": "{_encode(split.observation)}", '
-                    f'"r": "{_encode(gt.rotation)}", "t": "{_encode(gt.translation)}"}}\n')
+            f.write(f'{{"domain": "{split.domain}", "obs": "{_encode(values, "<f4")}", '
+                    f'"r": "{_encode(gt.rotation, "<f8")}", '
+                    f'"t": "{_encode(gt.translation, "<f8")}"}}\n')
 
 
 def load_dataset(path) -> Dataset:
@@ -488,37 +489,36 @@ def _parse_dataset(path, lines) -> Dataset:
                for od in header["objects"]]
     if not objects:
         raise DatasetError(f"{path}: the header lists no objects")
-    cfgs = {domain: DomainConfig(**header[f"{domain}_config"]) for domain in ("source", "target")}
-    shapes = [cfg.offset.shape for cfg in cfgs.values()]
-    if len(shapes[0]) != 1 or shapes[0][0] == 0 or shapes[1] != shapes[0]:
-        raise DatasetError(f"{path}: corrupt dataset header: the source and target offsets "
-                           f"need one equal, nonzero width, got shapes {shapes[0]} and {shapes[1]}")
-    meta, splits = header["meta"], {}
-    for line, domain in enumerate(cfgs, start=2):     # one line per split, source then target
-        where, count = f"{path}: corrupt dataset, line {line}", meta[f"n_{domain}"]
+    sizes = {key: header.get(key) for key in ("obs_dim", "n_source", "n_target")}
+    for key, value in sizes.items():
+        if type(value) is not int or value < 1:     # a bool is no size
+            raise DatasetError(f"{path}: corrupt dataset header: {key} {value!r} is not a "
+                               f"positive integer")
+    width, splits = sizes["obs_dim"], {}
+    for line, domain in enumerate(("source", "target"), start=2):   # one line per split
+        where, count = f"{path}: corrupt dataset, line {line}", sizes[f"n_{domain}"]
         text = next(lines, "")
         if not text:
             raise DatasetError(f"{where}: the file ends before the {domain} split")
         rec, text = json.loads(text), None      # hold one copy of a split's text at a time
-        width = len(cfgs[domain].offset)
         if rec["domain"] != domain:
             raise DatasetError(f"{where}: domain {rec['domain']!r}, expected {domain!r}")
         try:
-            obs, r, t = (_decode(rec.pop(k)) for k in ("obs", "r", "t"))
+            obs, r, t = (_decode(rec.pop(k), dtype) for k, dtype in
+                         (("obs", "<f4"), ("r", "<f8"), ("t", "<f8")))
             if (len(obs), len(r), len(t)) != (count * width, count * 9, count * 3):
                 raise ValueError(f"obs, r and t need {count * width}, {count * 9} and "
                                  f"{count * 3} values")
-        except (ValueError, TypeError) as e:      # not base64, not whole float64s, wrong size
+        except (ValueError, TypeError) as e:      # not base64, not whole floats, wrong size
             raise DatasetError(f"{where}: {e}") from e
-        splits[domain] = _split(domain, obs.reshape(-1, width),
-                                Pose(r.reshape(-1, 3, 3), t.reshape(-1, 3)))
+        splits[domain] = Split(domain, obs.reshape(-1, width),
+                               Pose(r.reshape(-1, 3, 3), t.reshape(-1, 3)))
         _check_poses(where, splits[domain])
     if next(lines, ""):
         raise DatasetError(f"{path}: corrupt dataset, line 4: a line after the target split")
     return Dataset(kind=header["kind"], source=splits["source"], target=splits["target"],
                    objects=objects, object_kinds=[od["kind"] for od in header["objects"]],
-                   cam=cam, source_cfg=cfgs["source"], target_cfg=cfgs["target"],
-                   seed=header["seed"], meta=meta)
+                   cam=cam)
 
 
 def _check_poses(where, split: Split):

@@ -13,9 +13,10 @@ the run config's default anchor and pose sampling ranges, for tests that
 build anchors or datasets without a run config.  ``encode_floats`` and
 ``decode_floats`` read and write the float blocks of a dataset file's
 split line with the standard library alone, and ``edit_block`` edits one
-of them; ``version_3_record`` restates a split line as dataset format 3
-wrote it, and ``per_sample_records`` as the one-record-per-sample lines of
-formats 1 and 2.
+of them; ``version_4_header`` and ``version_4_record`` restate a header and
+a split line as dataset format 4 wrote them, ``version_3_record`` a split
+line as format 3 did, and ``per_sample_records`` as the
+one-record-per-sample lines of formats 1 and 2.
 ``reference_observation`` and ``reference_scalar_observation`` synthesize
 one observation from one pose, as the package did before its synthesizer
 was batched.
@@ -120,31 +121,48 @@ def write_v1_checkpoint(path, net):
                 + net.flat.astype("<f8").tobytes())
 
 
-def encode_floats(values):
+# struct code of each float block of a split line: float32 observations,
+# float64 ground truth
+BLOCK_CODES = {"obs": "f", "r": "d", "t": "d"}
+
+
+def encode_floats(values, code="d"):
     """A dataset file's text for a float block: the base64 of its
-    little-endian float64 bytes."""
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+    little-endian bytes as struct ``code``, "d" float64 or "f" float32."""
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
 
 
-def decode_floats(text):
+def decode_floats(text, code="d"):
     """The list of floats that ``encode_floats`` wrote as ``text``."""
     data = base64.b64decode(text, validate=True)
-    return list(struct.unpack(f"<{len(data) // 8}d", data))
+    return list(struct.unpack(f"<{len(data) // struct.calcsize(code)}{code}", data))
 
 
 def edit_block(rec, key, edit):
     """Replace a split line's float block ``key`` ("obs", "r" or "t") by
     ``edit`` of its decoded list, encoded again; returns the line."""
-    rec[key] = encode_floats(edit(decode_floats(rec[key])))
+    rec[key] = encode_floats(edit(decode_floats(rec[key], BLOCK_CODES[key])), BLOCK_CODES[key])
     return rec
 
 
+def version_4_header(header):
+    """A dataset header as format 4 wrote it: version 4, the row counts
+    under ``meta`` and no ``obs_dim``."""
+    old = {k: v for k, v in header.items() if k not in ("obs_dim", "n_source", "n_target")}
+    return dict(old, version=4, meta={k: header[k] for k in ("n_source", "n_target")})
+
+
+def version_4_record(rec):
+    """The split line ``rec`` as format 4 wrote it, its observations float64."""
+    return dict(rec, obs=encode_floats(decode_floats(rec["obs"], "f")))
+
+
 def version_3_record(rec, n_objects):
-    """The split line ``rec`` of a dataset with ``n_objects`` objects, with
-    the per-row lists of format 3: sample ids ``<d>{j:06d}`` and object
-    ids ``j mod n_objects``."""
+    """The split line ``rec`` of a dataset with ``n_objects`` objects as
+    format 3 wrote it, with per-row lists: sample ids ``<d>{j:06d}`` and
+    object ids ``j mod n_objects``."""
     n = len(decode_floats(rec["t"])) // 3
-    return dict(rec, ids=[f"{rec['domain'][0]}{j:06d}" for j in range(n)],
+    return dict(version_4_record(rec), ids=[f"{rec['domain'][0]}{j:06d}" for j in range(n)],
                 object=[j % n_objects for j in range(n)])
 
 

@@ -21,11 +21,12 @@ from poseadapt.synth import make_dataset, make_domain_config, make_object, make_
 
 from helpers import (
     SAMPLE_RANGES,
-    decode_floats,
     edit_block,
     encode_floats,
     per_sample_records,
     version_3_record,
+    version_4_header,
+    version_4_record,
     write_v1_checkpoint,
 )
 
@@ -136,8 +137,8 @@ def test_tiny_scalar_pipeline_matches_its_golden_digest(tmp_path, capsys):
 
 
 # SHA-256 of the ``TINY`` dataset.txt that gen-data writes with seed 3
-DATASET_GOLDEN_DIGEST = "1d0693b18e24cf2b2c7426da2fac34cca96045598d2a4f3bedb369506acd1921"
-SCALAR_DATASET_GOLDEN_DIGEST = "4bf467378eccb3f39df83c6227fd3002dd167b13e6e0bee4f3bceaab3ffe35e9"
+DATASET_GOLDEN_DIGEST = "f959acccf5d9a0ac13957ded5004d6100f4b5b3e4b60687f7f06b2881f4d9f49"
+SCALAR_DATASET_GOLDEN_DIGEST = "b6d3b8beb19e40ef809243a76cec5d958c70d73297d798101163cb58b017cd56"
 # seed 2**64 + 5 makes the domain seeds three 32-bit words, so each row's noise
 # seed is longer than SeedSequence's pool of four words
 LONG_SEED = 2 ** 64 + 5
@@ -155,12 +156,12 @@ def gen_tiny_data(tmp_path, scalar, seed=3, **data):
     (False, {}, DATASET_GOLDEN_DIGEST),
     (True, {}, SCALAR_DATASET_GOLDEN_DIGEST),
     (False, {"seed": LONG_SEED},
-     "b27a3058112e21b2a231941ff88eafb0d055b38a8df647421a1b0c3cf4c1ab90"),
+     "e620f08c781a314b6fc4e945b482b6ab0b0ea8295029708b3fabfd374e080cce"),
     (True, {"seed": LONG_SEED},
-     "9fb36cee38eaedb536e9bf41ab4dc5ea812b555439d3f554ca1f7a349133a89e"),
+     "10b3ec1aaca1b88d7ab961297dc1daa83cca69097c6b0dad2dc2de894f2d03f7"),
     # three objects over 2 source and 1 target rows: objects with empty splits
     (False, {"n_source": 2, "n_target": 1, "object_kinds": ["box", "cylinder", "blob"]},
-     "b59d50809dd4ab7ca3389745f4e3cd91e70ce5d85fea6c3c339b560c0a445c08"),
+     "fca0abb7a5eac2ff5aeaa6a2897d2f4b545e3c98b06eb4cd17ea63ab0953865e"),
 ], ids=["pose", "scalar", "pose-long-seed", "scalar-long-seed", "pose-empty-splits"])
 def test_tiny_dataset_matches_its_golden_digest(tmp_path, capsys, scalar, options, digest):
     """gen-data writes exactly the dataset file it always has.  A change to
@@ -218,8 +219,8 @@ CORRUPT_SAMPLES = {
     "negative-depth-dataset": lambda rec: edit_block(rec, "t", lambda t: [*t[:2], -0.7, *t[3:]]),
     "scaled-rotation-dataset":
         lambda rec: edit_block(rec, "r", lambda r: [2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0, *r[9:]]),
-    "obs-bytes-not-float64s-dataset":
-        lambda rec: rec.update(obs=base64.b64encode(base64.b64decode(rec["obs"])[:-4]).decode()),
+    "obs-bytes-not-float32s-dataset":
+        lambda rec: rec.update(obs=base64.b64encode(base64.b64decode(rec["obs"])[:-2]).decode()),
     "obs-not-base64-dataset": lambda rec: rec.update(obs="*" + rec["obs"][1:]),
 }
 
@@ -238,10 +239,19 @@ CAMERA_FX = {"nan-fx-dataset": float("nan"), "infinite-fx-dataset": float("inf")
              "true-fx-dataset": True}
 
 
-# header cases: the offset and every observation of each domain cut to a slice
-OFFSET_CUTS = {
-    "empty-offsets-dataset": {"source": slice(0), "target": slice(0)},
-    "offset-widths-differ-dataset": {"source": slice(None), "target": slice(-1)},
+# header cases: a size edited, and the error it gives; the splits stay as written
+# (12 source and 6 target rows of width 64)
+SIZE_EDITS = {
+    "no-obs-dim-dataset": (lambda h: h.pop("obs_dim"), " header: obs_dim None is not a positive"),
+    "zero-obs-dim-dataset": (lambda h: h.update(obs_dim=0), " header: obs_dim 0 is not a positive"),
+    "true-obs-dim-dataset": (lambda h: h.update(obs_dim=True), " header: obs_dim True is not a"),
+    "fractional-obs-dim-dataset": (lambda h: h.update(obs_dim=2.5), " header: obs_dim 2.5 is not"),
+    "obs-dim-disagrees-dataset": (lambda h: h.update(obs_dim=63),
+                                  ", line 2: obs, r and t need 756, 108 and 36 values"),
+    "zero-n-source-dataset": (lambda h: h.update(n_source=0), " header: n_source 0 is not a"),
+    "string-n-target-dataset": (lambda h: h.update(n_target="6"), " header: n_target '6' is not"),
+    "n-target-disagrees-dataset": (lambda h: h.update(n_target=7),
+                                   ", line 3: obs, r and t need 448, 63 and 21 values"),
 }
 
 
@@ -250,11 +260,11 @@ def _corrupt_dataset(tmp_path, case):
     reduced to a header that lists no objects and no samples, with a
     header kind that is neither "pose" nor "scalar", rewritten in format
     version 1 (a line per sample, decimal lists), 2 (a line per sample,
-    base64) or 3 (a line per split, with per-row id and object lists),
-    with its first object model edited as ``OBJECT_EDITS`` says,
-    with its camera's fx set as ``CAMERA_FX`` says, with domain widths cut
-    as ``OFFSET_CUTS`` says, or with its source split line edited as
-    ``CORRUPT_SAMPLES`` says."""
+    base64), 3 (a line per split, with per-row id and object lists) or 4
+    (float64 observations, the row counts under ``meta``), with its first
+    object model edited as ``OBJECT_EDITS`` says, with its camera's fx set
+    as ``CAMERA_FX`` says, with a size edited as ``SIZE_EDITS`` says, or
+    with its source split line edited as ``CORRUPT_SAMPLES`` says."""
     out = tmp_path / "run"
     cfg = write_config(tmp_path, "tiny", dict(TINY, out_dir=str(out)))
     assert cli.main(["gen-data", "--config", cfg, "--scalar-task"]) == 0
@@ -267,42 +277,35 @@ def _corrupt_dataset(tmp_path, case):
         path.write_text(header + "\n" + source + "\n")
     elif case == "no-objects-dataset":
         header = json.loads(path.read_text().splitlines()[0])
-        header.update(objects=[], meta=dict(header["meta"], n_source=0, n_target=0))
+        header.update(objects=[], n_source=0, n_target=0)
         path.write_text(json.dumps(header) + "\n")
     elif case == "unknown-kind-dataset":
         header, *samples = path.read_text().splitlines()
         path.write_text("\n".join([json.dumps(dict(json.loads(header), kind="banana")),
                                    *samples]) + "\n")
-    elif case in ("version-1-dataset", "version-2-dataset", "version-3-dataset"):
+    elif case in OLD_VERSIONS:
         header, *splits = map(json.loads, path.read_text().splitlines())
         n_objects, version = len(header["objects"]), int(case[8])
-        if version == 3:
+        if version == 4:
+            rows = [version_4_record(rec) for rec in splits]
+        elif version == 3:
             rows = [version_3_record(rec, n_objects) for rec in splits]
         else:
             floats = list if version == 1 else encode_floats
             rows = [row for rec in splits for row in per_sample_records(rec, floats, n_objects)]
         path.write_text("".join(json.dumps(d, sort_keys=True) + "\n"
-                                for d in [dict(header, version=version), *rows]))
-    elif case in OBJECT_EDITS or case in CAMERA_FX:
+                                for d in [dict(version_4_header(header), version=version),
+                                          *rows]))
+    elif case in OBJECT_EDITS or case in CAMERA_FX or case in SIZE_EDITS:
         header, *splits = path.read_text().splitlines()
         header = json.loads(header)
         if case in CAMERA_FX:
             header["camera"]["fx"] = CAMERA_FX[case]
+        elif case in SIZE_EDITS:
+            SIZE_EDITS[case][0](header)
         else:
             OBJECT_EDITS[case](header["objects"][0])
         path.write_text("\n".join([json.dumps(header), *splits]) + "\n")
-    elif case in OFFSET_CUTS:
-        # the splits agree with the header: only the domains' widths are wrong
-        header, *splits = map(json.loads, path.read_text().splitlines())
-        cut = OFFSET_CUTS[case]
-        for domain in DOMAINS:
-            dc = header[f"{domain}_config"]
-            dc["offset"] = dc["offset"][cut[domain]]
-        for rec in splits:
-            n = header["meta"][f"n_{rec['domain']}"]
-            rows = np.reshape(decode_floats(rec["obs"]), (n, -1))
-            rec["obs"] = encode_floats(rows[:, cut[rec["domain"]]].ravel().tolist())
-        path.write_text("".join(json.dumps(d) + "\n" for d in [header, *splits]))
     else:
         header, source, target = path.read_text().splitlines()
         source = json.loads(source)
@@ -311,14 +314,17 @@ def _corrupt_dataset(tmp_path, case):
     return ["train", "--stage", "teacher", "--config", cfg, "--scalar-task"]
 
 
+OLD_VERSIONS = [f"version-{v}-dataset" for v in (1, 2, 3, 4)]
+
 BAD_CONFIGS = {
     "seed-not-int": {"seed": "abc"},
-    "camera-too-short": {"data": {"camera": [600, 600]}},
+    "camera-too-short": {"data": {"camera": [600]}},
+    "camera-with-principal-point": {"data": {"camera": [600, 600, 320, 240]}},
     "negative-seed": {"seed": -1},
     "negative-anchor-seed": {"anchors": {"seed": -1}},
     "negative-network-seed": {"network": {"seed": -3}},
     "negative-object-seed": {"data": {"object_seed": -2}},
-    "nan-camera": {"data": {"camera": [float("nan"), 600, 320, 240]}},
+    "nan-camera": {"data": {"camera": [float("nan"), 600]}},
     "infinite-float": {"train": {"ctc_weight": float("inf")}},
     "negative-z-range": {"anchors": {"z_range": [-1.0, 2.0]}},
     "negative-teacher-epochs": {"train": {"teacher_epochs": -2}},
@@ -338,11 +344,8 @@ BAD_CONFIGS = {
     ("cut-after-source-dataset", cli.EXIT_IO),
     ("no-objects-dataset", cli.EXIT_IO),
     ("unknown-kind-dataset", cli.EXIT_IO),
-    ("version-1-dataset", cli.EXIT_IO),
-    ("version-2-dataset", cli.EXIT_IO),
-    ("version-3-dataset", cli.EXIT_IO),
     ("trailing-bytes-checkpoint", cli.EXIT_IO),
-] + [(case, cli.EXIT_IO) for case in [*OBJECT_EDITS, *CAMERA_FX, *OFFSET_CUTS,
+] + [(case, cli.EXIT_IO) for case in [*OLD_VERSIONS, *OBJECT_EDITS, *CAMERA_FX, *SIZE_EDITS,
                                       *CORRUPT_SAMPLES]])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case.endswith("-dataset"):
@@ -367,8 +370,8 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    if case in ("version-1-dataset", "version-2-dataset", "version-3-dataset"):
-        assert (f"dataset version {case[8]}, this build reads version 4; re-run gen-data"
+    if case in OLD_VERSIONS:
+        assert (f"dataset version {case[8]}, this build reads version 5; re-run gen-data"
                 in err), err
     elif case == "trailing-bytes-checkpoint":
         assert "teacher_obj0.ckpt: corrupt checkpoint (" in err, err
@@ -379,8 +382,8 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert "dataset.txt: corrupt dataset, line 3: the file ends before the target" in err, err
     elif case == "unknown-kind-dataset":
         assert "dataset.txt: corrupt dataset header: kind 'banana' is neither" in err, err
-    elif case in OFFSET_CUTS:
-        assert "dataset.txt: corrupt dataset header: the source and target offsets" in err, err
+    elif case in SIZE_EDITS:
+        assert "dataset.txt: corrupt dataset" + SIZE_EDITS[case][1] in err, err
     elif case in CAMERA_FX:
         assert "dataset.txt: corrupt dataset (InvalidArgumentError: camera fx " in err, err
     elif case in OBJECT_EDITS:
@@ -392,6 +395,21 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     else:
         assert not (tmp_path / "run" / "dataset.txt").exists()
         assert not (tmp_path / "run" / "config.json").exists()
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["pose", "scalar"])
+def test_observations_past_float32_are_refused(tmp_path, capsys, scalar):
+    """A noise scale of 1e300 passes validation, but its observations
+    overflow the dataset file's float32: gen-data exits 2 with one line and
+    writes no dataset file."""
+    noise = {"scalar_source_noise" if scalar else "source_noise": 1e300}
+    cfg = dict(TINY, data=dict(TINY["data"], **noise), out_dir=str(tmp_path / "run"))
+    argv = ["gen-data", "--config", write_config(tmp_path, "loud", cfg)]
+    capsys.readouterr()
+    assert cli.main(argv + (["--scalar-task"] if scalar else [])) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: source row 0: an observation value that is not a finite float32\n"
+    assert not (tmp_path / "run" / "dataset.txt").exists()
 
 
 def test_zero_norm_features_are_a_training_failure(tmp_path, capsys):

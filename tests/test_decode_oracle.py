@@ -29,7 +29,7 @@ from poseadapt.synth import make_object
 
 from helpers import ANCHOR_RANGES, random_rotations
 
-CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
+CAM = CameraIntrinsics(fx=600.0, fy=600.0)
 IDENTITY_6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 

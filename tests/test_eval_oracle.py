@@ -20,7 +20,7 @@ from poseadapt.synth import evaluation_access, make_dataset, make_domain_config,
 
 from helpers import ANCHOR_RANGES, SAMPLE_RANGES, random_rotations
 
-CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
+CAM = CameraIntrinsics(fx=600.0, fy=600.0)
 N_POSES = 320
 
 

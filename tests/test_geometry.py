@@ -23,7 +23,7 @@ from poseadapt.synth import load_dataset, make_dataset, make_domain_config, save
 
 from helpers import ANCHOR_RANGES, SAMPLE_RANGES, matrix_to_rot6d, random_rotations
 
-CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
+CAM = CameraIntrinsics(fx=600.0, fy=600.0)
 
 
 def rot_z(angle):

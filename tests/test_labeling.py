@@ -21,7 +21,7 @@ from poseadapt.losses import ObjectiveConfig, build_target_graph, prepare_batch_
 
 from helpers import ANCHOR_RANGES, random_rotations
 
-CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
+CAM = CameraIntrinsics(fx=600.0, fy=600.0)
 
 
 def geodesic_distance(r1, r2):

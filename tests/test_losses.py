@@ -51,7 +51,7 @@ from helpers import (
     random_rotations,
 )
 
-CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
+CAM = CameraIntrinsics(fx=600.0, fy=600.0)
 
 
 def rot_z(a):

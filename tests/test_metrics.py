@@ -25,7 +25,7 @@ from poseadapt.network import NetworkConfig, PoseNetwork
 
 from helpers import ANCHOR_RANGES, random_rotations
 
-CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
+CAM = CameraIntrinsics(fx=600.0, fy=600.0)
 
 
 def rot_z(a):

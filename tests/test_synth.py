@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from poseadapt.errors import DatasetError, GroundTruthAccessError, InvalidArgumentError
-from poseadapt.geometry import CameraIntrinsics, Pose, generate_rotation_anchors
+from poseadapt.geometry import AnchorSet, CameraIntrinsics, Pose, generate_rotation_anchors
 from poseadapt.labeling import anchor_distances
 from poseadapt import synth
-from poseadapt.metrics import evaluate_pose
+from poseadapt.metrics import evaluate_pose, predict_poses
+from poseadapt.network import NetworkConfig, PoseNetwork
 from poseadapt.synth import (
     OBS_DIM,
     SCALAR_RANGE,
@@ -23,11 +25,13 @@ from poseadapt.synth import (
     make_object,
     make_scalar_task,
     raw_observation,
+    row_names,
     save_dataset,
     synthesize,
 )
 
 from helpers import (
+    ANCHOR_RANGES,
     SAMPLE_RANGES,
     decode_floats,
     edit_block,
@@ -35,13 +39,45 @@ from helpers import (
     per_sample_records,
     random_rotations,
     version_3_record,
+    version_4_header,
 )
 
-CAM = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0)
+CAM = CameraIntrinsics(fx=600.0, fy=600.0)
 # finite float64s, with signed zeros, subnormals and +-1e308 drawn often
 FLOAT64S = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, 1e308, -1e308]),
     st.floats(allow_nan=False, allow_infinity=False))
+F32_MAX = float(np.finfo(np.float32).max)
+# finite float32s, with signed zeros, subnormals and +-float32 max drawn often
+FLOAT32S = st.one_of(
+    st.sampled_from([0.0, -0.0, 2.0 ** -149, -(2.0 ** -149), 2.0 ** -127, F32_MAX, -F32_MAX]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False))
+
+
+def midpoint(x):
+    """The float64 halfway between the float32 ``x`` and the next float32 up."""
+    x = np.float32(x)
+    return (float(x) + float(np.nextafter(x, np.float32(np.inf)))) / 2
+
+
+# float64s that float32 storage rounds: halfway between two float32s (a tie
+# rounds to the even one), signed zeros, float64 subnormals (to zero),
+# float32 subnormals and their halves, +-float32 max and the largest float64s
+# that still round to it
+OBS64 = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -149, -(2.0 ** -149), 2.0 ** -150,
+                     -3 * 2.0 ** -150, 2.0 ** -126, F32_MAX, -F32_MAX,
+                     float(np.nextafter(F32_MAX + 2.0 ** 103, 0.0)),
+                     -float(np.nextafter(F32_MAX + 2.0 ** 103, 0.0))]),
+    st.floats(width=32, min_value=-1e4, max_value=1e4).map(midpoint),
+    st.floats(width=32, min_value=-F32_MAX, max_value=F32_MAX, exclude_max=True).map(midpoint),
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.floats(min_value=-F32_MAX, max_value=F32_MAX))
+
+
+def assert_bits_equal(want, got):
+    assert want.dtype == got.dtype and want.shape == got.shape
+    np.testing.assert_array_equal(want.view(f"u{want.itemsize}"), got.view(f"u{got.itemsize}"))
 
 
 def rot_z(a):
@@ -195,7 +231,6 @@ class TestMakeDataset:
         a = self.dataset(40, 20, seed=9)
         b = self.dataset(40, 20, seed=9)
         for sa, sb in ((a.source, b.source), (a.target, b.target)):
-            np.testing.assert_array_equal(sa.ids, sb.ids)
             np.testing.assert_array_equal(sa.observation, sb.observation)
 
     def test_depth_range_contract(self):
@@ -240,12 +275,12 @@ class TestMakeDataset:
         path = tmp_path / "data.txt"
         save_dataset(path, ds)
         back = load_dataset(path)
-        assert back.kind == "pose"
+        assert back.kind == "pose" and back.cam == CAM and back.object_kinds == ["", ""]
         with evaluation_access():
             for sa, sb in ((ds.source, back.source), (ds.target, back.target)):
                 assert sa.domain == sb.domain and len(sa) == len(sb)
-                np.testing.assert_array_equal(sa.ids, sb.ids)
-                np.testing.assert_array_equal(sa.observation, sb.observation)
+                assert sb.observation.dtype == np.float32
+                np.testing.assert_array_equal(sa.observation.astype(np.float32), sb.observation)
                 np.testing.assert_array_equal(sa.gt_pose.rotation, sb.gt_pose.rotation)
                 np.testing.assert_array_equal(sa.gt_pose.translation,
                                               sb.gt_pose.translation)
@@ -298,14 +333,15 @@ class TestMakeDataset:
          "line 2: row 1: a depth that is not positive"),
         (2, lambda rec: edit_block(rec, "r", lambda r: [*r[:9], 2.0, 0, 0, 0, 2.0, 0, 0, 0, 2.0]),
          None, "line 3: row 1: a rotation that is not orthonormal"),
-        (1, lambda rec: dict(rec, obs=base64.b64encode(base64.b64decode(rec["obs"])[:-4]).decode()),
+        (1, lambda rec: dict(rec, obs=base64.b64encode(base64.b64decode(rec["obs"])[:-2]).decode()),
          None, "line 2: buffer size must be a multiple"),
         (1, lambda rec: dict(rec, obs="*" + rec["obs"][1:]), None, "line 2: Only base64 data"),
         (0, lambda header: dict(header, version=1), None,
-         "dataset version 1, this build reads version 4; re-run gen-data"),
-        (0, lambda header: dict(header, meta={"n_target": 2}), None, "corrupt dataset"),
+         "dataset version 1, this build reads version 5; re-run gen-data"),
+        (0, lambda header: {k: v for k, v in header.items() if k != "n_source"}, None,
+         "corrupt dataset header: n_source None is not a positive integer"),
         (0, lambda header: [header], None, "corrupt dataset"),
-        (0, lambda header: dict(header, objects=[], meta={"n_source": 0, "n_target": 0}), 1,
+        (0, lambda header: dict(header, objects=[], n_source=0, n_target=0), 1,
          "the header lists no objects"),
         (0, lambda header: header, 2, "line 3: the file ends before the target split"),
         (2, lambda rec: edit_block(rec, "t", lambda t: [*t[:3], float("nan"), *t[4:]]), None,
@@ -313,7 +349,7 @@ class TestMakeDataset:
         (1, lambda rec: edit_block(rec, "r", lambda r: [*r[:30], float("inf"), *r[31:]]), None,
          "line 2: row 3: a non-finite value"),
     ], ids=["unknown-domain", "obs-63", "target-obs-65", "target-row-as-source",
-            "nan-observation", "negative-depth", "scaled-rotation", "obs-bytes-not-float64s",
+            "nan-observation", "negative-depth", "scaled-rotation", "obs-bytes-not-float32s",
             "obs-not-base64", "version-1", "no-source-count", "header-not-an-object",
             "no-objects", "cut-after-source", "nan-translation-x", "infinite-rotation"])
     def test_malformed_row_raises_dataset_error(self, tmp_path, line, edit, keep, match):
@@ -333,9 +369,15 @@ class TestMakeDataset:
         path = tmp_path / "data.txt"
         save_dataset(path, self.dataset(4, 2, seed=8))
         header, *splits = map(json.loads, path.read_text().splitlines())
-        assert header["version"] == 4
-        assert [(rec["domain"], len(decode_floats(rec["t"])) // 3) for rec in splits] == \
-            [("source", 4), ("target", 2)]
+        assert header["version"] == 5
+        # the header keeps what loading reads, and no generation provenance
+        assert set(header) == {"format", "version", "kind", "camera", "objects", "obs_dim",
+                               "n_source", "n_target"}
+        assert (header["obs_dim"], header["n_source"], header["n_target"]) == (OBS_DIM, 4, 2)
+        assert header["camera"] == {"fx": 600.0, "fy": 600.0}
+        assert [(rec["domain"], len(decode_floats(rec["t"])) // 3,
+                 len(decode_floats(rec["obs"], "f")) // OBS_DIM) for rec in splits] == \
+            [("source", 4, 4), ("target", 2, 2)]
         assert all(set(rec) == {"domain", "obs", "r", "t"} for rec in splits)
 
     def test_a_line_after_the_target_split_is_refused(self, tmp_path):
@@ -353,8 +395,8 @@ class TestMakeDataset:
         header, *splits = map(json.loads, path.read_text().splitlines())
         rows = [row for rec in splits for row in per_sample_records(rec, encode_floats, 2)]
         path.write_text("".join(json.dumps(d, sort_keys=True) + "\n"
-                                for d in [dict(header, version=2), *rows]))
-        with pytest.raises(DatasetError, match="dataset version 2, this build reads version 4"):
+                                for d in [dict(version_4_header(header), version=2), *rows]))
+        with pytest.raises(DatasetError, match="dataset version 2, this build reads version 5"):
             load_dataset(path)
 
     def test_a_version_3_file_is_refused(self, tmp_path):
@@ -363,16 +405,17 @@ class TestMakeDataset:
         path = tmp_path / "data.txt"
         save_dataset(path, self.dataset(4, 2, seed=8))
         header, *splits = map(json.loads, path.read_text().splitlines())
-        lines = [dict(header, version=3), *(version_3_record(rec, 2) for rec in splits)]
+        lines = [dict(version_4_header(header), version=3),
+                 *(version_3_record(rec, 2) for rec in splits)]
         path.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in lines))
-        with pytest.raises(DatasetError, match="dataset version 3, this build reads version 4"):
+        with pytest.raises(DatasetError, match="dataset version 3, this build reads version 5"):
             load_dataset(path)
 
     @pytest.mark.parametrize("reload", [False, True], ids=["fresh", "loaded"])
     def test_an_object_is_every_kth_row(self, tmp_path, reload):
         """With three objects, object i's rows of a split are rows i, i + 3,
-        ..., named by their row in the split, fresh from ``make_dataset``
-        and after a save and load."""
+        ..., fresh from ``make_dataset`` and after a save and load; a row is
+        named by its index in the split."""
         objects = [*self.objects, make_object("blob", seed=2, n_points=48)]
         ds = make_dataset(11, 7, objects, CAM, self.src, self.tgt, seed=8,
                           sample_ranges=SAMPLE_RANGES)
@@ -383,19 +426,22 @@ class TestMakeDataset:
             for domain, split in (("source", ds.source), ("target", ds.target)):
                 for i in range(3):
                     got, rows = ds.by_object(i, domain), np.arange(i, len(split), 3)
-                    assert got.ids.tolist() == [f"{domain[0]}{j:06d}" for j in rows]
                     np.testing.assert_array_equal(got.observation, split.observation[rows])
                     np.testing.assert_array_equal(got.gt_pose.rotation, split.gt.rotation[rows])
                     np.testing.assert_array_equal(got.gt_pose.translation,
                                                   split.gt.translation[rows])
+        assert row_names("target", range(7)[1::3]) == ["t000001", "t000004"]
+        assert row_names("source", [0, 10, 123456]) == ["s000000", "s000010", "s123456"]
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(obs=st.lists(FLOAT64S, min_size=OBS_DIM, max_size=OBS_DIM),
+    @given(obs=st.lists(FLOAT32S, min_size=OBS_DIM, max_size=OBS_DIM),
            xy=st.lists(FLOAT64S, min_size=2, max_size=2),
            z=st.one_of(st.sampled_from([5e-324, 2.0 ** -1030, 1e308, 1.7976931348623157e308]),
                        st.floats(min_value=5e-324, allow_infinity=False)))
     def test_round_trip_is_bit_exact(self, tmp_path, obs, xy, z):
+        """Float32 observations and float64 ground truth load with the bits
+        they were saved with."""
         ds = self.dataset(1, 1, seed=8)
         ds.source.observation[0] = obs
         ds.target.gt.translation[0] = [*xy, z]
@@ -406,10 +452,53 @@ class TestMakeDataset:
         back = load_dataset(path)
         with evaluation_access():
             for sa, sb in ((ds.source, back.source), (ds.target, back.target)):
-                for a, b in ((sa.observation, sb.observation),
-                             (sa.gt_pose.rotation, sb.gt_pose.rotation),
-                             (sa.gt_pose.translation, sb.gt_pose.translation)):
-                    np.testing.assert_array_equal(a.view("<u8"), b.view("<u8"))
+                assert_bits_equal(sa.observation.astype(np.float32), sb.observation)
+                assert_bits_equal(sa.gt_pose.rotation, sb.gt_pose.rotation)
+                assert_bits_equal(sa.gt_pose.translation, sb.gt_pose.translation)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(obs64=arrays(np.float64, st.tuples(st.integers(1, 5), st.just(OBS_DIM)),
+                        elements=OBS64))
+    def test_float32_storage_keeps_every_network_input(self, tmp_path, obs64):
+        """A saved float64 observation stack loads as its float32 rounding.
+        The network casts its input to float32, so its outputs and the
+        predicted poses are the same bits for the float64 stack and for the
+        loaded one, whole and as object 1's strided rows."""
+        ds = self.dataset(len(obs64), 1, seed=8)
+        ds.source.observation[...] = obs64
+        save_dataset(tmp_path / "data.txt", ds)
+        loaded = load_dataset(tmp_path / "data.txt").source.observation
+        with np.errstate(over="ignore"):
+            assert_bits_equal(obs64.astype(np.float32), loaded)
+        net_cfg = NetworkConfig(obs_dim=OBS_DIM, n_rot=4, n_vx=3, n_vy=3, n_z=4,
+                                feature_dim=16, encoder_hidden=(16,), head_hidden=8)
+        net, anchors = PoseNetwork(net_cfg, seed=3), AnchorSet.build(4, 3, 3, 4, *ANCHOR_RANGES,
+                                                                     seed=0)
+
+        def outputs(obs):
+            poses, out = predict_poses(net, obs, anchors, CAM)
+            return [out.feature, *out.probs.values(), *out.residuals.values(),
+                    poses.rotation, poses.translation]
+
+        # a value near float32's max overflows the first layer to inf and nan
+        with np.errstate(all="ignore"):
+            for rows in (slice(None), slice(1, None, 2))[:len(obs64)]:
+                for want, got in zip(outputs(obs64[rows]), outputs(loaded[rows]), strict=True):
+                    assert_bits_equal(want, got)
+
+    @pytest.mark.parametrize("value", [1e300, F32_MAX + 2.0 ** 103, -np.inf, np.nan],
+                             ids=["1e300", "float32-max-and-half-an-ulp", "-inf", "nan"])
+    def test_an_observation_past_float32_is_refused_before_writing(self, tmp_path, value):
+        """A value that float32 rounds to an infinity (the tie above its max
+        rounds to even, up), or a value that is not finite, raises before
+        the file is opened."""
+        ds = self.dataset(4, 2, seed=8)
+        ds.target.observation[1, 5] = value
+        with pytest.raises(InvalidArgumentError, match="^target row 1: an observation value "
+                                                       "that is not a finite float32$"):
+            save_dataset(tmp_path / "data.txt", ds)
+        assert not (tmp_path / "data.txt").exists()
 
     @pytest.mark.parametrize("kind", ["pose", "scalar"])
     def test_load_then_save_reproduces_the_file(self, tmp_path, kind):
@@ -468,5 +557,5 @@ class TestScalarTask:
         assert back.kind == "scalar"
         with evaluation_access():
             for sa, sb in ((ds.source, back.source), (ds.target, back.target)):
-                np.testing.assert_array_equal(sa.observation, sb.observation)
+                np.testing.assert_array_equal(sa.observation.astype(np.float32), sb.observation)
                 np.testing.assert_array_equal(sa.gt_pose.z, sb.gt_pose.z)
