@@ -46,7 +46,6 @@ class NetConfig:
     feature_dim: int = 128
     encoder_hidden: tuple = (128, 128)
     head_hidden: int = 64
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,8 @@ def validate_config(cfg: RunConfig):
     """Check every field against module invariants before any computation."""
     _check_types(cfg)
     a = cfg.anchors
-    if min(cfg.seed, a.seed, cfg.network.seed, cfg.data.object_seed) < 0:
-        raise ConfigError("seed, anchors.seed, network.seed and data.object_seed must be >= 0")
+    if min(cfg.seed, a.seed, cfg.data.object_seed) < 0:
+        raise ConfigError("seed, anchors.seed and data.object_seed must be >= 0")
     if a.n_rot < 1 or a.n_vx < 1 or a.n_vy < 1 or a.n_z < 1:
         raise ConfigError("anchor counts must be positive")
     for lo, hi, name in ((a.vx_range + ("vx_range",)), (a.vy_range + ("vy_range",)),

@@ -2,7 +2,9 @@
 
 A run directory is driven entirely by one RunConfig: dataset generation,
 per-object teacher/student training (or the direct-regression baseline), and
-evaluation reports all derive their randomness from configured seeds.
+evaluation reports.  A replicate's random draws come from the run seed's
+tree (``synth.seed_node``); the object models and anchors, which define the
+benchmark and the method, have seeds of their own.
 Each ``run_*`` command writes its files into the run directory and
 returns nothing.  A student stage whose teacher is missing or
 incompatible writes nothing, and one whose student fails to train leaves
@@ -39,16 +41,19 @@ from .reports import (
 )
 from .selftrain import train_student, train_teacher
 from .synth import (
+    INIT,
     SCALAR_RANGE,
+    STUDENT_ORDER,
+    TEACHER_ORDER,
     Dataset,
     evaluation_access,
     load_dataset,
     make_dataset,
-    make_domain_config,
     make_object,
     make_scalar_task,
     row_names,
     save_dataset,
+    seed_node,
 )
 
 # train stage -> file prefix of its checkpoints and reports
@@ -100,25 +105,17 @@ def build_stage(cfg: RunConfig, ds: Dataset, stage):
 
 
 def run_gen_data(cfg: RunConfig):
-    """Generate and save the benchmark dataset."""
-    ensure_dir(cfg.out_dir)
-    save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
+    """Generate and save the benchmark dataset, then the run's config.json."""
     d = cfg.data
     if cfg.scalar_task:
-        ds = make_scalar_task(
-            d.n_source, d.n_target,
-            make_domain_config(0.0, d.scalar_source_noise, 0.0, seed=cfg.seed + 11),
-            make_domain_config(d.scalar_target_offset, d.scalar_target_noise, 0.0,
-                               seed=cfg.seed + 12), seed=cfg.seed)
+        ds = make_scalar_task(d.n_source, d.n_target, (0.0, d.scalar_source_noise, 0.0),
+                              (d.scalar_target_offset, d.scalar_target_noise, 0.0), cfg.seed)
     else:
         objects = [make_object(kind, seed=d.object_seed + i, n_points=d.n_points)
                    for i, kind in enumerate(d.object_kinds)]
-        source_cfg = make_domain_config(d.source_offset, d.source_noise,
-                                        d.source_dropout, seed=cfg.seed + 1)
-        target_cfg = make_domain_config(d.target_offset, d.target_noise,
-                                        d.target_dropout, seed=cfg.seed + 2)
         ds = make_dataset(d.n_source, d.n_target, objects, build_camera(cfg),
-                          source_cfg, target_cfg, seed=cfg.seed,
+                          (d.source_offset, d.source_noise, d.source_dropout),
+                          (d.target_offset, d.target_noise, d.target_dropout), cfg.seed,
                           object_kinds=list(d.object_kinds),
                           sample_ranges={"vx": d.vx_sample_range,
                                          "vy": d.vy_sample_range,
@@ -126,6 +123,8 @@ def run_gen_data(cfg: RunConfig):
     path = cfg.dataset_path()
     ensure_dir(os.path.dirname(path) or ".")
     save_dataset(path, ds)
+    ensure_dir(cfg.out_dir)
+    save_config(os.path.join(cfg.out_dir, "config.json"), cfg)
     print(f"dataset: {path} kind={ds.kind} source={d.n_source} target={d.n_target} "
           f"objects={len(ds.objects)} seed={cfg.seed}")
 
@@ -260,11 +259,12 @@ def run_train(cfg: RunConfig, stage, workers=1):
             net, stats = train_student(
                 teachers.pop(i), source.observation, source.gt_pose,   # adapted in place
                 ds.by_object(i, "target").observation, anchors, model, ds.cam, objective,
-                cfg.train, seed=cfg.seed + 100 + i)
+                cfg.train, seed=seed_node(cfg.seed, STUDENT_ORDER, i))
         else:
-            net = PoseNetwork(net_cfg, seed=cfg.network.seed + i)
+            net = PoseNetwork(net_cfg, seed=seed_node(cfg.seed, INIT, i))
             stats = train_teacher(source.observation, source.gt_pose, net, anchors, model,
-                                  ds.cam, objective, cfg.train, seed=cfg.seed + 10 + i)
+                                  ds.cam, objective, cfg.train,
+                                  seed=seed_node(cfg.seed, TEACHER_ORDER, i))
         return net.flat, stats
 
     objects, n, quality, pool = range(len(ds.objects)), min(workers, len(ds.objects)), [], None

@@ -117,7 +117,7 @@ class ObjectModel:
 
 def is_rotation(r):
     """Per matrix of an (..., 3, 3) stack: finite, orthonormal within 1e-9, det +1."""
-    with np.errstate(invalid="ignore"):       # a non-finite matrix compares False
+    with np.errstate(invalid="ignore", over="ignore"):    # a non-finite product compares False
         return ((np.abs(r @ np.swapaxes(r, -1, -2) - np.eye(3)) <= 1e-9).all(axis=(-2, -1))
                 & (np.linalg.det(r) > 0))
 

@@ -125,9 +125,10 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
 def train_teacher(obs, poses: Pose, net: PoseNetwork, anchors: AnchorSet,
                   model: ObjectModel, cam: CameraIntrinsics,
                   objective: ObjectiveConfig, cfg: TrainConfig, seed):
-    """Fit the teacher on the labeled source split."""
+    """Fit the teacher on the labeled source split; ``seed``, an int or a
+    ``SeedSequence``, orders its batches."""
     optimizer = Adam(net.flat, net.grad_buffer(), lr=cfg.lr_teacher)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7EAC]))
+    rng = np.random.default_rng(seed)
     return train_supervised(net, optimizer, obs, poses, anchors, model, cam,
                             objective, cfg.teacher_epochs, cfg.batch_size, rng)
 
@@ -161,14 +162,14 @@ def train_student(teacher: PoseNetwork, source_obs, source_poses: Pose, target_o
     hands the teacher over, and passes a copy if it needs the teacher
     afterwards.  Each round is annotated by the network as it stands, so
     round 0 by the teacher, and trains on the source split plus the
-    selected target rows with their pseudo poses.  Returns the student and
-    one ``RoundStats`` per round.
+    selected target rows with their pseudo poses, in batches that ``seed``
+    orders.  Returns the student and one ``RoundStats`` per round.
     """
     student, rounds_stats = teacher, []
     if cfg.rounds == 0:
         return student, rounds_stats
     optimizer = Adam(student.flat, student.grad_buffer(), lr=cfg.lr_student)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x57D]))
+    rng = np.random.default_rng(seed)
     for r in range(cfg.rounds):
         poses, confidence = pseudo_label(student, target_obs, anchors, cam)
         tau = threshold_schedule(r, cfg)

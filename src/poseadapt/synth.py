@@ -7,11 +7,14 @@ optional coordinate dropout standing in for occlusion.  A pose stack's
 raw channels come as one (n, r) matrix: projected model keypoints and
 apparent size for the pose task, four fixed features of the target value
 for the scalar task.  ``synthesize`` puts that matrix through the nuisance
-channel both tasks share, in one batch, and seeds every row's noise
-stream at once from the domain seed and a digest of the row's pose, with
-the bits of ``SeedSequence([seed, digest])``; only the draws loop over
-rows.  Source and target share the target-sampling law; only the
-observation channel differs.
+channel both tasks share, in one batch.  Source and target share the
+target-sampling law; only the observation channel differs.
+
+What a run's seed draws comes from the nodes of its tree, ``seed_node``;
+the embedding and the object models have constant seeds.  The poses of
+both splits come from one node.  Each split's noise stream draws its
+offset direction, then each object's normals and dropout uniforms,
+objects in order.
 
 A ``Dataset`` holds each domain as one ``Split``: the observation matrix
 (n, obs_dim) and the ground-truth ``Pose`` stack, indexed by row like a
@@ -36,7 +39,6 @@ import base64
 import contextlib
 import contextvars
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -57,6 +59,15 @@ from .geometry import (
 OBS_DIM = 64
 _EMBED_SEED = 0x5EEDED
 N_KEYPOINTS = 10
+
+# the random roles of a run; i counts objects where a role has a node per object
+POSES, SOURCE_NOISE, TARGET_NOISE, INIT, TEACHER_ORDER, STUDENT_ORDER = range(6)
+
+
+def seed_node(seed, role, i=0):
+    """Node i of ``role`` in the run seed's tree: the bits of
+    ``SeedSequence(seed).spawn(6)[role].spawn(i + 1)[i]``, built alone."""
+    return np.random.SeedSequence(seed, spawn_key=(role, i))
 
 _EVAL_ACCESS = contextvars.ContextVar("poseadapt_eval_access", default=False)
 
@@ -110,7 +121,6 @@ class DomainConfig:
     offset: np.ndarray
     noise_scale: float
     dropout_prob: float
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
@@ -120,16 +130,13 @@ class DomainConfig:
             raise InvalidArgumentError("dropout probability must be in [0, 1]")
 
 
-def make_domain_config(offset_scale=0.0, noise_scale=0.0, dropout_prob=0.0,
-                       seed=0, obs_dim=OBS_DIM) -> DomainConfig:
-    """Draw a fixed unit-direction nuisance offset of the given magnitude."""
-    offset = np.zeros(obs_dim)
-    if offset_scale != 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
-        direction = rng.standard_normal(obs_dim)
-        offset = direction / np.linalg.norm(direction) * offset_scale
-    return DomainConfig(offset=offset, noise_scale=noise_scale,
-                        dropout_prob=dropout_prob, seed=seed)
+def make_domain_config(rng, offset_scale=0.0, noise_scale=0.0, dropout_prob=0.0,
+                       obs_dim=OBS_DIM) -> DomainConfig:
+    """A domain whose offset is ``offset_scale`` times a unit direction drawn
+    from ``rng``, drawn even at norm 0 so that later draws do not depend on it."""
+    direction = rng.standard_normal(obs_dim)
+    return DomainConfig(offset=direction / np.linalg.norm(direction) * offset_scale,
+                        noise_scale=noise_scale, dropout_prob=dropout_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -227,67 +234,14 @@ def raw_observation(poses: Pose, model: ObjectModel, cam: CameraIntrinsics):
     return np.concatenate([u, v, size[:, None]], axis=1)
 
 
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645     # PCG64's 128-bit multiplier
-
-
-def _hashmix(const, mult):
-    """SeedSequence's hashmix on uint32 row vectors.  Its running constant
-    stays a masked Python int: numpy scalar uint32 products warn on
-    overflow, where array products wrap."""
-    def hashmix(words):
-        nonlocal const
-        words, const = words ^ const, const * mult & _MASK32
-        words = words * const
-        return words ^ (words >> 16)
-    return hashmix
-
-
-def _mix(x, y):
-    out = 0xCA01F9DD * x - 0x4973F715 * y
-    return out ^ (out >> 16)
-
-
-def _pcg64_states(seed, digests):
-    """Yield ``PCG64(SeedSequence([seed, d])).state``'s (state, inc) for each
-    digest d (uint64, n).  SeedSequence's entropy mixing and
-    ``generate_state(4, uint64)`` run on all rows at once.  The entropy is
-    the seed's then the digest's 32-bit words, low first; rows group by
-    length, and hashing past the entropy hashes zeros, so short entropy is
-    padded to the pool of 4.  ``pcg64_set_seed`` then steps each state."""
-    if seed < 0:
-        raise InvalidArgumentError("domain seed must be >= 0")
-    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    high = (digests >> 32).astype(np.uint32)
-    words = np.empty((len(digests), 4), np.uint64)
-    for long in (False, True):
-        rows = (high != 0) == long
-        low = digests[rows].astype(np.uint32)
-        entropy = [np.full_like(low, w) for w in seed_words] + [low] + [high[rows]] * long
-        entropy += [np.zeros_like(low)] * (4 - len(entropy))
-        hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
-        pool = [hashmix(e) for e in entropy[:4]]
-        for src, dst in itertools.permutations(range(4), 2):
-            pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for e, dst in itertools.product(entropy[4:], range(4)):
-            pool[dst] = _mix(pool[dst], hashmix(e))
-        hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)
-        state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
-        words[rows] = state.astype("<u4").view("<u8")       # word pairs, low word first
-    for s0, s1, q0, q1 in words.tolist():
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        yield ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128, inc
-
-
-def synthesize(raw, poses: Pose, dc: DomainConfig):
+def synthesize(raw, poses: Pose, dc: DomainConfig, rng):
     """Observations (n, len(dc.offset)) of raw channels (n, r) under one
     domain's nuisance model: embedded, offset, noised and dropped out.
 
-    Pure function of each row: row i's noise stream has the bits of
-    ``PCG64(SeedSequence([dc.seed, digest]))``, digest a blake2b hash of
-    ``poses[i]``, seeded for all rows at once; normal draws first, then the
-    dropout's uniform draws.  The embedding is a stacked matrix-vector
-    product, which gives each row the bits of ``a @ raw[i]``.
+    ``rng`` draws the (n, width) normals in one call, then, if the domain
+    drops coordinates, the (n, width) uniforms in another.  The embedding
+    is a stacked matrix-vector product, which gives each row the bits of
+    ``a @ raw[i]``.
     """
     if np.any(poses.z <= 0):
         raise InvalidArgumentError("pose must have positive depth")
@@ -295,24 +249,10 @@ def synthesize(raw, poses: Pose, dc: DomainConfig):
     a_lin, a_sin, phase = _embedding(raw.shape[1], width)
     clean = np.concatenate([raw[:, :width], np.sin((a_sin @ raw[..., None])[..., 0] + phase),
                             (a_lin @ raw[..., None])[..., 0]], axis=1)
-    keys = np.concatenate([poses.rotation.reshape(-1, 9), poses.translation], axis=1).astype("<f8")
-    digests = np.frombuffer(b"".join(hashlib.blake2b(key, digest_size=8).digest() for key in keys),
-                            ">u8").astype(np.uint64)
-    noise = np.empty((len(raw), width))
-    uniform = np.empty((len(raw), width)) if dc.dropout_prob > 0 else None
-    bits = np.random.PCG64(0)
-    rng, pcg = np.random.Generator(bits), bits.state    # its has_uint32 and uinteger are 0
-    for i, (state, inc) in enumerate(_pcg64_states(dc.seed, digests)):
-        pcg["state"] = {"state": state, "inc": inc}
-        bits.state = pcg
-        rng.standard_normal(out=noise[i])
-        if uniform is not None:
-            rng.random(out=uniform[i])
     clean += dc.offset            # in place, in the order of clean + offset + noise * scale
-    noise *= dc.noise_scale
-    clean += noise
-    if uniform is not None:
-        clean[uniform < dc.dropout_prob] = 0.0
+    clean += rng.standard_normal((len(raw), width)) * dc.noise_scale
+    if dc.dropout_prob > 0:
+        clean[rng.random((len(raw), width)) < dc.dropout_prob] = 0.0
     return clean
 
 
@@ -342,38 +282,42 @@ class Dataset:
         return self.source.observation.shape[1]
 
 
-def _generate(kind, n_source, n_target, objects, cfgs, draw, raw, **fields):
-    """Both splits, source first, row j showing object j mod K.  ``draw(n)``
-    draws the ground-truth pose stack of n samples, and ``raw(poses,
-    object_id)`` gives the raw channels of one object's pose stack."""
+def _generate(kind, n_source, n_target, objects, domains, seed, draw, raw, **fields):
+    """Both splits, source first, row j showing object j mod K, each noised
+    from its node of ``seed``'s tree.  ``draw(n)`` draws the ground-truth
+    pose stack of n samples, and ``raw(poses, object_id)`` gives the raw
+    channels of one object's pose stack."""
     if n_source < 1 or n_target < 1:
         raise InvalidArgumentError("need at least one sample per domain")
     splits, n_obj = [], len(objects)
-    for domain, n, dc in zip(("source", "target"), (n_source, n_target), cfgs):
-        gt, obs = draw(n), np.empty((n, len(dc.offset)))
+    for domain, n, spec, role in zip(("source", "target"), (n_source, n_target), domains,
+                                     (SOURCE_NOISE, TARGET_NOISE)):
+        rng = np.random.default_rng(seed_node(seed, role))
+        gt, dc = draw(n), make_domain_config(rng, *spec)
+        obs = np.empty((n, len(dc.offset)))
         for k in range(n_obj):
-            obs[k::n_obj] = synthesize(raw(gt[k::n_obj], k), gt[k::n_obj], dc)
+            obs[k::n_obj] = synthesize(raw(gt[k::n_obj], k), gt[k::n_obj], dc, rng)
         splits.append(Split(domain, obs, gt))
     return Dataset(kind, *splits, objects=list(objects), **fields)
 
 
-def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics,
-                 source_cfg: DomainConfig, target_cfg: DomainConfig, seed, sample_ranges,
-                 object_kinds=None) -> Dataset:
+def make_dataset(n_source, n_target, objects, cam: CameraIntrinsics, source, target, seed,
+                 sample_ranges, object_kinds=None) -> Dataset:
     """Seeded benchmark dataset: uniform rotations, and v_x, v_y and z
     uniform over ``sample_ranges`` ("vx" / "vy" / "z" -> (low, high)).
+    Each domain is an (offset norm, noise scale, dropout probability).
 
     Objects are assigned round-robin; both domains draw poses from the
     same law.  Target ground truth is retained but evaluation-only.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+    rng = np.random.default_rng(seed_node(seed, POSES))
 
     def draw(n):
         rots = quaternions_to_matrices(random_quaternions(n, rng))
         vx, vy, z = (rng.uniform(*sample_ranges[c], n) for c in ("vx", "vy", "z"))
         return Pose(rots, np.stack([vx * z / cam.fx, vy * z / cam.fy, z], axis=1))
 
-    return _generate("pose", n_source, n_target, objects, (source_cfg, target_cfg), draw,
+    return _generate("pose", n_source, n_target, objects, (source, target), seed, draw,
                      lambda poses, k: raw_observation(poses, objects[k], cam),
                      object_kinds=list(object_kinds or [""] * len(objects)), cam=cam)
 
@@ -395,14 +339,14 @@ def _scalar_raw(s):
                      np.cos(np.pi * s)], axis=1)
 
 
-def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: DomainConfig,
-                     seed) -> Dataset:
-    """Scalar-regression UDA dataset: target variable in [0.5, 1.0].
+def make_scalar_task(n_source, n_target, source, target, seed) -> Dataset:
+    """Scalar-regression UDA dataset: target variable in [0.5, 1.0], the
+    domains given as in ``make_dataset``.
 
     The scalar rides in the depth slot of an otherwise trivial pose, so the
     full head machinery applies with only the z branch enabled.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CA1A]))
+    rng = np.random.default_rng(seed_node(seed, POSES))
 
     def draw(n):
         translation = np.zeros((n, 3))
@@ -410,7 +354,7 @@ def make_scalar_task(n_source, n_target, source_cfg: DomainConfig, target_cfg: D
         return Pose(np.tile(np.eye(3), (n, 1, 1)), translation)
 
     return _generate("scalar", n_source, n_target, [ObjectModel.from_points(_SCALAR_POINTS)],
-                     (source_cfg, target_cfg), draw,
+                     (source, target), seed, draw,
                      lambda poses, k: _scalar_raw(poses.z), object_kinds=["scalar"],
                      cam=CameraIntrinsics(fx=_REF_FOCAL, fy=_REF_FOCAL))
 

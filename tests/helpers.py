@@ -18,12 +18,11 @@ a split line as dataset format 4 wrote them, ``version_3_record`` a split
 line as format 3 did, and ``per_sample_records`` as the
 one-record-per-sample lines of formats 1 and 2.
 ``reference_observation`` and ``reference_scalar_observation`` synthesize
-one observation from one pose, as the package did before its synthesizer
-was batched.
+the noiseless observation of one pose, as the package did before its
+synthesizer was batched.
 """
 
 import base64
-import hashlib
 import json
 import struct
 from dataclasses import asdict
@@ -189,33 +188,25 @@ def _reference_keypoints(points):
     return points[chosen]
 
 
-def _reference_observe(raw, pose, dc):
-    """Embed one raw vector with matrix-vector products and apply the
-    domain's offset, noise and dropout, drawn from a stream keyed by the
-    domain seed and a digest of the pose."""
+def _reference_observe(raw, dc):
+    """Embed one raw vector with matrix-vector products and add the
+    domain's offset; the domain has no noise and no dropout."""
+    assert dc.noise_scale == 0 and dc.dropout_prob == 0
     width = len(dc.offset)
     a_lin, a_sin, phase = _embedding(len(raw), width)
-    clean = np.concatenate([raw[:width], np.sin(a_sin @ raw + phase), a_lin @ raw])
-    h = hashlib.blake2b(digest_size=8)
-    h.update(np.ascontiguousarray(pose.rotation, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(pose.translation, dtype="<f8").tobytes())
-    rng = np.random.default_rng(np.random.SeedSequence([dc.seed, int.from_bytes(h.digest(), "big")]))
-    obs = clean + dc.offset + rng.standard_normal(width) * dc.noise_scale
-    if dc.dropout_prob > 0:
-        obs = np.where(rng.random(width) < dc.dropout_prob, 0.0, obs)
-    return obs
+    return np.concatenate([raw[:width], np.sin(a_sin @ raw + phase), a_lin @ raw]) + dc.offset
 
 
 def reference_observation(pose, model, cam, dc):
     """The observation of one pose of ``model``: its projected keypoints
-    and apparent size, embedded and put through the domain's nuisance."""
+    and apparent size, embedded and offset."""
     if pose.z <= 0:
         raise InvalidArgumentError("pose must have positive depth")
     moved = _reference_keypoints(model.points) @ pose.rotation.T + pose.translation
     u = cam.fx * moved[:, 0] / moved[:, 2] / 200.0
     v = cam.fy * moved[:, 1] / moved[:, 2] / 200.0
     size = cam.fx * model.diameter / pose.z / 600.0
-    return _reference_observe(np.concatenate([u, v, [size]]), pose, dc)
+    return _reference_observe(np.concatenate([u, v, [size]]), dc)
 
 
 def reference_scalar_observation(pose, dc):
@@ -223,4 +214,4 @@ def reference_scalar_observation(pose, dc):
     target value.  ``** 2`` of one value calls libm ``pow``."""
     s = float(pose.z)
     raw = np.array([s, (s - 0.75) ** 2, np.sin(2 * np.pi * s), np.cos(np.pi * s)])
-    return _reference_observe(raw, pose, dc)
+    return _reference_observe(raw, dc)

@@ -17,7 +17,7 @@ from poseadapt.experiment import SWEEP_TAUS, build_anchors, build_camera, build_
 from poseadapt.geometry import AnchorSet
 from poseadapt.losses import build_target_graph
 from poseadapt.network import load_checkpoint, save_checkpoint
-from poseadapt.synth import make_dataset, make_domain_config, make_object, make_scalar_task
+from poseadapt.synth import make_dataset, make_object, make_scalar_task
 
 from helpers import (
     SAMPLE_RANGES,
@@ -101,8 +101,8 @@ def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, cap
 
 
 # SHA-256 over the names and bytes of every checkpoint and TSV of ``golden_run``
-GOLDEN_DIGEST = "a8cbdfed2956b8755385215608a02529393c4d18ab679cabd748aecfad01ad73"
-SCALAR_GOLDEN_DIGEST = "b828d58ba483791c5f03f0377ead09448a3e9754424cf3d7512a41f60491ac8a"
+GOLDEN_DIGEST = "dc9c54d287340f60168ca58b97e7708e33ff77d6a0f3983c3d02f0d31c66d714"
+SCALAR_GOLDEN_DIGEST = "6b3d5846015ec057641c203d1b269cf44db70991d9c40bfaad1e5c9ce18c8ba3"
 
 
 def golden_run(tmp_path, scalar=False):
@@ -137,10 +137,9 @@ def test_tiny_scalar_pipeline_matches_its_golden_digest(tmp_path, capsys):
 
 
 # SHA-256 of the ``TINY`` dataset.txt that gen-data writes with seed 3
-DATASET_GOLDEN_DIGEST = "f959acccf5d9a0ac13957ded5004d6100f4b5b3e4b60687f7f06b2881f4d9f49"
-SCALAR_DATASET_GOLDEN_DIGEST = "b6d3b8beb19e40ef809243a76cec5d958c70d73297d798101163cb58b017cd56"
-# seed 2**64 + 5 makes the domain seeds three 32-bit words, so each row's noise
-# seed is longer than SeedSequence's pool of four words
+DATASET_GOLDEN_DIGEST = "4dc0ab992ce04f36c85b4e679715d9f8f1d90c3894d89bc1f4125e3fa1787ac2"
+SCALAR_DATASET_GOLDEN_DIGEST = "cdaffd006f45f418f54a8f264c65af792873b5a1282cd05b125b2593a3048279"
+# a run seed of three 32-bit words
 LONG_SEED = 2 ** 64 + 5
 
 
@@ -156,12 +155,12 @@ def gen_tiny_data(tmp_path, scalar, seed=3, **data):
     (False, {}, DATASET_GOLDEN_DIGEST),
     (True, {}, SCALAR_DATASET_GOLDEN_DIGEST),
     (False, {"seed": LONG_SEED},
-     "e620f08c781a314b6fc4e945b482b6ab0b0ea8295029708b3fabfd374e080cce"),
+     "db141fdcf98caa8bc2e225d9e7d820b358bbbb38e677705adf1463a91a444e60"),
     (True, {"seed": LONG_SEED},
-     "10b3ec1aaca1b88d7ab961297dc1daa83cca69097c6b0dad2dc2de894f2d03f7"),
+     "19654da40771d5df262b330c51a8087e3039b2b14f9329ffcb31df2d34603ca4"),
     # three objects over 2 source and 1 target rows: objects with empty splits
     (False, {"n_source": 2, "n_target": 1, "object_kinds": ["box", "cylinder", "blob"]},
-     "fca0abb7a5eac2ff5aeaa6a2897d2f4b545e3c98b06eb4cd17ea63ab0953865e"),
+     "0ccb366ed83edb60c78d129ff59138eea09b0e51beda356605e3de8d9aa00b60"),
 ], ids=["pose", "scalar", "pose-long-seed", "scalar-long-seed", "pose-empty-splits"])
 def test_tiny_dataset_matches_its_golden_digest(tmp_path, capsys, scalar, options, digest):
     """gen-data writes exactly the dataset file it always has.  A change to
@@ -323,6 +322,7 @@ BAD_CONFIGS = {
     "negative-seed": {"seed": -1},
     "negative-anchor-seed": {"anchors": {"seed": -1}},
     "negative-network-seed": {"network": {"seed": -3}},
+    "network-seed": {"network": {"seed": 0}},
     "negative-object-seed": {"data": {"object_seed": -2}},
     "nan-camera": {"data": {"camera": [float("nan"), 600]}},
     "infinite-float": {"train": {"ctc_weight": float("inf")}},
@@ -388,6 +388,8 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
         assert "dataset.txt: corrupt dataset (InvalidArgumentError: camera fx " in err, err
     elif case in OBJECT_EDITS:
         assert "dataset.txt: corrupt dataset (InvalidArgumentError: " in err, err
+    elif case.endswith("network-seed"):     # --seed draws the initial weights
+        assert err == "error: unknown NetConfig keys: ['seed']\n", err
     if case.endswith("-dataset"):
         assert not list((tmp_path / "run").glob("*.ckpt"))
     elif case.endswith("-checkpoint"):
@@ -401,7 +403,7 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
 def test_observations_past_float32_are_refused(tmp_path, capsys, scalar):
     """A noise scale of 1e300 passes validation, but its observations
     overflow the dataset file's float32: gen-data exits 2 with one line and
-    writes no dataset file."""
+    writes no dataset file and no config.json."""
     noise = {"scalar_source_noise" if scalar else "source_noise": 1e300}
     cfg = dict(TINY, data=dict(TINY["data"], **noise), out_dir=str(tmp_path / "run"))
     argv = ["gen-data", "--config", write_config(tmp_path, "loud", cfg)]
@@ -410,6 +412,7 @@ def test_observations_past_float32_are_refused(tmp_path, capsys, scalar):
     err = capsys.readouterr().err
     assert err == "error: source row 0: an observation value that is not a finite float32\n"
     assert not (tmp_path / "run" / "dataset.txt").exists()
+    assert not (tmp_path / "run" / "config.json").exists()
 
 
 def test_zero_norm_features_are_a_training_failure(tmp_path, capsys):
@@ -534,7 +537,7 @@ def test_stage_definitions(scalar, stage, ctc_weight, single, use_cls, objective
     a teacher at weight 0.  A checkpoint whose meta names no stage reads
     as a teacher; the scalar task keeps only the z branch."""
     cfg = config_from_dict(dict(TINY, train=dict(TINY["train"], ctc_weight=ctc_weight)))
-    dc = make_domain_config(seed=0)
+    dc = (0.0, 0.0, 0.0)
     ds = (make_scalar_task(2, 1, dc, dc, seed=0) if scalar else
           make_dataset(2, 1, [make_object("box", seed=1, n_points=8)], build_camera(cfg), dc, dc,
                        seed=0, sample_ranges=SAMPLE_RANGES))

@@ -16,7 +16,7 @@ from poseadapt.geometry import AnchorSet, CameraIntrinsics, ObjectModel, Pose, a
 from poseadapt.metrics import HIT_FACTOR, evaluate_pose, predict_poses
 from poseadapt.network import NetworkConfig, PoseNetwork
 from poseadapt.reports import write_recall_table
-from poseadapt.synth import evaluation_access, make_dataset, make_domain_config, make_object
+from poseadapt.synth import evaluation_access, make_dataset, make_object
 
 from helpers import ANCHOR_RANGES, SAMPLE_RANGES, random_rotations
 
@@ -101,8 +101,7 @@ def test_empty_model_raises():
 def test_recall_rows_match_oracle_and_mark_objects_without_samples(tmp_path):
     objects = [make_object("cylinder", seed=1, n_points=16), make_object("box", seed=2, n_points=16)]
     # round-robin assignment: one target sample leaves the box without any
-    ds = make_dataset(40, 1, objects, CAM, make_domain_config(0.0, 0.02, 0.0, seed=1),
-                      make_domain_config(0.5, 0.05, 0.0, seed=2), seed=4,
+    ds = make_dataset(40, 1, objects, CAM, (0.0, 0.02, 0.0), (0.5, 0.05, 0.0), seed=4,
                       sample_ranges=SAMPLE_RANGES, object_kinds=["cylinder", "box"])
     anchors = AnchorSet.build(4, 3, 3, 4, *ANCHOR_RANGES, seed=0)
     net = PoseNetwork(NetworkConfig(obs_dim=ds.obs_dim, n_rot=4, n_vx=3, n_vy=3, n_z=4,

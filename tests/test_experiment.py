@@ -11,6 +11,7 @@ import pytest
 from poseadapt import cli, experiment
 from poseadapt.config import config_from_dict
 from poseadapt.errors import TrainingFailureError
+from poseadapt.network import load_checkpoint
 from poseadapt.synth import load_dataset
 
 from test_cli import TINY, outputs, write_config
@@ -54,6 +55,33 @@ def test_the_scalar_task_starts_no_pool(tmp_path, capsys, pools):
     files, _ = train_stages(tmp_path / "scalar", 2, capsys, scalar=True)
     assert pools == []
     assert "student_obj0.ckpt" in files and "mae_student.tsv" in files
+
+
+def test_each_seed_and_object_trains_from_streams_of_its_own(tmp_path, capsys, monkeypatch):
+    """Seeds 3 and 4 train three objects on one dataset.  No two (seed,
+    object) pairs share initial weights, a teacher batch order or a student
+    batch order: ``--seed`` moves the initial weights, and object i + 1 at
+    seed 3 does not order its batches as object i at seed 4 does.  With no
+    teacher epochs a teacher checkpoint holds its initial weights."""
+    orders = {"teacher": [], "student": []}
+    for stage, record in orders.items():
+        def spy(*args, seed, real=getattr(experiment, f"train_{stage}"), record=record):
+            record.append(np.random.default_rng(seed).permutation(100).tobytes())
+            return real(*args, seed=seed)
+        monkeypatch.setattr(experiment, f"train_{stage}", spy)
+    data = tmp_path / "data"
+    experiment.run_gen_data(config_from_dict(dict(THREE, out_dir=str(data))))
+    weights = []
+    for seed in (3, 4):
+        cfg = config_from_dict(dict(THREE, seed=seed, out_dir=str(tmp_path / f"s{seed}"),
+                                    data_path=str(data / "dataset.txt"),
+                                    train=dict(THREE["train"], teacher_epochs=0)))
+        for stage in orders:
+            experiment.run_train(cfg, stage)
+        weights += [load_checkpoint(str(tmp_path / f"s{seed}" / f"teacher_obj{i}.ckpt"))[0]
+                    .flat.tobytes() for i in range(3)]
+    for streams in (weights, *orders.values()):
+        assert len(streams) == 6 and len(set(streams)) == 6
 
 
 def fail_object_1(monkeypatch, out, fail):

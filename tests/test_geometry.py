@@ -19,7 +19,7 @@ from poseadapt.geometry import (
     pose_targets,
     rot6d_to_matrix,
 )
-from poseadapt.synth import load_dataset, make_dataset, make_domain_config, save_dataset
+from poseadapt.synth import load_dataset, make_dataset, save_dataset
 
 from helpers import ANCHOR_RANGES, SAMPLE_RANGES, matrix_to_rot6d, random_rotations
 
@@ -372,11 +372,12 @@ class TestObjectModel:
         ("symmetries", (np.diag([1.0, 1.0, -1.0]),), "symmetry"),        # a reflection
         ("symmetries", (np.eye(3) + 2e-9,), "symmetry"),
         ("symmetries", (np.full((3, 3), np.nan),), "symmetry"),
+        ("symmetries", (np.full((3, 3), 1e200),), "symmetry"),        # r @ r.T overflows
         ("symmetries", (np.eye(2),), "symmetry"),
     ], ids=["not-n-by-3", "one-dimensional", "nan-point", "diameter-string",
             "negative-diameter", "zero-diameter", "infinite-diameter", "nan-diameter",
             "bool-diameter", "scaled-symmetry", "reflection", "symmetry-off-by-2e-9",
-            "nan-symmetry", "2-by-2-symmetry"])
+            "nan-symmetry", "huge-symmetry", "2-by-2-symmetry"])
     def test_constructor_refuses_what_no_model_has(self, field, value, match):
         fields = {"points": np.eye(3), "diameter": 1.5, "symmetries": (np.eye(3),)}
         with pytest.raises(InvalidArgumentError, match=match):
@@ -394,7 +395,7 @@ class TestObjectModel:
         rng = np.random.default_rng(5)
         model = ObjectModel.from_points(rng.standard_normal((12, 3)),
                                         symmetries=(np.eye(3), rot_z(np.pi)))
-        dc = make_domain_config(seed=0)
+        dc = (0.0, 0.0, 0.0)
         path = tmp_path / "data.txt"
         save_dataset(path, make_dataset(1, 1, [model], CAM, dc, dc, seed=0,
                                         sample_ranges=SAMPLE_RANGES))

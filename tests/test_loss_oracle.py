@@ -32,7 +32,7 @@ from poseadapt.losses import (
     total_objective,
 )
 from poseadapt.network import LEAK, ROT6D_IDENTITY, HeadOutput, PoseNetwork
-from poseadapt.synth import make_dataset, make_domain_config, make_object, make_scalar_task
+from poseadapt.synth import make_dataset, make_object, make_scalar_task
 
 import tape
 from helpers import SAMPLE_RANGES, float64_twin, named_gradients, nearest_bin
@@ -160,7 +160,7 @@ def setup(kind, stage, sections=None):
     "scalar" is the scalar task."""
     scalar = kind == "scalar"
     cfg = config_from_dict({"network": NETWORK, **(sections or {})})
-    dc = make_domain_config(0.0, 0.02, 0.0, seed=1)
+    dc = (0.0, 0.02, 0.0)
     if scalar:
         ds = make_scalar_task(24, 1, dc, dc, seed=0)
     else:

@@ -38,7 +38,7 @@ from poseadapt.losses import (
     total_objective,
 )
 from poseadapt.network import ROT6D_IDENTITY, NetworkConfig, PoseNetwork
-from poseadapt.synth import make_dataset, make_domain_config, make_object
+from poseadapt.synth import make_dataset, make_object
 
 from helpers import (
     ANCHOR_RANGES,
@@ -531,7 +531,7 @@ def pipeline_stage(kind, stage):
     ``stage``, as ``run_train`` builds them, and the source supervision."""
     cfg = config_from_dict({"network": {"feature_dim": 16, "encoder_hidden": [32],
                                         "head_hidden": 8}})
-    dc = make_domain_config(0.0, 0.02, 0.0, seed=1)
+    dc = (0.0, 0.02, 0.0)
     ds = make_dataset(16, 1, [make_object(kind, seed=1, n_points=16)], build_camera(cfg),
                       dc, dc, seed=0, sample_ranges=SAMPLE_RANGES)
     anchors, net_cfg, objective = build_stage(cfg, ds, stage)

@@ -21,7 +21,7 @@ from poseadapt.selftrain import (
     train_student,
     train_supervised,
 )
-from poseadapt.synth import OBS_DIM, make_dataset, make_domain_config, make_object, make_scalar_task
+from poseadapt.synth import OBS_DIM, make_dataset, make_object, make_scalar_task
 
 from helpers import SAMPLE_RANGES
 
@@ -76,8 +76,7 @@ class TestSelectSamples:
 def scalar_setup():
     """A small scalar task, its one-branch anchors, an untrained teacher
     and a CTC-free objective."""
-    ds = make_scalar_task(8, 4, make_domain_config(0.0, 0.01, 0.0, seed=1),
-                          make_domain_config(0.7, 0.02, 0.0, seed=2), seed=0)
+    ds = make_scalar_task(8, 4, (0.0, 0.01, 0.0), (0.7, 0.02, 0.0), seed=0)
     anchors = AnchorSet(rotations=np.eye(3)[None], bins_vx=np.zeros(1),
                         bins_vy=np.zeros(1), bins_z=generate_translation_bins(0.5, 1.0, 4),
                         z_range=(0.5, 1.0))
@@ -212,7 +211,7 @@ def test_training_leaves_no_reference_cycle(kind):
     reference counting alone: training leaves the cycle collector nothing."""
     cfg = config_from_dict({"network": {"feature_dim": 16, "encoder_hidden": [32],
                                         "head_hidden": 8}})
-    dc = make_domain_config(0.0, 0.02, 0.0, seed=1)
+    dc = (0.0, 0.02, 0.0)
     scalar = kind == "scalar"
     ds = (make_scalar_task(16, 1, dc, dc, seed=0) if scalar else
           make_dataset(16, 1, [make_object(kind, seed=1, n_points=16)], build_camera(cfg),
@@ -238,7 +237,7 @@ def test_training_runs_in_float32_and_predictions_leave_in_float64(monkeypatch):
     confidences leave ``predict_poses`` as float64."""
     cfg = config_from_dict({"network": {"feature_dim": 16, "encoder_hidden": [32],
                                         "head_hidden": 8}})
-    dc = make_domain_config(0.0, 0.02, 0.0, seed=1)
+    dc = (0.0, 0.02, 0.0)
     ds = make_dataset(16, 1, [make_object("cylinder", seed=1, n_points=16)], build_camera(cfg),
                       dc, dc, seed=0, sample_ranges=SAMPLE_RANGES)
     anchors, net_cfg, objective = build_stage(cfg, ds, "teacher")

@@ -15,7 +15,7 @@ from poseadapt.config import config_from_dict
 from poseadapt.experiment import STAGES, build_camera, build_stage
 from poseadapt.losses import prepare_batch_supervision, total_objective
 from poseadapt.network import Adam, PoseNetwork
-from poseadapt.synth import make_dataset, make_domain_config, make_object, make_scalar_task
+from poseadapt.synth import make_dataset, make_object, make_scalar_task
 
 from helpers import SAMPLE_RANGES, OracleAdam, named_gradients
 
@@ -28,7 +28,7 @@ def pipeline_setup(stage, scalar, kind="cylinder"):
     """A network of the pipeline, and ``loss(net, step, stage=stage)``: a
     stage's objective, over the network's anchors, on the step's batch of
     one object's source split."""
-    dc = make_domain_config(0.0, 0.02, 0.0, seed=1)
+    dc = (0.0, 0.02, 0.0)
     if scalar:
         ds = make_scalar_task(40, 1, dc, dc, seed=0)
     else:

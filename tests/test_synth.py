@@ -18,6 +18,7 @@ from poseadapt.network import NetworkConfig, PoseNetwork
 from poseadapt.synth import (
     OBS_DIM,
     SCALAR_RANGE,
+    TARGET_NOISE,
     evaluation_access,
     load_dataset,
     make_dataset,
@@ -27,6 +28,7 @@ from poseadapt.synth import (
     raw_observation,
     row_names,
     save_dataset,
+    seed_node,
     synthesize,
 )
 
@@ -146,33 +148,29 @@ class TestMakeObject:
         assert not obj.is_symmetric
 
 
+def domain(offset=0.0, noise=0.0, dropout=0.0, seed=0):
+    """A domain config whose offset direction a generator of ``seed`` draws."""
+    return make_domain_config(np.random.default_rng(seed), offset, noise, dropout)
+
+
 class TestSynthesize:
     def setup_method(self):
         self.obj = make_object("box", seed=0, n_points=64)
 
-    def observe(self, poses, dc):
-        return synthesize(raw_observation(poses, self.obj, CAM), poses, dc)
+    def observe(self, poses, dc, seed=0):
+        return synthesize(raw_observation(poses, self.obj, CAM), poses, dc,
+                          np.random.default_rng(seed))
 
     def test_deterministic_for_same_pose_and_config(self):
-        dc = make_domain_config(0.0, 0.0, 0.0, seed=5)
+        dc = domain(0.0, 0.1, 0.2, seed=5)
         poses = Pose(np.stack([rot_z(0.4), rot_z(-1.3)]), [[0.05, 0.0, 1.2], [0.0, -0.1, 0.9]])
         a = self.observe(poses, dc)
         b = self.observe(poses, dc)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (2, OBS_DIM)
 
-    def test_noise_is_pose_keyed(self):
-        dc = make_domain_config(0.0, 0.1, 0.0, seed=5)
-        poses = Pose(np.tile(np.eye(3), (3, 1, 1)), [[0.0, 0.0, 1.0], [0.0, 0.0, 1.1],
-                                                     [0.0, 0.0, 1.0]])
-        obs = self.observe(poses, dc)
-        noise = obs - self.observe(poses, make_domain_config(0.0, 0.0, 0.0, seed=5))
-        assert not np.array_equal(noise[0], noise[1])
-        np.testing.assert_array_equal(obs[0], obs[2])
-        np.testing.assert_array_equal(obs, self.observe(poses, dc))
-
     def test_depth_moves_size_channel(self):
-        dc = make_domain_config(0.0, 0.0, 0.0, seed=0)
+        dc = domain()
         near_far = Pose(np.tile(np.eye(3), (2, 1, 1)), [[0.0, 0.0, 0.8], [0.0, 0.0, 1.6]])
         raw = raw_observation(near_far, self.obj, CAM)
         assert raw[0, -1] > raw[1, -1]       # the apparent size, the last raw channel
@@ -184,44 +182,113 @@ class TestSynthesize:
         # observations equal the configured nuisance offset within 3 sigma.
         rng = np.random.default_rng(7)
         noise = 0.05
-        src = make_domain_config(0.0, noise, 0.0, seed=1)
-        tgt = make_domain_config(0.9, noise, 0.0, seed=2)
+        src, tgt = domain(0.0, noise, seed=1), domain(0.9, noise, seed=2)
         n = 200
         rotations = random_rotations(n, rng)
         translations = np.zeros((n, 3))
         translations[:, 2] = rng.uniform(0.6, 1.5, n)
         poses = Pose(rotations, translations)
-        mean_diff = (self.observe(poses, tgt) - self.observe(poses, src)).mean(axis=0)
+        mean_diff = (self.observe(poses, tgt, seed=3)
+                     - self.observe(poses, src, seed=4)).mean(axis=0)
         # two independent noise draws: std of the mean is noise*sqrt(2/n)
         bound = 3.0 * noise * np.sqrt(2.0 / n)
         assert np.all(np.abs(mean_diff - (tgt.offset - src.offset)) < bound)
 
     def test_dropout_zeroes_coordinates(self):
-        dc = make_domain_config(0.0, 0.0, 0.9, seed=3)
+        dc = domain(dropout=0.9)
         obs = self.observe(Pose(np.eye(3)[None], [[0.0, 0.0, 1.0]]), dc)
         assert np.count_nonzero(obs == 0.0) > OBS_DIM // 2
 
     def test_nonpositive_depth_rejected(self):
-        dc = make_domain_config(0.0, 0.0, 0.0, seed=0)
+        dc = domain()
         poses = Pose(np.tile(np.eye(3), (2, 1, 1)), [[0, 0, 1.0], [0, 0, -1.0]])
         with pytest.raises(InvalidArgumentError):
             self.observe(poses, dc)
 
 
+class TestSeedTree:
+    """Every random role of a run draws from its own node of the run
+    seed's tree, and the noise of a split is one stream."""
+
+    @pytest.mark.parametrize("seed, role, i", [(0, synth.POSES, 0), (3, TARGET_NOISE, 0),
+                                               (2 ** 64 + 5, synth.INIT, 2),
+                                               (7, synth.STUDENT_ORDER, 5)])
+    def test_a_node_is_the_child_that_spawning_gives(self, seed, role, i):
+        child = np.random.SeedSequence(seed).spawn(6)[role].spawn(i + 1)[i]
+        assert_bits_equal(child.generate_state(8), seed_node(seed, role, i).generate_state(8))
+
+    def test_no_two_roles_share_a_stream(self):
+        """No two nodes of seeds 5 and 6, six roles and three objects
+        start alike, among them the source and target noise of a seed,
+        seed 5's target noise against seed 6's source noise, and object
+        i + 1 at seed 5 against object i at seed 6."""
+        nodes = [(seed, role, i) for seed in (5, 6) for role in range(6) for i in range(3)]
+        starts = {seed_node(*node).generate_state(4).tobytes() for node in nodes}
+        assert len(starts) == len(nodes)
+
+    @staticmethod
+    def noise(task, source, target, seed, n=(300, 200)):
+        """Each split's observations less those of the same dataset at zero
+        noise: the same poses, offset and dropout mask."""
+        def make(*domains):
+            if task == "scalar":
+                return make_scalar_task(*n, *domains, seed=seed)
+            objects = [make_object("box", seed=0, n_points=48),
+                       make_object("blob", seed=2, n_points=48)]
+            return make_dataset(*n, objects, CAM, *domains, seed=seed,
+                                sample_ranges=SAMPLE_RANGES)
+        noisy, clean = make(source, target), make(*((o, 0.0, p) for o, _, p in (source, target)))
+        return [(a.observation - b.observation, a.observation)
+                for a, b in ((noisy.source, clean.source), (noisy.target, clean.target))]
+
+    @pytest.mark.parametrize("task", ["pose", "scalar"])
+    def test_each_split_draws_its_noise_at_its_scale(self, task):
+        """The noise of each split is standard normal times its scale, and
+        its dropout zeroes its share of coordinates."""
+        source, target = (0.0, 0.01, 0.0), (0.7, 0.04, 0.1 if task == "pose" else 0.0)
+        for (noise, obs), (_, scale, dropout) in zip(self.noise(task, source, target, seed=3),
+                                                     (source, target)):
+            kept = noise[obs != 0.0] / scale
+            assert abs(kept.std() - 1.0) < 0.03 and abs(kept.mean()) < 0.03
+            assert abs(np.mean(obs == 0.0) - dropout) < 0.01
+
+    def test_no_split_shares_a_noise_stream(self):
+        """Source against target noise of seed 4, and seed 4's target
+        noise against seed 5's source noise, are uncorrelated."""
+        (s4, _), (t4, _) = self.noise("scalar", (0.0, 0.01, 0.0), (0.0, 0.01, 0.0), seed=4,
+                                      n=(100, 100))
+        (s5, _), _ = self.noise("scalar", (0.0, 0.01, 0.0), (0.0, 0.01, 0.0), seed=5,
+                                n=(100, 100))
+        for a, b in ((s4, t4), (t4, s5)):
+            assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) < 0.1
+
+    def test_the_target_offset_is_the_first_draw_of_its_stream(self):
+        """The target split's offset direction comes first from its noise
+        stream: at zero noise every target row is the source row of its
+        pose plus that offset."""
+        ds = make_scalar_task(5, 5, (0.0, 0.0, 0.0), (0.7, 0.0, 0.0), seed=6)
+        want = domain(0.7, seed=seed_node(6, TARGET_NOISE)).offset
+        assert np.linalg.norm(want) == pytest.approx(0.7)
+        with evaluation_access():
+            clean = synthesize(synth._scalar_raw(ds.target.gt_pose.z), ds.target.gt_pose,
+                               domain(), np.random.default_rng(0))
+        np.testing.assert_allclose(ds.target.observation - clean, np.tile(want, (5, 1)),
+                                   rtol=0, atol=1e-12)
+
+
 class TestDomainConfig:
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
-            make_domain_config(noise_scale=-0.1)
+            domain(noise=-0.1)
         with pytest.raises(InvalidArgumentError):
-            make_domain_config(dropout_prob=1.5)
+            domain(dropout=1.5)
 
 
 class TestMakeDataset:
     def setup_method(self):
         self.objects = [make_object("box", seed=0, n_points=48),
                         make_object("cylinder", seed=1, n_points=48)]
-        self.src = make_domain_config(0.0, 0.02, 0.0, seed=1)
-        self.tgt = make_domain_config(0.5, 0.05, 0.0, seed=2)
+        self.src, self.tgt = (0.0, 0.02, 0.0), (0.5, 0.05, 0.0)
 
     def dataset(self, n_source, n_target, seed):
         return make_dataset(n_source, n_target, self.objects, CAM, self.src, self.tgt, seed=seed,
@@ -523,8 +590,7 @@ class TestMakeDataset:
 
 class TestScalarTask:
     def shift(self):
-        return (make_domain_config(0.0, 0.01, 0.0, seed=1),
-                make_domain_config(0.7, 0.02, 0.0, seed=2))
+        return (0.0, 0.01, 0.0), (0.7, 0.02, 0.0)
 
     def test_deterministic(self):
         a = make_scalar_task(30, 10, *self.shift(), seed=3)
