@@ -109,7 +109,10 @@ def entrypoint():
     # numpy reads these when it loads; a value the user set wins
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    raise SystemExit(main(workers=len(os.sched_getaffinity(0))))
+    # macOS and Windows have no sched_getaffinity
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    raise SystemExit(main(workers=workers))
 
 
 if __name__ == "__main__":

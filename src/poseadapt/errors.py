@@ -34,8 +34,8 @@ class CheckpointIncompatibleError(CheckpointError):
 
 
 class TrainingFailureError(PoseAdaptError):
-    """Training failed; a divergence carries the last finite parameter
-    snapshot."""
+    """Training failed; a divergence carries the last finite parameters
+    as ``snapshot``, a copy of the network's flat parameter buffer."""
 
     def __init__(self, message, snapshot=None):
         super().__init__(message)

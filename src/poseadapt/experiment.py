@@ -292,7 +292,7 @@ def run_train(cfg: RunConfig, stage, workers=1):
                 loss = "" if stats.final_loss is None else f", final loss {stats.final_loss:.4f}"
                 print(f"{stage}: object {i} trained{loss}")
             save_checkpoint(_ckpt_path(cfg.out_dir, stage, i), net,
-                            meta={"stage": stage, "object_id": i, "kind": ds.kind})
+                            meta={"stage": stage, "object_id": i})
             quality.append(quality_rows(net, ds, i, anchors))   # while the workers train
     except broken as e:     # say, at the hands of the out-of-memory killer
         raise TrainingFailureError(f"a training worker died: {e}") from e

@@ -14,22 +14,22 @@ returns its backward with the activations it reads; a prediction pass
 Parameters, gradients, Adam moments and activations are float32
 (``DTYPE``): observations are cast once on the way in, head-output
 gradients once on the way back.
+
+A checkpoint (format 3) is the network's config, a ``meta`` object and
+``flat``: the config builds the layout, so one buffer is a network's
+whole stored state.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    CheckpointError,
-    CheckpointIncompatibleError,
-    InvalidArgumentError,
-    ShapeError,
-)
+from .errors import CheckpointError, CheckpointIncompatibleError, InvalidArgumentError, ShapeError
 
 LEAK = 0.01  # leaky-relu slope: nonzero gradient almost everywhere
 DTYPE = np.dtype(np.float32)  # of every parameter, gradient and activation
@@ -299,11 +299,13 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint file: versioned binary, header JSON + the raw little-endian
-# float32 parameter buffer; the header records that dtype
+# checkpoint file, format 3: the magic line, one JSON line {"config", "meta"},
+# then ``flat`` as little-endian float32.  The config fixes the layout, so the
+# byte count is the one layout check.
 
-_CKPT_MAGIC = b"poseadapt-ckpt v2\n"
-_CKPT_DTYPE = DTYPE.newbyteorder("<").str
+_CKPT_VERSION = 3
+_CKPT_MAGIC = b"poseadapt-ckpt v%d\n" % _CKPT_VERSION
+_CKPT_DTYPE = DTYPE.newbyteorder("<")
 
 
 def save_checkpoint(path, net: PoseNetwork, meta=None):
@@ -313,19 +315,10 @@ def save_checkpoint(path, net: PoseNetwork, meta=None):
     RNG state are stored, so a loaded network is for evaluation, for
     annotation, or as the starting point of a new training stage.
     """
-    header = {
-        "version": 2,
-        "dtype": _CKPT_DTYPE,
-        "config": asdict(net.config),
-        "params": [{"name": k, "shape": list(p.shape)} for k, p in net.parameters().items()],
-        "meta": meta or {},
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
+    header = json.dumps({"config": asdict(net.config), "meta": meta or {}}, sort_keys=True)
     with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(len(blob).to_bytes(8, "big"))
-        f.write(blob)
-        f.write(net.flat.astype(_CKPT_DTYPE).tobytes())     # the parameters in order
+        f.write(_CKPT_MAGIC + header.encode() + b"\n")
+        f.write(net.flat.astype(_CKPT_DTYPE, copy=False))
 
 
 def load_checkpoint(path, expected_config: NetworkConfig = None):
@@ -335,32 +328,25 @@ def load_checkpoint(path, expected_config: NetworkConfig = None):
             raw = f.read()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if raw.startswith(b"poseadapt-ckpt v1\n"):
-        raise CheckpointError(f"{path}: checkpoint version 1, this build reads version 2; "
-                              "re-train")
-    if not raw.startswith(_CKPT_MAGIC):
+    magic = re.match(rb"poseadapt-ckpt v(\d+)\n", raw)
+    if magic is None:
         raise CheckpointError(f"{path}: not a poseadapt checkpoint")
+    if magic[0] != _CKPT_MAGIC:
+        raise CheckpointError(f"{path}: checkpoint version {magic[1].decode()}, this build reads "
+                              f"version {_CKPT_VERSION}; re-train")
     try:
-        n = int.from_bytes(raw[len(_CKPT_MAGIC):len(_CKPT_MAGIC) + 8], "big")
-        header = json.loads(raw[len(_CKPT_MAGIC) + 8:len(_CKPT_MAGIC) + 8 + n])
-        offset = len(_CKPT_MAGIC) + 8 + n
+        offset = raw.index(b"\n", magic.end()) + 1
+        header = json.loads(raw[magic.end():offset])
         cfg_dict = dict(header["config"])
         cfg_dict["encoder_hidden"] = tuple(cfg_dict["encoder_hidden"])
         config = NetworkConfig(**cfg_dict)
         net = PoseNetwork(config)
-        if [(p["name"], tuple(p["shape"])) for p in header["params"]] != \
-                [(k, p.shape) for k, p in net.parameters().items()]:
-            raise CheckpointIncompatibleError("parameter names do not match network config")
-        if header["dtype"] != _CKPT_DTYPE:
-            raise ValueError(f"parameter dtype {header['dtype']}, not {_CKPT_DTYPE}")
         if len(raw) - offset != net.flat.nbytes:
             raise ValueError(f"{len(raw) - offset} parameter bytes, expected {net.flat.nbytes}")
         net.flat[...] = np.frombuffer(raw, dtype=_CKPT_DTYPE, offset=offset)
-        meta = header.get("meta", {})
+        meta = header["meta"]
         if not isinstance(meta, dict):
             raise ValueError(f"meta {meta!r} is not an object")
-    except CheckpointIncompatibleError:
-        raise
     except Exception as e:
         raise CheckpointError(f"{path}: corrupt checkpoint ({e})") from e
     if expected_config is not None and config != expected_config:

@@ -88,12 +88,12 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
     by a stack of n poses; deterministic for a fixed RNG state.  A
     non-finite loss, or a non-finite Adam second moment at an epoch's end,
     raises TrainingFailureError carrying the last finite parameter
-    snapshot."""
+    snapshot, a copy of the network's ``flat`` buffer."""
     stats = TrainStats()
     n = len(obs)
     if epochs == 0 or n == 0:
         return stats
-    snapshot = net.state_arrays()
+    snapshot = net.flat.copy()
     branches = tuple(net.config.branches())
     sup_all = prepare_batch_supervision(poses, anchors, cam, objective, branches=branches)
     for _ in range(epochs):
@@ -106,7 +106,7 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
             value = breakdown.total_value
             if not np.isfinite(value):
                 if np.isfinite(net.flat).all():
-                    snapshot = net.state_arrays()
+                    snapshot = net.flat.copy()
                 raise TrainingFailureError(
                     f"training diverged: non-finite loss {value}", snapshot=snapshot)
             breakdown.total.backward()
@@ -118,7 +118,7 @@ def train_supervised(net: PoseNetwork, optimizer: Adam, obs, poses: Pose, anchor
             raise TrainingFailureError("training diverged: non-finite Adam second moment",
                                        snapshot=snapshot)
         if np.isfinite(net.flat).all():
-            snapshot = net.state_arrays()
+            snapshot = net.flat.copy()
     return stats
 
 

@@ -6,8 +6,8 @@ the fused flat update must match bit for bit.  ``float64_twin`` is a
 network's double-precision twin, for oracles that check to float64
 precision; ``named_gradients`` names the views of a network's gradient
 buffer as ``parameters()`` names its parameters; ``write_v1_checkpoint``
-writes a network in the checkpoint format version 1 that this build
-refuses.  ``nearest_bin`` is the
+and ``write_v2_checkpoint`` write a network in the checkpoint format
+versions 1 and 2 that this build refuses.  ``nearest_bin`` is the
 depth-class rule of the correlation term.  ``ANCHOR_RANGES`` and ``SAMPLE_RANGES`` are
 the run config's default anchor and pose sampling ranges, for tests that
 build anchors or datasets without a run config.  ``encode_floats`` and
@@ -109,15 +109,28 @@ def named_gradients(net):
 
 
 def write_v1_checkpoint(path, net):
-    """``net`` as a checkpoint of format version 1: its magic and header,
-    then the parameters as little-endian float64."""
-    header = json.dumps({"version": 1, "config": asdict(net.config),
+    """``net`` as a checkpoint of format version 1: its magic, the header's
+    length and header, then the parameters as little-endian float64."""
+    _write_old_checkpoint(path, net, {"version": 1}, "<f8")
+
+
+def write_v2_checkpoint(path, net):
+    """``net`` as a checkpoint of format version 2: as version 1, with the
+    header's ``dtype`` and the parameters as little-endian float32."""
+    _write_old_checkpoint(path, net, {"version": 2, "dtype": "<f4"}, "<f4")
+
+
+def _write_old_checkpoint(path, net, fields, dtype):
+    """The magic line of ``fields["version"]``, the header's length as 8
+    big-endian bytes, the header (``fields``, the config, the table of
+    parameter names and shapes, an empty meta), then ``flat`` as ``dtype``."""
+    header = json.dumps({**fields, "config": asdict(net.config),
                          "params": [{"name": k, "shape": list(p.shape)}
                                     for k, p in net.parameters().items()],
                          "meta": {}}, sort_keys=True).encode()
     with open(path, "wb") as f:
-        f.write(b"poseadapt-ckpt v1\n" + len(header).to_bytes(8, "big") + header
-                + net.flat.astype("<f8").tobytes())
+        f.write(b"poseadapt-ckpt v%d\n" % fields["version"] + len(header).to_bytes(8, "big")
+                + header + net.flat.astype(dtype).tobytes())
 
 
 # struct code of each float block of a split line: float32 observations,

@@ -1,6 +1,8 @@
 """Command-line pipeline: every stage end to end, determinism, exit codes."""
 
 import base64
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -28,6 +30,7 @@ from helpers import (
     version_4_header,
     version_4_record,
     write_v1_checkpoint,
+    write_v2_checkpoint,
 )
 
 TINY = {
@@ -100,9 +103,11 @@ def test_pipeline_writes_every_report_and_repeats_byte_identically(tmp_path, cap
     assert outputs(again) == first
 
 
-# SHA-256 over the names and bytes of every checkpoint and TSV of ``golden_run``
-GOLDEN_DIGEST = "dc9c54d287340f60168ca58b97e7708e33ff77d6a0f3983c3d02f0d31c66d714"
-SCALAR_GOLDEN_DIGEST = "6b3d5846015ec057641c203d1b269cf44db70991d9c40bfaad1e5c9ce18c8ba3"
+# SHA-256 over the names and bytes of every checkpoint and TSV of ``golden_run``,
+# pinned on the OpenBLAS core ``GOLDEN_CORE``
+GOLDEN_DIGEST = "0bdcf26b3de133f8d4ed814ffbcc2fffdb0c775bfca7d0da9cb235f097cbc679"
+SCALAR_GOLDEN_DIGEST = "9a3009ebf38b286e7d4e724725f0331564eef8e907b0b91dbec0fbfd5797ada8"
+GOLDEN_CORE = "SkylakeX"
 
 
 def golden_run(tmp_path, scalar=False):
@@ -118,6 +123,24 @@ def golden_run(tmp_path, scalar=False):
     return digest.hexdigest()
 
 
+def openblas_core():
+    """The name of the OpenBLAS core that numpy's float32 GEMMs run on, or
+    None when numpy has no OpenBLAS."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "lib*openblas*"))
+    for path in libs:
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def core_message(digest):
+    return (f"digest {digest}: the golden digests were pinned on the OpenBLAS core "
+            f"{GOLDEN_CORE}, and this run's core is {openblas_core()}")
+
+
 def test_tiny_pipeline_matches_its_golden_digest(tmp_path, capsys):
     """The ``TINY`` pose pipeline (gen-data, teacher, student; seed 3)
     writes exactly the checkpoints and reports it always has.
@@ -126,14 +149,18 @@ def test_tiny_pipeline_matches_its_golden_digest(tmp_path, capsys):
     keep this digest and ``SCALAR_GOLDEN_DIGEST``.  A change that moves
     results on purpose (a new loss scale, a new gradient order, a method
     change) updates them and says so in CHANGES.md.  The digests hold for
-    one numpy and BLAS build; another build may round differently."""
-    assert golden_run(tmp_path) == GOLDEN_DIGEST
+    one numpy and BLAS build and one OpenBLAS core, ``GOLDEN_CORE``;
+    another build or core may round differently, and a mismatch names the
+    core it ran on."""
+    digest = golden_run(tmp_path)
+    assert digest == GOLDEN_DIGEST, core_message(digest)
 
 
 def test_tiny_scalar_pipeline_matches_its_golden_digest(tmp_path, capsys):
     """The same pipeline with ``--scalar-task``: its pseudo-label caches
     are the files the benchmark counts selected rows from."""
-    assert golden_run(tmp_path, scalar=True) == SCALAR_GOLDEN_DIGEST
+    digest = golden_run(tmp_path, scalar=True)
+    assert digest == SCALAR_GOLDEN_DIGEST, core_message(digest)
 
 
 # SHA-256 of the ``TINY`` dataset.txt that gen-data writes with seed 3
@@ -345,18 +372,20 @@ BAD_CONFIGS = {
     ("no-objects-dataset", cli.EXIT_IO),
     ("unknown-kind-dataset", cli.EXIT_IO),
     ("trailing-bytes-checkpoint", cli.EXIT_IO),
+    ("truncated-checkpoint", cli.EXIT_IO),
 ] + [(case, cli.EXIT_IO) for case in [*OLD_VERSIONS, *OBJECT_EDITS, *CAMERA_FX, *SIZE_EDITS,
                                       *CORRUPT_SAMPLES]])
 def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case.endswith("-dataset"):
         argv = _corrupt_dataset(tmp_path, case)
-    elif case == "trailing-bytes-checkpoint":
+    elif case.endswith("-checkpoint"):
         cfg = dict(TINY, out_dir=str(tmp_path / "run"))
         argv = ["--config", write_config(tmp_path, "tiny", cfg)]
         assert cli.main(["gen-data"] + argv) == 0
         assert cli.main(["train", "--stage", "teacher"] + argv) == 0
         path = tmp_path / "run" / "teacher_obj0.ckpt"
-        path.write_bytes(path.read_bytes() + b"\0" * 7)
+        data = path.read_bytes()
+        path.write_bytes(data + b"\0" * 7 if case == "trailing-bytes-checkpoint" else data[:-3])
         argv = ["eval", "--checkpoint", str(path)] + argv
     elif case == "negative-seed-flag":
         argv = ["gen-data", "--seed", "-1", "--out", str(tmp_path / "run")]
@@ -373,7 +402,7 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, case, code):
     if case in OLD_VERSIONS:
         assert (f"dataset version {case[8]}, this build reads version 5; re-run gen-data"
                 in err), err
-    elif case == "trailing-bytes-checkpoint":
+    elif case.endswith("-checkpoint"):
         assert "teacher_obj0.ckpt: corrupt checkpoint (" in err, err
         assert "parameter bytes, expected" in err, err
     elif case in CORRUPT_SAMPLES:
@@ -483,6 +512,21 @@ def test_the_command_pins_one_blas_thread_before_numpy_loads(monkeypatch):
         assert (os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"]) == \
             (user or "1", "1")
     assert len(calls) == 2 and min(calls) >= 1
+
+
+@pytest.mark.parametrize("cpus, workers", [(6, 6), (None, 1)])
+def test_the_command_counts_cpus_without_sched_getaffinity(monkeypatch, cpus, workers):
+    """Where ``os.sched_getaffinity`` is missing (macOS, Windows), the
+    command trains one worker per CPU that ``os.cpu_count`` reports, and
+    one when it reports none."""
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv=None, workers=1: calls.append(workers) or 0)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    with pytest.raises(SystemExit) as exit_:
+        cli.entrypoint()
+    assert exit_.value.code == 0
+    assert calls == [workers]
 
 
 @pytest.mark.parametrize("key", ["k_rot", "k_z", "k_vxvy", "use_ctc", "reannotate"])
@@ -653,20 +697,22 @@ def test_bad_checkpoint_object_id_exits_with_one_line(tmp_path, capsys, meta):
 @pytest.mark.parametrize("step", [["sweep-threshold"], ["train", "--stage", "student"],
                                   ["eval", "--checkpoint", "teacher_obj0.ckpt"]],
                          ids=["sweep", "student", "eval"])
-def test_version_1_checkpoint_exits_with_one_line(tmp_path, capsys, step):
-    """A teacher checkpoint of format version 1 (float64 parameters) is
-    refused by every command that loads it, as an I/O error that says to
-    re-train."""
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_of_an_old_version_exits_with_one_line(tmp_path, capsys, version, step):
+    """A teacher checkpoint of format version 1 (float64 parameters) or 2
+    (a parameter table in its header) is refused by every command that
+    loads it, as an I/O error that says to re-train."""
     argv = ["--config", write_config(tmp_path, "tiny", dict(TINY, out_dir=str(tmp_path)))]
     assert cli.main(["gen-data"] + argv) == 0
     assert cli.main(["train", "--stage", "teacher"] + argv) == 0
     path = tmp_path / "teacher_obj0.ckpt"
-    write_v1_checkpoint(path, load_checkpoint(path)[0])
+    write = write_v1_checkpoint if version == 1 else write_v2_checkpoint
+    write(path, load_checkpoint(path)[0])
     step = [str(tmp_path / a) if a.endswith(".ckpt") else a for a in step]
     capsys.readouterr()
     assert cli.main(step + argv) == cli.EXIT_IO
-    assert capsys.readouterr().err == (f"error: {path}: checkpoint version 1, this build reads "
-                                       "version 2; re-train\n")
+    assert capsys.readouterr().err == (f"error: {path}: checkpoint version {version}, this "
+                                       "build reads version 3; re-train\n")
     assert not list(tmp_path.glob("sweep_*.tsv")) and not list(tmp_path.glob("student_*"))
 
 

@@ -193,16 +193,16 @@ def test_non_finite_loss_raises_with_the_last_finite_parameters():
     obs, poses, _ = split_arrays(ds)
     obs = obs.copy()
     obs[np.random.default_rng(0).permutation(len(obs))[-1]] = np.nan  # the last batch
-    before = net.state_arrays()
+    before = net.flat.copy()
     with pytest.raises(TrainingFailureError) as info:
         train_supervised(net, Adam(net.flat, net.grad_buffer(), lr=1e-3), obs, poses, anchors,
                          ds.objects[0], ds.cam, objective, epochs=1, batch_size=2,
                          rng=np.random.default_rng(0))
-    snapshot, now = info.value.snapshot, net.state_arrays()
-    assert set(snapshot) == set(now)
-    assert all(np.isfinite(a).all() for a in snapshot.values())
-    assert all(np.array_equal(snapshot[k], now[k]) for k in now)
-    assert any(not np.array_equal(snapshot[k], before[k]) for k in now)
+    snapshot = info.value.snapshot
+    assert (snapshot.shape, snapshot.dtype) == (net.flat.shape, net.flat.dtype)
+    assert np.isfinite(snapshot).all()
+    assert np.array_equal(snapshot, net.flat) and snapshot is not net.flat
+    assert not np.array_equal(snapshot, before)
 
 
 @pytest.mark.parametrize("kind", ["scalar", "cylinder"])
